@@ -36,6 +36,7 @@ from .loopnest import (
     RefreshPlan,
     build_nest,
     canonical_refresh,
+    checked_plan,
     refresh_plan,
     validate_nest,
     validate_structure,
@@ -125,6 +126,7 @@ __all__ = [
     "canonical_json",
     "canonical_refresh",
     "check",
+    "checked_plan",
     "counts_csv",
     "diff_counts",
     "energy",

@@ -402,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(p)
     p.add_argument(
         "--cap", type=int, default=oracle.DEFAULT_CAP,
-        help="abort if the simulated loop body exceeds this many iterations",
+        help="abort if the brute-force run would enumerate more than this "
+        "many temporal steps, PE instances or tile points",
     )
     p.add_argument(
         "--no-validate", action="store_true",

@@ -7,8 +7,14 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Violation:
-    """One failed check, with the config/field path it refers to."""
+    """One failed check, with the config/field path it refers to.
 
+    `code` names the kind of check: structure (grouping, coverage,
+    refresh ranges), pe_array, capacity, refresh_style (no refresh
+    location fits a register budget) or hardware (an invalid config).
+    """
+
+    code: str
     field: str
     message: str
 

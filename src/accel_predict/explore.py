@@ -6,20 +6,19 @@ templates and refresh styles. Candidates are screened against the
 hardware (PE count, buffer capacities) and scored with the analytic
 model under one of three objectives: energy, latency or their product.
 
-Set ACCEL_PREDICT_THREADS to evaluate candidates on a thread pool; the
-ranking is merged in candidate order, so results do not depend on the
-worker count.
+Each candidate takes one pass: build the nest, place its refresh
+points, check it and plan it in one go, then score a legal mapping from
+that same plan. A discarded candidate is counted under the code of the
+first violation it hit.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
 import random
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .dsl import render
@@ -27,9 +26,10 @@ from .errors import ConfigError, MappingError
 from .loopnest import (
     LoopNest,
     RefreshLocations,
+    RefreshPlan,
     build_nest,
     canonical_refresh,
-    validate_nest,
+    checked_plan,
 )
 from .model import (
     DIMS,
@@ -39,7 +39,13 @@ from .model import (
     MemLevel,
     Options,
 )
-from .predictor import PredictionReport, predict_layer
+from .predictor import (
+    PredictionReport,
+    access_counts,
+    energy,
+    latency,
+    predict_layer,
+)
 
 OBJECTIVES = ("energy", "latency", "edp")
 STRATEGIES = ("exhaustive", "random", "beam")
@@ -226,14 +232,24 @@ def _candidate_nest(
     return nest, style
 
 
-def _objective_value(report: PredictionReport, objective: str) -> float:
-    if objective == "energy":
-        return report.energy.total
-    if objective == "latency":
-        return report.latency.l_total_s
-    if objective == "edp":
-        return report.energy.total * report.latency.l_total_s
-    raise ConfigError(f"unknown objective {objective!r}; pick from {OBJECTIVES}")
+def _screen(
+    space: SearchSpace,
+    layer: LayerShape,
+    prep: _Prepared,
+    cand: Candidate,
+) -> tuple[LoopNest, RefreshLocations | None, RefreshPlan | None, str | None]:
+    """Build one candidate and check it against the hardware.
+
+    Returns (nest, refresh, plan, None) for a legal mapping; otherwise
+    the last item is the code of the first violation found.
+    """
+    nest, style = _candidate_nest(space, layer, prep, cand)
+    try:
+        refresh = canonical_refresh(nest, style, space.hw, space.options)
+    except MappingError as exc:
+        return nest, None, None, exc.violations[0].code
+    plan, violations = checked_plan(nest, space.hw, refresh, space.options)
+    return nest, refresh, plan, violations[0].code if violations else None
 
 
 def _evaluate(
@@ -245,34 +261,16 @@ def _evaluate(
 ):
     """Score one candidate.
 
-    Returns ("ok", value, dsl, nest, refresh) or ("discard", reason).
+    Returns ("ok", value, dsl, nest, refresh) or ("discard", code).
     """
-    nest, style = _candidate_nest(space, layer, prep, cand)
-    try:
-        refresh = canonical_refresh(nest, style, space.hw, space.options)
-    except MappingError:
-        return ("discard", "refresh_style")
-    violations = validate_nest(nest, space.hw, refresh, space.options)
-    if violations:
-        reason = "structure"
-        for v in violations:
-            if v.field.startswith("capacity"):
-                reason = "capacity"
-                break
-            if "spatial instances" in v.message:
-                reason = "pe_array"
-                break
-        return ("discard", reason)
-    report = predict_layer(
-        layer, nest, refresh, space.hw, space.options, validate=False
-    )
-    return (
-        "ok",
-        _objective_value(report, objective),
-        render(nest, refresh),
-        nest,
-        refresh,
-    )
+    nest, refresh, plan, code = _screen(space, layer, prep, cand)
+    if code is not None:
+        return ("discard", code)
+    counts = access_counts(plan, space.options)
+    e = energy(plan, counts, space.hw).total
+    lat = latency(plan, counts, space.hw, space.options).l_total_s
+    value = {"energy": e, "latency": lat, "edp": e * lat}[objective]
+    return ("ok", value, render(nest, refresh), nest, refresh)
 
 
 def enumerate_mappings(
@@ -287,27 +285,11 @@ def enumerate_mappings(
     """
     prep = _prepare(space, layer)
     for cand in _iter_candidates(prep):
-        nest, style = _candidate_nest(space, layer, prep, cand)
-        try:
-            refresh = canonical_refresh(nest, style, space.hw, space.options)
-        except MappingError:
-            if discards is not None:
-                discards["refresh_style"] += 1
-            continue
-        violations = validate_nest(nest, space.hw, refresh, space.options)
-        if violations:
-            if discards is not None:
-                reason = "structure"
-                for v in violations:
-                    if v.field.startswith("capacity"):
-                        reason = "capacity"
-                        break
-                    if "spatial instances" in v.message:
-                        reason = "pe_array"
-                        break
-                discards[reason] += 1
-            continue
-        yield nest, refresh
+        nest, refresh, _, code = _screen(space, layer, prep, cand)
+        if code is None:
+            yield nest, refresh
+        elif discards is not None:
+            discards[code] += 1
 
 
 # --------------------------------------------------------------- results
@@ -358,31 +340,9 @@ class SearchResult:
         return out
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("ACCEL_PREDICT_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"ACCEL_PREDICT_THREADS must be an integer, got {raw!r}"
-        ) from None
-    return max(1, n)
-
-
 def _score_candidates(space, layer, prep, objective, candidates):
     """Evaluate candidates, preserving candidate order in the output."""
-    workers = _worker_count()
-    if workers == 1:
-        return [_evaluate(space, layer, prep, objective, c) for c in candidates]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(
-                lambda c: _evaluate(space, layer, prep, objective, c),
-                candidates,
-            )
-        )
+    return [_evaluate(space, layer, prep, objective, c) for c in candidates]
 
 
 def _rank(scored, top_k: int, discards: Counter):

@@ -181,34 +181,34 @@ def validate_structure(
 ) -> list[Violation]:
     """Hardware-independent legality: grouping, coverage, location ranges."""
     out: list[Violation] = []
+
+    def flag(field: str, message: str) -> None:
+        out.append(Violation("structure", field, message))
+
     prev = MemLevel.DRAM
     for i, lv in enumerate(nest.levels):
         path = f"levels[{i}]"
         if lv.bound < 1:
-            out.append(Violation(path, "bound must be >= 1"))
+            flag(path, "bound must be >= 1")
         if lv.mem > prev:
-            out.append(
-                Violation(
-                    path,
-                    f"{lv.mem.label} loop after {prev.label}; groups must "
-                    "run DRAM->GB->NoC->RF outermost to innermost",
-                )
+            flag(
+                path,
+                f"{lv.mem.label} loop after {prev.label}; groups must "
+                "run DRAM->GB->NoC->RF outermost to innermost",
             )
         prev = min(prev, lv.mem)
 
     noc = [i for i, lv in enumerate(nest.levels) if lv.mem is MemLevel.NOC]
     spatial = [i for i in noc if nest.levels[i].spatial]
     if spatial and spatial != list(range(spatial[0], spatial[-1] + 1)):
-        out.append(
-            Violation("levels", "spatial loops must be contiguous within NoC")
-        )
+        flag("levels", "spatial loops must be contiguous within NoC")
 
     per_dim: dict[str, list[int]] = {d: [] for d in DIMS}
     for lv in nest.levels:
         per_dim[lv.dim].append(lv.bound)
     for d in DIMS:
         for msg in _check_coverage(d, nest.layer.dim(d), per_dim[d]):
-            out.append(Violation(f"dim {d}", msg))
+            flag(f"dim {d}", msg)
 
     if refresh is not None:
         n = len(nest.levels)
@@ -218,24 +218,18 @@ def validate_structure(
             rf = refresh.loc(kind, MemLevel.RF)
             tag = f"refresh[{kind}]"
             if not 0 <= gb <= p_noc:
-                out.append(
-                    Violation(
-                        f"{tag}[GB]",
-                        f"location {gb} outside [0, {p_noc}] (must sit "
-                        "within or above the GB group)",
-                    )
+                flag(
+                    f"{tag}[GB]",
+                    f"location {gb} outside [0, {p_noc}] (must sit "
+                    "within or above the GB group)",
                 )
             if not 0 <= rf <= n:
-                out.append(
-                    Violation(f"{tag}[RF]", f"location {rf} outside [0, {n}]")
-                )
+                flag(f"{tag}[RF]", f"location {rf} outside [0, {n}]")
             if rf < gb:
-                out.append(
-                    Violation(
-                        f"{tag}[RF]",
-                        f"RF location {rf} is above GB location {gb}; inner "
-                        "buffers refresh at least as often",
-                    )
+                flag(
+                    f"{tag}[RF]",
+                    f"RF location {rf} is above GB location {gb}; inner "
+                    "buffers refresh at least as often",
                 )
     return out
 
@@ -252,6 +246,7 @@ def _capacity_violations(
             if need > cap:
                 out.append(
                     Violation(
+                        "capacity",
                         f"{name}[{kind}]",
                         f"tile needs {need} bits > capacity {cap}",
                     )
@@ -261,6 +256,7 @@ def _capacity_violations(
         if total > capacity:
             out.append(
                 Violation(
+                    "capacity",
                     name,
                     f"resident tiles need {total} bits > capacity {capacity}",
                 )
@@ -268,27 +264,32 @@ def _capacity_violations(
     return out
 
 
-def validate_nest(
+def checked_plan(
     nest: LoopNest,
     hw: HardwareConfig,
     refresh: RefreshLocations,
     options: Options = Options(),
-) -> list[Violation]:
-    """Structure checks plus the hardware fit: PE count and buffer sizes."""
+) -> tuple[RefreshPlan | None, list[Violation]]:
+    """Check the structure, build the refresh plan, then check the
+    hardware fit (PE count and buffer sizes) against that plan.
+
+    The plan is None when the structure is illegal; the mapping is legal
+    when the violation list is empty.
+    """
     out = validate_structure(nest, refresh)
     if out:
-        return out
-
-    n_pe = nest.n_pe_active()
-    if n_pe > hw.n_pe:
-        out.append(
-            Violation(
-                "levels",
-                f"{n_pe} spatial instances > {hw.pe_rows}x{hw.pe_cols} array",
-            )
-        )
+        return None, out
 
     plan = refresh_plan(nest, refresh, options)
+    if plan.n_pe_active > hw.n_pe:
+        out.append(
+            Violation(
+                "pe_array",
+                "levels",
+                f"{plan.n_pe_active} spatial instances > "
+                f"{hw.pe_rows}x{hw.pe_cols} array",
+            )
+        )
     bf = hw.buffering_factor
     gb_need = {
         k: plan.v_ref[(k, MemLevel.GB)] * hw.precision.bits(k) * bf
@@ -298,9 +299,19 @@ def validate_nest(
         k: plan.v_ref[(k, MemLevel.RF)] * hw.precision.bits(k) * bf
         for k in KINDS
     }
-    out.extend(_capacity_violations("capacity_gb", hw.gb_capacity(), gb_need))
-    out.extend(_capacity_violations("capacity_rf", hw.rf_capacity(), rf_need))
-    return out
+    out.extend(_capacity_violations("capacity_gb", hw.capacity_gb, gb_need))
+    out.extend(_capacity_violations("capacity_rf", hw.capacity_rf, rf_need))
+    return plan, out
+
+
+def validate_nest(
+    nest: LoopNest,
+    hw: HardwareConfig,
+    refresh: RefreshLocations,
+    options: Options = Options(),
+) -> list[Violation]:
+    """Structure checks plus the hardware fit: PE count and buffer sizes."""
+    return checked_plan(nest, hw, refresh, options)[1]
 
 
 def build_nest(
@@ -338,6 +349,7 @@ def build_nest(
             if product != layer.dim(d):
                 violations.append(
                     Violation(
+                        "structure",
                         f"dim {d}",
                         f"tiling product {product} != layer dim "
                         f"{layer.dim(d)} and padding is disabled",
@@ -345,7 +357,7 @@ def build_nest(
                 )
         else:
             for msg in _check_coverage(d, layer.dim(d), factors):
-                violations.append(Violation(f"dim {d}", msg))
+                violations.append(Violation("structure", f"dim {d}", msg))
     if violations:
         raise MappingError(violations)
 
@@ -362,8 +374,10 @@ def build_nest(
     return LoopNest(tuple(levels), layer)
 
 
-def _rf_budgets(hw: HardwareConfig) -> dict[DataKind, int]:
-    cap = hw.rf_capacity()
+def rf_budgets(hw: HardwareConfig) -> dict[DataKind, int]:
+    """Register bits per PE for each kind: the per-kind capacity, or a
+    shared capacity split three ways."""
+    cap = hw.capacity_rf
     if isinstance(cap, Mapping):
         return {k: cap.get(k, 0) for k in KINDS}
     return {k: cap // 3 for k in KINDS}
@@ -406,7 +420,7 @@ def canonical_refresh(
 
     stride = options.effective_stride(nest.layer)
     p_noc = nest.group_start(MemLevel.NOC)
-    budgets = _rf_budgets(hw)
+    budgets = rf_budgets(hw)
     bf = hw.buffering_factor
     gb_locs: dict[DataKind, int] = {}
     rf_locs: dict[DataKind, int] = {}
@@ -429,6 +443,7 @@ def canonical_refresh(
             raise MappingError(
                 [
                     Violation(
+                        "refresh_style",
                         f"refresh[{kind}][RF]",
                         f"no location fits the {budgets[kind]}-bit register "
                         "budget",

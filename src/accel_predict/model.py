@@ -190,12 +190,6 @@ def _per_kind(value) -> dict[DataKind, float]:
     return {k: value for k in KINDS}
 
 
-def _per_kind_int(value) -> dict[DataKind, int]:
-    if isinstance(value, Mapping):
-        return dict(value)
-    return {k: value for k in KINDS}
-
-
 @dataclass(frozen=True)
 class HardwareConfig:
     """Array geometry, storage, bandwidth, and unit costs.
@@ -227,24 +221,21 @@ class HardwareConfig:
     def rf_bw(self, kind: DataKind) -> float:
         return _per_kind(self.bw_rf)[kind]
 
-    def gb_capacity(self) -> int | dict[DataKind, int]:
-        if isinstance(self.capacity_gb, Mapping):
-            return dict(self.capacity_gb)
-        return self.capacity_gb
-
-    def rf_capacity(self) -> int | dict[DataKind, int]:
-        if isinstance(self.capacity_rf, Mapping):
-            return dict(self.capacity_rf)
-        return self.capacity_rf
-
 
 def validate_hardware(hw: HardwareConfig) -> list[Violation]:
-    """All invariant checks, reported individually; never raises."""
+    """All invariant checks, reported individually; never raises.
+
+    Bounds are written as `not x > 0` / `not x >= 0` so that NaN fails.
+    """
     out: list[Violation] = []
+
+    def flag(path: str, message: str) -> None:
+        out.append(Violation("hardware", path, message))
+
     if hw.pe_rows < 1:
-        out.append(Violation("pe_rows", "must be >= 1"))
+        flag("pe_rows", "must be >= 1")
     if hw.pe_cols < 1:
-        out.append(Violation("pe_cols", "must be >= 1"))
+        flag("pe_cols", "must be >= 1")
 
     for name, cap in (("capacity_gb", hw.capacity_gb), ("capacity_rf", hw.capacity_rf)):
         entries = (
@@ -252,41 +243,36 @@ def validate_hardware(hw: HardwareConfig) -> list[Violation]:
         )
         for kind, bits in entries:
             path = f"{name}[{kind}]" if kind is not None else name
-            if bits <= 0:
-                out.append(Violation(path, "capacity must be > 0 bits"))
+            if not bits > 0:
+                flag(path, "capacity must be > 0 bits")
 
     if not hw.bw_dram > 0:
-        out.append(Violation("bw_dram", "bandwidth must be > 0"))
+        flag("bw_dram", "bandwidth must be > 0")
     for name, bw in (("bw_gb", hw.bw_gb), ("bw_rf", hw.bw_rf)):
         for kind, val in _per_kind(bw).items():
             if not val > 0:
-                out.append(Violation(f"{name}[{kind}]", "bandwidth must be > 0"))
+                flag(f"{name}[{kind}]", "bandwidth must be > 0")
 
     if hw.buffering_factor not in (1, 2):
-        out.append(Violation("buffering_factor", "must be 1 or 2"))
+        flag("buffering_factor", "must be 1 or 2")
 
     uc = hw.unit_costs
-    if uc.e_mac < 0:
-        out.append(Violation("unit_costs.e_mac", "must be >= 0"))
+    if not uc.e_mac >= 0:
+        flag("unit_costs.e_mac", "must be >= 0")
     for level, per_kind in uc.e_access.items():
         for kind, val in per_kind.items():
-            if val < 0:
-                out.append(
-                    Violation(
-                        f"unit_costs.e_access[{level.label}][{kind}]",
-                        "must be >= 0",
-                    )
-                )
+            if not val >= 0:
+                flag(f"unit_costs.e_access[{level.label}][{kind}]", "must be >= 0")
     try:
         if not uc.mac_time() > 0:
-            out.append(Violation("unit_costs.t_comp", "must be > 0"))
+            flag("unit_costs.t_comp", "must be > 0")
     except ConfigError:
-        out.append(Violation("unit_costs", "need t_comp or clock_hz"))
+        flag("unit_costs", "need t_comp or clock_hz")
 
     for fname in ("bits_input", "bits_output", "bits_weight"):
         bits = getattr(hw.precision, fname)
         if not 1 <= bits <= 64:
-            out.append(Violation(f"precision.{fname}", "must be in [1, 64]"))
+            flag(f"precision.{fname}", "must be in [1, 64]")
     return out
 
 

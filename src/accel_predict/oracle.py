@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import predictor
 from .errors import InstanceTooLargeError, MappingError
-from .loopnest import LoopNest, RefreshLocations, refresh_plan, validate_nest
+from .loopnest import LoopNest, RefreshLocations, checked_plan, refresh_plan
 from .model import (
     KINDS,
     RELEVANT_DIMS,
@@ -27,7 +27,9 @@ from .model import (
     Options,
 )
 
-DEFAULT_CAP = 10**8
+# The odometer runs about a million temporal steps per second, so the
+# default bounds a check at roughly ten seconds.
+DEFAULT_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -125,11 +127,15 @@ def simulate(
     steps = 1
     for i in temporal_positions:
         steps *= nest.levels[i].bound
-    body = steps * n_pe
-    if body > cap:
+    # The odometer walks the temporal steps and the multicast grouping
+    # walks the PE instances; neither walks their product.
+    if steps > cap:
+        raise InstanceTooLargeError(f"{steps} temporal steps exceed cap {cap}")
+    if n_pe > cap:
         raise InstanceTooLargeError(
-            f"{body} loop-body iterations exceed cap {cap}"
+            f"{n_pe} spatial instances exceed cap {cap}"
         )
+    body = steps * n_pe
 
     # Spatial loops are parallel hardware, not iterations: a location is
     # mapped to its temporal depth, so positions inside the spatial group
@@ -263,11 +269,12 @@ def check(
     cap: int = DEFAULT_CAP,
 ) -> DiffReport:
     """Analytic counts vs. a brute-force run of the same nest."""
-    if hw is not None:
-        violations = validate_nest(nest, hw, refresh, options)
+    if hw is None:
+        plan = refresh_plan(nest, refresh, options)
+    else:
+        plan, violations = checked_plan(nest, hw, refresh, options)
         if violations:
             raise MappingError(violations)
-    plan = refresh_plan(nest, refresh, options)
     analytic = predictor.access_counts(plan, options)
     counters = simulate(nest, refresh, options=options, cap=cap)
     return diff_counts(plan, analytic, counters)

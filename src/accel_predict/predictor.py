@@ -10,7 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError, MappingError
-from .loopnest import LoopNest, RefreshLocations, RefreshPlan, refresh_plan, validate_nest
+from .loopnest import (
+    LoopNest,
+    RefreshLocations,
+    RefreshPlan,
+    checked_plan,
+    refresh_plan,
+)
 from .model import (
     KINDS,
     DataKind,
@@ -104,13 +110,10 @@ def _shares(parts: dict[str, float]) -> dict[str, float]:
 
 
 def energy(
-    plan: RefreshPlan,
-    layer: LayerShape,
-    hw: HardwareConfig,
-    options: Options = Options(),
+    plan: RefreshPlan, counts: AccessCounts, hw: HardwareConfig
 ) -> EnergyReport:
+    """Each access count times its unit cost, plus the MACs."""
     uc = hw.unit_costs
-    counts = access_counts(plan, options)
     by_level_kind: dict[MemLevel, dict[DataKind, float]] = {}
     level_totals: dict[MemLevel, float] = {}
     for lvl, per_kind in counts.items():
@@ -161,7 +164,7 @@ def _max_over_kinds(terms: dict[DataKind, float]) -> tuple[float, DataKind | Non
 
 def latency(
     plan: RefreshPlan,
-    layer: LayerShape,
+    counts: AccessCounts,
     hw: HardwareConfig,
     options: Options = Options(),
 ) -> LatencyReport:
@@ -172,7 +175,6 @@ def latency(
         # spatial bounds divide the padded MAC product exactly
         l_comp = (plan.n_mac_padded // plan.n_pe_active) * t_comp
 
-    counts = access_counts(plan, options)
     bits = hw.precision.bits
     bw_dram = _bw_checked(hw.bw_dram, "bw_dram")
 
@@ -298,13 +300,14 @@ def predict_layer(
     validate: bool = True,
 ) -> PredictionReport:
     if validate:
-        violations = validate_nest(nest, hw, refresh, options)
+        plan, violations = checked_plan(nest, hw, refresh, options)
         if violations:
             raise MappingError(violations)
-    plan = refresh_plan(nest, refresh, options)
+    else:
+        plan = refresh_plan(nest, refresh, options)
     counts = access_counts(plan, options)
-    e = energy(plan, layer, hw, options)
-    lat = latency(plan, layer, hw, options)
+    e = energy(plan, counts, hw)
+    lat = latency(plan, counts, hw, options)
     n_mac = mac_count(layer)
     throughput = 2.0 * n_mac / lat.l_total_s / 1e9
     return PredictionReport(

@@ -11,7 +11,6 @@ escalated to DRAM only when the global buffer overflows.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
 from importlib import resources
 
 from .errors import ConfigError, MappingError, Violation
@@ -20,6 +19,7 @@ from .loopnest import (
     RefreshLocations,
     build_nest,
     canonical_refresh,
+    rf_budgets,
     validate_nest,
 )
 from .model import DataKind, HardwareConfig, LayerShape, MemLevel, Options
@@ -154,27 +154,19 @@ def row_stationary_mapping(
     start at the global buffer and move outward to DRAM one smallest
     prime factor at a time, channels first, until the buffer fits.
     """
-    bits_w = hw.precision.bits(DataKind.WEIGHT)
-    bits_i = hw.precision.bits(DataKind.INPUT)
-    bits_o = hw.precision.bits(DataKind.OUTPUT)
-    cap = hw.rf_capacity()
-    if isinstance(cap, Mapping):
-        budgets = {
-            DataKind.INPUT: cap.get(DataKind.INPUT, 0) // bits_i,
-            DataKind.OUTPUT: cap.get(DataKind.OUTPUT, 0) // bits_o,
-            DataKind.WEIGHT: cap.get(DataKind.WEIGHT, 0) // bits_w,
-        }
-    else:
-        budgets = {
-            DataKind.INPUT: cap // 3 // bits_i,
-            DataKind.OUTPUT: cap // 3 // bits_o,
-            DataKind.WEIGHT: cap // 3 // bits_w,
-        }
-    bf = hw.buffering_factor
-    budgets = {k: v // bf for k, v in budgets.items()}
+    budgets = {
+        k: bits // (hw.precision.bits(k) * hw.buffering_factor)
+        for k, bits in rf_budgets(hw).items()
+    }
     if min(budgets.values()) < 1:
         raise MappingError(
-            [Violation("capacity_rf", "register files cannot hold one element")]
+            [
+                Violation(
+                    "capacity",
+                    "capacity_rf",
+                    "register files cannot hold one element",
+                )
+            ]
         )
 
     r_sp = _largest_divisor_at_most(layer.r, hw.pe_rows)

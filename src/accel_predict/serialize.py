@@ -23,6 +23,7 @@ from .model import (
     MemLevel,
     Precision,
     UnitCosts,
+    validate_hardware,
 )
 
 _LEVEL_BY_LABEL = {lvl.label: lvl for lvl in MemLevel}
@@ -188,7 +189,7 @@ def hardware_from_json(data: Mapping) -> HardwareConfig:
         bits_output=int(prec_data.get("bits_output", 16)),
         bits_weight=int(prec_data.get("bits_weight", 16)),
     )
-    return HardwareConfig(
+    hw = HardwareConfig(
         pe_rows=int(data["pe_rows"]),
         pe_cols=int(data["pe_cols"]),
         capacity_gb=_per_kind_map(cap["GB"], "capacity[GB]", _capacity_value),
@@ -200,6 +201,12 @@ def hardware_from_json(data: Mapping) -> HardwareConfig:
         precision=precision,
         buffering_factor=int(data.get("buffering_factor", 1)),
     )
+    violations = validate_hardware(hw)
+    if violations:
+        raise ConfigError(
+            "hardware JSON: " + "; ".join(str(v) for v in violations)
+        )
+    return hw
 
 
 def _bw_json(value):

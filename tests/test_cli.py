@@ -119,6 +119,13 @@ class TestHardwareJson:
             hardware_from_json(data)
         assert "frequency" in str(exc.value)
 
+    def test_nan_cost_rejected_with_field_path(self):
+        data = hardware_to_json(_hw())
+        data["unit_costs"]["e_mac"] = float("nan")
+        with pytest.raises(ConfigError) as exc:
+            hardware_from_json(data)
+        assert "unit_costs.e_mac" in str(exc.value)
+
     def test_capacity_must_be_integer_bits(self):
         data = hardware_to_json(_hw())
         data["capacity"]["GB"] = 1024.5
@@ -301,6 +308,17 @@ class TestPredictCommand:
                     "--hw", files["hw"], "--mapping", files["mapping"]])
         assert code == 2
         assert "network" in capsys.readouterr().err
+
+
+    def test_nan_hardware_exits_two(self, files, capsys):
+        data = json.loads((files["dir"] / "hw.json").read_text())
+        data["unit_costs"]["e_mac"] = float("nan")
+        nan_hw = files["dir"] / "nan.json"
+        nan_hw.write_text(json.dumps(data))  # writes the NaN literal
+        code = run(["predict", "--layer", files["layer"], "--hw", str(nan_hw),
+                    "--mapping", files["mapping"]])
+        assert code == 2
+        assert "unit_costs.e_mac" in capsys.readouterr().err
 
 
 class TestCheckCommand:

@@ -12,6 +12,8 @@ from accel_predict import (
     UnitCosts,
     enumerate_mappings,
     explore,
+    hardware_preset,
+    layer_preset,
     predict_layer,
     space_size,
 )
@@ -276,18 +278,23 @@ class TestLegalityScreening:
         assert len(result.entries) == result.stats["legal"]
 
 
-class TestThreadPool:
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        space = two_level_space(roomy_hw())
-        single = explore(space, SMALL, objective="edp", top_k=6).to_dict()
-        monkeypatch.setenv("ACCEL_PREDICT_THREADS", "4")
-        pooled = explore(space, SMALL, objective="edp", top_k=6).to_dict()
-        assert pooled == single
-
-    def test_bad_thread_setting_rejected(self, monkeypatch):
-        monkeypatch.setenv("ACCEL_PREDICT_THREADS", "a lot")
-        with pytest.raises(ConfigError):
-            explore(two_level_space(roomy_hw()), SMALL)
+class TestReadmeExample:
+    def test_conv5_random_stats(self):
+        # the shell example in README.md, objective left at its default
+        space = SearchSpace(hardware_preset("eyeriss_normalized"))
+        result = explore(space, layer_preset("alexnet_conv5"),
+                         strategy="random", n_samples=300, seed=1, top_k=3)
+        assert list(result.stats.items()) == [
+            ("space_size", 28385280),
+            ("strategy", "random"),
+            ("objective", "energy"),
+            ("seed", 1),
+            ("n_samples", 300),
+            ("evaluated", 300),
+            ("legal", 3),
+            ("discarded", {"capacity": 186, "pe_array": 111}),
+        ]
+        assert list(result.stats["discarded"]) == ["capacity", "pe_array"]
 
 
 class TestResultShape:

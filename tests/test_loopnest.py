@@ -14,6 +14,7 @@ from accel_predict import (
     RefreshLocations,
     build_nest,
     canonical_refresh,
+    checked_plan,
     refresh_plan,
     tensor_footprint,
     validate_nest,
@@ -364,6 +365,24 @@ class TestValidateNest:
         nest = nest_of(layer, ("m", 2, GB), ("c", 2, DRAM))
         violations = validate_nest(nest, _hw(), uniform_refresh(nest))
         assert violations  # structural report, no capacity crash
+        assert {v.code for v in violations} == {"structure"}
+        assert checked_plan(nest, _hw(), uniform_refresh(nest))[0] is None
+
+    def test_codes_list_pe_array_before_capacity(self):
+        layer = LayerShape(m=17, c=1, r=1, s=1, e=1, f=1)
+        nest = nest_of(layer, ("m", 17, NOC, True))
+        hw = _hw(pe_rows=4, pe_cols=4, capacity_gb=1)
+        violations = validate_nest(nest, hw, uniform_refresh(nest))
+        assert [v.code for v in violations] == ["pe_array", "capacity"]
+
+    def test_checked_plan_is_the_refresh_plan(self):
+        layer = LayerShape(m=8, c=1, r=1, s=1, e=1, f=1)
+        nest = build_nest(layer, {RF: {"m": 8}})
+        refresh = uniform_refresh(nest)
+        hw = _hw(capacity_rf=10**6)
+        plan, violations = checked_plan(nest, hw, refresh)
+        assert violations == []
+        assert plan == refresh_plan(nest, refresh)
 
 
 class TestCanonicalRefresh:

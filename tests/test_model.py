@@ -171,6 +171,18 @@ class TestHardwareConfig:
     def test_unbounded_bandwidth_is_legal(self):
         assert validate_hardware(_hw(bw_dram=math.inf)) == []
 
+    def test_nan_costs_flagged(self):
+        costs = UnitCosts(
+            e_mac=math.nan,
+            e_access={MemLevel.GB: {DataKind.INPUT: math.nan}},
+            t_comp=1e-9,
+        )
+        violations = validate_hardware(_hw(unit_costs=costs))
+        assert [v.field for v in violations] == [
+            "unit_costs.e_mac", "unit_costs.e_access[GB][I]",
+        ]
+        assert {v.code for v in violations} == {"hardware"}
+
 
 class TestUnitCosts:
     def test_mac_time_from_clock(self):

@@ -125,6 +125,21 @@ class TestMeasurementDetails:
         with pytest.raises(InstanceTooLargeError):
             simulate(nest, RefreshLocations.outermost(nest), cap=10**6)
 
+    def test_cap_bounds_steps_and_pe_instances_separately(self):
+        # 4 temporal steps on 8 PEs: the loop body runs 32 times, but the
+        # oracle walks only the 4 steps and, for multicast, the 8 PEs
+        layer = LayerShape(m=8, c=4, r=1, s=1, e=1, f=1)
+        nest = nest_of(layer, ("c", 4, GB), ("m", 8, NOC, True))
+        refresh = RefreshLocations(
+            gb={I: 1, O: 1, W: 1}, rf={I: 1, O: 1, W: 1}
+        )
+        assert simulate(nest, refresh, cap=8).body_iterations == 32
+        assert check(nest, refresh, cap=8).ok
+        with pytest.raises(InstanceTooLargeError, match="8 spatial instances"):
+            simulate(nest, refresh, cap=7)
+        with pytest.raises(InstanceTooLargeError, match="4 temporal steps"):
+            simulate(nest, refresh, cap=3)
+
     def test_assume_stride_one_matches_on_both_sides(self):
         layer = LayerShape(m=2, c=2, r=3, s=3, e=4, f=4, stride=2)
         nest = nest_of(

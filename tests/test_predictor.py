@@ -1,9 +1,11 @@
 """Energy, latency, and throughput closed forms."""
 
 import math
+from collections import Counter
 
 import pytest
 
+from accel_predict import loopnest, predictor
 from accel_predict import (
     ConfigError,
     DataKind,
@@ -86,7 +88,8 @@ class TestEnergy:
     def test_single_pe_closed_form(self):
         layer, nest, refresh = single_pe_setup()
         hw = _hw()
-        rep = energy(refresh_plan(nest, refresh), layer, hw)
+        plan = refresh_plan(nest, refresh)
+        rep = energy(plan, access_counts(plan), hw)
         n = mac_count(layer)
         feet = {k: tensor_footprint(layer, k) for k in DataKind}
         assert rep.e_comp == pytest.approx(1.0 * n)
@@ -101,7 +104,7 @@ class TestEnergy:
     def test_energy_scales_linearly_with_unit_costs(self):
         layer, nest, refresh = single_pe_setup()
         plan = refresh_plan(nest, refresh)
-        base = energy(plan, layer, _hw())
+        base = energy(plan, access_counts(plan), _hw())
         uc = UnitCosts(
             e_mac=3.0,
             e_access={
@@ -112,19 +115,21 @@ class TestEnergy:
             },
             t_comp=1e-9,
         )
-        tripled = energy(plan, layer, _hw(unit_costs=uc))
+        tripled = energy(plan, access_counts(plan), _hw(unit_costs=uc))
         assert tripled.total == pytest.approx(3 * base.total)
 
     def test_breakdowns_sum_to_hundred(self):
         layer, nest, refresh = single_pe_setup()
-        rep = energy(refresh_plan(nest, refresh), layer, _hw())
+        plan = refresh_plan(nest, refresh)
+        rep = energy(plan, access_counts(plan), _hw())
         assert sum(rep.breakdown_pct().values()) == pytest.approx(100.0)
         assert sum(rep.onchip_breakdown_pct().values()) == pytest.approx(100.0)
 
     def test_zero_cost_hardware_reports_zero_shares(self):
         layer, nest, refresh = single_pe_setup()
         hw = _hw(unit_costs=UnitCosts(e_mac=0.0, t_comp=1e-9))
-        rep = energy(refresh_plan(nest, refresh), layer, hw)
+        plan = refresh_plan(nest, refresh)
+        rep = energy(plan, access_counts(plan), hw)
         assert rep.total == 0.0
         assert set(rep.breakdown_pct().values()) == {0.0}
 
@@ -134,7 +139,8 @@ class TestLatency:
         layer, nest, refresh = single_pe_setup()
         hw = _hw()  # dram 1e9, gb 2e9, rf 4e9, t_comp 1ns
         plan = refresh_plan(nest, refresh)
-        rep = latency(plan, layer, hw)
+        counts = access_counts(plan)
+        rep = latency(plan, counts, hw)
         n = mac_count(layer)
         assert rep.l_comp_s == pytest.approx(n * 1e-9)
         worst_dram = max(
@@ -156,11 +162,12 @@ class TestLatency:
     def test_bottleneck_labels(self):
         layer, nest, refresh = single_pe_setup()
         plan = refresh_plan(nest, refresh)
-        slow_dram = latency(plan, layer, _hw(bw_dram=1e3))
+        counts = access_counts(plan)
+        slow_dram = latency(plan, counts, _hw(bw_dram=1e3))
         assert slow_dram.bottleneck == "dram"
         fast_mem = latency(
-            plan, layer, _hw(bw_dram=math.inf, bw_gb=math.inf,
-                             bw_rf=math.inf)
+            plan, counts, _hw(bw_dram=math.inf, bw_gb=math.inf,
+                              bw_rf=math.inf)
         )
         assert fast_mem.bottleneck == "comp"
         assert fast_mem.l_dram_s == 0.0
@@ -176,17 +183,19 @@ class TestLatency:
         )
         refresh = RefreshLocations.outermost(nest)
         plan = refresh_plan(nest, refresh)
-        rep = latency(plan, layer, _hw(bw_dram=1e12, bw_gb=1e6))
+        counts = access_counts(plan)
+        rep = latency(plan, counts, _hw(bw_dram=1e12, bw_gb=1e6))
         assert rep.bottleneck == "gb"
 
     def test_zero_bandwidth_raises_named_error(self):
         layer, nest, refresh = single_pe_setup()
         plan = refresh_plan(nest, refresh)
+        counts = access_counts(plan)
         with pytest.raises(ConfigError) as exc:
-            latency(plan, layer, _hw(bw_dram=0.0))
+            latency(plan, counts, _hw(bw_dram=0.0))
         assert "bw_dram" in str(exc.value)
         with pytest.raises(ConfigError) as exc:
-            latency(plan, layer, _hw(bw_gb={I: 1e9, O: 1e9, W: 0.0}))
+            latency(plan, counts, _hw(bw_gb={I: 1e9, O: 1e9, W: 0.0}))
         assert "bw_gb[W]" in str(exc.value)
 
     def test_literal_compute_bound_ignores_spatial_speedup(self):
@@ -194,9 +203,10 @@ class TestLatency:
         nest = build_nest(layer, {NOC: {"m": 4}, RF: {"e": 2, "f": 2}})
         refresh = RefreshLocations.outermost(nest)
         plan = refresh_plan(nest, refresh)
+        counts = access_counts(plan)
         hw = _hw()
-        parallel = latency(plan, layer, hw)
-        serial = latency(plan, layer, hw, Options(literal_eq8=True))
+        parallel = latency(plan, counts, hw)
+        serial = latency(plan, counts, hw, Options(literal_eq8=True))
         assert serial.l_comp_s == pytest.approx(4 * parallel.l_comp_s)
 
     def test_multicast_aware_buffer_term_is_never_slower(self):
@@ -206,10 +216,11 @@ class TestLatency:
         )
         refresh = RefreshLocations.outermost(nest)
         plan = refresh_plan(nest, refresh)
+        counts = access_counts(plan)
         hw = _hw(pe_rows=3, pe_cols=2)
-        default = latency(plan, layer, hw)
+        default = latency(plan, counts, hw)
         aware = latency(
-            plan, layer, hw, Options(gb_latency_multicast_aware=True)
+            plan, counts, hw, Options(gb_latency_multicast_aware=True)
         )
         assert aware.l_gb_s <= default.l_gb_s
 
@@ -223,9 +234,10 @@ class TestLatency:
         )
         refresh = RefreshLocations.outermost(nest)
         plan = refresh_plan(nest, refresh)
+        counts = access_counts(plan)
         prev = None
         for bw in (1e6, 1e7, 1e8, 1e9, 1e10, 1e11, math.inf):
-            rep = latency(plan, layer, _hw(**{field: bw}))
+            rep = latency(plan, counts, _hw(**{field: bw}))
             if prev is not None:
                 assert rep.l_total_s <= prev + 1e-15
             prev = rep.l_total_s
@@ -264,6 +276,28 @@ class TestPredictLayer:
             predict_layer(layer, nest, refresh, hw)
         rep = predict_layer(layer, nest, refresh, hw, validate=False)
         assert rep.n_pe_active == 17
+
+    def test_validated_prediction_plans_once_and_counts_once(
+        self, monkeypatch
+    ):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        plan = counted("refresh_plan", loopnest.refresh_plan)
+        monkeypatch.setattr(loopnest, "refresh_plan", plan)
+        monkeypatch.setattr(predictor, "refresh_plan", plan)
+        monkeypatch.setattr(
+            predictor, "access_counts",
+            counted("access_counts", predictor.access_counts),
+        )
+        layer, nest, refresh = single_pe_setup()
+        predict_layer(layer, nest, refresh, roomy_hw(), validate=True)
+        assert calls == {"refresh_plan": 1, "access_counts": 1}
 
     def test_to_dict_keys_carry_units(self):
         layer, nest, refresh = single_pe_setup()
