@@ -20,21 +20,15 @@ from . import dsl, oracle, presets
 from .errors import ConfigError, PredictorError
 from .explore import OBJECTIVES, STRATEGIES, SearchSpace, explore
 from .loopnest import validate_nest
-from .model import (
-    KINDS,
-    HardwareConfig,
-    LayerShape,
-    LEVELS_OUTER_FIRST,
-    MemLevel,
-    Options,
-)
+from .model import HardwareConfig, LayerShape, MemLevel, Options
 from .predictor import predict_layer, predict_network
 from .serialize import (
     canonical_json,
+    csv_text,
     load_hardware,
     load_layer,
     load_mapping,
-    report_csv,
+    report_rows,
 )
 
 _PRESET_PREFIX = "preset:"
@@ -73,8 +67,34 @@ def _resolve_mapping(ref: str, layer, hw, options):
     return load_mapping(ref, layer)
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
+def _single_layer(args) -> tuple[Options, HardwareConfig, LayerShape]:
+    """Model options, hardware and the one layer a command runs on."""
+    options = _options_from_args(args)
+    hw = _resolve_hw(args.hw)
+    layers = _resolve_layers(args.layer)
+    if len(layers) != 1:
+        raise ConfigError(
+            f"{args.command} runs on a single layer, not a network"
+        )
+    return options, hw, layers[0]
+
+
+def _emit(args, table: str, data=None, csv=None) -> None:
+    """Write the form of a command's result that --format asks for.
+
+    `table` is the text form; `data` is serialized only for json (which
+    rejects non-finite numbers) and `csv` = (header, rows) only for csv.
+    A command without a CSV form prints its text for csv, and fmt, which
+    has no --format, always prints its text.
+    """
+    fmt = getattr(args, "format", "table")
+    if fmt == "json":
+        text = canonical_json(data)
+    elif fmt == "csv" and csv is not None:
+        text = csv_text(*csv)
+    else:
+        text = table
+    if args.output:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
@@ -126,35 +146,25 @@ def cmd_predict(args) -> int:
     options = _options_from_args(args)
     hw = _resolve_hw(args.hw)
     layers = _resolve_layers(args.layer)
-
-    if len(layers) == 1:
-        layer = layers[0]
-        nest, refresh = _resolve_mapping(args.mapping, layer, hw, options)
-        report = predict_layer(layer, nest, refresh, hw, options)
-        if args.format == "json":
-            _emit(args, canonical_json(report.to_dict()))
-        elif args.format == "csv":
-            _emit(args, report_csv([report]))
-        else:
-            _emit(args, _predict_table([report]))
-        return 0
-
-    if not args.mapping.startswith(_PRESET_PREFIX):
+    if len(layers) > 1 and not args.mapping.startswith(_PRESET_PREFIX):
         raise ConfigError(
             "a mapping file fixes one layer's bounds; use a mapping preset "
             "when predicting a multi-layer network"
         )
-    items = []
-    for layer in layers:
-        nest, refresh = _resolve_mapping(args.mapping, layer, hw, options)
-        items.append((layer, nest, refresh))
-    net = predict_network(items, hw, options)
-    if args.format == "json":
-        _emit(args, canonical_json(net.to_dict()))
-    elif args.format == "csv":
-        _emit(args, report_csv(net.reports))
+    items = [
+        (layer, *_resolve_mapping(args.mapping, layer, hw, options))
+        for layer in layers
+    ]
+    if len(items) == 1:
+        result = predict_layer(*items[0], hw, options)
+        reports, totals = [result], None
     else:
-        _emit(args, _predict_table(net.reports, totals=net))
+        result = predict_network(items, hw, options)
+        reports, totals = result.reports, result
+    _emit(
+        args, _predict_table(reports, totals), result.to_dict(),
+        report_rows(reports),
+    )
     return 0
 
 
@@ -162,52 +172,24 @@ def cmd_predict(args) -> int:
 
 
 def cmd_check(args) -> int:
-    options = _options_from_args(args)
-    hw = _resolve_hw(args.hw)
-    layers = _resolve_layers(args.layer)
-    if len(layers) != 1:
-        raise ConfigError("check runs on a single layer, not a network")
-    layer = layers[0]
+    options, hw, layer = _single_layer(args)
     nest, refresh = _resolve_mapping(args.mapping, layer, hw, options)
     diff = oracle.check(
         nest, refresh, hw if not args.no_validate else None,
         options=options, cap=args.cap,
     )
-    if args.format == "json":
-        payload = {
-            "ok": diff.ok,
-            "rows": [
-                {
-                    "metric": r.metric,
-                    "level": r.level.label,
-                    "kind": str(r.kind),
-                    "analytic": r.analytic,
-                    "oracle": r.oracle,
-                    "ok": r.ok,
-                }
-                for r in diff.rows
-            ],
-        }
-        _emit(args, canonical_json(payload))
-    elif args.format == "csv":
-        lines = ["metric,level,kind,analytic,oracle,ok"]
-        for r in diff.rows:
-            lines.append(
-                f"{r.metric},{r.level.label},{r.kind},"
-                f"{r.analytic},{r.oracle},{str(r.ok).lower()}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        rows = [
-            [r.metric, r.level.label, str(r.kind), str(r.analytic),
-             str(r.oracle), "ok" if r.ok else "MISMATCH"]
-            for r in diff.rows
-        ]
-        out = _table(
-            ["metric", "level", "kind", "analytic", "oracle", ""], rows
-        )
-        out += "match\n" if diff.ok else f"{len(diff.mismatches)} mismatched rows\n"
-        _emit(args, out)
+    header = ["metric", "level", "kind", "analytic", "oracle", "ok"]
+    rows = [
+        [r.metric, r.level.label, str(r.kind), r.analytic, r.oracle, r.ok]
+        for r in diff.rows
+    ]
+    table = _table(
+        [*header[:-1], ""],
+        [[*map(str, row[:-1]), "ok" if row[-1] else "MISMATCH"] for row in rows],
+    )
+    table += "match\n" if diff.ok else f"{len(diff.mismatches)} mismatched rows\n"
+    data = {"ok": diff.ok, "rows": [dict(zip(header, row)) for row in rows]}
+    _emit(args, table, data, (header, rows))
     return 0 if diff.ok else 3
 
 
@@ -226,12 +208,7 @@ def _parse_levels(text: str) -> tuple[MemLevel, ...]:
 
 
 def cmd_explore(args) -> int:
-    options = _options_from_args(args)
-    hw = _resolve_hw(args.hw)
-    layers = _resolve_layers(args.layer)
-    if len(layers) != 1:
-        raise ConfigError("explore runs on a single layer, not a network")
-    layer = layers[0]
+    options, hw, layer = _single_layer(args)
     space = SearchSpace(
         hw=hw,
         levels=_parse_levels(args.levels),
@@ -250,43 +227,35 @@ def cmd_explore(args) -> int:
         n_samples=args.samples,
         beam_width=args.beam_width,
     )
-    if args.format == "json":
-        _emit(args, canonical_json(result.to_dict()))
-    elif args.format == "csv":
-        lines = ["rank,objective_value,energy_units,latency_s,throughput_gops"]
-        for i, e in enumerate(result.entries):
-            lines.append(
-                f"{i + 1},{e.objective_value:.17g},{e.report.energy.total:.17g},"
-                f"{e.report.latency.l_total_s:.17g},"
-                f"{e.report.throughput_gops:.17g}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
+    stats = result.stats
+    table = (
+        f"space: {stats.get('space_size')} candidates, "
+        f"evaluated {stats.get('evaluated')}, legal {stats.get('legal')}, "
+        f"discarded {stats.get('discarded')}\n"
+    )
+    if not result.feasible:
+        table += "no feasible mapping\n"
     else:
-        stats = result.stats
-        out = (
-            f"space: {stats.get('space_size')} candidates, "
-            f"evaluated {stats.get('evaluated')}, legal {stats.get('legal')}, "
-            f"discarded {stats.get('discarded')}\n"
-        )
-        if not result.feasible:
-            out += "no feasible mapping\n"
-        else:
-            rows = [
-                [
-                    str(i + 1),
-                    f"{e.objective_value:.6g}",
-                    f"{e.report.energy.total:.6g}",
-                    f"{e.report.latency.l_total_s * 1e3:.4f}",
-                    f"{e.report.throughput_gops:.2f}",
-                ]
-                for i, e in enumerate(result.entries)
+        rows = [
+            [
+                str(i + 1),
+                f"{e.objective_value:.6g}",
+                f"{e.report.energy.total:.6g}",
+                f"{e.report.latency.l_total_s * 1e3:.4f}",
+                f"{e.report.throughput_gops:.2f}",
             ]
-            out += _table(
-                ["rank", args.objective, "energy_units", "latency_ms", "GOPS"],
-                rows,
-            )
-            out += "best mapping:\n" + result.entries[0].dsl
-        _emit(args, out)
+            for i, e in enumerate(result.entries)
+        ]
+        table += _table(
+            ["rank", args.objective, "energy_units", "latency_ms", "GOPS"],
+            rows,
+        )
+        table += "best mapping:\n" + result.entries[0].dsl
+    data = result.to_dict()
+    header = ["rank", "objective_value", "energy_units", "latency_s",
+              "throughput_gops"]
+    top = [[entry[h] for h in header] for entry in data["top"]]
+    _emit(args, table, data, (header, top))
     return 0
 
 
@@ -294,27 +263,17 @@ def cmd_explore(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    options = _options_from_args(args)
-    hw = _resolve_hw(args.hw)
-    layers = _resolve_layers(args.layer)
-    if len(layers) != 1:
-        raise ConfigError("validate runs on a single layer, not a network")
-    layer = layers[0]
+    options, hw, layer = _single_layer(args)
     nest, refresh = _resolve_mapping(args.mapping, layer, hw, options)
     violations = validate_nest(nest, hw, refresh, options)
-    if args.format == "json":
-        payload = {
-            "legal": not violations,
-            "violations": [
-                {"field": v.field, "message": v.message} for v in violations
-            ],
-        }
-        _emit(args, canonical_json(payload))
-    else:
-        if violations:
-            _emit(args, "".join(f"{v}\n" for v in violations))
-        else:
-            _emit(args, "mapping is legal\n")
+    table = "".join(f"{v}\n" for v in violations) or "mapping is legal\n"
+    data = {
+        "legal": not violations,
+        "violations": [
+            {"field": v.field, "message": v.message} for v in violations
+        ],
+    }
+    _emit(args, table, data)
     return 2 if violations else 0
 
 
@@ -333,14 +292,12 @@ def cmd_fmt(args) -> int:
 
 def cmd_presets(args) -> int:
     listing = presets.list_presets()
-    if args.format == "json":
-        _emit(args, canonical_json(listing))
-    else:
-        rows = []
-        for category in ("hardware", "networks", "layers", "mappings"):
-            for name, note in listing[category].items():
-                rows.append([category, name, note])
-        _emit(args, _table(["category", "name", "notes"], rows))
+    rows = [
+        [category, name, note]
+        for category in ("hardware", "networks", "layers", "mappings")
+        for name, note in listing[category].items()
+    ]
+    _emit(args, _table(["category", "name", "notes"], rows), listing)
     return 0
 
 
@@ -443,9 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fmt", help="canonicalize a .dflow file to stdout")
     p.add_argument("file")
-    p.add_argument(
-        "--format", choices=("table",), default="table", help=argparse.SUPPRESS
-    )
     p.add_argument("-o", "--output", help="write output to a file")
     p.set_defaults(func=cmd_fmt)
 

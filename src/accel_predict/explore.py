@@ -340,11 +340,6 @@ class SearchResult:
         return out
 
 
-def _score_candidates(space, layer, prep, objective, candidates):
-    """Evaluate candidates, preserving candidate order in the output."""
-    return [_evaluate(space, layer, prep, objective, c) for c in candidates]
-
-
 def _rank(scored, top_k: int, discards: Counter):
     """Keep the top_k best (value, dsl) pairs; count the rest."""
     kept = []
@@ -417,7 +412,7 @@ def explore(
             f"unknown strategy {strategy!r}; pick from {STRATEGIES}"
         )
 
-    scored = _score_candidates(space, layer, prep, objective, candidates)
+    scored = [_evaluate(space, layer, prep, objective, c) for c in candidates]
     kept, legal = _rank(scored, top_k, discards)
     stats.update(
         evaluated=len(candidates), legal=legal, discarded=dict(discards)
@@ -489,9 +484,9 @@ def _beam(
         c[:-2] + (oi, 0) for c in staged for oi in range(len(prep.orderings))
     ]
     if len(prep.orderings) > 1:
-        scored = _score_candidates(
-            space, layer, prep, objective, with_orderings
-        )
+        scored = [
+            _evaluate(space, layer, prep, objective, c) for c in with_orderings
+        ]
         evaluated += len(with_orderings)
         ranked = sorted(
             (
@@ -505,7 +500,7 @@ def _beam(
     finalists = [
         c[:-1] + (si,) for c in with_orderings for si in range(len(prep.styles))
     ]
-    scored = _score_candidates(space, layer, prep, objective, finalists)
+    scored = [_evaluate(space, layer, prep, objective, c) for c in finalists]
     evaluated += len(finalists)
     kept, legal = _rank(scored, top_k, discards)
     stats.update(

@@ -20,6 +20,7 @@ from .errors import InstanceTooLargeError, MappingError
 from .loopnest import LoopNest, RefreshLocations, checked_plan, refresh_plan
 from .model import (
     KINDS,
+    LEVELS_OUTER_FIRST,
     RELEVANT_DIMS,
     DataKind,
     HardwareConfig,
@@ -180,7 +181,7 @@ def simulate(
 
     psum = options.psum_factor()
     moved: dict[MemLevel, dict[DataKind, int]] = {
-        lvl: {} for lvl in (MemLevel.DRAM, MemLevel.GB, MemLevel.NOC, MemLevel.RF)
+        lvl: {} for lvl in LEVELS_OUTER_FIRST
     }
     for k in KINDS:
         n_gb = refreshes[MemLevel.GB][k]
@@ -235,7 +236,7 @@ class DiffReport:
 
 def diff_counts(plan, analytic, counters: AccessCounters) -> DiffReport:
     rows = []
-    for lvl in (MemLevel.DRAM, MemLevel.GB, MemLevel.NOC, MemLevel.RF):
+    for lvl in LEVELS_OUTER_FIRST:
         for k in KINDS:
             rows.append(
                 DiffRow(

@@ -19,6 +19,7 @@ from .loopnest import (
 )
 from .model import (
     KINDS,
+    LEVELS_OUTER_FIRST,
     DataKind,
     HardwareConfig,
     LayerShape,
@@ -52,7 +53,7 @@ def access_counts(plan: RefreshPlan, options: Options = Options()) -> AccessCoun
             return checked_mul(count, factor)
         return count * factor
 
-    counts: AccessCounts = {lvl: {} for lvl in (MemLevel.DRAM, MemLevel.GB, MemLevel.NOC, MemLevel.RF)}
+    counts: AccessCounts = {lvl: {} for lvl in LEVELS_OUTER_FIRST}
     for k in KINDS:
         dram = plan.traffic(k, MemLevel.GB)
         gb = checked_mul(
@@ -246,7 +247,7 @@ class PredictionReport:
             "n_pe_active": self.n_pe_active,
             "access_counts_elements": {
                 lvl.label: {str(k): self.access[lvl][k] for k in KINDS}
-                for lvl in (MemLevel.DRAM, MemLevel.GB, MemLevel.NOC, MemLevel.RF)
+                for lvl in LEVELS_OUTER_FIRST
             },
             "energy_units": {
                 "comp": self.energy.e_comp,
@@ -259,7 +260,7 @@ class PredictionReport:
                     lvl.label: {
                         str(k): self.energy.by_level_kind[lvl][k] for k in KINDS
                     }
-                    for lvl in (MemLevel.DRAM, MemLevel.GB, MemLevel.NOC, MemLevel.RF)
+                    for lvl in LEVELS_OUTER_FIRST
                 },
             },
             "onchip_breakdown_pct": self.energy.onchip_breakdown_pct(),

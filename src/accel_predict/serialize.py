@@ -15,14 +15,16 @@ from .dsl import lower, parse
 from .errors import ConfigError, MappingError
 from .loopnest import LoopLevel, LoopNest, RefreshLocations, validate_structure
 from .model import (
+    DIMS,
     KINDS,
+    LEVELS_OUTER_FIRST,
     UNBOUNDED,
-    DataKind,
     HardwareConfig,
     LayerShape,
     MemLevel,
     Precision,
     UnitCosts,
+    _per_kind,
     validate_hardware,
 )
 
@@ -68,28 +70,31 @@ def _write_json(obj, out: list[str]) -> None:
         raise ConfigError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
+def _int_field(raw, path: str) -> int:
+    """A JSON integer; bools, floats and strings are rejected, not coerced."""
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ConfigError(f"{path}: expected an integer, got {raw!r}")
+    return raw
+
+
 # ---------------------------------------------------------------- layers
 
-_LAYER_KEYS = {"m", "c", "r", "s", "e", "f", "stride", "name"}
+_LAYER_KEYS = {*DIMS, "stride", "name"}
 
 
 def layer_from_json(data: Mapping) -> LayerShape:
     unknown = set(data) - _LAYER_KEYS
     if unknown:
         raise ConfigError(f"layer JSON: unknown keys {sorted(unknown)}")
-    missing = {"m", "c", "r", "s", "e", "f"} - set(data)
+    missing = set(DIMS) - set(data)
     if missing:
         raise ConfigError(f"layer JSON: missing keys {sorted(missing)}")
-    return LayerShape(
-        m=int(data["m"]),
-        c=int(data["c"]),
-        r=int(data["r"]),
-        s=int(data["s"]),
-        e=int(data["e"]),
-        f=int(data["f"]),
-        stride=int(data.get("stride", 1)),
-        name=str(data.get("name", "")),
-    )
+    fields = {
+        key: _int_field(data[key], f"layer JSON: {key}")
+        for key in (*DIMS, "stride")
+        if key in data
+    }
+    return LayerShape(**fields, name=str(data.get("name", "")))
 
 
 def layer_to_json(layer: LayerShape) -> dict:
@@ -117,21 +122,19 @@ def _bw_value(raw, path: str) -> float:
 
 
 def _per_kind_map(raw, path: str, convert) -> dict | float | int:
-    if isinstance(raw, Mapping):
-        out = {}
-        for key, value in raw.items():
-            kind = _KIND_BY_LABEL.get(key)
-            if kind is None:
-                raise ConfigError(f"{path}: unknown data kind {key!r}")
-            out[kind] = convert(value, f"{path}[{key}]")
-        return out
-    return convert(raw, path)
-
-
-def _capacity_value(raw, path: str) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ConfigError(f"{path}: capacity must be an integer bit count")
-    return raw
+    """One shared value, or a map giving exactly one value per data kind."""
+    if not isinstance(raw, Mapping):
+        return convert(raw, path)
+    out = {}
+    for key, value in raw.items():
+        kind = _KIND_BY_LABEL.get(key)
+        if kind is None:
+            raise ConfigError(f"{path}: unknown data kind {key!r}")
+        out[kind] = convert(value, f"{path}[{key}]")
+    missing = [str(k) for k in KINDS if k not in out]
+    if missing:
+        raise ConfigError(f"{path}: missing data kinds {missing}")
+    return out
 
 
 def hardware_from_json(data: Mapping) -> HardwareConfig:
@@ -165,14 +168,11 @@ def hardware_from_json(data: Mapping) -> HardwareConfig:
         lvl = _LEVEL_BY_LABEL.get(label)
         if lvl is None:
             raise ConfigError(f"unit_costs.e_access: unknown level {label!r}")
-        value = _per_kind_map(
+        e_access[lvl] = _per_kind(_per_kind_map(
             per_kind,
             f"unit_costs.e_access[{label}]",
             lambda v, p: float(v),
-        )
-        e_access[lvl] = (
-            value if isinstance(value, dict) else {k: value for k in KINDS}
-        )
+        ))
     unit_costs = UnitCosts(
         e_mac=float(uc_data.get("e_mac", 0.0)),
         e_access=e_access,
@@ -184,22 +184,24 @@ def hardware_from_json(data: Mapping) -> HardwareConfig:
         ),
     )
     prec_data = data.get("precision", {})
-    precision = Precision(
-        bits_input=int(prec_data.get("bits_input", 16)),
-        bits_output=int(prec_data.get("bits_output", 16)),
-        bits_weight=int(prec_data.get("bits_weight", 16)),
-    )
+    precision = Precision(**{
+        key: _int_field(prec_data[key], f"precision.{key}")
+        for key in ("bits_input", "bits_output", "bits_weight")
+        if key in prec_data
+    })
     hw = HardwareConfig(
-        pe_rows=int(data["pe_rows"]),
-        pe_cols=int(data["pe_cols"]),
-        capacity_gb=_per_kind_map(cap["GB"], "capacity[GB]", _capacity_value),
-        capacity_rf=_per_kind_map(cap["RF"], "capacity[RF]", _capacity_value),
+        pe_rows=_int_field(data["pe_rows"], "pe_rows"),
+        pe_cols=_int_field(data["pe_cols"], "pe_cols"),
+        capacity_gb=_per_kind_map(cap["GB"], "capacity[GB]", _int_field),
+        capacity_rf=_per_kind_map(cap["RF"], "capacity[RF]", _int_field),
         bw_dram=_bw_value(bw["DRAM"], "bw[DRAM]"),
         bw_gb=_per_kind_map(bw["GB"], "bw[GB]", _bw_value),
         bw_rf=_per_kind_map(bw["RF"], "bw[RF]", _bw_value),
         unit_costs=unit_costs,
         precision=precision,
-        buffering_factor=int(data.get("buffering_factor", 1)),
+        buffering_factor=_int_field(
+            data.get("buffering_factor", 1), "buffering_factor"
+        ),
     )
     violations = validate_hardware(hw)
     if violations:
@@ -209,12 +211,11 @@ def hardware_from_json(data: Mapping) -> HardwareConfig:
     return hw
 
 
-def _bw_json(value):
+def _per_kind_json(value):
+    """A shared or per-kind value as hardware JSON; math.inf is "unbounded"."""
     if isinstance(value, Mapping):
-        return {str(k): _bw_json(v) for k, v in value.items()}
-    if math.isinf(value):
-        return "unbounded"
-    return value
+        return {str(k): _per_kind_json(v) for k, v in value.items()}
+    return "unbounded" if value == UNBOUNDED else value
 
 
 def hardware_to_json(hw: HardwareConfig) -> dict:
@@ -223,20 +224,20 @@ def hardware_to_json(hw: HardwareConfig) -> dict:
         "pe_rows": hw.pe_rows,
         "pe_cols": hw.pe_cols,
         "capacity": {
-            "GB": _kindmap_json(hw.capacity_gb),
-            "RF": _kindmap_json(hw.capacity_rf),
+            "GB": _per_kind_json(hw.capacity_gb),
+            "RF": _per_kind_json(hw.capacity_rf),
         },
         "bw": {
-            "DRAM": _bw_json(hw.bw_dram),
-            "GB": _bw_json(hw.bw_gb),
-            "RF": _bw_json(hw.bw_rf),
+            "DRAM": _per_kind_json(hw.bw_dram),
+            "GB": _per_kind_json(hw.bw_gb),
+            "RF": _per_kind_json(hw.bw_rf),
         },
         "buffering_factor": hw.buffering_factor,
         "unit_costs": {
             "e_mac": uc.e_mac,
             "e_access": {
                 lvl.label: {str(k): uc.access(lvl, k) for k in KINDS}
-                for lvl in (MemLevel.DRAM, MemLevel.GB, MemLevel.NOC, MemLevel.RF)
+                for lvl in LEVELS_OUTER_FIRST
             },
         },
         "precision": {
@@ -250,12 +251,6 @@ def hardware_to_json(hw: HardwareConfig) -> dict:
     if uc.clock_hz is not None:
         out["unit_costs"]["clock_hz"] = uc.clock_hz
     return out
-
-
-def _kindmap_json(value):
-    if isinstance(value, Mapping):
-        return {str(k): v for k, v in value.items()}
-    return value
 
 
 # -------------------------------------------------------------- mappings
@@ -289,9 +284,9 @@ def mapping_from_json(data: Mapping, layer: LayerShape) -> tuple[LoopNest, Refre
             raise ConfigError(f"refresh: unknown data kind {key!r}")
         for label, pos in per_mem.items():
             if label == "GB":
-                gb[kind] = int(pos)
+                gb[kind] = _int_field(pos, f"refresh[{key}][GB]")
             elif label == "RF":
-                rf[kind] = int(pos)
+                rf[kind] = _int_field(pos, f"refresh[{key}][RF]")
             else:
                 raise ConfigError(f"refresh[{key}]: level must be GB or RF")
     refresh = RefreshLocations(gb=gb, rf=rf)
@@ -357,27 +352,39 @@ def load_mapping(path: str | Path, layer: LayerShape) -> tuple[LoopNest, Refresh
 
 # ------------------------------------------------------------------- CSV
 
-_CSV_LEVELS = (MemLevel.DRAM, MemLevel.GB, MemLevel.NOC, MemLevel.RF)
+
+def csv_text(header, rows) -> str:
+    """CSV text; a non-string cell prints as canonical JSON prints it."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            c if isinstance(c, str) else canonical_json(c)[:-1] for c in row
+        ))
+    return "\n".join(lines) + "\n"
 
 
 def counts_csv(counts_by_layer: Mapping[str, Mapping]) -> str:
     """Access counts as `layer,level,kind,accesses` rows."""
-    lines = ["layer,level,kind,accesses"]
-    for layer_name, counts in counts_by_layer.items():
-        for lvl in _CSV_LEVELS:
-            for k in KINDS:
-                lines.append(f"{layer_name},{lvl.label},{k},{counts[lvl][k]}")
-    return "\n".join(lines) + "\n"
+    return csv_text(["layer", "level", "kind", "accesses"], [
+        [layer_name, lvl.label, str(k), counts[lvl][k]]
+        for layer_name, counts in counts_by_layer.items()
+        for lvl in LEVELS_OUTER_FIRST
+        for k in KINDS
+    ])
+
+
+def report_rows(reports) -> tuple[list[str], list[list]]:
+    """CSV header and one row per layer x level x kind: accesses, energy."""
+    header = ["layer", "level", "kind", "accesses", "energy_units"]
+    return header, [
+        [rep.layer.name or "layer", lvl.label, str(k), rep.access[lvl][k],
+         rep.energy.by_level_kind[lvl][k]]
+        for rep in reports
+        for lvl in LEVELS_OUTER_FIRST
+        for k in KINDS
+    ]
 
 
 def report_csv(reports) -> str:
     """One row per layer x level x kind with accesses and energy."""
-    lines = ["layer,level,kind,accesses,energy_units"]
-    for rep in reports:
-        name = rep.layer.name or "layer"
-        for lvl in _CSV_LEVELS:
-            for k in KINDS:
-                acc = rep.access[lvl][k]
-                en = rep.energy.by_level_kind[lvl][k]
-                lines.append(f"{name},{lvl.label},{k},{acc},{en:.17g}")
-    return "\n".join(lines) + "\n"
+    return csv_text(*report_rows(reports))

@@ -32,6 +32,15 @@ from tests.test_model import _hw
 
 GB, RF = MemLevel.GB, MemLevel.RF
 
+NOT_INTEGERS = [12.7, float("nan"), True, "3"]
+
+
+def _set(data, dotted: str, value):
+    *parents, last = dotted.split(".")
+    for key in parents:
+        data = data[key]
+    data[last] = value
+
 
 # -------------------------------------------------------- canonical JSON
 
@@ -85,6 +94,15 @@ class TestLayerJson:
             layer_from_json({"m": 1, "c": 1})
         assert "missing" in str(exc.value)
 
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    @pytest.mark.parametrize("key", ["m", "f", "stride"])
+    def test_integer_fields_not_coerced(self, key, value):
+        data = {"m": 1, "c": 1, "r": 1, "s": 1, "e": 1, "f": 1}
+        data[key] = value
+        with pytest.raises(ConfigError) as exc:
+            layer_from_json(data)
+        assert f"layer JSON: {key}: expected an integer" in str(exc.value)
+
 
 class TestHardwareJson:
     def test_round_trip(self):
@@ -132,6 +150,32 @@ class TestHardwareJson:
         with pytest.raises(ConfigError):
             hardware_from_json(data)
 
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    @pytest.mark.parametrize("field", [
+        "pe_rows", "pe_cols", "buffering_factor", "precision.bits_input",
+        "precision.bits_weight",
+    ])
+    def test_integer_fields_not_coerced(self, field, value):
+        data = hardware_to_json(_hw())
+        _set(data, field, value)
+        with pytest.raises(ConfigError) as exc:
+            hardware_from_json(data)
+        assert f"{field}: expected an integer" in str(exc.value)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("bw.GB", {"I": 1e9, "O": 1e9}, "bw[GB]: missing data kinds ['W']"),
+        ("capacity.RF", {"I": 192, "W": 3584},
+         "capacity[RF]: missing data kinds ['O']"),
+        ("unit_costs.e_access.RF", {"I": 1.0},
+         "unit_costs.e_access[RF]: missing data kinds ['O', 'W']"),
+    ], ids=["bw", "capacity", "e_access"])
+    def test_partial_per_kind_map_rejected(self, field, value, message):
+        data = hardware_to_json(_hw())
+        _set(data, field, value)
+        with pytest.raises(ConfigError) as exc:
+            hardware_from_json(data)
+        assert message in str(exc.value)
+
 
 class TestMappingJson:
     def _pair(self):
@@ -156,6 +200,14 @@ class TestMappingJson:
         data["refresh"]["W"]["GB"] = 99
         with pytest.raises(MappingError):
             mapping_from_json(data, layer)
+
+    def test_float_refresh_position_rejected(self):
+        layer, nest, refresh = self._pair()
+        data = mapping_to_json(nest, refresh)
+        data["refresh"]["W"]["GB"] = 1.5
+        with pytest.raises(ConfigError) as exc:
+            mapping_from_json(data, layer)
+        assert "refresh[W][GB]: expected an integer" in str(exc.value)
 
     def test_missing_levels(self):
         with pytest.raises(ConfigError):
@@ -319,6 +371,22 @@ class TestPredictCommand:
                     "--mapping", files["mapping"]])
         assert code == 2
         assert "unit_costs.e_mac" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, path", [
+        ("pe_rows", float("nan"), "pe_rows"),
+        ("bw.GB", {"I": 2e9, "O": 2e9}, "bw[GB]"),
+    ], ids=["nan-pe_rows", "partial-bw"])
+    def test_malformed_hardware_exits_two(self, files, capsys, field, value,
+                                          path):
+        data = json.loads((files["dir"] / "hw.json").read_text())
+        _set(data, field, value)
+        bad_hw = files["dir"] / "bad.json"
+        bad_hw.write_text(json.dumps(data))
+        code = run(["predict", "--layer", files["layer"], "--hw", str(bad_hw),
+                    "--mapping", files["mapping"]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and path in err
 
 
 class TestCheckCommand:
