@@ -6,10 +6,19 @@ templates and refresh styles. Candidates are screened against the
 hardware (PE count, buffer capacities) and scored with the analytic
 model under one of three objectives: energy, latency or their product.
 
-Each candidate takes one pass: build the nest, place its refresh
-points, check it and plan it in one go, then score a legal mapping from
-that same plan. A discarded candidate is counted under the code of the
-first violation it hit.
+A candidate with a positional refresh style (weight_stationary,
+output_stationary) is first screened from its factors alone: its
+refresh points sit at level-group boundaries, so its active PE count
+and resident tiles are products of per-level factors (loopnest's
+positional_extents and positional_v_ref, next to canonical_refresh),
+and the same pe_fit and buffer_fit rules as the full check apply.
+Generated nests, beam completions included, are legal in structure, so
+the screen discards exactly what the full check would, under the same
+code. A candidate that passes (and every row_stationary_like one, whose
+refresh points depend on loop order) takes one pass: build the nest,
+place its refresh points, check it and plan it in one go, then score a
+legal mapping from that same plan. A discarded candidate is counted
+under the code of the first violation it hit.
 """
 
 from __future__ import annotations
@@ -24,12 +33,18 @@ from dataclasses import dataclass, field
 from .dsl import render
 from .errors import ConfigError, MappingError
 from .loopnest import (
+    STATIONARY_KIND,
     LoopNest,
     RefreshLocations,
     RefreshPlan,
+    buffer_fit,
     build_nest,
     canonical_refresh,
+    check_ordering,
     checked_plan,
+    pe_fit,
+    positional_extents,
+    positional_v_ref,
 )
 from .model import (
     DIMS,
@@ -87,11 +102,12 @@ class SearchSpace:
 
 def _normalize_ordering(template) -> dict[MemLevel, tuple[str, ...]]:
     if isinstance(template, Mapping):
-        return {mem: tuple(order) for mem, order in template.items()}
-    order = tuple(template)
-    if not order:
-        return {}
-    return {mem: order for mem in LEVELS_OUTER_FIRST}
+        ordering = {mem: tuple(order) for mem, order in template.items()}
+    else:
+        order = tuple(template)
+        ordering = {mem: order for mem in LEVELS_OUTER_FIRST} if order else {}
+    check_ordering(ordering)
+    return ordering
 
 
 def _divisor_tilings(value: int, k: int, allowed) -> list[tuple[int, ...]]:
@@ -157,6 +173,9 @@ class _Prepared:
     tilings: dict[str, list[tuple[int, ...]]]
     orderings: list[dict[MemLevel, tuple[str, ...]]]
     styles: list[str]
+    # per dim, tiling -> its positional_extents
+    extents: dict[str, dict[tuple[int, ...], tuple[int, ...]]]
+    stride: int
 
     @property
     def size(self) -> int:
@@ -182,6 +201,12 @@ def _prepare(space: SearchSpace, layer: LayerShape) -> _Prepared:
         tilings=tilings,
         orderings=[_normalize_ordering(t) for t in space.orderings],
         styles=list(space.refresh_styles),
+        extents={
+            d: {t: positional_extents(dict(zip(space.levels, t)))
+                for t in tilings[d]}
+            for d in DIMS
+        },
+        stride=space.options.effective_stride(layer),
     )
 
 
@@ -232,17 +257,50 @@ def _candidate_nest(
     return nest, style
 
 
+def _factor_screen(
+    space: SearchSpace, prep: _Prepared, cand: Candidate
+) -> str | None:
+    """PE count and buffer fit of a positional-style candidate, from its
+    factors alone: the code of the first violation, or None if it fits."""
+    # a beam completion may hold a tiling the table lacks (a whole dim
+    # whose size allowed_factors excludes)
+    levels = space.levels
+    ext = [
+        prep.extents[d].get(t) or positional_extents(dict(zip(levels, t)))
+        for d, t in zip(DIMS, cand)
+    ]
+    n_pe_active = 1
+    for e in ext:
+        n_pe_active *= e[0]
+    violations = pe_fit(space.hw, n_pe_active)
+    if not violations:
+        kept = STATIONARY_KIND[prep.styles[cand[-1]]]
+        rf, gb_rf, on_chip, whole = (
+            {d: e[j] for d, e in zip(DIMS, ext)} for j in range(1, 5)
+        )
+        v_ref = positional_v_ref(kept, rf, gb_rf, on_chip, whole, prep.stride)
+        violations = buffer_fit(space.hw, v_ref)
+    return violations[0].code if violations else None
+
+
 def _screen(
     space: SearchSpace,
     layer: LayerShape,
     prep: _Prepared,
     cand: Candidate,
-) -> tuple[LoopNest, RefreshLocations | None, RefreshPlan | None, str | None]:
-    """Build one candidate and check it against the hardware.
+) -> tuple[
+    LoopNest | None, RefreshLocations | None, RefreshPlan | None, str | None
+]:
+    """Screen one candidate, then build it and check it against the
+    hardware.
 
     Returns (nest, refresh, plan, None) for a legal mapping; otherwise
     the last item is the code of the first violation found.
     """
+    if prep.styles[cand[-1]] in STATIONARY_KIND:
+        code = _factor_screen(space, prep, cand)
+        if code is not None:
+            return None, None, None, code
     nest, style = _candidate_nest(space, layer, prep, cand)
     try:
         refresh = canonical_refresh(nest, style, space.hw, space.options)

@@ -264,6 +264,40 @@ def _capacity_violations(
     return out
 
 
+def pe_fit(hw: HardwareConfig, n_pe_active: int) -> list[Violation]:
+    """The spatial instances of a mapping against the PE array."""
+    if n_pe_active <= hw.n_pe:
+        return []
+    return [
+        Violation(
+            "pe_array",
+            "levels",
+            f"{n_pe_active} spatial instances > "
+            f"{hw.pe_rows}x{hw.pe_cols} array",
+        )
+    ]
+
+
+def buffer_fit(
+    hw: HardwareConfig, v_ref: Mapping[tuple[DataKind, MemLevel], int]
+) -> list[Violation]:
+    """The resident GB and RF tiles of a mapping (elements, keyed like
+    RefreshPlan.v_ref) against the buffer capacities.
+
+    A tile needs volume x bits x buffering_factor bits, checked per kind
+    or, for a shared capacity, summed over the kinds.
+    """
+    out = []
+    bf = hw.buffering_factor
+    for name, capacity, mem in (
+        ("capacity_gb", hw.capacity_gb, MemLevel.GB),
+        ("capacity_rf", hw.capacity_rf, MemLevel.RF),
+    ):
+        need = {k: v_ref[(k, mem)] * hw.precision.bits(k) * bf for k in KINDS}
+        out.extend(_capacity_violations(name, capacity, need))
+    return out
+
+
 def checked_plan(
     nest: LoopNest,
     hw: HardwareConfig,
@@ -279,29 +313,8 @@ def checked_plan(
     out = validate_structure(nest, refresh)
     if out:
         return None, out
-
     plan = refresh_plan(nest, refresh, options)
-    if plan.n_pe_active > hw.n_pe:
-        out.append(
-            Violation(
-                "pe_array",
-                "levels",
-                f"{plan.n_pe_active} spatial instances > "
-                f"{hw.pe_rows}x{hw.pe_cols} array",
-            )
-        )
-    bf = hw.buffering_factor
-    gb_need = {
-        k: plan.v_ref[(k, MemLevel.GB)] * hw.precision.bits(k) * bf
-        for k in KINDS
-    }
-    rf_need = {
-        k: plan.v_ref[(k, MemLevel.RF)] * hw.precision.bits(k) * bf
-        for k in KINDS
-    }
-    out.extend(_capacity_violations("capacity_gb", hw.capacity_gb, gb_need))
-    out.extend(_capacity_violations("capacity_rf", hw.capacity_rf, rf_need))
-    return plan, out
+    return plan, pe_fit(hw, plan.n_pe_active) + buffer_fit(hw, plan.v_ref)
 
 
 def validate_nest(
@@ -312,6 +325,16 @@ def validate_nest(
 ) -> list[Violation]:
     """Structure checks plus the hardware fit: PE count and buffer sizes."""
     return checked_plan(nest, hw, refresh, options)[1]
+
+
+def check_ordering(ordering: Mapping[MemLevel, Sequence[str]]) -> None:
+    """Raise ConfigError unless each level's loop order (all dims when a
+    level is absent) is a permutation of the dims."""
+    for mem in LEVELS_OUTER_FIRST:
+        if sorted(ordering.get(mem, DIMS)) != sorted(DIMS):
+            raise ConfigError(
+                f"ordering for {mem.label} must be a permutation of {DIMS}"
+            )
 
 
 def build_nest(
@@ -327,13 +350,9 @@ def build_nest(
     exactly when padding is disabled, minimally otherwise.
     """
     ordering = ordering or {}
+    check_ordering(ordering)
     violations = []
     for mem in LEVELS_OUTER_FIRST:
-        order = tuple(ordering.get(mem, DIMS))
-        if sorted(order) != sorted(DIMS):
-            raise ConfigError(
-                f"ordering for {mem.label} must be a permutation of {DIMS}"
-            )
         for d, b in tiling.get(mem, {}).items():
             if d not in DIMS:
                 raise ConfigError(f"unknown dim {d!r} in tiling")
@@ -383,6 +402,49 @@ def rf_budgets(hw: HardwareConfig) -> dict[DataKind, int]:
     return {k: cap // 3 for k in KINDS}
 
 
+# The positional styles and the kind each keeps stationary. Every refresh
+# point they place sits at a level-group boundary, so their tiles depend
+# only on the per-level factors, never on the loop order.
+STATIONARY_KIND = {
+    "weight_stationary": DataKind.WEIGHT,
+    "output_stationary": DataKind.OUTPUT,
+}
+
+
+def positional_extents(
+    factors: Mapping[MemLevel, int],
+) -> tuple[int, int, int, int, int]:
+    """One dim's per-level factors (an absent level counts as 1) as its
+    NoC factor, then its extent below each refresh point the positional
+    styles place: RF; GB*RF, temporal; GB*NoC*RF; all levels."""
+    dram, gb, noc, rf = (factors.get(mem, 1) for mem in LEVELS_OUTER_FIRST)
+    return noc, rf, gb * rf, gb * noc * rf, dram * gb * noc * rf
+
+
+def positional_v_ref(
+    kept: DataKind,
+    rf: Mapping[str, int],
+    gb_rf: Mapping[str, int],
+    on_chip: Mapping[str, int],
+    whole: Mapping[str, int],
+    stride: int,
+) -> dict[tuple[DataKind, MemLevel], int]:
+    """RefreshPlan.v_ref of a positional style from per-dim extents (as
+    positional_extents gives them), without building the nest.
+
+    Mirrors canonical_refresh: the kept kind's GB tile spans every level
+    (location 0) and its RF tile the GB and RF loops (location p_gb, the
+    NoC loops being spatial); every other kind's GB tile spans GB, NoC and
+    RF (p_gb) and its RF tile the RF loops (p_rf).
+    """
+    v_ref = {}
+    for k in KINDS:
+        gb_tile, rf_tile = (whole, gb_rf) if k is kept else (on_chip, rf)
+        v_ref[(k, MemLevel.GB)] = tile_volume(k, gb_tile, stride)
+        v_ref[(k, MemLevel.RF)] = tile_volume(k, rf_tile, stride)
+    return v_ref
+
+
 def canonical_refresh(
     nest: LoopNest,
     style: str,
@@ -401,17 +463,12 @@ def canonical_refresh(
     """
     p_gb = nest.group_start(MemLevel.GB)
     p_rf = nest.group_start(MemLevel.RF)
-    if style == "weight_stationary":
+    kept = STATIONARY_KIND.get(style)
+    if kept is not None:
         gb = {k: p_gb for k in KINDS}
         rf = {k: p_rf for k in KINDS}
-        gb[DataKind.WEIGHT] = 0
-        rf[DataKind.WEIGHT] = p_gb
-        return RefreshLocations(gb=gb, rf=rf)
-    if style == "output_stationary":
-        gb = {k: p_gb for k in KINDS}
-        rf = {k: p_rf for k in KINDS}
-        gb[DataKind.OUTPUT] = 0
-        rf[DataKind.OUTPUT] = p_gb
+        gb[kept] = 0
+        rf[kept] = p_gb
         return RefreshLocations(gb=gb, rf=rf)
     if style != "row_stationary_like":
         raise ConfigError(f"unknown refresh style {style!r}")

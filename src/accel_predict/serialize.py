@@ -77,15 +77,31 @@ def _int_field(raw, path: str) -> int:
     return raw
 
 
+def _float_field(raw, path: str) -> float:
+    """A JSON number as a float; bools and strings are rejected, not
+    coerced. NaN passes here and is refused by validate_hardware."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {raw!r}")
+    return float(raw)
+
+
+def _object(data, path: str, known) -> Mapping:
+    """A JSON object whose keys all lie in `known`."""
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"{path}: expected an object")
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+    return data
+
+
 # ---------------------------------------------------------------- layers
 
 _LAYER_KEYS = {*DIMS, "stride", "name"}
 
 
 def layer_from_json(data: Mapping) -> LayerShape:
-    unknown = set(data) - _LAYER_KEYS
-    if unknown:
-        raise ConfigError(f"layer JSON: unknown keys {sorted(unknown)}")
+    _object(data, "layer JSON", _LAYER_KEYS)
     missing = set(DIMS) - set(data)
     if missing:
         raise ConfigError(f"layer JSON: missing keys {sorted(missing)}")
@@ -148,46 +164,48 @@ def hardware_from_json(data: Mapping) -> HardwareConfig:
         "precision",
         "description",
     }
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"hardware JSON: unknown keys {sorted(unknown)}")
+    _object(data, "hardware JSON", known)
     for key in ("pe_rows", "pe_cols", "capacity", "bw"):
         if key not in data:
             raise ConfigError(f"hardware JSON: missing key {key!r}")
 
-    cap = data["capacity"]
-    if not isinstance(cap, Mapping) or not {"GB", "RF"} <= set(cap):
+    cap = _object(data["capacity"], "capacity", ("GB", "RF"))
+    if not {"GB", "RF"} <= set(cap):
         raise ConfigError('hardware JSON: capacity needs "GB" and "RF"')
-    bw = data["bw"]
-    if not isinstance(bw, Mapping) or not {"DRAM", "GB", "RF"} <= set(bw):
+    bw = _object(data["bw"], "bw", ("DRAM", "GB", "RF"))
+    if not {"DRAM", "GB", "RF"} <= set(bw):
         raise ConfigError('hardware JSON: bw needs "DRAM", "GB" and "RF"')
 
-    uc_data = data.get("unit_costs", {})
-    e_access = {}
-    for label, per_kind in uc_data.get("e_access", {}).items():
-        lvl = _LEVEL_BY_LABEL.get(label)
-        if lvl is None:
-            raise ConfigError(f"unit_costs.e_access: unknown level {label!r}")
-        e_access[lvl] = _per_kind(_per_kind_map(
-            per_kind,
-            f"unit_costs.e_access[{label}]",
-            lambda v, p: float(v),
-        ))
-    unit_costs = UnitCosts(
-        e_mac=float(uc_data.get("e_mac", 0.0)),
-        e_access=e_access,
-        t_comp=(
-            float(uc_data["t_comp"]) if "t_comp" in uc_data else None
-        ),
-        clock_hz=(
-            float(uc_data["clock_hz"]) if "clock_hz" in uc_data else None
-        ),
+    uc_data = _object(
+        data.get("unit_costs", {}),
+        "unit_costs",
+        ("e_mac", "e_access", "t_comp", "clock_hz"),
     )
-    prec_data = data.get("precision", {})
+    e_access = {
+        _LEVEL_BY_LABEL[label]: _per_kind(_per_kind_map(
+            per_kind, f"unit_costs.e_access[{label}]", _float_field
+        ))
+        for label, per_kind in _object(
+            uc_data.get("e_access", {}), "unit_costs.e_access", _LEVEL_BY_LABEL
+        ).items()
+    }
+    unit_costs = UnitCosts(
+        e_mac=_float_field(uc_data.get("e_mac", 0.0), "unit_costs.e_mac"),
+        e_access=e_access,
+        **{
+            key: _float_field(uc_data[key], f"unit_costs.{key}")
+            for key in ("t_comp", "clock_hz")
+            if key in uc_data
+        },
+    )
+    prec_data = _object(
+        data.get("precision", {}),
+        "precision",
+        ("bits_input", "bits_output", "bits_weight"),
+    )
     precision = Precision(**{
-        key: _int_field(prec_data[key], f"precision.{key}")
-        for key in ("bits_input", "bits_output", "bits_weight")
-        if key in prec_data
+        key: _int_field(value, f"precision.{key}")
+        for key, value in prec_data.items()
     })
     hw = HardwareConfig(
         pe_rows=_int_field(data["pe_rows"], "pe_rows"),

@@ -33,6 +33,7 @@ from tests.test_model import _hw
 GB, RF = MemLevel.GB, MemLevel.RF
 
 NOT_INTEGERS = [12.7, float("nan"), True, "3"]
+NOT_NUMBERS = ["1e3", True, "abc", None]
 
 
 def _set(data, dotted: str, value):
@@ -161,6 +162,46 @@ class TestHardwareJson:
         with pytest.raises(ConfigError) as exc:
             hardware_from_json(data)
         assert f"{field}: expected an integer" in str(exc.value)
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    @pytest.mark.parametrize("field, path", [
+        ("unit_costs.e_mac", "unit_costs.e_mac"),
+        ("unit_costs.t_comp", "unit_costs.t_comp"),
+        ("unit_costs.clock_hz", "unit_costs.clock_hz"),
+        ("unit_costs.e_access.GB", "unit_costs.e_access[GB]"),
+    ])
+    def test_float_fields_not_coerced(self, field, path, value):
+        data = hardware_to_json(_hw())
+        _set(data, field, value)
+        with pytest.raises(ConfigError) as exc:
+            hardware_from_json(data)
+        assert f"{path}: expected a number" in str(exc.value)
+
+    def test_float_fields_accept_json_integers(self):
+        data = hardware_to_json(_hw())
+        data["unit_costs"]["e_mac"] = 3
+        e_mac = hardware_from_json(data).unit_costs.e_mac
+        assert e_mac == 3.0 and isinstance(e_mac, float)
+
+    @pytest.mark.parametrize("field", [
+        "precision.bits_wieght", "unit_costs.e_mak", "capacity.NoC",
+        "bw.NoC", "unit_costs.e_access.L2",
+    ])
+    def test_unknown_nested_keys_rejected(self, field):
+        data = hardware_to_json(_hw())
+        _set(data, field, 8)
+        section, key = field.rsplit(".", 1)
+        with pytest.raises(ConfigError) as exc:
+            hardware_from_json(data)
+        assert f"{section}: unknown keys ['{key}']" in str(exc.value)
+
+    @pytest.mark.parametrize("field", ["precision", "unit_costs.e_access"])
+    def test_nested_section_must_be_object(self, field):
+        data = hardware_to_json(_hw())
+        _set(data, field, [16, 16, 16])
+        with pytest.raises(ConfigError) as exc:
+            hardware_from_json(data)
+        assert f"{field}: expected an object" in str(exc.value)
 
     @pytest.mark.parametrize("field, value, message", [
         ("bw.GB", {"I": 1e9, "O": 1e9}, "bw[GB]: missing data kinds ['W']"),
@@ -375,7 +416,9 @@ class TestPredictCommand:
     @pytest.mark.parametrize("field, value, path", [
         ("pe_rows", float("nan"), "pe_rows"),
         ("bw.GB", {"I": 2e9, "O": 2e9}, "bw[GB]"),
-    ], ids=["nan-pe_rows", "partial-bw"])
+        ("unit_costs.e_mac", "abc", "unit_costs.e_mac"),
+        ("unit_costs.e_mak", 1.0, "unit_costs: unknown keys"),
+    ], ids=["nan-pe_rows", "partial-bw", "str-e_mac", "unknown-unit-cost"])
     def test_malformed_hardware_exits_two(self, files, capsys, field, value,
                                           path):
         data = json.loads((files["dir"] / "hw.json").read_text())

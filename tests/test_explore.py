@@ -1,5 +1,8 @@
 """Mapping search: tiling enumeration, strategies, ranking determinism."""
 
+import hashlib
+import importlib
+import random
 from collections import Counter
 
 import pytest
@@ -8,20 +11,36 @@ from accel_predict import (
     ConfigError,
     LayerShape,
     MemLevel,
+    Options,
     SearchSpace,
     UnitCosts,
+    canonical_json,
+    canonical_refresh,
+    checked_plan,
     enumerate_mappings,
     explore,
     hardware_preset,
     layer_preset,
+    network_preset,
     predict_layer,
     space_size,
 )
 from accel_predict.dsl import render
-from accel_predict.explore import _divisor_tilings, _padded_tilings
+from accel_predict.model import KINDS
+from accel_predict.explore import (
+    _candidate_nest,
+    _divisor_tilings,
+    _factor_screen,
+    _iter_candidates,
+    _padded_tilings,
+    _prepare,
+)
 from tests.test_model import _hw
 
-GB, NOC, RF = MemLevel.GB, MemLevel.NOC, MemLevel.RF
+# the package's `explore` attribute is the function, not this module
+explore_module = importlib.import_module("accel_predict.explore")
+
+DRAM, GB, NOC, RF = MemLevel.DRAM, MemLevel.GB, MemLevel.NOC, MemLevel.RF
 
 
 def roomy_hw(**overrides):
@@ -316,3 +335,186 @@ class TestResultShape:
         result = explore(space, SMALL, top_k=50)
         keys = [(e.objective_value, e.dsl) for e in result.entries]
         assert keys == sorted(keys)
+
+
+def _full_path_code(space, layer, prep, cand):
+    """The first violation code of the build -> refresh -> check path."""
+    nest, style = _candidate_nest(space, layer, prep, cand)
+    refresh = canonical_refresh(nest, style, space.hw, space.options)
+    violations = checked_plan(nest, space.hw, refresh, space.options)[1]
+    return violations[0].code if violations else None
+
+
+def _random_space(rng):
+    """A small seeded space: shared or per-kind capacities, buffering
+    factor 1 or 2, stride 1 or 2, level subsets, padded covers, two
+    orderings."""
+    def capacity(sizes):
+        if rng.random() < 0.5:
+            return {k: 16 * rng.choice(sizes) for k in KINDS}
+        return 16 * rng.choice(sizes)
+
+    hw = _hw(
+        pe_rows=2,
+        pe_cols=rng.choice((2, 3)),
+        capacity_gb=capacity((32, 128, 512, 4096)),
+        capacity_rf=capacity((4, 8, 16, 64, 256)),
+        buffering_factor=rng.choice((1, 2)),
+    )
+    layer = LayerShape(
+        **{d: rng.choice((1, 1, 2, 3, 4)) for d in ("m", "c", "r", "s")},
+        e=rng.choice((2, 3, 5)),
+        f=rng.choice((1, 1, 2, 3)),
+        stride=rng.choice((1, 2)),
+    )
+    space = SearchSpace(
+        hw=hw,
+        levels=rng.choice(
+            [(GB, NOC, RF), (DRAM, GB, NOC, RF), (NOC, RF), (DRAM, NOC, RF),
+             (GB, RF)]
+        ),
+        orderings=((), ("f", "e", "s", "r", "c", "m")),
+        allow_nondivisor=rng.random() < 0.4,
+        options=Options(assume_stride_one=rng.random() < 0.3),
+    )
+    return space, layer
+
+
+class TestFactorScreen:
+    def test_screen_code_equals_full_path_code(self):
+        rng = random.Random(20)
+        outcomes = Counter()
+        spaces = 0
+        while spaces < 20:
+            space, layer = _random_space(rng)
+            if not 100 <= space_size(space, layer) <= 3000:
+                continue
+            spaces += 1
+            prep = _prepare(space, layer)
+            for cand in _iter_candidates(prep):
+                code = _factor_screen(space, prep, cand)
+                assert code == _full_path_code(space, layer, prep, cand), (
+                    layer, space, cand
+                )
+                outcomes[code] += 1
+        assert set(outcomes) == {None, "pe_array", "capacity"}
+
+    def test_build_nest_runs_only_for_screened_candidates(self, monkeypatch):
+        def spy(name):
+            log, fn = [], getattr(explore_module, name)
+
+            def wrapper(*args, **kwargs):
+                log.append(fn(*args, **kwargs))
+                return log[-1]
+            monkeypatch.setattr(explore_module, name, wrapper)
+            return log
+
+        screened, built = spy("_factor_screen"), spy("build_nest")
+        space = SearchSpace(hardware_preset("eyeriss_normalized"))
+        result = explore(space, layer_preset("alexnet_conv5"),
+                         strategy="random", n_samples=300, seed=1, top_k=3)
+        assert len(screened) == 300
+        assert len(built) == screened.count(None) == result.stats["legal"] == 3
+
+    def test_row_stationary_like_takes_the_full_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("row_stationary_like was screened")
+        monkeypatch.setattr(explore_module, "_factor_screen", refuse)
+        space = two_level_space(
+            roomy_hw(), refresh_styles=("row_stationary_like",)
+        )
+        assert explore(space, SMALL).feasible
+
+    # beam completions leave a dim whole at the outermost level, a tiling
+    # outside the screen's table when allowed_factors excludes the dim's
+    # size; stats and sha256 of the canonical to_dict() JSON captured
+    # before the screen existed
+    @pytest.mark.parametrize("capacity_gb, capacity_rf, allowed, padded, pin", [
+        (1024, 64, {"c": (2,)}, False,
+         (202, 0, {"capacity": 6, "pe_array": 2},
+          "182083c5ef91bd032f00b81fd722d5000d5466ed3e68f5e91726df1c39c33abf")),
+        (4096, 256, {"e": (2, 3)}, True,
+         (282, 4, {"capacity": 4},
+          "cc0b2bbe812918a1eed73961221520e22a2c26a490571f85c9f97fbef29df233")),
+        (16384, 1024, {"c": (2,), "f": (2, 3)}, False,
+         (186, 4, {"capacity": 4},
+          "da3c288e28bef680e1bff90599c3c2c3231c4f1c3f2773817e0c91c75bf5c744")),
+    ])
+    def test_beam_with_allowed_factors(
+        self, monkeypatch, capacity_gb, capacity_rf, allowed, padded, pin
+    ):
+        layer = LayerShape(m=4, c=4, r=3, s=3, e=6, f=6)
+        space = SearchSpace(
+            _hw(capacity_gb=capacity_gb, capacity_rf=capacity_rf),
+            allowed_factors=allowed,
+            allow_nondivisor=padded,
+        )
+
+        def run():
+            result = explore(space, layer, objective="edp", strategy="beam",
+                             beam_width=4, top_k=3)
+            text = canonical_json(result.to_dict())
+            return text, (
+                result.stats["evaluated"], result.stats["legal"],
+                result.stats["discarded"],
+                hashlib.sha256(text.encode()).hexdigest(),
+            )
+
+        screened, got = run()
+        assert got == pin
+        # every candidate through the full path gives the same result
+        monkeypatch.setattr(explore_module, "_factor_screen",
+                            lambda *args: None)
+        assert run()[0] == screened
+
+    def test_bad_ordering_raises_when_every_candidate_is_discarded(self):
+        # capacity_rf=1 screens out every candidate, so no nest is built
+        space = SearchSpace(roomy_hw(capacity_rf=1), orderings=(("m", "c"),))
+        with pytest.raises(ConfigError) as exc:
+            explore(space, SMALL, strategy="random", n_samples=50)
+        assert "ordering for DRAM must be a permutation" in str(exc.value)
+
+
+# explore(..., objective="edp", n_samples=2000, beam_width=16, seed=0) on
+# the eyeriss preset, default space: stats and the sha256 of the canonical
+# to_dict() JSON, per layer and strategy.
+BENCHMARK_PIN = {
+    ("CONV1", "random"): (2000, 35, {"pe_array": 794, "capacity": 1171},
+                          "07de653ca285c927bad3fd8a3d0425f382be839b4f9fb272af5ba938135fb681"),
+    ("CONV1", "beam"): (960, 16, {"capacity": 16},
+                        "f1fb278cd32b89dcfc589ae3b867fcb59c4c0137e0d74419b9b094a87c1aa9b1"),
+    ("CONV2", "random"): (2000, 0, {"capacity": 1175, "pe_array": 825},
+                          "813372616661701e5172cf4550f3f534f32eae8d73aa06ec896bbf23fd042900"),
+    ("CONV2", "beam"): (3205, 0, {"capacity": 32},
+                        "86bb2f9e6e880c1ebac1232785b384db68f46f9aedc1d38d3c220e3f49d0ea70"),
+    ("CONV3", "random"): (2000, 0, {"capacity": 1251, "pe_array": 749},
+                          "ac48542a84b0b75e04f577a19a75e35b0fac1fb53bdc5f7ca13fc77ebb1777bc"),
+    ("CONV3", "beam"): (3408, 0, {"capacity": 30, "pe_array": 2},
+                        "8e3f27f0d2fcd075efa7be55af8f7dd6f4fa7173f2842c4df333ecd84aa84e33"),
+    ("CONV4", "random"): (2000, 0, {"capacity": 1174, "pe_array": 826},
+                          "9d73102ce385ded1ca7de012efc3034be30aa3dc7283078e77708e875304b981"),
+    ("CONV4", "beam"): (6144, 0, {"capacity": 30, "pe_array": 2},
+                        "eda2adc3734299d7f5554999bcae06675a93f9b5bbe714b5cebed428b8c793c7"),
+    ("CONV5", "random"): (2000, 22, {"capacity": 1176, "pe_array": 802},
+                          "13463d0a6a055db55510fdc8078ac8939b6ac7c4b16c6bfe2993933b2b885c14"),
+    ("CONV5", "beam"): (5829, 0, {"capacity": 30, "pe_array": 2},
+                        "75a26b80b00e087742330163f4a94eb65ca3d9b6ae5a571de4038adb8ed12415"),
+}
+
+
+class TestBenchmarkPin:
+    def test_alexnet_edp_search(self):
+        space = SearchSpace(hardware_preset("eyeriss_normalized"))
+        got = {}
+        for layer in network_preset("alexnet_conv"):
+            for strategy in ("random", "beam"):
+                result = explore(space, layer, objective="edp",
+                                 strategy=strategy, n_samples=2000,
+                                 beam_width=16, seed=0)
+                text = canonical_json(result.to_dict())
+                got[layer.name, strategy] = (
+                    result.stats["evaluated"], result.stats["legal"],
+                    result.stats["discarded"],
+                    hashlib.sha256(text.encode()).hexdigest(),
+                )
+        assert got == BENCHMARK_PIN

@@ -20,6 +20,12 @@ from accel_predict import (
     validate_nest,
     validate_structure,
 )
+from accel_predict.loopnest import (
+    STATIONARY_KIND,
+    positional_extents,
+    positional_v_ref,
+)
+from accel_predict.model import DIMS
 from tests.test_model import _hw
 
 I, O, W = DataKind.INPUT, DataKind.OUTPUT, DataKind.WEIGHT
@@ -408,6 +414,32 @@ class TestCanonicalRefresh:
         assert refresh.loc(O, GB) == 0
         assert refresh.loc(O, RF) == nest.group_start(GB)
         assert refresh.loc(W, GB) == nest.group_start(GB)
+
+    @pytest.mark.parametrize("style", sorted(STATIONARY_KIND))
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_positional_tiles_from_factors_match_the_plan(self, style, stride):
+        layer = LayerShape(m=4, c=2, r=3, s=1, e=4, f=2, stride=stride)
+        tiling = {
+            DRAM: {"m": 2, "e": 2},
+            GB: {"c": 2, "r": 3},
+            NOC: {"e": 2, "m": 2},
+            RF: {"f": 2},
+        }
+        ext = [
+            positional_extents({mem: t.get(d, 1) for mem, t in tiling.items()})
+            for d in DIMS
+        ]
+        rf, gb_rf, on_chip, whole = (
+            {d: e[j] for d, e in zip(DIMS, ext)} for j in range(1, 5)
+        )
+        v_ref = positional_v_ref(
+            STATIONARY_KIND[style], rf, gb_rf, on_chip, whole, stride
+        )
+        nest = build_nest(layer, tiling)
+        plan = refresh_plan(nest, canonical_refresh(nest, style))
+        assert v_ref == {key: plan.v_ref[key] for key in v_ref}
+        assert len(v_ref) == 6
+        assert plan.n_pe_active == 4 == ext[0][0] * ext[4][0]
 
     def test_row_stationary_like_needs_hardware(self):
         with pytest.raises(ConfigError):
