@@ -3,10 +3,11 @@
 The closed-form model prices a mapping from loop bounds alone, which is
 only useful if those formulas match what the hardware would really do.
 This demo writes a strided convolution mapping in the dataflow language,
-walks every loop iteration with the brute-force counters, and diffs the
-two, metric by metric.  It then shows why the halo arithmetic has to be
-stride-exact: on AlexNet CONV1 (stride 4) a stride-blind input-tile
-model misses most of the DRAM traffic.
+counts it with the brute-force counters, which walk every iteration of
+the loops that can change a count, and diffs the two, metric by metric.
+It then shows why the halo arithmetic has to be stride-exact: on AlexNet
+CONV1 (stride 4) a stride-blind input-tile model misses most of the DRAM
+traffic.
 
 Run:  python3 demos/counting_crosscheck.py
 """

@@ -359,8 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(p)
     p.add_argument(
         "--cap", type=int, default=oracle.DEFAULT_CAP,
-        help="abort if the brute-force run would enumerate more than this "
-        "many temporal steps, PE instances or tile points",
+        help="refuse a nest with more than this many temporal steps, PE "
+        "instances or points in a tile's relevant loops; the brute-force "
+        "run walks every iteration of the loops that can change a count",
     )
     p.add_argument(
         "--no-validate", action="store_true",

@@ -24,6 +24,10 @@ class DataKind(Enum):
     OUTPUT = "O"
     WEIGHT = "W"
 
+    # Members are singletons, so the identity hash is exact and spares hot
+    # kind-keyed lookups Enum's Python-level __hash__.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

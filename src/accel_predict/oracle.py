@@ -1,18 +1,21 @@
 """Brute-force reference counts: run the loop nest and watch the buffers.
 
-Refreshes are observed, not computed: the temporal loops are executed as
-an odometer and a buffer refill is recorded whenever any loop above its
-refresh location advances. Tile volumes are measured by enumerating the
-loops below the location and collecting the coordinates each kind
-actually touches (distinct tuples for weights/outputs, the bounding box
-for inputs, whose fetches are contiguous rows). Spatial loops expand
-into per-PE instances; multicast is measured by grouping PEs that land
-on identical tiles.
+No closed forms: every iteration of each loop that can change a count is
+run. Refreshes are observed: the temporal loops above the deepest refresh
+location run as an odometer, and a buffer refill is recorded whenever a
+loop above its location advances. Tile volumes are measured by collecting
+the coordinates each kind touches (distinct values for weights/outputs,
+the bounding box for inputs, whose fetches are contiguous rows), each
+coordinate (c, e*stride + r, f*stride + s, or a weight/output dim) over
+its own loops below the location. Spatial loops expand into per-PE
+instances; multicast is measured by grouping PEs that land on identical
+tiles.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import predictor
@@ -28,8 +31,10 @@ from .model import (
     Options,
 )
 
-# The odometer runs about a million temporal steps per second, so the
-# default bounds a check at roughly ten seconds.
+# The cap bounds the instance (temporal steps, PE instances, relevant tile
+# points), not the walk: an AlexNet layer checks in milliseconds, and the
+# worst case, a refresh below every temporal loop, walks all 10**7 steps
+# in about five seconds (Python 3.11, one core of a shared 2-core host).
 DEFAULT_CAP = 10**7
 
 
@@ -48,10 +53,11 @@ class AccessCounters:
 def _count_refresh_events(bounds: list[int], depths: set[int]) -> dict[int, int]:
     """Run the odometer over `bounds`; for each depth d, count iterations
     where some index at position < d changed (the first iteration counts
-    everywhere)."""
+    everywhere). Loops at or below the deepest d never change an index
+    above any d, so the odometer runs over the loops above it only."""
     counts = {d: 0 for d in depths}
     prev = None
-    for point in itertools.product(*(range(b) for b in bounds)):
+    for point in itertools.product(*(range(b) for b in bounds[:max(depths)])):
         if prev is None:
             for d in depths:
                 counts[d] += 1
@@ -66,48 +72,38 @@ def _count_refresh_events(bounds: list[int], depths: set[int]) -> dict[int, int]
     return counts
 
 
-def _dim_subindex(loops, assignment, dim: str) -> int:
-    """Mixed-radix composition of one dim's loop indices, outer-major."""
-    value = 0
-    for lv, idx in zip(loops, assignment):
-        if lv.dim == dim:
-            value = value * lv.bound + idx
-    return value
+def _touched(loops, scale: dict[str, int]) -> set[int]:
+    """Every value of sum(scale[d] * index of d) over one full pass of the
+    loops over the dims in `scale`, where a dim's index composes its loop
+    indices mixed-radix, outer-major."""
+    axes = []
+    for dim, place in scale.items():
+        for lv in reversed([lv for lv in loops if lv.dim == dim]):
+            axes.append(range(0, lv.bound * place, place))
+            place *= lv.bound
+    return set(map(sum, itertools.product(*axes)))
 
 
 def _measure_tile(loops, kind: DataKind, stride: int, cap: int) -> int:
     """Elements of `kind` touched across one full pass of `loops`."""
     # Loops over dims the tensor does not depend on revisit the same
-    # elements; skipping them shrinks the enumeration without changing
-    # the touched set.
-    loops = [lv for lv in loops if lv.dim in RELEVANT_DIMS[kind]]
+    # elements, so the cap counts the points of the relevant loops only.
     size = 1
     for lv in loops:
-        size *= lv.bound
+        if lv.dim in RELEVANT_DIMS[kind]:
+            size *= lv.bound
     if size > cap:
         raise InstanceTooLargeError(
             f"tile enumeration of {size} points exceeds cap {cap}"
         )
     if kind is DataKind.INPUT:
-        cs: set[int] = set()
-        hs: set[int] = set()
-        ws: set[int] = set()
-        for pt in itertools.product(*(range(lv.bound) for lv in loops)):
-            cs.add(_dim_subindex(loops, pt, "c"))
-            e = _dim_subindex(loops, pt, "e")
-            r = _dim_subindex(loops, pt, "r")
-            f = _dim_subindex(loops, pt, "f")
-            s = _dim_subindex(loops, pt, "s")
-            hs.add(e * stride + r)
-            ws.add(f * stride + s)
+        cs = _touched(loops, {"c": 1})
+        hs = _touched(loops, {"e": stride, "r": 1})
+        ws = _touched(loops, {"f": stride, "s": 1})
         # rows are fetched whole, gaps included
         return len(cs) * (max(hs) - min(hs) + 1) * (max(ws) - min(ws) + 1)
-    dims = sorted(RELEVANT_DIMS[kind])
-    seen = {
-        tuple(_dim_subindex(loops, pt, d) for d in dims)
-        for pt in itertools.product(*(range(lv.bound) for lv in loops))
-    }
-    return len(seen)
+    # the touched set is the product of the per-dim sets
+    return math.prod(len(_touched(loops, {d: 1})) for d in RELEVANT_DIMS[kind])
 
 
 def simulate(

@@ -275,38 +275,40 @@ def hardware_to_json(hw: HardwareConfig) -> dict:
 
 
 def mapping_from_json(data: Mapping, layer: LayerShape) -> tuple[LoopNest, RefreshLocations]:
+    _object(data, "mapping JSON", ("levels", "refresh"))
     if "levels" not in data:
         raise ConfigError('mapping JSON: missing "levels"')
+    if not isinstance(data["levels"], list):
+        raise ConfigError("levels: expected a list")
     levels = []
-    for i, entry in enumerate(data["levels"]):
+    for i, raw in enumerate(data["levels"]):
         path = f"levels[{i}]"
-        mem = _LEVEL_BY_LABEL.get(entry.get("mem"))
+        entry = _object(raw, path, ("dim", "bound", "mem", "spatial"))
+        label = entry.get("mem")
+        mem = _LEVEL_BY_LABEL.get(label) if isinstance(label, str) else None
         if mem is None:
-            raise ConfigError(f"{path}: unknown memory level {entry.get('mem')!r}")
+            raise ConfigError(f"{path}: unknown memory level {label!r}")
         dim = entry.get("dim")
-        bound = entry.get("bound")
-        if not isinstance(bound, int) or bound < 1:
+        if dim not in DIMS:
+            raise ConfigError(f"{path}: unknown loop dimension {dim!r}")
+        bound = _int_field(entry.get("bound"), f"{path}.bound")
+        if bound < 1:
             raise ConfigError(f"{path}: bound must be an integer >= 1")
-        levels.append(
-            LoopLevel(dim, bound, mem, spatial=bool(entry.get("spatial", False)))
-        )
+        spatial = entry.get("spatial", False)
+        if not isinstance(spatial, bool):
+            raise ConfigError(f"{path}.spatial: expected a bool, got {spatial!r}")
+        levels.append(LoopLevel(dim, bound, mem, spatial=spatial))
     nest = LoopNest(tuple(levels), layer)
 
     p_gb = nest.group_start(MemLevel.GB)
     p_rf = nest.group_start(MemLevel.RF)
     gb = {k: p_gb for k in KINDS}
     rf = {k: p_rf for k in KINDS}
-    for key, per_mem in data.get("refresh", {}).items():
-        kind = _KIND_BY_LABEL.get(key)
-        if kind is None:
-            raise ConfigError(f"refresh: unknown data kind {key!r}")
-        for label, pos in per_mem.items():
-            if label == "GB":
-                gb[kind] = _int_field(pos, f"refresh[{key}][GB]")
-            elif label == "RF":
-                rf[kind] = _int_field(pos, f"refresh[{key}][RF]")
-            else:
-                raise ConfigError(f"refresh[{key}]: level must be GB or RF")
+    per_kind = _object(data.get("refresh", {}), "refresh", _KIND_BY_LABEL)
+    for key, raw in per_kind.items():
+        for label, pos in _object(raw, f"refresh[{key}]", ("GB", "RF")).items():
+            locs = gb if label == "GB" else rf
+            locs[_KIND_BY_LABEL[key]] = _int_field(pos, f"refresh[{key}][{label}]")
     refresh = RefreshLocations(gb=gb, rf=rf)
     violations = validate_structure(nest, refresh)
     if violations:

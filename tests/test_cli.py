@@ -19,6 +19,7 @@ from accel_predict import (
     hardware_to_json,
     layer_from_json,
     layer_to_json,
+    load_layer,
     load_mapping,
     main,
     mapping_from_json,
@@ -39,7 +40,7 @@ NOT_NUMBERS = ["1e3", True, "abc", None]
 def _set(data, dotted: str, value):
     *parents, last = dotted.split(".")
     for key in parents:
-        data = data[key]
+        data = data[int(key) if key.isdigit() else key]
     data[last] = value
 
 
@@ -430,6 +431,31 @@ class TestPredictCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and path in err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("levels", "ab", "levels: expected a list"),
+        ("levels", [5], "levels[0]: expected an object"),
+        ("levels.0.bogus", 1, "levels[0]: unknown keys ['bogus']"),
+        ("levels.0.dim", 5, "levels[0]: unknown loop dimension 5"),
+        ("levels.0.bound", True, "levels[0].bound: expected an integer"),
+        ("levels.2.spatial", "no", "levels[2].spatial: expected a bool"),
+        ("refresh.I", 3, "refresh[I]: expected an object"),
+        ("refresh.W.NoC", 1, "refresh[W]: unknown keys ['NoC']"),
+    ], ids=["str-levels", "int-entry", "unknown-entry-key", "int-dim",
+            "bool-bound", "str-spatial", "int-refresh", "unknown-refresh-level"])
+    def test_malformed_mapping_exits_two(self, files, capsys, field, value,
+                                         message):
+        data = mapping_to_json(
+            *load_mapping(files["mapping"], load_layer(files["layer"]))
+        )
+        _set(data, field, value)
+        bad_mapping = files["dir"] / "bad_map.json"
+        bad_mapping.write_text(json.dumps(data))
+        code = run(["predict", "--layer", files["layer"], "--hw", files["hw"],
+                    "--mapping", str(bad_mapping)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
 
 class TestCheckCommand:

@@ -1,4 +1,5 @@
-"""The demos run to completion; mapping_search prints fixed text.
+"""The demos run to completion; mapping_search and counting_crosscheck
+print fixed text.
 
 Each demo runs as its own process from a fresh interpreter, with the
 package imported from this checkout's src/.
@@ -45,6 +46,37 @@ objective swap: energy winner runs in 49.34us, edp winner in 4.82us (different m
 random sample of 1000: best within 0.33% of the true optimum
 """
 
+COUNTING_CROSSCHECK = """\
+layer strided: stride 2, 4x3x3x3x5x5
+
+metric     level  kind    analytic    counted
+---------------------------------------------
+elements   DRAM   I            726        726
+elements   DRAM   O            200        200
+elements   DRAM   W            108        108
+elements   GB     I           1350       1350
+elements   GB     O            600        600
+elements   GB     W            540        540
+elements   NoC    I           1350       1350
+elements   NoC    O            300        300
+elements   NoC    W           2700       2700
+elements   RF     I           2700       2700
+elements   RF     O           2700       2700
+elements   RF     W           2700       2700
+refreshes  GB     I              2          2
+refreshes  GB     O              2          2
+refreshes  GB     W              2          2
+refreshes  RF     I             30         30
+refreshes  RF     O             30         30
+refreshes  RF     W             30         30
+
+closed forms and brute-force counters agree exactly (18 checks)
+
+CONV1 DRAM input elements, halo-exact:        171,612
+CONV1 DRAM input elements, stride ignored:     18,720
+a stride-blind tile model would hide 9.2x of the input traffic
+"""
+
 
 def _run_demo(name: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
@@ -57,12 +89,17 @@ def _run_demo(name: str) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize("name", ["alexnet_breakdown.py",
-                                  "counting_crosscheck.py"])
+@pytest.mark.parametrize("name", ["alexnet_breakdown.py"])
 def test_demo_exits_zero(name):
     proc = _run_demo(name)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_counting_crosscheck_output():
+    proc = _run_demo("counting_crosscheck.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == COUNTING_CROSSCHECK
 
 
 def test_mapping_search_output():

@@ -1,5 +1,6 @@
 """Mapping search: tiling enumeration, strategies, ranking determinism."""
 
+import dataclasses
 import hashlib
 import importlib
 import random
@@ -16,6 +17,7 @@ from accel_predict import (
     UnitCosts,
     canonical_json,
     canonical_refresh,
+    check,
     checked_plan,
     enumerate_mappings,
     explore,
@@ -518,3 +520,29 @@ class TestBenchmarkPin:
                     hashlib.sha256(text.encode()).hexdigest(),
                 )
         assert got == BENCHMARK_PIN
+
+
+class TestSearchOutputMatchesOracle:
+    @pytest.mark.parametrize("extra_styles", [(), ("row_stationary_like",)],
+                             ids=["default-styles", "with-row-stationary-like"])
+    def test_every_top_entry_is_legal_and_counted_exactly(self, extra_styles):
+        hw = hardware_preset("eyeriss_normalized")
+        space = SearchSpace(hw)
+        space = dataclasses.replace(
+            space, refresh_styles=space.refresh_styles + extra_styles
+        )
+        n_entries = 0
+        for layer in network_preset("alexnet_conv"):
+            small = dataclasses.replace(
+                layer, m=layer.m // 8, c=max(1, layer.c // 8)
+            )
+            for strategy in ("random", "beam"):
+                result = explore(space, small, objective="edp",
+                                 strategy=strategy, n_samples=300,
+                                 beam_width=8, seed=0, top_k=5)
+                for entry in result.entries:
+                    # at the default cap; MappingError if the entry is illegal
+                    diff = check(entry.nest, entry.refresh, hw)
+                    assert diff.ok, (small.name, strategy, entry.dsl)
+                    n_entries += 1
+        assert n_entries == 50

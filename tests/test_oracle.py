@@ -1,5 +1,9 @@
 """Brute-force counting simulator vs. the closed-form access model."""
 
+import dataclasses
+import itertools
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,10 +21,14 @@ from accel_predict import (
     access_counts,
     check,
     diff_counts,
+    hardware_preset,
+    layer_preset,
+    mapping_preset,
     refresh_plan,
     simulate,
 )
-from accel_predict.model import DIMS
+from accel_predict import oracle
+from accel_predict.model import DIMS, RELEVANT_DIMS
 from tests.test_model import _hw
 
 I, O, W = DataKind.INPUT, DataKind.OUTPUT, DataKind.WEIGHT
@@ -186,6 +194,12 @@ class TestDiff:
         assert len(elements) == 12  # 4 levels x 3 kinds
         assert len(refreshes) == 6  # GB/RF x 3 kinds
 
+    @pytest.mark.parametrize("name", [f"conv{i}" for i in range(1, 6)])
+    def test_alexnet_row_stationary_matches_at_default_cap(self, name):
+        hw = hardware_preset("eyeriss_normalized")
+        nest, refresh = mapping_preset("row_stationary", layer_preset(name), hw)
+        assert check(nest, refresh, hw).ok
+
     def test_check_validates_against_hardware_when_given(self):
         layer = LayerShape(m=17, c=1, r=1, s=1, e=1, f=1)
         nest = nest_of(layer, ("m", 17, NOC, True))
@@ -198,9 +212,9 @@ class TestDiff:
 
 
 @st.composite
-def legal_instances(draw):
+def legal_instances(draw, max_loops=7, max_bound=3):
     """A random legal nest + refresh with a small temporal space."""
-    n_loops = draw(st.integers(1, 7))
+    n_loops = draw(st.integers(1, max_loops))
     mems = sorted(
         draw(
             st.lists(
@@ -214,7 +228,7 @@ def legal_instances(draw):
     products = {d: 1 for d in DIMS}
     for mem in mems:
         dim = draw(st.sampled_from(DIMS))
-        bound = draw(st.integers(1, 3))
+        bound = draw(st.integers(1, max_bound))
         products[dim] *= bound
         levels.append(LoopLevel(dim, bound, mem, spatial=(mem is NOC)))
     stride = draw(st.integers(1, 3))
@@ -256,3 +270,104 @@ def test_body_iterations_match_padded_macs(instance):
     counters = simulate(nest, refresh, options=options)
     assert counters.body_iterations == nest.padded_mac_count()
     assert counters.macs_per_pe * counters.n_pe_active == counters.body_iterations
+
+
+# ------------------------- reference walkers over the full nest
+#
+# An odometer over every temporal step and a point-by-point walk over all
+# of a tile's relevant loops. The narrower walks in accel_predict.oracle
+# must reproduce their counts exactly.
+
+
+def _ref_count_refresh_events(bounds: list[int], depths: set[int]) -> dict[int, int]:
+    """Run the odometer over `bounds`; for each depth d, count iterations
+    where some index at position < d changed (the first iteration counts
+    everywhere)."""
+    counts = {d: 0 for d in depths}
+    prev = None
+    for point in itertools.product(*(range(b) for b in bounds)):
+        if prev is None:
+            for d in depths:
+                counts[d] += 1
+        else:
+            changed = 0
+            while point[changed] == prev[changed]:
+                changed += 1
+            for d in depths:
+                if changed < d:
+                    counts[d] += 1
+        prev = point
+    return counts
+
+
+def _ref_dim_subindex(loops, assignment, dim: str) -> int:
+    """Mixed-radix composition of one dim's loop indices, outer-major."""
+    value = 0
+    for lv, idx in zip(loops, assignment):
+        if lv.dim == dim:
+            value = value * lv.bound + idx
+    return value
+
+
+def _ref_measure_tile(loops, kind: DataKind, stride: int, cap: int) -> int:
+    """Elements of `kind` touched across one full pass of `loops`."""
+    # Loops over dims the tensor does not depend on revisit the same
+    # elements; skipping them shrinks the enumeration without changing
+    # the touched set.
+    loops = [lv for lv in loops if lv.dim in RELEVANT_DIMS[kind]]
+    size = 1
+    for lv in loops:
+        size *= lv.bound
+    if size > cap:
+        raise InstanceTooLargeError(
+            f"tile enumeration of {size} points exceeds cap {cap}"
+        )
+    if kind is DataKind.INPUT:
+        cs: set[int] = set()
+        hs: set[int] = set()
+        ws: set[int] = set()
+        for pt in itertools.product(*(range(lv.bound) for lv in loops)):
+            cs.add(_ref_dim_subindex(loops, pt, "c"))
+            e = _ref_dim_subindex(loops, pt, "e")
+            r = _ref_dim_subindex(loops, pt, "r")
+            f = _ref_dim_subindex(loops, pt, "f")
+            s = _ref_dim_subindex(loops, pt, "s")
+            hs.add(e * stride + r)
+            ws.add(f * stride + s)
+        # rows are fetched whole, gaps included
+        return len(cs) * (max(hs) - min(hs) + 1) * (max(ws) - min(ws) + 1)
+    dims = sorted(RELEVANT_DIMS[kind])
+    seen = {
+        tuple(_ref_dim_subindex(loops, pt, d) for d in dims)
+        for pt in itertools.product(*(range(lv.bound) for lv in loops))
+    }
+    return len(seen)
+
+
+def reference_simulate(nest, refresh, options):
+    with mock.patch.object(
+        oracle, "_count_refresh_events", _ref_count_refresh_events
+    ), mock.patch.object(oracle, "_measure_tile", _ref_measure_tile):
+        return simulate(nest, refresh, options=options)
+
+
+@st.composite
+def reference_instances(draw):
+    nest, refresh, options = draw(legal_instances(max_loops=8, max_bound=4))
+    options = dataclasses.replace(
+        options, assume_stride_one=draw(st.booleans())
+    )
+    return nest, refresh, options
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(reference_instances())
+def test_simulate_equals_full_nest_walk(instance):
+    nest, refresh, options = instance
+    assert simulate(nest, refresh, options=options) == reference_simulate(
+        nest, refresh, options
+    )
