@@ -304,6 +304,13 @@ def cmd_presets(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _count(text: str) -> int:
+    """Argparse type for a flag that takes a count: an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--assume-stride-one", action="store_true",
@@ -358,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="compare analytic counts to a brute-force run")
     _add_io_args(p)
     p.add_argument(
-        "--cap", type=int, default=oracle.DEFAULT_CAP,
+        "--cap", type=_count, default=oracle.DEFAULT_CAP,
         help="refuse a nest with more than this many temporal steps, PE "
         "instances or points in a tile's relevant loops; the brute-force "
         "run walks every iteration of the loops that can change a count",
@@ -373,13 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(p, mapping=False)
     p.add_argument("--objective", choices=OBJECTIVES, default="energy")
     p.add_argument("--strategy", choices=STRATEGIES, default="exhaustive")
-    p.add_argument("--top", type=int, default=10, help="how many results to keep")
+    p.add_argument("--top", type=_count, default=10, help="how many results to keep")
     p.add_argument("--seed", type=int, default=0, help="random strategy seed")
     p.add_argument(
-        "--samples", type=int, default=1000,
+        "--samples", type=_count, default=1000,
         help="sample count for the random strategy",
     )
-    p.add_argument("--beam-width", type=int, default=64)
+    p.add_argument("--beam-width", type=_count, default=64)
     p.add_argument(
         "--levels", default="DRAM,GB,NoC,RF",
         help="comma list of memory levels tilings may use",
@@ -390,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--allow-nondivisor", action="store_true")
     p.add_argument(
-        "--cap", type=int, default=500_000,
+        "--cap", type=_count, default=500_000,
         help="refuse exhaustive search above this candidate count",
     )
     p.set_defaults(func=cmd_explore)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DslError, MappingError
 from .loopnest import (
@@ -29,16 +30,16 @@ _LEVELS = {"dram": MemLevel.DRAM, "gb": MemLevel.GB, "noc": MemLevel.NOC, "rf": 
 _KINDS = {"i": DataKind.INPUT, "o": DataKind.OUTPUT, "w": DataKind.WEIGHT}
 
 
-@dataclass(frozen=True)
-class LoopStmt:
+# Statements are named tuples: a document holds one per line, and a
+# named tuple is built about twice as fast as a frozen dataclass.
+class LoopStmt(NamedTuple):
     dim: str
     bound: int
     mem: MemLevel
     spatial: bool
 
 
-@dataclass(frozen=True)
-class RefreshStmt:
+class RefreshStmt(NamedTuple):
     kind: DataKind
     mem: MemLevel
 
@@ -98,33 +99,33 @@ def _parse_loop(line: str, lineno: int, indent: int) -> LoopStmt:
             lineno,
             indent + 1,
         )
-    if m.group("in").lower() != "in":
+    kw, dim_name, in_kw, lo, bound_text, mem_name = m.groups()
+    if in_kw.lower() != "in":
         raise DslError(
-            f"expected 'in', got {m.group('in')!r}",
+            f"expected 'in', got {in_kw!r}",
             lineno,
             indent + _column(line, m, "in"),
         )
-    dim = m.group("dim").lower()
+    dim = dim_name.lower()
     if dim not in DIMS:
         raise DslError(
-            f"unknown dimension {m.group('dim')!r}",
+            f"unknown dimension {dim_name!r}",
             lineno,
             indent + _column(line, m, "dim"),
         )
-    if m.group("lo") != "0":
+    if lo != "0":
         raise DslError(
             "loop ranges start at 0",
             lineno,
             indent + _column(line, m, "lo"),
         )
-    bound = int(m.group("bound"))
+    bound = int(bound_text)
     if bound < 1:
         raise DslError(
             "loop bound must be >= 1",
             lineno,
             indent + _column(line, m, "bound"),
         )
-    mem_name = m.group("mem")
     mem = _LEVELS.get(mem_name.lower())
     if mem is None:
         raise DslError(
@@ -132,7 +133,7 @@ def _parse_loop(line: str, lineno: int, indent: int) -> LoopStmt:
             lineno,
             indent + _column(line, m, "mem"),
         )
-    spatial = m.group("kw").lower() == "parallel-for"
+    spatial = kw.lower() == "parallel-for"
     if spatial and mem is not MemLevel.NOC:
         raise DslError(
             "spatial loop only allowed at NoC",

@@ -49,6 +49,8 @@ class LoopNest:
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
+        # Nests are immutable, so their own half of validate_structure runs once.
+        object.__setattr__(self, "structure_violations", _structure_violations(self))
 
     def group_start(self, mem: MemLevel) -> int:
         """Index of the first loop at `mem` or inner; len(levels) if none."""
@@ -64,10 +66,10 @@ class LoopNest:
         return out
 
     def padded_mac_count(self) -> int:
-        return checked_product(lv.bound for lv in self.levels)
+        return checked_product([lv.bound for lv in self.levels])
 
     def n_pe_active(self) -> int:
-        return checked_product(lv.bound for lv in self.levels if lv.spatial)
+        return checked_product([lv.bound for lv in self.levels if lv.spatial])
 
 
 @dataclass(frozen=True)
@@ -130,17 +132,14 @@ def refresh_plan(
     stride = options.effective_stride(nest.layer)
     n_ref: dict[tuple[DataKind, MemLevel], int] = {}
     v_ref: dict[tuple[DataKind, MemLevel], int] = {}
-    for mem in (MemLevel.GB, MemLevel.RF):
+    for mem, locs in ((MemLevel.GB, refresh.gb), (MemLevel.RF, refresh.rf)):
+        include_spatial = mem is MemLevel.GB
         for kind in KINDS:
-            p = refresh.loc(kind, mem)
-            above = nest.levels[:p]
-            below = nest.levels[p:]
+            p = locs[kind]
             n_ref[(kind, mem)] = checked_product(
-                lv.bound for lv in above if not lv.spatial
+                [lv.bound for lv in nest.levels[:p] if not lv.spatial]
             )
-            tiles = _dim_products(
-                below, include_spatial=(mem is MemLevel.GB)
-            )
+            tiles = _dim_products(nest.levels[p:], include_spatial)
             v_ref[(kind, mem)] = tile_volume(kind, tiles, stride)
     spatial_loops = [lv for lv in nest.levels if lv.spatial]
     multicast = {}
@@ -176,61 +175,70 @@ def _check_coverage(dim: str, true_dim: int, factors: list[int]) -> list[str]:
     return msgs
 
 
-def validate_structure(
-    nest: LoopNest, refresh: RefreshLocations | None = None
-) -> list[Violation]:
-    """Hardware-independent legality: grouping, coverage, location ranges."""
+def _structure_violations(nest: LoopNest) -> tuple[Violation, ...]:
+    """The checks that depend on the nest alone: bounds, grouping order,
+    spatial contiguity, coverage and minimal padding."""
     out: list[Violation] = []
 
     def flag(field: str, message: str) -> None:
         out.append(Violation("structure", field, message))
 
     prev = MemLevel.DRAM
+    per_dim: dict[str, list[int]] = {d: [] for d in DIMS}
     for i, lv in enumerate(nest.levels):
-        path = f"levels[{i}]"
         if lv.bound < 1:
-            flag(path, "bound must be >= 1")
+            flag(f"levels[{i}]", "bound must be >= 1")
         if lv.mem > prev:
             flag(
-                path,
+                f"levels[{i}]",
                 f"{lv.mem.label} loop after {prev.label}; groups must "
                 "run DRAM->GB->NoC->RF outermost to innermost",
             )
-        prev = min(prev, lv.mem)
+        elif lv.mem < prev:
+            prev = lv.mem
+        per_dim[lv.dim].append(lv.bound)
 
-    noc = [i for i, lv in enumerate(nest.levels) if lv.mem is MemLevel.NOC]
-    spatial = [i for i in noc if nest.levels[i].spatial]
-    if spatial and spatial != list(range(spatial[0], spatial[-1] + 1)):
+    spatial = [i for i, lv in enumerate(nest.levels) if lv.spatial]
+    if spatial and spatial[-1] - spatial[0] != len(spatial) - 1:
         flag("levels", "spatial loops must be contiguous within NoC")
 
-    per_dim: dict[str, list[int]] = {d: [] for d in DIMS}
-    for lv in nest.levels:
-        per_dim[lv.dim].append(lv.bound)
     for d in DIMS:
-        for msg in _check_coverage(d, nest.layer.dim(d), per_dim[d]):
+        for msg in _check_coverage(d, getattr(nest.layer, d), per_dim[d]):
             flag(f"dim {d}", msg)
+    return tuple(out)
 
-    if refresh is not None:
-        n = len(nest.levels)
-        p_noc = nest.group_start(MemLevel.NOC)
-        for kind in KINDS:
-            gb = refresh.loc(kind, MemLevel.GB)
-            rf = refresh.loc(kind, MemLevel.RF)
-            tag = f"refresh[{kind}]"
-            if not 0 <= gb <= p_noc:
-                flag(
-                    f"{tag}[GB]",
-                    f"location {gb} outside [0, {p_noc}] (must sit "
-                    "within or above the GB group)",
-                )
-            if not 0 <= rf <= n:
-                flag(f"{tag}[RF]", f"location {rf} outside [0, {n}]")
-            if rf < gb:
-                flag(
-                    f"{tag}[RF]",
-                    f"RF location {rf} is above GB location {gb}; inner "
-                    "buffers refresh at least as often",
-                )
+
+def validate_structure(
+    nest: LoopNest, refresh: RefreshLocations | None = None
+) -> list[Violation]:
+    """Hardware-independent legality: grouping, coverage, location ranges.
+    The nest's own checks ran when it was built."""
+    out = list(nest.structure_violations)
+    if refresh is None:
+        return out
+
+    def flag(field: str, message: str) -> None:
+        out.append(Violation("structure", field, message))
+
+    n = len(nest.levels)
+    p_noc = nest.group_start(MemLevel.NOC)
+    for kind in KINDS:
+        gb = refresh.gb[kind]
+        rf = refresh.rf[kind]
+        if not 0 <= gb <= p_noc:
+            flag(
+                f"refresh[{kind}][GB]",
+                f"location {gb} outside [0, {p_noc}] (must sit "
+                "within or above the GB group)",
+            )
+        if not 0 <= rf <= n:
+            flag(f"refresh[{kind}][RF]", f"location {rf} outside [0, {n}]")
+        if rf < gb:
+            flag(
+                f"refresh[{kind}][RF]",
+                f"RF location {rf} is above GB location {gb}; inner "
+                "buffers refresh at least as often",
+            )
     return out
 
 
@@ -360,23 +368,18 @@ def build_nest(
                 raise ConfigError(f"tiling factor {d}@{mem.label} must be >= 1")
 
     for d in DIMS:
-        factors = [tiling.get(mem, {}).get(d, 1) for mem in LEVELS_OUTER_FIRST]
         product = 1
-        for b in factors:
-            product *= b
-        if not allow_padding:
-            if product != layer.dim(d):
-                violations.append(
-                    Violation(
-                        "structure",
-                        f"dim {d}",
-                        f"tiling product {product} != layer dim "
-                        f"{layer.dim(d)} and padding is disabled",
-                    )
+        for mem in LEVELS_OUTER_FIRST:
+            product *= tiling.get(mem, {}).get(d, 1)
+        if not allow_padding and product != layer.dim(d):
+            violations.append(
+                Violation(
+                    "structure",
+                    f"dim {d}",
+                    f"tiling product {product} != layer dim "
+                    f"{layer.dim(d)} and padding is disabled",
                 )
-        else:
-            for msg in _check_coverage(d, layer.dim(d), factors):
-                violations.append(Violation("structure", f"dim {d}", msg))
+            )
     if violations:
         raise MappingError(violations)
 
@@ -390,7 +393,11 @@ def build_nest(
                 levels.append(
                     LoopLevel(d, b, mem, spatial=(mem is MemLevel.NOC))
                 )
-    return LoopNest(tuple(levels), layer)
+    # Loops come out grouped and contiguous: only coverage or padding can fail.
+    nest = LoopNest(tuple(levels), layer)
+    if nest.structure_violations:
+        raise MappingError(nest.structure_violations)
+    return nest
 
 
 def rf_budgets(hw: HardwareConfig) -> dict[DataKind, int]:

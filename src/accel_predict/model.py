@@ -66,17 +66,19 @@ RELEVANT_DIMS = {
 }
 
 
-def checked_mul(a: int, b: int) -> int:
-    out = a * b
-    if out > INT64_MAX:
-        raise CountOverflowError(f"count {out} exceeds 2^63-1")
-    return out
+def int_field(raw, path: str) -> int:
+    """An integer; bools, floats and strings are rejected, not coerced."""
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ConfigError(f"{path}: expected an integer, got {raw!r}")
+    return raw
 
 
 def checked_product(factors) -> int:
     out = 1
     for x in factors:
-        out = checked_mul(out, x)
+        out *= x
+        if out > INT64_MAX:
+            raise CountOverflowError(f"count {out} exceeds 2^63-1")
     return out
 
 
@@ -96,9 +98,9 @@ class LayerShape:
     name: str = ""
 
     def __post_init__(self):
-        bad = [d for d in DIMS if getattr(self, d) < 1]
-        if self.stride < 1:
-            bad.append("stride")
+        for key in (*DIMS, "stride"):
+            int_field(getattr(self, key), f"layer {self.name!r}: {key}")
+        bad = [d for d in (*DIMS, "stride") if getattr(self, d) < 1]
         if bad:
             raise ConfigError(
                 f"layer {self.name!r}: fields must be >= 1: {', '.join(bad)}"
@@ -140,12 +142,12 @@ def tile_volume(
     (missing dims count as 1). Inputs use the halo composition; the other
     kinds are plain products over their relevant dims.
     """
-    t = {d: dim_tiles.get(d, 1) for d in DIMS}
+    t = dim_tiles.get
     if kind is DataKind.INPUT:
-        h = input_extent(t["e"], t["r"], stride)
-        w = input_extent(t["f"], t["s"], stride)
-        return checked_product((t["c"], h, w))
-    return checked_product(t[d] for d in RELEVANT_DIMS[kind])
+        h = input_extent(t("e", 1), t("r", 1), stride)
+        w = input_extent(t("f", 1), t("s", 1), stride)
+        return checked_product((t("c", 1), h, w))
+    return checked_product([t(d, 1) for d in RELEVANT_DIMS[kind]])
 
 
 @dataclass(frozen=True)
@@ -154,12 +156,12 @@ class Precision:
     bits_output: int = 16
     bits_weight: int = 16
 
+    def __post_init__(self):
+        bits = (self.bits_input, self.bits_output, self.bits_weight)
+        object.__setattr__(self, "_bits", dict(zip(KINDS, bits)))
+
     def bits(self, kind: DataKind) -> int:
-        return {
-            DataKind.INPUT: self.bits_input,
-            DataKind.OUTPUT: self.bits_output,
-            DataKind.WEIGHT: self.bits_weight,
-        }[kind]
+        return self._bits[kind]
 
 
 @dataclass(frozen=True)
@@ -215,15 +217,20 @@ class HardwareConfig:
     precision: Precision = field(default_factory=Precision)
     buffering_factor: int = 1
 
+    def __post_init__(self):
+        # Per-kind bandwidths; the fields keep the form hardware JSON prints.
+        object.__setattr__(self, "_gb_bw", _per_kind(self.bw_gb))
+        object.__setattr__(self, "_rf_bw", _per_kind(self.bw_rf))
+
     @property
     def n_pe(self) -> int:
         return self.pe_rows * self.pe_cols
 
     def gb_bw(self, kind: DataKind) -> float:
-        return _per_kind(self.bw_gb)[kind]
+        return self._gb_bw[kind]
 
     def rf_bw(self, kind: DataKind) -> float:
-        return _per_kind(self.bw_rf)[kind]
+        return self._rf_bw[kind]
 
 
 def validate_hardware(hw: HardwareConfig) -> list[Violation]:
@@ -252,8 +259,8 @@ def validate_hardware(hw: HardwareConfig) -> list[Violation]:
 
     if not hw.bw_dram > 0:
         flag("bw_dram", "bandwidth must be > 0")
-    for name, bw in (("bw_gb", hw.bw_gb), ("bw_rf", hw.bw_rf)):
-        for kind, val in _per_kind(bw).items():
+    for name, bw in (("bw_gb", hw._gb_bw), ("bw_rf", hw._rf_bw)):
+        for kind, val in bw.items():
             if not val > 0:
                 flag(f"{name}[{kind}]", "bandwidth must be > 0")
 

@@ -25,7 +25,7 @@ from .model import (
     LayerShape,
     MemLevel,
     Options,
-    checked_mul,
+    checked_product,
     mac_count,
 )
 
@@ -50,16 +50,16 @@ def access_counts(plan: RefreshPlan, options: Options = Options()) -> AccessCoun
 
     def _scale(count: int, factor):
         if isinstance(factor, int):
-            return checked_mul(count, factor)
+            return checked_product((count, factor))
         return count * factor
 
     counts: AccessCounts = {lvl: {} for lvl in LEVELS_OUTER_FIRST}
     for k in KINDS:
         dram = plan.traffic(k, MemLevel.GB)
-        gb = checked_mul(
-            plan.traffic(k, MemLevel.RF), n_pe // plan.multicast[k]
+        gb = checked_product(
+            (plan.traffic(k, MemLevel.RF), n_pe // plan.multicast[k])
         )
-        noc = checked_mul(plan.traffic(k, MemLevel.RF), n_pe)
+        noc = checked_product((plan.traffic(k, MemLevel.RF), n_pe))
         if k is DataKind.OUTPUT:
             dram = _scale(dram, out_factor(MemLevel.GB))
             gb = _scale(gb, out_factor(MemLevel.RF))
@@ -148,9 +148,10 @@ class LatencyReport:
     setup_kind: DataKind | None
 
 
-def _bw_checked(value: float, name: str) -> float:
+def _bw_checked(value: float, name: str, kind: DataKind | None = None) -> float:
     if not value > 0:
-        raise ConfigError(f"{name}: bandwidth must be > 0")
+        path = name if kind is None else f"{name}[{kind}]"
+        raise ConfigError(f"{path}: bandwidth must be > 0")
     return value
 
 
@@ -182,7 +183,7 @@ def latency(
     dram_terms = {}
     gb_terms = {}
     for k in KINDS:
-        gb_bw = _bw_checked(hw.gb_bw(k), f"bw_gb[{k}]")
+        gb_bw = _bw_checked(hw.gb_bw(k), "bw_gb", k)
         dram_terms[k] = counts[MemLevel.DRAM][k] * bits(k) / min(gb_bw, bw_dram)
         gb_level = MemLevel.GB if options.gb_latency_multicast_aware else MemLevel.NOC
         gb_terms[k] = counts[gb_level][k] * bits(k) / gb_bw
@@ -192,8 +193,8 @@ def latency(
     # First-tile fill before steady state; outputs are produced, not staged.
     setup_terms = {}
     for k in (DataKind.INPUT, DataKind.WEIGHT):
-        gb_bw = _bw_checked(hw.gb_bw(k), f"bw_gb[{k}]")
-        rf_bw = _bw_checked(hw.rf_bw(k), f"bw_rf[{k}]")
+        gb_bw = _bw_checked(hw.gb_bw(k), "bw_gb", k)
+        rf_bw = _bw_checked(hw.rf_bw(k), "bw_rf", k)
         fill_gb = plan.v_ref[(k, MemLevel.GB)] * bits(k) / min(gb_bw, bw_dram)
         fill_rf = plan.v_ref[(k, MemLevel.RF)] * bits(k) / min(rf_bw, gb_bw)
         setup_terms[k] = max(fill_gb, fill_rf)
@@ -239,15 +240,15 @@ class PredictionReport:
         return {
             "layer": {
                 "name": self.layer.name,
-                **{d: self.layer.dim(d) for d in ("m", "c", "r", "s", "e", "f")},
+                **self.layer.dims(),
                 "stride": self.layer.stride,
             },
             "n_mac": self.n_mac,
             "n_mac_padded": self.n_mac_padded,
             "n_pe_active": self.n_pe_active,
             "access_counts_elements": {
-                lvl.label: {str(k): self.access[lvl][k] for k in KINDS}
-                for lvl in LEVELS_OUTER_FIRST
+                label: {s: self.access[lvl][k] for k, s in _KIND_LABELS}
+                for lvl, label in _LEVEL_LABELS
             },
             "energy_units": {
                 "comp": self.energy.e_comp,
@@ -257,10 +258,10 @@ class PredictionReport:
                 "dram": self.energy.e_dram,
                 "total": self.energy.total,
                 "by_level_kind": {
-                    lvl.label: {
-                        str(k): self.energy.by_level_kind[lvl][k] for k in KINDS
+                    label: {
+                        s: self.energy.by_level_kind[lvl][k] for k, s in _KIND_LABELS
                     }
-                    for lvl in LEVELS_OUTER_FIRST
+                    for lvl, label in _LEVEL_LABELS
                 },
             },
             "onchip_breakdown_pct": self.energy.onchip_breakdown_pct(),
@@ -278,6 +279,11 @@ class PredictionReport:
             "throughput_gops": self.throughput_gops,
             "model_notes": _model_notes(self.options),
         }
+
+
+# Report key text per level and kind, in canonical order.
+_LEVEL_LABELS = tuple((lvl, lvl.label) for lvl in LEVELS_OUTER_FIRST)
+_KIND_LABELS = tuple((k, str(k)) for k in KINDS)
 
 
 def _model_notes(options: Options) -> dict:

@@ -6,9 +6,11 @@ with 17 significant digits, so identical inputs give identical bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Mapping
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .dsl import lower, parse
@@ -25,6 +27,7 @@ from .model import (
     Precision,
     UnitCosts,
     _per_kind,
+    int_field,
     validate_hardware,
 )
 
@@ -34,47 +37,40 @@ _KIND_BY_LABEL = {str(k): k for k in KINDS}
 
 def canonical_json(obj) -> str:
     """Deterministic JSON text; floats use 17 significant digits."""
-    out: list[str] = []
-    _write_json(obj, out)
-    return "".join(out) + "\n"
+    return _json_text(obj) + "\n"
 
 
-def _write_json(obj, out: list[str]) -> None:
-    if obj is None or isinstance(obj, bool):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        if math.isinf(obj) or math.isnan(obj):
+@functools.lru_cache(maxsize=4096)
+def _str_key_text(key: str) -> str:
+    """'"key": ' for a str key; reports repeat a few dozen keys."""
+    return encode_basestring_ascii(key) + ": "
+
+
+def _json_text(obj) -> str:
+    """One value as JSON text. Each test tries the exact type before isinstance,
+    keeping the precedence of subclasses (IntEnum prints as int) and Mappings."""
+    t = type(obj)
+    if obj is None:
+        return "null"
+    if t is bool:
+        return "true" if obj else "false"
+    if t is int or isinstance(obj, int):
+        return str(obj)
+    if t is float or isinstance(obj, float):
+        if not math.isfinite(obj):
             raise ConfigError(f"cannot serialize non-finite number {obj}")
-        out.append(f"{obj:.17g}")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, Mapping):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _write_json(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                out.append(", ")
-            _write_json(value, out)
-        out.append("]")
-    else:
-        raise ConfigError(f"cannot serialize {type(obj).__name__} to JSON")
-
-
-def _int_field(raw, path: str) -> int:
-    """A JSON integer; bools, floats and strings are rejected, not coerced."""
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ConfigError(f"{path}: expected an integer, got {raw!r}")
-    return raw
+        return f"{obj:.17g}"
+    if t is str or isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if t is dict or isinstance(obj, Mapping):
+        return "{" + ", ".join([
+            (_str_key_text(k) if type(k) is str
+             else encode_basestring_ascii(str(k)) + ": ") + _json_text(v)
+            for k, v in obj.items()
+        ]) + "}"
+    if t is list or t is tuple or isinstance(obj, (list, tuple)):
+        return "[" + ", ".join([_json_text(v) for v in obj]) + "]"
+    raise ConfigError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def _float_field(raw, path: str) -> float:
@@ -106,7 +102,7 @@ def layer_from_json(data: Mapping) -> LayerShape:
     if missing:
         raise ConfigError(f"layer JSON: missing keys {sorted(missing)}")
     fields = {
-        key: _int_field(data[key], f"layer JSON: {key}")
+        key: int_field(data[key], f"layer JSON: {key}")
         for key in (*DIMS, "stride")
         if key in data
     }
@@ -204,20 +200,20 @@ def hardware_from_json(data: Mapping) -> HardwareConfig:
         ("bits_input", "bits_output", "bits_weight"),
     )
     precision = Precision(**{
-        key: _int_field(value, f"precision.{key}")
+        key: int_field(value, f"precision.{key}")
         for key, value in prec_data.items()
     })
     hw = HardwareConfig(
-        pe_rows=_int_field(data["pe_rows"], "pe_rows"),
-        pe_cols=_int_field(data["pe_cols"], "pe_cols"),
-        capacity_gb=_per_kind_map(cap["GB"], "capacity[GB]", _int_field),
-        capacity_rf=_per_kind_map(cap["RF"], "capacity[RF]", _int_field),
+        pe_rows=int_field(data["pe_rows"], "pe_rows"),
+        pe_cols=int_field(data["pe_cols"], "pe_cols"),
+        capacity_gb=_per_kind_map(cap["GB"], "capacity[GB]", int_field),
+        capacity_rf=_per_kind_map(cap["RF"], "capacity[RF]", int_field),
         bw_dram=_bw_value(bw["DRAM"], "bw[DRAM]"),
         bw_gb=_per_kind_map(bw["GB"], "bw[GB]", _bw_value),
         bw_rf=_per_kind_map(bw["RF"], "bw[RF]", _bw_value),
         unit_costs=unit_costs,
         precision=precision,
-        buffering_factor=_int_field(
+        buffering_factor=int_field(
             data.get("buffering_factor", 1), "buffering_factor"
         ),
     )
@@ -291,7 +287,7 @@ def mapping_from_json(data: Mapping, layer: LayerShape) -> tuple[LoopNest, Refre
         dim = entry.get("dim")
         if dim not in DIMS:
             raise ConfigError(f"{path}: unknown loop dimension {dim!r}")
-        bound = _int_field(entry.get("bound"), f"{path}.bound")
+        bound = int_field(entry.get("bound"), f"{path}.bound")
         if bound < 1:
             raise ConfigError(f"{path}: bound must be an integer >= 1")
         spatial = entry.get("spatial", False)
@@ -300,15 +296,13 @@ def mapping_from_json(data: Mapping, layer: LayerShape) -> tuple[LoopNest, Refre
         levels.append(LoopLevel(dim, bound, mem, spatial=spatial))
     nest = LoopNest(tuple(levels), layer)
 
-    p_gb = nest.group_start(MemLevel.GB)
-    p_rf = nest.group_start(MemLevel.RF)
-    gb = {k: p_gb for k in KINDS}
-    rf = {k: p_rf for k in KINDS}
+    outermost = RefreshLocations.outermost(nest)
+    gb, rf = dict(outermost.gb), dict(outermost.rf)
     per_kind = _object(data.get("refresh", {}), "refresh", _KIND_BY_LABEL)
     for key, raw in per_kind.items():
         for label, pos in _object(raw, f"refresh[{key}]", ("GB", "RF")).items():
             locs = gb if label == "GB" else rf
-            locs[_KIND_BY_LABEL[key]] = _int_field(pos, f"refresh[{key}][{label}]")
+            locs[_KIND_BY_LABEL[key]] = int_field(pos, f"refresh[{key}][{label}]")
     refresh = RefreshLocations(gb=gb, rf=rf)
     violations = validate_structure(nest, refresh)
     if violations:

@@ -1,8 +1,13 @@
 """Command-line interface and file formats."""
 
 import json
+import math
+import types
+from collections.abc import Mapping
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accel_predict import (
     ConfigError,
@@ -70,6 +75,111 @@ class TestCanonicalJson:
     def test_unknown_type_rejected(self):
         with pytest.raises(ConfigError):
             canonical_json({1, 2})
+
+    def test_key_text_cache_is_bounded(self):
+        from accel_predict import serialize
+
+        size = serialize._str_key_text.cache_info().maxsize
+        canonical_json({f"k{i}": i for i in range(size + 10)})
+        assert serialize._str_key_text.cache_info().currsize <= size
+
+
+# The writer canonical_json used before it dispatched on exact types,
+# kept verbatim as the reference the current writer must reproduce.
+
+
+def _write_json(obj, out: list[str]) -> None:
+    if obj is None or isinstance(obj, bool):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        if math.isinf(obj) or math.isnan(obj):
+            raise ConfigError(f"cannot serialize non-finite number {obj}")
+        out.append(f"{obj:.17g}")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, Mapping):
+        out.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            if i:
+                out.append(", ")
+            out.append(json.dumps(str(key)))
+            out.append(": ")
+            _write_json(value, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, value in enumerate(obj):
+            if i:
+                out.append(", ")
+            _write_json(value, out)
+        out.append("]")
+    else:
+        raise ConfigError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _reference_json(obj) -> str:
+    out: list[str] = []
+    _write_json(obj, out)
+    return "".join(out) + "\n"
+
+
+def _outcome(write, obj):
+    """The text `write` gives for obj, or the error it raises."""
+    try:
+        return write(obj)
+    except ConfigError as exc:
+        return ("ConfigError", str(exc))
+
+
+json_keys = st.text() | st.integers() | st.booleans()
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (
+        st.lists(inner)
+        | st.lists(inner).map(tuple)
+        | st.dictionaries(json_keys, inner)
+        | st.dictionaries(json_keys, inner).map(types.MappingProxyType)
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+def test_canonical_json_matches_reference(tree):
+    assert _outcome(canonical_json, tree) == _outcome(_reference_json, tree)
+
+
+class _Level(int):
+    """An int subclass, as IntEnum members are."""
+
+
+@pytest.mark.parametrize("tree", [
+    {"big": 2**70, "neg": -(2**64), "zero": -0.0, "tiny": 5e-324,
+     "huge": 1e308, "third": 1 / 3},
+    [True, False, None, 0, 1, -1],
+    {"ключ": "значение", "emoji": "\U0001f600", "ctl": "a\"b\\c\n\t\x00",
+     "lone": "\ud800"},
+    [{1: "int key"}, {True: "bool key"}, {2.5: "float key"}, {None: "none"}],
+    {MemLevel.GB: "enum key", "level": MemLevel.RF, "sub": _Level(7)},
+    types.MappingProxyType({"a": types.MappingProxyType({"b": (1, [2.0])})}),
+    ((), [], {}, ""),
+])
+def test_canonical_json_edge_values_match_reference(tree):
+    assert canonical_json(tree) == _reference_json(tree)
+
+
+@pytest.mark.parametrize("bad", [
+    float("nan"), float("inf"), -float("inf"), {"v": [float("nan")]},
+    {1, 2}, b"bytes", object(), {"x": complex(1, 2)},
+])
+def test_canonical_json_rejects_like_reference(bad):
+    with pytest.raises(ConfigError) as exc:
+        canonical_json(bad)
+    with pytest.raises(ConfigError) as ref:
+        _reference_json(bad)
+    assert str(exc.value) == str(ref.value)
 
 
 # ------------------------------------------------------ JSON round trips
@@ -575,6 +685,27 @@ class TestPresetsCommand:
 class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("explore", "--samples", "-3"),
+        ("explore", "--top", "0"),
+        ("explore", "--beam-width", "-1"),
+        ("explore", "--cap", "-1"),
+        ("check", "--cap", "-5"),
+        ("check", "--cap", "1e9"),
+    ])
+    def test_count_flags_below_one_exit_two_naming_the_flag(
+        self, files, capsys, command, flag, value
+    ):
+        args = [command, "--layer", files["layer"], "--hw", files["hw"],
+                flag, value]
+        if command == "check":
+            args += ["--mapping", files["mapping"]]
+        else:
+            args += ["--strategy", "random"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected an integer >= 1, got '{value}'" in err
 
     def test_no_command_exits_two(self, capsys):
         assert run([]) == 2

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accel_predict import (
     ConfigError,
@@ -19,7 +21,13 @@ from accel_predict import (
     tile_volume,
     validate_hardware,
 )
-from accel_predict.model import checked_product, input_extent
+from accel_predict.model import (
+    DIMS,
+    INT64_MAX,
+    RELEVANT_DIMS,
+    checked_product,
+    input_extent,
+)
 
 CONV1 = LayerShape(m=96, c=3, r=11, s=11, e=55, f=55, stride=4, name="CONV1")
 
@@ -48,6 +56,15 @@ class TestLayerShape:
             LayerShape(m=0, c=3, r=1, s=1, e=1, f=1, stride=-2)
         assert "m" in str(exc.value)
         assert "stride" in str(exc.value)
+
+    @pytest.mark.parametrize("field", [*DIMS, "stride"])
+    @pytest.mark.parametrize("value", [3.5, 2.0, True, "3", None])
+    def test_non_integer_fields_rejected_with_field_name(self, field, value):
+        kwargs = dict(m=1, c=1, r=1, s=1, e=1, f=1, stride=1, name="bad")
+        kwargs[field] = value
+        with pytest.raises(ConfigError) as exc:
+            LayerShape(**kwargs)
+        assert f"{field}: expected an integer" in str(exc.value)
 
     def test_dim_lookup(self):
         assert CONV1.dim("e") == 55
@@ -100,6 +117,65 @@ class TestOverflowGuard:
         assert checked_product([2**31, 2**31]) == 2**62
 
 
+# The arithmetic tile_volume and checked_product used before they were
+# written as plain integer code, kept as the reference they must match.
+
+
+def _reference_checked_mul(a: int, b: int) -> int:
+    out = a * b
+    if out > INT64_MAX:
+        raise CountOverflowError(f"count {out} exceeds 2^63-1")
+    return out
+
+
+def _reference_checked_product(factors) -> int:
+    out = 1
+    for x in factors:
+        out = _reference_checked_mul(out, x)
+    return out
+
+
+def _reference_tile_volume(kind, dim_tiles, stride) -> int:
+    t = {d: dim_tiles.get(d, 1) for d in DIMS}
+    if kind is DataKind.INPUT:
+        h = input_extent(t["e"], t["r"], stride)
+        w = input_extent(t["f"], t["s"], stride)
+        return _reference_checked_product((t["c"], h, w))
+    return _reference_checked_product(t[d] for d in RELEVANT_DIMS[kind])
+
+
+def _value_or_overflow(fn, *args):
+    try:
+        return fn(*args)
+    except CountOverflowError:
+        return CountOverflowError
+
+
+# Small extents, and extents large enough that three or four of them
+# overflow the 64-bit budget.
+extents = st.integers(1, 64) | st.integers(1, 2**24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from([DataKind.INPUT, DataKind.OUTPUT, DataKind.WEIGHT]),
+    st.dictionaries(st.sampled_from(DIMS), extents),
+    st.integers(1, 3),
+)
+def test_tile_volume_matches_reference(kind, dim_tiles, stride):
+    assert _value_or_overflow(tile_volume, kind, dim_tiles, stride) == (
+        _value_or_overflow(_reference_tile_volume, kind, dim_tiles, stride)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 2**40), max_size=6))
+def test_checked_product_matches_reference(factors):
+    assert _value_or_overflow(checked_product, factors) == (
+        _value_or_overflow(_reference_checked_product, factors)
+    )
+
+
 def _hw(**overrides):
     base = dict(
         pe_rows=2,
@@ -138,6 +214,8 @@ class TestHardwareConfig:
         for kind in DataKind:
             assert hw.gb_bw(kind) == 2e9
             assert hw.rf_bw(kind) == 4e9
+        # the field keeps its shared form, which hardware JSON prints
+        assert hw.bw_gb == 2e9
 
     def test_per_kind_bandwidth(self):
         hw = _hw(bw_gb={DataKind.INPUT: 1e9, DataKind.OUTPUT: 2e9,

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from accel_predict import loopnest, predictor
+from accel_predict import dsl, loopnest, predictor
 from accel_predict import (
     ConfigError,
     DataKind,
@@ -298,6 +298,23 @@ class TestPredictLayer:
         layer, nest, refresh = single_pe_setup()
         predict_layer(layer, nest, refresh, roomy_hw(), validate=True)
         assert calls == {"refresh_plan": 1, "access_counts": 1}
+
+    def test_parse_lower_predict_checks_the_nest_structure_once(
+        self, monkeypatch
+    ):
+        layer, nest, refresh = single_pe_setup()
+        text = dsl.render(nest, refresh)
+        calls = Counter()
+        structure = loopnest._structure_violations
+
+        def counted(nest):
+            calls["structure"] += 1
+            return structure(nest)
+
+        monkeypatch.setattr(loopnest, "_structure_violations", counted)
+        lowered, locs = dsl.lower(dsl.parse(text), layer)
+        predict_layer(layer, lowered, locs, roomy_hw(), validate=True)
+        assert calls == {"structure": 1}
 
     def test_to_dict_keys_carry_units(self):
         layer, nest, refresh = single_pe_setup()
