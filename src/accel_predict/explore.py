@@ -9,22 +9,25 @@ model under one of three objectives: energy, latency or their product.
 A candidate with a positional refresh style (weight_stationary,
 output_stationary) is first screened from its factors alone: its
 refresh points sit at level-group boundaries, so its active PE count
-and resident tiles are products of per-level factors (loopnest's
-positional_extents and positional_v_ref, next to canonical_refresh),
-and the same pe_fit and buffer_fit rules as the full check apply.
-Generated nests, beam completions included, are legal in structure, so
-the screen discards exactly what the full check would, under the same
-code. A candidate that passes (and every row_stationary_like one, whose
-refresh points depend on loop order) takes one pass: build the nest,
-place its refresh points, check it and plan it in one go, then score a
-legal mapping from that same plan. A discarded candidate is counted
-under the code of the first violation it hit.
+and resident tiles are products of per-level factors. The screen works
+on plain integers (loopnest's positional_extents, tabulated per tiling,
+and positional_tiles) and asks loopnest's pe_fits and buffers_fit, the
+PE and capacity rules of the full check, for a verdict; a discarded
+candidate costs no Violation and no message. Generated nests, beam
+completions included, are legal in structure, so the screen discards
+exactly what the full check would, under the same code. A candidate
+that passes (and every row_stationary_like one, whose refresh points
+depend on loop order) takes one pass: build the nest, place its
+refresh points, check it and plan it in one go, then score a legal
+mapping from that same plan. A discarded candidate is counted under
+the code of the first violation it hit.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from collections import Counter
 from collections.abc import Mapping, Sequence
@@ -37,14 +40,14 @@ from .loopnest import (
     LoopNest,
     RefreshLocations,
     RefreshPlan,
-    buffer_fit,
+    buffers_fit,
     build_nest,
     canonical_refresh,
     check_ordering,
     checked_plan,
-    pe_fit,
+    pe_fits,
     positional_extents,
-    positional_v_ref,
+    positional_tiles,
 )
 from .model import (
     DIMS,
@@ -53,6 +56,7 @@ from .model import (
     LEVELS_OUTER_FIRST,
     MemLevel,
     Options,
+    validate_hardware,
 )
 from .predictor import (
     PredictionReport,
@@ -98,6 +102,11 @@ class SearchSpace:
             raise ConfigError("search space needs at least one refresh style")
         if not self.orderings:
             raise ConfigError("search space needs at least one ordering")
+        bad = validate_hardware(self.hw)
+        if bad:
+            raise ConfigError(
+                "search space hardware: " + "; ".join(map(str, bad))
+            )
 
 
 def _normalize_ordering(template) -> dict[MemLevel, tuple[str, ...]]:
@@ -177,12 +186,14 @@ class _Prepared:
     extents: dict[str, dict[tuple[int, ...], tuple[int, ...]]]
     stride: int
 
+    def __post_init__(self):
+        # the mixed radix of a candidate index, most significant first
+        self.radices = [len(self.tilings[d]) for d in DIMS]
+        self.radices += [len(self.orderings), len(self.styles)]
+
     @property
     def size(self) -> int:
-        n = len(self.orderings) * len(self.styles)
-        for choices in self.tilings.values():
-            n *= len(choices)
-        return n
+        return math.prod(self.radices)
 
 
 def _prepare(space: SearchSpace, layer: LayerShape) -> _Prepared:
@@ -230,10 +241,8 @@ def _iter_candidates(prep: _Prepared):
 
 
 def _unrank(prep: _Prepared, index: int) -> Candidate:
-    radices = [len(prep.tilings[d]) for d in DIMS]
-    radices += [len(prep.orderings), len(prep.styles)]
     digits = []
-    for radix in reversed(radices):
+    for radix in reversed(prep.radices):
         digits.append(index % radix)
         index //= radix
     digits.reverse()
@@ -269,18 +278,11 @@ def _factor_screen(
         prep.extents[d].get(t) or positional_extents(dict(zip(levels, t)))
         for d, t in zip(DIMS, cand)
     ]
-    n_pe_active = 1
-    for e in ext:
-        n_pe_active *= e[0]
-    violations = pe_fit(space.hw, n_pe_active)
-    if not violations:
-        kept = STATIONARY_KIND[prep.styles[cand[-1]]]
-        rf, gb_rf, on_chip, whole = (
-            {d: e[j] for d, e in zip(DIMS, ext)} for j in range(1, 5)
-        )
-        v_ref = positional_v_ref(kept, rf, gb_rf, on_chip, whole, prep.stride)
-        violations = buffer_fit(space.hw, v_ref)
-    return violations[0].code if violations else None
+    if not pe_fits(space.hw, math.prod(e[0] for e in ext)):
+        return "pe_array"
+    kept = STATIONARY_KIND[prep.styles[cand[-1]]]
+    gb_tiles, rf_tiles = positional_tiles(kept, ext, prep.stride)
+    return None if buffers_fit(space.hw, gb_tiles, rf_tiles) else "capacity"
 
 
 def _screen(
@@ -436,8 +438,16 @@ def explore(
         raise ConfigError(
             f"unknown objective {objective!r}; pick from {OBJECTIVES}"
         )
+    if strategy not in STRATEGIES:
+        raise ConfigError(
+            f"unknown strategy {strategy!r}; pick from {STRATEGIES}"
+        )
     if top_k < 1:
         raise ConfigError("top_k must be >= 1")
+    if strategy == "random" and n_samples < 1:
+        raise ConfigError("n_samples must be >= 1")
+    if strategy == "beam" and beam_width < 1:
+        raise ConfigError("beam_width must be >= 1")
     prep = _prepare(space, layer)
     size = prep.size
     discards: Counter = Counter()
@@ -461,13 +471,9 @@ def explore(
         candidates = [_unrank(prep, i) for i in indices]
         stats["seed"] = seed
         stats["n_samples"] = n
-    elif strategy == "beam":
+    else:
         return _beam(
             space, layer, prep, objective, top_k, beam_width, stats, discards
-        )
-    else:
-        raise ConfigError(
-            f"unknown strategy {strategy!r}; pick from {STRATEGIES}"
         )
 
     scored = [_evaluate(space, layer, prep, objective, c) for c in candidates]
@@ -504,20 +510,13 @@ def _beam(
     stats: dict,
     discards: Counter,
 ) -> SearchResult:
-    if beam_width < 1:
-        raise ConfigError("beam_width must be >= 1")
-    k = len(space.levels)
+    # an unassigned dim stays whole at the outermost search level
+    ones = (1,) * (len(space.levels) - 1)
+    whole = {d: (layer.dim(d),) + ones for d in DIMS}
     evaluated = 0
 
     def completion(partial: dict[str, tuple[int, ...]]) -> Candidate:
-        parts = []
-        for d in DIMS:
-            if d in partial:
-                parts.append(partial[d])
-            else:
-                # leave the dim whole at the outermost search level
-                parts.append((layer.dim(d),) + (1,) * (k - 1))
-        return tuple(parts) + (0, 0)
+        return tuple([partial.get(d) or whole[d] for d in DIMS]) + (0, 0)
 
     def heuristic(partial) -> tuple[float, str]:
         nonlocal evaluated

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
-from .errors import ConfigError, MappingError, Violation
+from .errors import ConfigError, CountOverflowError, MappingError, Violation
 from .model import (
     DIMS,
+    INT64_MAX,
     KINDS,
     RELEVANT_DIMS,
     DataKind,
@@ -24,6 +25,7 @@ from .model import (
     MemLevel,
     Options,
     checked_product,
+    input_extent,
     tile_volume,
 )
 
@@ -242,39 +244,14 @@ def validate_structure(
     return out
 
 
-def _capacity_violations(
-    name: str,
-    capacity,
-    need_bits: Mapping[DataKind, int],
-) -> list[Violation]:
-    out = []
-    if isinstance(capacity, Mapping):
-        for kind, need in need_bits.items():
-            cap = capacity.get(kind, 0)
-            if need > cap:
-                out.append(
-                    Violation(
-                        "capacity",
-                        f"{name}[{kind}]",
-                        f"tile needs {need} bits > capacity {cap}",
-                    )
-                )
-    else:
-        total = sum(need_bits.values())
-        if total > capacity:
-            out.append(
-                Violation(
-                    "capacity",
-                    name,
-                    f"resident tiles need {total} bits > capacity {capacity}",
-                )
-            )
-    return out
+def pe_fits(hw: HardwareConfig, n_pe_active: int) -> bool:
+    """The PE rule: a mapping's spatial instances fit the PE array."""
+    return n_pe_active <= hw.n_pe
 
 
 def pe_fit(hw: HardwareConfig, n_pe_active: int) -> list[Violation]:
     """The spatial instances of a mapping against the PE array."""
-    if n_pe_active <= hw.n_pe:
+    if pe_fits(hw, n_pe_active):
         return []
     return [
         Violation(
@@ -286,23 +263,51 @@ def pe_fit(hw: HardwareConfig, n_pe_active: int) -> list[Violation]:
     ]
 
 
+def _overflows(hw: HardwareConfig, gb_tiles, rf_tiles):
+    """The capacity rule. Resident tiles are given in elements per kind
+    (KINDS order); a tile needs volume x bits x buffering_factor bits,
+    checked per kind or, for a shared capacity, summed over the kinds.
+    Yields (field, kind or None if shared, bits needed, capacity) for
+    each capacity exceeded, GB first."""
+    bf = hw.buffering_factor
+    for name, capacity, tiles in (
+        ("capacity_gb", hw.capacity_gb, gb_tiles),
+        ("capacity_rf", hw.capacity_rf, rf_tiles),
+    ):
+        need = [v * bits * bf for v, bits in zip(tiles, hw.precision.by_kind)]
+        if not isinstance(capacity, Mapping):
+            if sum(need) > capacity:
+                yield name, None, sum(need), capacity
+            continue
+        for kind, n in zip(KINDS, need):
+            if n > capacity.get(kind, 0):
+                yield name, kind, n, capacity.get(kind, 0)
+
+
+def buffers_fit(
+    hw: HardwareConfig, gb_tiles: Sequence[int], rf_tiles: Sequence[int]
+) -> bool:
+    """buffer_fit's verdict on flat tiles (elements per kind, KINDS
+    order), without building a violation."""
+    return next(_overflows(hw, gb_tiles, rf_tiles), None) is None
+
+
 def buffer_fit(
     hw: HardwareConfig, v_ref: Mapping[tuple[DataKind, MemLevel], int]
 ) -> list[Violation]:
     """The resident GB and RF tiles of a mapping (elements, keyed like
-    RefreshPlan.v_ref) against the buffer capacities.
-
-    A tile needs volume x bits x buffering_factor bits, checked per kind
-    or, for a shared capacity, summed over the kinds.
-    """
+    RefreshPlan.v_ref) against the buffer capacities."""
+    gb, rf = (
+        [v_ref[(k, mem)] for k in KINDS] for mem in (MemLevel.GB, MemLevel.RF)
+    )
     out = []
-    bf = hw.buffering_factor
-    for name, capacity, mem in (
-        ("capacity_gb", hw.capacity_gb, MemLevel.GB),
-        ("capacity_rf", hw.capacity_rf, MemLevel.RF),
-    ):
-        need = {k: v_ref[(k, mem)] * hw.precision.bits(k) * bf for k in KINDS}
-        out.extend(_capacity_violations(name, capacity, need))
+    for name, kind, need, cap in _overflows(hw, gb, rf):
+        if kind is None:
+            message = f"resident tiles need {need} bits > capacity {cap}"
+        else:
+            name = f"{name}[{kind}]"
+            message = f"tile needs {need} bits > capacity {cap}"
+        out.append(Violation("capacity", name, message))
     return out
 
 
@@ -428,28 +433,37 @@ def positional_extents(
     return noc, rf, gb * rf, gb * noc * rf, dram * gb * noc * rf
 
 
-def positional_v_ref(
-    kept: DataKind,
-    rf: Mapping[str, int],
-    gb_rf: Mapping[str, int],
-    on_chip: Mapping[str, int],
-    whole: Mapping[str, int],
-    stride: int,
-) -> dict[tuple[DataKind, MemLevel], int]:
-    """RefreshPlan.v_ref of a positional style from per-dim extents (as
-    positional_extents gives them), without building the nest.
+def _kind_volumes(t: Sequence[int], stride: int) -> list[int]:
+    """Unchecked tile_volume per kind (KINDS order) of extents t (DIMS)."""
+    m, c, r, s, e, f = t
+    h, w = input_extent(e, r, stride), input_extent(f, s, stride)
+    return [c * h * w, m * e * f, m * c * r * s]
+
+
+def positional_tiles(
+    kept: DataKind, ext: Sequence[Sequence[int]], stride: int
+) -> tuple[list[int], list[int]]:
+    """RefreshPlan.v_ref of a positional style, flat: the GB and the RF
+    resident tiles in elements per kind (KINDS order), from each dim's
+    positional_extents (DIMS order), without building the nest.
 
     Mirrors canonical_refresh: the kept kind's GB tile spans every level
     (location 0) and its RF tile the GB and RF loops (location p_gb, the
     NoC loops being spatial); every other kind's GB tile spans GB, NoC and
-    RF (p_gb) and its RF tile the RF loops (p_rf).
+    RF (p_gb) and its RF tile the RF loops (p_rf). Raises
+    CountOverflowError where tile_volume would.
     """
-    v_ref = {}
-    for k in KINDS:
-        gb_tile, rf_tile = (whole, gb_rf) if k is kept else (on_chip, rf)
-        v_ref[(k, MemLevel.GB)] = tile_volume(k, gb_tile, stride)
-        v_ref[(k, MemLevel.RF)] = tile_volume(k, rf_tile, stride)
-    return v_ref
+    _, rf, gb_rf, on_chip, whole = zip(*ext)
+    gb_tiles = _kind_volumes(on_chip, stride)
+    rf_tiles = _kind_volumes(rf, stride)
+    i = KINDS.index(kept)
+    gb_tiles[i] = _kind_volumes(whole, stride)[i]
+    rf_tiles[i] = _kind_volumes(gb_rf, stride)[i]
+    # every extent is >= 1, so no partial product exceeds the final one
+    largest = max(*gb_tiles, *rf_tiles)
+    if largest > INT64_MAX:
+        raise CountOverflowError(f"count {largest} exceeds 2^63-1")
+    return gb_tiles, rf_tiles
 
 
 def canonical_refresh(

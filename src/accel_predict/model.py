@@ -11,6 +11,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from types import MappingProxyType
 
 from .errors import ConfigError, CountOverflowError, Violation
 
@@ -158,10 +159,15 @@ class Precision:
 
     def __post_init__(self):
         bits = (self.bits_input, self.bits_output, self.bits_weight)
+        # bits per kind in KINDS order, for the plain-integer capacity rule
+        object.__setattr__(self, "by_kind", bits)
         object.__setattr__(self, "_bits", dict(zip(KINDS, bits)))
 
     def bits(self, kind: DataKind) -> int:
         return self._bits[kind]
+
+
+_NO_COSTS: Mapping[DataKind, float] = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -177,7 +183,7 @@ class UnitCosts:
     clock_hz: float | None = None
 
     def access(self, level: MemLevel, kind: DataKind) -> float:
-        return self.e_access.get(level, {}).get(kind, 0.0)
+        return self.e_access.get(level, _NO_COSTS).get(kind, 0.0)
 
     def mac_time(self) -> float:
         if self.t_comp is not None:

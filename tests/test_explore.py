@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import importlib
+import itertools
 import random
 from collections import Counter
 
@@ -10,6 +11,7 @@ import pytest
 
 from accel_predict import (
     ConfigError,
+    CountOverflowError,
     LayerShape,
     MemLevel,
     Options,
@@ -28,6 +30,7 @@ from accel_predict import (
     space_size,
 )
 from accel_predict.dsl import render
+from accel_predict.errors import Violation
 from accel_predict.model import KINDS
 from accel_predict.explore import (
     _candidate_nest,
@@ -41,6 +44,7 @@ from tests.test_model import _hw
 
 # the package's `explore` attribute is the function, not this module
 explore_module = importlib.import_module("accel_predict.explore")
+loopnest_module = importlib.import_module("accel_predict.loopnest")
 
 DRAM, GB, NOC, RF = MemLevel.DRAM, MemLevel.GB, MemLevel.NOC, MemLevel.RF
 
@@ -143,6 +147,36 @@ class TestSpaceValidation:
         layer = LayerShape(m=2, c=1, r=1, s=1, e=1, f=1)
         with pytest.raises(ConfigError):
             explore(two_level_space(roomy_hw()), layer, top_k=0)
+
+    # allowed_factors {"m": (5,)} leaves conv5 (m=256) no tiling at all: an
+    # empty space must still refuse bad arguments
+    @pytest.mark.parametrize("allowed", [None, {"m": (5,)}],
+                             ids=["conv5", "empty-space"])
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"strategy": "random", "n_samples": 0}, "n_samples must be >= 1"),
+        ({"strategy": "random", "n_samples": -3}, "n_samples must be >= 1"),
+        ({"strategy": "beam", "beam_width": 0}, "beam_width must be >= 1"),
+        ({"strategy": "anneal"}, "unknown strategy 'anneal'"),
+    ])
+    def test_search_arguments_checked(self, kwargs, message, allowed):
+        space = SearchSpace(hardware_preset("eyeriss_normalized"),
+                            allowed_factors=allowed)
+        with pytest.raises(ConfigError) as exc:
+            explore(space, layer_preset("alexnet_conv5"), **kwargs)
+        assert message in str(exc.value)
+
+    # NaN compares false, so a NaN capacity would read "fits" everywhere
+    @pytest.mark.parametrize("override, path", [
+        ({"capacity_gb": float("nan")},
+         "capacity_gb: capacity must be > 0 bits"),
+        ({"pe_rows": 0}, "pe_rows: must be >= 1"),
+    ])
+    def test_invalid_hardware_rejected(self, override, path):
+        hw = dataclasses.replace(hardware_preset("eyeriss_normalized"),
+                                 **override)
+        with pytest.raises(ConfigError) as exc:
+            SearchSpace(hw)
+        assert path in str(exc.value)
 
     def test_exhaustive_cap_refuses_large_space(self):
         layer = LayerShape(m=4, c=4, r=4, s=4, e=4, f=4)
@@ -468,6 +502,43 @@ class TestFactorScreen:
         monkeypatch.setattr(explore_module, "_factor_screen",
                             lambda *args: None)
         assert run()[0] == screened
+
+    def test_discards_build_no_violation(self, monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(Violation(*args, **kwargs))
+            return built[-1]
+        monkeypatch.setattr(loopnest_module, "Violation", counted)
+        space = SearchSpace(hardware_preset("eyeriss_normalized"))
+        result = explore(space, layer_preset("alexnet_conv5"),
+                         strategy="random", n_samples=300, seed=1, top_k=3)
+        assert result.stats["legal"] == 3
+        assert sum(result.stats["discarded"].values()) == 297
+        assert built == []
+
+    def test_count_overflow_raised_where_the_tile_volumes_overflow(self):
+        # outcomes of the first 20,001 candidates (sha256 of their
+        # comma-joined sequence) captured with tile_volume doing the check
+        layer = LayerShape(m=2**16, c=2**16, r=2**16, s=2**16, e=1, f=1)
+        space = SearchSpace(hardware_preset("eyeriss_normalized"))
+        prep = _prepare(space, layer)
+        outcomes = []
+        for cand in itertools.islice(_iter_candidates(prep), 20_001):
+            try:
+                outcomes.append(str(_factor_screen(space, prep, cand)))
+            except CountOverflowError:
+                outcomes.append("overflow")
+        assert Counter(outcomes) == {
+            "pe_array": 11_589, "overflow": 5_226, "capacity": 3_186
+        }
+        assert hashlib.sha256(",".join(outcomes).encode()).hexdigest() == (
+            "720cdfd23a9bb8966f6a85c079d5e5a2a4b3a2b7f726732ba006ce3cee1317ca"
+        )
+        for kwargs in ({"strategy": "random", "n_samples": 200},
+                       {"strategy": "beam", "beam_width": 4}):
+            with pytest.raises(CountOverflowError):
+                explore(space, layer, **kwargs)
 
     def test_bad_ordering_raises_when_every_candidate_is_discarded(self):
         # capacity_rf=1 screens out every candidate, so no nest is built

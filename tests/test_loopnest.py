@@ -23,9 +23,9 @@ from accel_predict import (
 from accel_predict.loopnest import (
     STATIONARY_KIND,
     positional_extents,
-    positional_v_ref,
+    positional_tiles,
 )
-from accel_predict.model import DIMS
+from accel_predict.model import DIMS, KINDS
 from tests.test_model import _hw
 
 I, O, W = DataKind.INPUT, DataKind.OUTPUT, DataKind.WEIGHT
@@ -429,16 +429,13 @@ class TestCanonicalRefresh:
             positional_extents({mem: t.get(d, 1) for mem, t in tiling.items()})
             for d in DIMS
         ]
-        rf, gb_rf, on_chip, whole = (
-            {d: e[j] for d, e in zip(DIMS, ext)} for j in range(1, 5)
-        )
-        v_ref = positional_v_ref(
-            STATIONARY_KIND[style], rf, gb_rf, on_chip, whole, stride
-        )
+        tiles = positional_tiles(STATIONARY_KIND[style], ext, stride)
         nest = build_nest(layer, tiling)
         plan = refresh_plan(nest, canonical_refresh(nest, style))
-        assert v_ref == {key: plan.v_ref[key] for key in v_ref}
-        assert len(v_ref) == 6
+        assert tiles == tuple(
+            [plan.v_ref[(k, mem)] for k in KINDS] for mem in (GB, RF)
+        )
+        assert len(plan.v_ref) == 6
         assert plan.n_pe_active == 4 == ext[0][0] * ext[4][0]
 
     def test_row_stationary_like_needs_hardware(self):
