@@ -50,8 +50,7 @@ from .model import (
     Precision,
     UnitCosts,
     mac_count,
-    tensor_footprint,
-    tile_volume,
+    tile_volumes,
     validate_hardware,
 )
 from .oracle import AccessCounters, DiffReport, check, diff_counts, simulate
@@ -161,8 +160,7 @@ __all__ = [
     "row_stationary_mapping",
     "simulate",
     "space_size",
-    "tensor_footprint",
-    "tile_volume",
+    "tile_volumes",
     "validate_hardware",
     "validate_nest",
     "validate_structure",

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
-from .errors import ConfigError, CountOverflowError, MappingError, Violation
+from .errors import ConfigError, MappingError, Violation
 from .model import (
     DIMS,
-    INT64_MAX,
     KINDS,
     RELEVANT_DIMS,
     DataKind,
@@ -24,9 +23,9 @@ from .model import (
     LEVELS_OUTER_FIRST,
     MemLevel,
     Options,
+    checked_count,
     checked_product,
-    input_extent,
-    tile_volume,
+    tile_volumes,
 )
 
 
@@ -62,10 +61,7 @@ class LoopNest:
         return len(self.levels)
 
     def padded_dims(self) -> dict[str, int]:
-        out = {d: 1 for d in DIMS}
-        for lv in self.levels:
-            out[lv.dim] *= lv.bound
-        return out
+        return dict(zip(DIMS, _extents(self.levels, include_spatial=True)))
 
     def padded_mac_count(self) -> int:
         return checked_product([lv.bound for lv in self.levels])
@@ -119,12 +115,16 @@ class RefreshPlan:
         return self.n_ref[(kind, mem)] * self.v_ref[(kind, mem)]
 
 
-def _dim_products(levels: Sequence[LoopLevel], include_spatial: bool) -> dict[str, int]:
-    out: dict[str, int] = {}
+_DIM_INDEX = {d: i for i, d in enumerate(DIMS)}
+
+
+def _extents(levels: Sequence[LoopLevel], include_spatial: bool) -> list[int]:
+    """Per-dim products of the loop bounds in `levels` (DIMS order; a dim
+    without a loop counts as 1), spatial loops only if asked."""
+    out = [1] * len(DIMS)
     for lv in levels:
-        if lv.spatial and not include_spatial:
-            continue
-        out[lv.dim] = out.get(lv.dim, 1) * lv.bound
+        if include_spatial or not lv.spatial:
+            out[_DIM_INDEX[lv.dim]] *= lv.bound
     return out
 
 
@@ -132,18 +132,22 @@ def refresh_plan(
     nest: LoopNest, refresh: RefreshLocations, options: Options = Options()
 ) -> RefreshPlan:
     stride = options.effective_stride(nest.layer)
+    levels = nest.levels
     n_ref: dict[tuple[DataKind, MemLevel], int] = {}
     v_ref: dict[tuple[DataKind, MemLevel], int] = {}
     for mem, locs in ((MemLevel.GB, refresh.gb), (MemLevel.RF, refresh.rf)):
         include_spatial = mem is MemLevel.GB
-        for kind in KINDS:
+        volumes: dict[int, list[int]] = {}  # per distinct location
+        for i, kind in enumerate(KINDS):
             p = locs[kind]
             n_ref[(kind, mem)] = checked_product(
-                [lv.bound for lv in nest.levels[:p] if not lv.spatial]
+                [lv.bound for lv in levels[:p] if not lv.spatial]
             )
-            tiles = _dim_products(nest.levels[p:], include_spatial)
-            v_ref[(kind, mem)] = tile_volume(kind, tiles, stride)
-    spatial_loops = [lv for lv in nest.levels if lv.spatial]
+            if p not in volumes:
+                ext = _extents(levels[p:], include_spatial)
+                volumes[p] = tile_volumes(ext, stride)
+            v_ref[(kind, mem)] = checked_count(volumes[p][i])
+    spatial_loops = [lv for lv in levels if lv.spatial]
     multicast = {}
     for kind in KINDS:
         multicast[kind] = checked_product(
@@ -210,14 +214,10 @@ def _structure_violations(nest: LoopNest) -> tuple[Violation, ...]:
     return tuple(out)
 
 
-def validate_structure(
-    nest: LoopNest, refresh: RefreshLocations | None = None
-) -> list[Violation]:
+def validate_structure(nest: LoopNest, refresh: RefreshLocations) -> list[Violation]:
     """Hardware-independent legality: grouping, coverage, location ranges.
     The nest's own checks ran when it was built."""
     out = list(nest.structure_violations)
-    if refresh is None:
-        return out
 
     def flag(field: str, message: str) -> None:
         out.append(Violation("structure", field, message))
@@ -249,20 +249,6 @@ def pe_fits(hw: HardwareConfig, n_pe_active: int) -> bool:
     return n_pe_active <= hw.n_pe
 
 
-def pe_fit(hw: HardwareConfig, n_pe_active: int) -> list[Violation]:
-    """The spatial instances of a mapping against the PE array."""
-    if pe_fits(hw, n_pe_active):
-        return []
-    return [
-        Violation(
-            "pe_array",
-            "levels",
-            f"{n_pe_active} spatial instances > "
-            f"{hw.pe_rows}x{hw.pe_cols} array",
-        )
-    ]
-
-
 def _overflows(hw: HardwareConfig, gb_tiles, rf_tiles):
     """The capacity rule. Resident tiles are given in elements per kind
     (KINDS order); a tile needs volume x bits x buffering_factor bits,
@@ -287,28 +273,9 @@ def _overflows(hw: HardwareConfig, gb_tiles, rf_tiles):
 def buffers_fit(
     hw: HardwareConfig, gb_tiles: Sequence[int], rf_tiles: Sequence[int]
 ) -> bool:
-    """buffer_fit's verdict on flat tiles (elements per kind, KINDS
-    order), without building a violation."""
+    """The capacity rule's verdict on flat tiles (elements per kind,
+    KINDS order), without building a violation."""
     return next(_overflows(hw, gb_tiles, rf_tiles), None) is None
-
-
-def buffer_fit(
-    hw: HardwareConfig, v_ref: Mapping[tuple[DataKind, MemLevel], int]
-) -> list[Violation]:
-    """The resident GB and RF tiles of a mapping (elements, keyed like
-    RefreshPlan.v_ref) against the buffer capacities."""
-    gb, rf = (
-        [v_ref[(k, mem)] for k in KINDS] for mem in (MemLevel.GB, MemLevel.RF)
-    )
-    out = []
-    for name, kind, need, cap in _overflows(hw, gb, rf):
-        if kind is None:
-            message = f"resident tiles need {need} bits > capacity {cap}"
-        else:
-            name = f"{name}[{kind}]"
-            message = f"tile needs {need} bits > capacity {cap}"
-        out.append(Violation("capacity", name, message))
-    return out
 
 
 def checked_plan(
@@ -327,7 +294,22 @@ def checked_plan(
     if out:
         return None, out
     plan = refresh_plan(nest, refresh, options)
-    return plan, pe_fit(hw, plan.n_pe_active) + buffer_fit(hw, plan.v_ref)
+    if not pe_fits(hw, plan.n_pe_active):
+        out.append(Violation(
+            "pe_array", "levels", f"{plan.n_pe_active} spatial instances > "
+            f"{hw.pe_rows}x{hw.pe_cols} array",
+        ))
+    gb, rf = (
+        [plan.v_ref[(k, mem)] for k in KINDS] for mem in (MemLevel.GB, MemLevel.RF)
+    )
+    for name, kind, need, cap in _overflows(hw, gb, rf):
+        if kind is None:
+            message = f"resident tiles need {need} bits > capacity {cap}"
+        else:
+            name = f"{name}[{kind}]"
+            message = f"tile needs {need} bits > capacity {cap}"
+        out.append(Violation("capacity", name, message))
+    return plan, out
 
 
 def validate_nest(
@@ -433,13 +415,6 @@ def positional_extents(
     return noc, rf, gb * rf, gb * noc * rf, dram * gb * noc * rf
 
 
-def _kind_volumes(t: Sequence[int], stride: int) -> list[int]:
-    """Unchecked tile_volume per kind (KINDS order) of extents t (DIMS)."""
-    m, c, r, s, e, f = t
-    h, w = input_extent(e, r, stride), input_extent(f, s, stride)
-    return [c * h * w, m * e * f, m * c * r * s]
-
-
 def positional_tiles(
     kept: DataKind, ext: Sequence[Sequence[int]], stride: int
 ) -> tuple[list[int], list[int]]:
@@ -450,19 +425,17 @@ def positional_tiles(
     Mirrors canonical_refresh: the kept kind's GB tile spans every level
     (location 0) and its RF tile the GB and RF loops (location p_gb, the
     NoC loops being spatial); every other kind's GB tile spans GB, NoC and
-    RF (p_gb) and its RF tile the RF loops (p_rf). Raises
-    CountOverflowError where tile_volume would.
+    RF (p_gb) and its RF tile the RF loops (p_rf). Volumes come from
+    tile_volumes, as in refresh_plan, and the largest goes through
+    checked_count, so this raises CountOverflowError where the plan would.
     """
     _, rf, gb_rf, on_chip, whole = zip(*ext)
-    gb_tiles = _kind_volumes(on_chip, stride)
-    rf_tiles = _kind_volumes(rf, stride)
+    gb_tiles = tile_volumes(on_chip, stride)
+    rf_tiles = tile_volumes(rf, stride)
     i = KINDS.index(kept)
-    gb_tiles[i] = _kind_volumes(whole, stride)[i]
-    rf_tiles[i] = _kind_volumes(gb_rf, stride)[i]
-    # every extent is >= 1, so no partial product exceeds the final one
-    largest = max(*gb_tiles, *rf_tiles)
-    if largest > INT64_MAX:
-        raise CountOverflowError(f"count {largest} exceeds 2^63-1")
+    gb_tiles[i] = tile_volumes(whole, stride)[i]
+    rf_tiles[i] = tile_volumes(gb_rf, stride)[i]
+    checked_count(max(*gb_tiles, *rf_tiles))
     return gb_tiles, rf_tiles
 
 
@@ -500,9 +473,10 @@ def canonical_refresh(
     p_noc = nest.group_start(MemLevel.NOC)
     budgets = rf_budgets(hw)
     bf = hw.buffering_factor
+    volumes: dict[int, list[int]] = {}  # per-PE tiles below each location
     gb_locs: dict[DataKind, int] = {}
     rf_locs: dict[DataKind, int] = {}
-    for kind in KINDS:
+    for i, kind in enumerate(KINDS):
         loc = p_gb
         while (
             loc < p_noc and nest.levels[loc].dim in RELEVANT_DIMS[kind]
@@ -513,8 +487,10 @@ def canonical_refresh(
         budget = budgets[kind] // (hw.precision.bits(kind) * bf)
         chosen = None
         for p in range(gb_locs[kind], len(nest.levels) + 1):
-            tiles = _dim_products(nest.levels[p:], include_spatial=False)
-            if tile_volume(kind, tiles, stride) <= budget:
+            if p not in volumes:
+                ext = _extents(nest.levels[p:], include_spatial=False)
+                volumes[p] = tile_volumes(ext, stride)
+            if checked_count(volumes[p][i]) <= budget:
                 chosen = p
                 break
         if chosen is None:

@@ -1,14 +1,15 @@
-"""Domain types: layer shapes, data kinds, memory levels, hardware configs.
+"""Domain types: layer shapes, data kinds, memory levels, hardware configs,
+and the one tile-volume formula every access count is built from.
 
 Everything here is an immutable value type. Counts are kept as Python ints
-but checked against a 64-bit budget so that silently huge products are
-reported instead of propagated.
+but checked against a 64-bit budget (checked_count) so that silently huge
+products are reported instead of propagated.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from types import MappingProxyType
@@ -59,7 +60,7 @@ LEVELS_OUTER_FIRST = (MemLevel.DRAM, MemLevel.GB, MemLevel.NOC, MemLevel.RF)
 
 # Which loop dimensions index each tensor. Inputs couple e/r and f/s through
 # the sliding window, so their volume needs the halo composition rather than
-# a plain product; see tile_volume().
+# a plain product; see tile_volumes().
 RELEVANT_DIMS = {
     DataKind.WEIGHT: frozenset({"m", "c", "r", "s"}),
     DataKind.OUTPUT: frozenset({"m", "e", "f"}),
@@ -74,12 +75,20 @@ def int_field(raw, path: str) -> int:
     return raw
 
 
+def checked_count(n: int) -> int:
+    """The overflow rule: a count beyond 2^63-1 raises, naming the count."""
+    if n > INT64_MAX:
+        raise CountOverflowError(f"count {n} exceeds 2^63-1")
+    return n
+
+
 def checked_product(factors) -> int:
+    """The product of `factors`, each partial product under checked_count."""
     out = 1
     for x in factors:
         out *= x
         if out > INT64_MAX:
-            raise CountOverflowError(f"count {out} exceeds 2^63-1")
+            checked_count(out)
     return out
 
 
@@ -124,31 +133,15 @@ def input_extent(tiles: int, kernel: int, stride: int) -> int:
     return (tiles - 1) * stride + kernel
 
 
-def tensor_footprint(layer: LayerShape, kind: DataKind) -> int:
-    if kind is DataKind.WEIGHT:
-        return checked_product((layer.m, layer.c, layer.r, layer.s))
-    if kind is DataKind.OUTPUT:
-        return checked_product((layer.m, layer.e, layer.f))
-    h = input_extent(layer.e, layer.r, layer.stride)
-    w = input_extent(layer.f, layer.s, layer.stride)
-    return checked_product((layer.c, h, w))
-
-
-def tile_volume(
-    kind: DataKind, dim_tiles: Mapping[str, int], stride: int
-) -> int:
-    """Elements of `kind` covered by a tile with the given per-dim extents.
-
-    `dim_tiles` maps dim name -> product of loop bounds inside the tile
-    (missing dims count as 1). Inputs use the halo composition; the other
-    kinds are plain products over their relevant dims.
-    """
-    t = dim_tiles.get
-    if kind is DataKind.INPUT:
-        h = input_extent(t("e", 1), t("r", 1), stride)
-        w = input_extent(t("f", 1), t("s", 1), stride)
-        return checked_product((t("c", 1), h, w))
-    return checked_product([t(d, 1) for d in RELEVANT_DIMS[kind]])
+def tile_volumes(ext: Sequence[int], stride: int) -> list[int]:
+    """Elements of each kind (KINDS order) covered by a tile whose per-dim
+    extents, in DIMS order, are `ext`: inputs use the halo composition,
+    outputs and weights are plain products. Unchecked; pass each volume
+    kept through checked_count (extents are >= 1, so no partial product
+    exceeds the final one)."""
+    m, c, r, s, e, f = ext
+    h, w = input_extent(e, r, stride), input_extent(f, s, stride)
+    return [c * h * w, m * e * f, m * c * r * s]
 
 
 @dataclass(frozen=True)

@@ -293,6 +293,8 @@ def mapping_from_json(data: Mapping, layer: LayerShape) -> tuple[LoopNest, Refre
         spatial = entry.get("spatial", False)
         if not isinstance(spatial, bool):
             raise ConfigError(f"{path}.spatial: expected a bool, got {spatial!r}")
+        if spatial and mem is not MemLevel.NOC:
+            raise ConfigError(f"{path}.spatial: spatial loops are only allowed at NoC")
         levels.append(LoopLevel(dim, bound, mem, spatial=spatial))
     nest = LoopNest(tuple(levels), layer)
 

@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import types
 from collections.abc import Mapping
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -549,10 +553,13 @@ class TestPredictCommand:
         ("levels.0.dim", 5, "levels[0]: unknown loop dimension 5"),
         ("levels.0.bound", True, "levels[0].bound: expected an integer"),
         ("levels.2.spatial", "no", "levels[2].spatial: expected a bool"),
+        ("levels.0.spatial", True,
+         "levels[0].spatial: spatial loops are only allowed at NoC"),
         ("refresh.I", 3, "refresh[I]: expected an object"),
         ("refresh.W.NoC", 1, "refresh[W]: unknown keys ['NoC']"),
     ], ids=["str-levels", "int-entry", "unknown-entry-key", "int-dim",
-            "bool-bound", "str-spatial", "int-refresh", "unknown-refresh-level"])
+            "bool-bound", "str-spatial", "gb-spatial", "int-refresh",
+            "unknown-refresh-level"])
     def test_malformed_mapping_exits_two(self, files, capsys, field, value,
                                          message):
         data = mapping_to_json(
@@ -566,6 +573,34 @@ class TestPredictCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+
+    def test_overflow_message_is_the_same_in_every_process(self, files):
+        # The weight tile overflows: 2^40 * 2^30 * 3 * 2^20 = 3 * 2^90.
+        dims = {"m": 2**40, "c": 2**30, "r": 3, "s": 2**20, "e": 1, "f": 1}
+        layer = files["dir"] / "huge.json"
+        layer.write_text(json.dumps({"name": "huge", **dims, "stride": 1}))
+        mapping = files["dir"] / "huge_map.json"
+        mapping.write_text(json.dumps({"levels": [
+            {"dim": d, "bound": b, "mem": "RF"} for d, b in dims.items()
+        ]}))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        errors = set()
+        for seed in range(5):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed))
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "accel_predict", "predict",
+                 "--layer", str(layer), "--hw", files["hw"],
+                 "--mapping", str(mapping)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 2, proc.stderr
+            errors.add(proc.stderr)
+        assert errors == {
+            "error: count 3713820117856140824697372672 exceeds 2^63-1\n"
+        }
 
 
 class TestCheckCommand:

@@ -16,7 +16,6 @@ from accel_predict import (
     canonical_refresh,
     checked_plan,
     refresh_plan,
-    tensor_footprint,
     validate_nest,
     validate_structure,
 )
@@ -126,7 +125,7 @@ class TestStructureValidation:
     def test_group_order_must_be_monotone(self):
         layer = LayerShape(m=2, c=2, r=1, s=1, e=1, f=1)
         nest = nest_of(layer, ("m", 2, GB), ("c", 2, DRAM))
-        fields = {v.field for v in validate_structure(nest)}
+        fields = {v.field for v in nest.structure_violations}
         assert any("levels[1]" in f for f in fields)
 
     def test_spatial_loops_must_be_contiguous(self):
@@ -136,7 +135,7 @@ class TestStructureValidation:
             ("m", 2, NOC, True), ("c", 2, NOC), ("r", 2, NOC, True),
         )
         assert any(
-            "contiguous" in v.message for v in validate_structure(nest)
+            "contiguous" in v.message for v in nest.structure_violations
         )
 
     def test_refresh_below_rf_group_end_rejected(self):
@@ -197,9 +196,12 @@ class TestRefreshPlan:
             rf={k: 0 for k in DataKind},
         )
         plan = refresh_plan(nest, refresh)
+        # written out: c x H x W with the halo (H = W = (5-1)*2+2 = 10),
+        # m x e x f and m x c x r x s
+        whole = {I: 3 * 10 * 10, O: 4 * 5 * 5, W: 4 * 3 * 2 * 2}
         for kind in DataKind:
             assert plan.n_ref[(kind, GB)] == 1
-            assert plan.v_ref[(kind, GB)] == tensor_footprint(layer, kind)
+            assert plan.v_ref[(kind, GB)] == whole[kind]
 
     def test_innermost_refresh_single_elements(self):
         layer = LayerShape(m=2, c=2, r=1, s=1, e=2, f=2)

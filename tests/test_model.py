@@ -17,14 +17,15 @@ from accel_predict import (
     Precision,
     UnitCosts,
     mac_count,
-    tensor_footprint,
-    tile_volume,
+    tile_volumes,
     validate_hardware,
 )
 from accel_predict.model import (
     DIMS,
     INT64_MAX,
+    KINDS,
     RELEVANT_DIMS,
+    checked_count,
     checked_product,
     input_extent,
 )
@@ -79,33 +80,35 @@ class TestFootprints:
         assert input_extent(7, 1, 1) == 7  # pointwise: one per position
 
     def test_conv1_footprints(self):
-        assert tensor_footprint(CONV1, DataKind.INPUT) == 3 * 227 * 227
-        assert tensor_footprint(CONV1, DataKind.WEIGHT) == 96 * 3 * 11 * 11
-        assert tensor_footprint(CONV1, DataKind.OUTPUT) == 96 * 55 * 55
+        whole = [CONV1.dim(d) for d in DIMS]
+        # KINDS order: inputs, outputs, weights
+        assert tile_volumes(whole, CONV1.stride) == [
+            3 * 227 * 227, 96 * 55 * 55, 96 * 3 * 11 * 11
+        ]
 
     def test_tile_volume_weight_and_output_are_plain_products(self):
-        tiles = {"m": 4, "c": 3, "r": 2, "s": 5, "e": 7, "f": 2}
-        assert tile_volume(DataKind.WEIGHT, tiles, 1) == 4 * 3 * 2 * 5
-        assert tile_volume(DataKind.OUTPUT, tiles, 1) == 4 * 7 * 2
+        _, outputs, weights = tile_volumes([4, 3, 2, 5, 7, 2], 1)
+        assert weights == 4 * 3 * 2 * 5
+        assert outputs == 4 * 7 * 2
 
     def test_tile_volume_input_halo(self):
-        tiles = {"m": 9, "c": 3, "r": 2, "s": 5, "e": 7, "f": 2}
+        ext = [9, 3, 2, 5, 7, 2]  # m c r s e f
         # height (7-1)*1+2 = 8, width (2-1)*1+5 = 6
-        assert tile_volume(DataKind.INPUT, tiles, 1) == 3 * 8 * 6
+        assert tile_volumes(ext, 1)[0] == 3 * 8 * 6
         # stride stretches the halo: height (7-1)*4+2 = 26, width 9
-        assert tile_volume(DataKind.INPUT, tiles, 4) == 3 * 26 * 9
+        assert tile_volumes(ext, 4)[0] == 3 * 26 * 9
 
     def test_tile_of_whole_layer_is_the_footprint(self):
-        for kind in (DataKind.INPUT, DataKind.OUTPUT, DataKind.WEIGHT):
-            assert (
-                tile_volume(kind, CONV1.dims(), CONV1.stride)
-                == tensor_footprint(CONV1, kind)
-            )
+        # not square, so a transposed halo would show
+        layer = LayerShape(m=5, c=3, r=3, s=2, e=4, f=7, stride=2)
+        m, c, r, s, e, f, u = (layer.dim(d) for d in (*DIMS, "stride"))
+        height, width = (e - 1) * u + r, (f - 1) * u + s
+        assert tile_volumes([m, c, r, s, e, f], u) == [
+            c * height * width, m * e * f, m * c * r * s
+        ]
 
     def test_unit_tile_is_one_element(self):
-        ones = {d: 1 for d in ("m", "c", "r", "s", "e", "f")}
-        for kind in (DataKind.INPUT, DataKind.OUTPUT, DataKind.WEIGHT):
-            assert tile_volume(kind, ones, 4) == 1
+        assert tile_volumes([1] * len(DIMS), 4) == [1, 1, 1]
 
 
 class TestOverflowGuard:
@@ -116,9 +119,18 @@ class TestOverflowGuard:
     def test_large_but_legal_products_pass(self):
         assert checked_product([2**31, 2**31]) == 2**62
 
+    def test_checked_count_names_the_count(self):
+        assert checked_count(INT64_MAX) == INT64_MAX
+        with pytest.raises(CountOverflowError) as exc:
+            checked_count(3 * 2**90)
+        assert str(exc.value) == (
+            "count 3713820117856140824697372672 exceeds 2^63-1"
+        )
 
-# The arithmetic tile_volume and checked_product used before they were
-# written as plain integer code, kept as the reference they must match.
+
+# The arithmetic the per-kind tile volume and checked_product used before
+# they were written as plain integer code, kept as the reference that
+# tile_volumes and checked_count must match.
 
 
 def _reference_checked_mul(a: int, b: int) -> int:
@@ -163,7 +175,11 @@ extents = st.integers(1, 64) | st.integers(1, 2**24)
     st.integers(1, 3),
 )
 def test_tile_volume_matches_reference(kind, dim_tiles, stride):
-    assert _value_or_overflow(tile_volume, kind, dim_tiles, stride) == (
+    def volume(kind, dim_tiles, stride):
+        ext = [dim_tiles.get(d, 1) for d in DIMS]
+        return checked_count(tile_volumes(ext, stride)[KINDS.index(kind)])
+
+    assert _value_or_overflow(volume, kind, dim_tiles, stride) == (
         _value_or_overflow(_reference_tile_volume, kind, dim_tiles, stride)
     )
 

@@ -26,7 +26,6 @@ from accel_predict import (
     predict_layer,
     predict_network,
     refresh_plan,
-    tensor_footprint,
 )
 from tests.test_model import _hw
 
@@ -45,13 +44,18 @@ def single_pe_setup():
     return layer, nest, refresh
 
 
+# single_pe_setup's whole tensors, written out: c x H x W with the halo
+# (H = (4-1)*1+2 = 5, W = 5), m x e x f and m x c x r x s.
+FOOTPRINTS = {I: 3 * 5 * 5, O: 2 * 4 * 4, W: 2 * 3 * 2 * 2}
+
+
 class TestAccessCounts:
     def test_single_pe_counts_footprints_once_and_macs_at_rf(self):
         layer, nest, refresh = single_pe_setup()
         counts = access_counts(refresh_plan(nest, refresh))
         n = mac_count(layer)
         for kind in DataKind:
-            foot = tensor_footprint(layer, kind)
+            foot = FOOTPRINTS[kind]
             assert counts[DRAM][kind] == foot
             assert counts[GB][kind] == foot
             assert counts[NOC][kind] == foot
@@ -91,7 +95,7 @@ class TestEnergy:
         plan = refresh_plan(nest, refresh)
         rep = energy(plan, access_counts(plan), hw)
         n = mac_count(layer)
-        feet = {k: tensor_footprint(layer, k) for k in DataKind}
+        feet = FOOTPRINTS
         assert rep.e_comp == pytest.approx(1.0 * n)
         assert rep.e_rf == pytest.approx(1.0 * n * 3)
         assert rep.e_noc == pytest.approx(2.0 * sum(feet.values()))
@@ -143,17 +147,11 @@ class TestLatency:
         rep = latency(plan, counts, hw)
         n = mac_count(layer)
         assert rep.l_comp_s == pytest.approx(n * 1e-9)
-        worst_dram = max(
-            tensor_footprint(layer, k) * 16 / 1e9 for k in DataKind
-        )
+        worst_dram = max(FOOTPRINTS[k] * 16 / 1e9 for k in DataKind)
         assert rep.l_dram_s == pytest.approx(worst_dram)
-        worst_gb = max(
-            tensor_footprint(layer, k) * 16 / 2e9 for k in DataKind
-        )
+        worst_gb = max(FOOTPRINTS[k] * 16 / 2e9 for k in DataKind)
         assert rep.l_gb_s == pytest.approx(worst_gb)
-        fill = max(
-            tensor_footprint(layer, k) * 16 / 1e9 for k in (I, W)
-        )
+        fill = max(FOOTPRINTS[k] * 16 / 1e9 for k in (I, W))
         assert rep.l_setup_s == pytest.approx(fill)  # rf fill is faster
         assert rep.l_total_s == pytest.approx(
             rep.l_setup_s + max(rep.l_comp_s, rep.l_dram_s, rep.l_gb_s)
