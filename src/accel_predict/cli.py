@@ -23,6 +23,7 @@ from .loopnest import validate_nest
 from .model import HardwareConfig, LayerShape, MemLevel, Options
 from .predictor import predict_layer, predict_network
 from .serialize import (
+    _read_text,
     canonical_json,
     csv_text,
     load_hardware,
@@ -281,11 +282,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    path = Path(args.file)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    text = _read_text(Path(args.file))
     _emit(args, dsl.render_document(dsl.parse(text)))
     return 0
 

@@ -119,7 +119,14 @@ def _parse_loop(line: str, lineno: int, indent: int) -> LoopStmt:
             lineno,
             indent + _column(line, m, "lo"),
         )
-    bound = int(bound_text)
+    try:
+        bound = int(bound_text)
+    except ValueError as exc:  # more digits than Python converts
+        raise DslError(
+            f"loop bound of {len(bound_text)} digits is too long to read",
+            lineno,
+            indent + _column(line, m, "bound"),
+        ) from exc
     if bound < 1:
         raise DslError(
             "loop bound must be >= 1",

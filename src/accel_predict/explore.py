@@ -13,9 +13,14 @@ and resident tiles are products of per-level factors. The screen works
 on plain integers (loopnest's positional_extents, tabulated per tiling,
 and positional_tiles) and asks loopnest's pe_fits and buffers_fit, the
 PE and capacity rules of the full check, for a verdict; a discarded
-candidate costs no Violation and no message. Generated nests, beam
-completions included, are legal in structure, so the screen discards
-exactly what the full check would, under the same code. A candidate
+candidate costs no Violation and no message. Both styles keep one
+kind's whole tensor in the GB, so a style whose whole-layer tile of that
+kind alone overflows the GB cannot fit at any tiling: that is decided
+once per search (loopnest's kept_tile_fits), and the screen then
+discards its candidates under "capacity" right after the PE rule,
+without computing tiles. Generated nests, beam completions included,
+are legal in structure, so the screen discards exactly what the full
+check would, under the same code. A candidate
 that passes (and every row_stationary_like one, whose refresh points
 depend on loop order) takes one pass: build the nest, place its
 refresh points, check it and plan it in one go, then score a legal
@@ -25,6 +30,7 @@ the code of the first violation it hit.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -36,6 +42,7 @@ from dataclasses import dataclass, field
 from .dsl import render
 from .errors import ConfigError, MappingError
 from .loopnest import (
+    REFRESH_STYLES,
     STATIONARY_KIND,
     LoopNest,
     RefreshLocations,
@@ -45,17 +52,20 @@ from .loopnest import (
     canonical_refresh,
     check_ordering,
     checked_plan,
+    kept_tile_fits,
     pe_fits,
     positional_extents,
     positional_tiles,
 )
 from .model import (
     DIMS,
+    INT64_MAX,
     HardwareConfig,
     LayerShape,
     LEVELS_OUTER_FIRST,
     MemLevel,
     Options,
+    tile_volumes,
     validate_hardware,
 )
 from .predictor import (
@@ -100,6 +110,10 @@ class SearchSpace:
             raise ConfigError("search space levels must be distinct")
         if not self.refresh_styles:
             raise ConfigError("search space needs at least one refresh style")
+        for style in self.refresh_styles:
+            if style not in REFRESH_STYLES:
+                raise ConfigError(f"unknown refresh style {style!r}; pick "
+                                  f"from {REFRESH_STYLES}")
         if not self.orderings:
             raise ConfigError("search space needs at least one ordering")
         bad = validate_hardware(self.hw)
@@ -185,6 +199,8 @@ class _Prepared:
     # per dim, tiling -> its positional_extents
     extents: dict[str, dict[tuple[int, ...], tuple[int, ...]]]
     stride: int
+    # per style, True when no candidate of it can pass the capacity rule
+    hopeless: list[bool]
 
     def __post_init__(self):
         # the mixed radix of a candidate index, most significant first
@@ -208,6 +224,15 @@ def _prepare(space: SearchSpace, layer: LayerShape) -> _Prepared:
             tilings[d] = _padded_tilings(value, k, allowed)
         else:
             tilings[d] = _divisor_tilings(value, k, allowed)
+    stride = space.options.effective_stride(layer)
+    dims = [layer.dim(d) for d in DIMS]
+    # No verdict where a tile can overflow, so CountOverflowError stays where
+    # it is raised: a dim's whole extent is at most its largest tiling
+    # product or, in a beam completion, its size.
+    largest = [
+        max([n, *map(math.prod, tilings[d])]) for n, d in zip(dims, DIMS)
+    ]
+    decided = max(tile_volumes(largest, stride)) <= INT64_MAX
     return _Prepared(
         tilings=tilings,
         orderings=[_normalize_ordering(t) for t in space.orderings],
@@ -217,7 +242,12 @@ def _prepare(space: SearchSpace, layer: LayerShape) -> _Prepared:
                 for t in tilings[d]}
             for d in DIMS
         },
-        stride=space.options.effective_stride(layer),
+        stride=stride,
+        hopeless=[
+            decided and s in STATIONARY_KIND
+            and not kept_tile_fits(space.hw, STATIONARY_KIND[s], dims, stride)
+            for s in space.refresh_styles
+        ],
     )
 
 
@@ -280,6 +310,8 @@ def _factor_screen(
     ]
     if not pe_fits(space.hw, math.prod(e[0] for e in ext)):
         return "pe_array"
+    if prep.hopeless[cand[-1]]:
+        return "capacity"
     kept = STATIONARY_KIND[prep.styles[cand[-1]]]
     gb_tiles, rf_tiles = positional_tiles(kept, ext, prep.stride)
     return None if buffers_fit(space.hw, gb_tiles, rf_tiles) else "capacity"
@@ -515,13 +547,19 @@ def _beam(
     whole = {d: (layer.dim(d),) + ones for d in DIMS}
     evaluated = 0
 
+    @functools.cache  # rounds and finalists revisit candidates
+    def evaluate(cand: Candidate):
+        return _evaluate(space, layer, prep, objective, cand)
+
     def completion(partial: dict[str, tuple[int, ...]]) -> Candidate:
         return tuple([partial.get(d) or whole[d] for d in DIMS]) + (0, 0)
 
     def heuristic(partial) -> tuple[float, str]:
         nonlocal evaluated
         evaluated += 1
-        res = _evaluate(space, layer, prep, objective, completion(partial))
+        if prep.hopeless[0]:
+            return (float("inf"), "")
+        res = evaluate(completion(partial))
         if res[0] == "discard":
             return (float("inf"), "")
         return (res[1], res[2])
@@ -541,9 +579,7 @@ def _beam(
         c[:-2] + (oi, 0) for c in staged for oi in range(len(prep.orderings))
     ]
     if len(prep.orderings) > 1:
-        scored = [
-            _evaluate(space, layer, prep, objective, c) for c in with_orderings
-        ]
+        scored = [evaluate(c) for c in with_orderings]
         evaluated += len(with_orderings)
         ranked = sorted(
             (
@@ -557,7 +593,7 @@ def _beam(
     finalists = [
         c[:-1] + (si,) for c in with_orderings for si in range(len(prep.styles))
     ]
-    scored = [_evaluate(space, layer, prep, objective, c) for c in finalists]
+    scored = [evaluate(c) for c in finalists]
     evaluated += len(finalists)
     kept, legal = _rank(scored, top_k, discards)
     stats.update(

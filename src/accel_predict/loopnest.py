@@ -439,6 +439,18 @@ def positional_tiles(
     return gb_tiles, rf_tiles
 
 
+def kept_tile_fits(
+    hw: HardwareConfig, kept: DataKind, dims: Sequence[int], stride: int
+) -> bool:
+    """Whether any positional tiling keeping `kept` can pass the capacity
+    rule on a layer of per-dim sizes `dims` (DIMS order): its kept GB tile
+    spans every level, so it holds at least the kind's whole-layer tile,
+    and neither tile_volumes nor the rule eases as extents grow."""
+    whole = tile_volumes(dims, stride)
+    gb_tiles = [v if k is kept else 0 for k, v in zip(KINDS, whole)]
+    return buffers_fit(hw, gb_tiles, [0, 0, 0])
+
+
 def canonical_refresh(
     nest: LoopNest,
     style: str,

@@ -336,14 +336,21 @@ def mapping_to_json(nest: LoopNest, refresh: RefreshLocations) -> dict:
 # ----------------------------------------------------------------- files
 
 
-def _read_json(path: Path):
+def _read_text(path: Path) -> str:
     try:
-        text = path.read_text()
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_json(path: Path):
+    text = _read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError also covers an integer literal over Python's digit limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -358,11 +365,7 @@ def load_hardware(path: str | Path) -> HardwareConfig:
 def load_mapping(path: str | Path, layer: LayerShape) -> tuple[LoopNest, RefreshLocations]:
     path = Path(path)
     if path.suffix == ".dflow":
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
-        return lower(parse(text), layer)
+        return lower(parse(_read_text(path)), layer)
     return mapping_from_json(_read_json(path), layer)
 
 

@@ -1,5 +1,6 @@
 """Command-line interface and file formats."""
 
+import itertools
 import json
 import math
 import os
@@ -603,6 +604,59 @@ class TestPredictCommand:
         }
 
 
+class TestUnreadableInputExitsTwo:
+    """Inputs Python cannot decode or convert; each exited 1 with a
+    traceback before they were mapped to ConfigError or DslError."""
+
+    @pytest.mark.parametrize("flag", ["--layer", "--hw", "--mapping"])
+    def test_predict_input_not_utf8(self, files, capsys, flag):
+        name = "bad.dflow" if flag == "--mapping" else "bad.json"
+        bad = files["dir"] / name
+        bad.write_bytes(b"\xff\xfe{}")
+        args = {"--layer": files["layer"], "--hw": files["hw"],
+                "--mapping": files["mapping"], flag: str(bad)}
+        assert run(["predict", *itertools.chain(*args.items())]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte\n"
+        )
+
+    def test_fmt_input_not_utf8(self, files, capsys):
+        bad = files["dir"] / "bad.dflow"
+        bad.write_bytes(b"\xff\xfefor m in 0..4 @GB\n")
+        assert run(["fmt", str(bad)]) == 2
+        assert f"error: cannot read {bad}: 'utf-8' codec" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("text, reason", [
+        ('{"m": 1' + "0" * 4_300 + "}", "Exceeds the limit (4300 digits)"),
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["4301-digit-int", "nested-100000-deep"])
+    def test_json_python_cannot_load(self, files, capsys, text, reason):
+        bad = files["dir"] / "bad.json"
+        bad.write_text(text)
+        assert run(["predict", "--layer", str(bad), "--hw", files["hw"],
+                    "--mapping", files["mapping"]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: invalid JSON: ")
+        assert reason in err
+
+    def test_dflow_bound_python_cannot_convert(self, files, capsys):
+        fits = files["dir"] / "fits.dflow"
+        fits.write_text("for m in 0.." + "9" * 4_300 + " @GB\n")
+        assert run(["fmt", str(fits)]) == 0
+        assert capsys.readouterr().out == fits.read_text()
+        over = files["dir"] / "over.dflow"
+        over.write_text("for m in 0..4 @GB\n  for c in 0.." + "9" * 4_301
+                        + " @RF\n")
+        assert run(["fmt", str(over)]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 2, column 15: loop bound of 4301 digits is too long "
+            "to read\n"
+        )
+
+
 class TestCheckCommand:
     def test_match_exits_zero(self, files, capsys):
         assert run(["check", "--layer", files["layer"], "--hw", files["hw"],
@@ -677,6 +731,12 @@ class TestExploreCommand:
         out = capsys.readouterr().out
         assert "best mapping:" in out
         assert "space: 24 candidates" in out
+
+    def test_unknown_refresh_style_exits_two(self, files, capsys):
+        assert run(["explore", "--layer", files["layer"], "--hw", files["hw"],
+                    "--strategy", "random", "--samples", "1", "--seed", "0",
+                    "--styles", "weight_stationary,bogus"]) == 2
+        assert "unknown refresh style 'bogus'" in capsys.readouterr().err
 
     def test_bad_level_name(self, files, capsys):
         assert run(["explore", "--layer", files["layer"], "--hw", files["hw"],

@@ -31,6 +31,7 @@ from accel_predict import (
 )
 from accel_predict.dsl import render
 from accel_predict.errors import Violation
+from accel_predict.loopnest import STATIONARY_KIND
 from accel_predict.model import KINDS
 from accel_predict.explore import (
     _candidate_nest,
@@ -127,6 +128,25 @@ class TestSpaceValidation:
     def test_empty_styles(self):
         with pytest.raises(ConfigError):
             SearchSpace(hw=_hw(), refresh_styles=())
+
+    # before the space checked its styles, random seeds 0, 2 and 5 drew
+    # only the known style and returned an infeasible result
+    @pytest.mark.parametrize("kwargs", [
+        *({"strategy": "random", "n_samples": 1, "seed": seed}
+          for seed in range(6)),
+        {"strategy": "beam", "beam_width": 4},
+    ], ids=[*(f"random-seed-{seed}" for seed in range(6)), "beam"])
+    def test_unknown_refresh_style(self, kwargs):
+        with pytest.raises(ConfigError) as exc:
+            space = SearchSpace(
+                hardware_preset("eyeriss_normalized"),
+                refresh_styles=("weight_stationary", "bogus"),
+            )
+            explore(space, layer_preset("alexnet_conv3"), **kwargs)
+        assert str(exc.value) == (
+            "unknown refresh style 'bogus'; pick from ('weight_stationary', "
+            "'output_stationary', 'row_stationary_like')"
+        )
 
     def test_empty_orderings(self):
         with pytest.raises(ConfigError):
@@ -539,6 +559,107 @@ class TestFactorScreen:
                        {"strategy": "beam", "beam_width": 4}):
             with pytest.raises(CountOverflowError):
                 explore(space, layer, **kwargs)
+
+    def test_hopeless_styles_screen_like_the_full_path(self):
+        rng = random.Random(21)
+        outcomes = Counter()
+        spaces = 0
+        while spaces < 300:
+            space, layer = _random_space(rng)
+            if not 100 <= space_size(space, layer) <= 3000:
+                continue
+            spaces += 1
+            prep = _prepare(space, layer)
+            if not any(prep.hopeless):
+                continue
+            for cand in _iter_candidates(prep):
+                code = _factor_screen(space, prep, cand)
+                assert code == _full_path_code(space, layer, prep, cand), (
+                    layer, space, cand
+                )
+                outcomes[prep.hopeless[cand[-1]], code] += 1
+        assert set(outcomes) == {
+            (True, "pe_array"), (True, "capacity"),
+            (False, "pe_array"), (False, "capacity"), (False, None),
+        }
+
+    # the kept kind's whole tensor: weights m*c*r*s = 24, outputs m*e*f = 18
+    @pytest.mark.parametrize("shared", [True, False],
+                             ids=["shared", "per-kind"])
+    @pytest.mark.parametrize("bf", [1, 2])
+    @pytest.mark.parametrize("style, elements", [
+        ("weight_stationary", 24), ("output_stationary", 18),
+    ])
+    def test_hopeless_from_one_bit_over_capacity(
+        self, shared, bf, style, elements
+    ):
+        layer = LayerShape(m=2, c=4, r=3, s=1, e=3, f=3)
+        kept = STATIONARY_KIND[style]
+
+        def hopeless(bits):
+            capacity = bits if shared else {
+                k: bits if k is kept else 10**9 for k in KINDS
+            }
+            space = SearchSpace(
+                _hw(capacity_gb=capacity, buffering_factor=bf),
+                refresh_styles=(style,),
+            )
+            return _prepare(space, layer).hopeless
+
+        need = elements * 16 * bf
+        assert hopeless(need) == [False]
+        assert hopeless(need - 1) == [True]
+
+    def test_no_verdict_where_a_tile_can_overflow(self):
+        # whole weights 2^64 overflow; a hopeless verdict there would hide
+        # the CountOverflowError some candidates raise
+        huge = LayerShape(m=2**16, c=2**16, r=2**16, s=2**16, e=1, f=1)
+        space = SearchSpace(hardware_preset("eyeriss_normalized"))
+        assert _prepare(space, huge).hopeless == [False, False]
+        # 2^48 (2^15 - 1) weights stay under 2^63
+        fits = dataclasses.replace(huge, s=2**15 - 1)
+        assert _prepare(space, fits).hopeless == [True, True]
+        # but not when s is padded to 2 x 2^14
+        padded = dataclasses.replace(
+            space, allow_nondivisor=True,
+            allowed_factors={"m": (2**16,), "c": (2**16,), "r": (2**16,),
+                             "s": (2, 2**14)},
+        )
+        prep = _prepare(padded, fits)
+        assert prep.hopeless == [False, False]
+        with pytest.raises(CountOverflowError):
+            _factor_screen(padded, prep, next(_iter_candidates(prep)))
+
+    def test_hopeless_styles_compute_no_tiles(self, monkeypatch):
+        # conv3: neither kept tensor fits the 884,736-bit GB; stats captured
+        # before the verdict existed
+        def refuse(*args):
+            raise AssertionError("positional_tiles called")
+        monkeypatch.setattr(explore_module, "positional_tiles", refuse)
+        space = SearchSpace(hardware_preset("eyeriss_normalized"))
+        result = explore(space, layer_preset("alexnet_conv3"),
+                         objective="edp", strategy="random", n_samples=300)
+        assert result.stats == {
+            "space_size": 40_550_400, "strategy": "random",
+            "objective": "edp", "seed": 0, "n_samples": 300,
+            "evaluated": 300, "legal": 0,
+            "discarded": {"capacity": 201, "pe_array": 99},
+        }
+
+    def test_beam_scores_each_candidate_once(self, monkeypatch):
+        calls = []
+        evaluate = explore_module._evaluate
+
+        def counted(*args):
+            calls.append(args[-1])
+            return evaluate(*args)
+        monkeypatch.setattr(explore_module, "_evaluate", counted)
+        space = SearchSpace(hardware_preset("eyeriss_normalized"))
+        result = explore(space, layer_preset("alexnet_conv1"),
+                         objective="edp", strategy="beam", beam_width=16)
+        # 960 at the parent of the memo: rounds and finalists revisit 96
+        assert len(calls) == len(set(calls)) == 864
+        assert result.stats["evaluated"] == 960
 
     def test_bad_ordering_raises_when_every_candidate_is_discarded(self):
         # capacity_rf=1 screens out every candidate, so no nest is built
