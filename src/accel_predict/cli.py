@@ -363,9 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(p)
     p.add_argument(
         "--cap", type=_count, default=oracle.DEFAULT_CAP,
-        help="refuse a nest with more than this many temporal steps, PE "
-        "instances or points in a tile's relevant loops; the brute-force "
-        "run walks every iteration of the loops that can change a count",
+        help="refuse a nest with more than this many walked temporal steps "
+        "(the loops above the deepest refresh point), PE instances or "
+        "points in a tile's relevant loops; the brute-force run walks every "
+        "iteration of the loops that can change a count",
     )
     p.add_argument(
         "--no-validate", action="store_true",

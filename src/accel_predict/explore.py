@@ -36,7 +36,7 @@ import itertools
 import math
 import random
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .dsl import render
@@ -116,6 +116,13 @@ class SearchSpace:
                                   f"from {REFRESH_STYLES}")
         if not self.orderings:
             raise ConfigError("search space needs at least one ordering")
+        # tilings are enumerated from these values, so they must be counts
+        for dim, factors in (self.allowed_factors or {}).items():
+            if (not isinstance(factors, Collection)
+                    or isinstance(factors, (str, bytes))
+                    or not all(type(b) is int and b >= 1 for b in factors)):
+                raise ConfigError(f"allowed_factors[{dim!r}]: expected "
+                                  f"integers >= 1, got {factors!r}")
         bad = validate_hardware(self.hw)
         if bad:
             raise ConfigError(
@@ -133,6 +140,17 @@ def _normalize_ordering(template) -> dict[MemLevel, tuple[str, ...]]:
     return ordering
 
 
+def _allowed_upto(allowed, top: int) -> list[int]:
+    """1 and the allowed factors up to `top`, ascending."""
+    return [1, *sorted(b for b in allowed if 1 < b <= top)]
+
+
+def _divisors(n: int) -> list[int]:
+    """The divisors of n, ascending, found up to its square root."""
+    small = [b for b in range(1, math.isqrt(n) + 1) if not n % b]
+    return small + [n // b for b in reversed(small) if b * b != n]
+
+
 def _divisor_tilings(value: int, k: int, allowed) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
 
@@ -141,11 +159,12 @@ def _divisor_tilings(value: int, k: int, allowed) -> list[tuple[int, ...]]:
             if remaining == 1 or allowed is None or remaining in allowed:
                 out.append(prefix + (remaining,))
             return
-        for b in range(1, remaining + 1):
-            if remaining % b:
-                continue
-            if b > 1 and allowed is not None and b not in allowed:
-                continue
+        if allowed is None:
+            factors = _divisors(remaining)
+        else:
+            factors = [b for b in _allowed_upto(allowed, remaining)
+                       if not remaining % b]
+        for b in factors:
             rec(remaining // b, prefix + (b,))
 
     rec(value, ())
@@ -182,9 +201,11 @@ def _padded_tilings(value: int, k: int, allowed) -> list[tuple[int, ...]]:
             return
         # once coverage is reached, only 1s can stay minimal
         top = 1 if product >= value else value
-        for b in range(1, top + 1):
-            if b > 1 and allowed is not None and b not in allowed:
-                continue
+        if allowed is None:
+            factors = range(1, top + 1)
+        else:
+            factors = _allowed_upto(allowed, top)
+        for b in factors:
             rec(prefix + (b,), product * b)
 
     rec((), 1)

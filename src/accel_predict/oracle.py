@@ -2,8 +2,8 @@
 
 No closed forms: every iteration of each loop that can change a count is
 run. Refreshes are observed: the temporal loops above the deepest refresh
-location run as an odometer, and a buffer refill is recorded whenever a
-loop above its location advances. Tile volumes are measured by collecting
+location run as nested loops, and a buffer refill is recorded whenever
+a loop above its location advances. Tile volumes are measured by collecting
 the coordinates each kind touches (distinct values for weights/outputs,
 the bounding box for inputs, whose fetches are contiguous rows), each
 coordinate (c, e*stride + r, f*stride + s, or a weight/output dim) over
@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import predictor
 from .errors import InstanceTooLargeError, MappingError
@@ -31,10 +32,12 @@ from .model import (
     Options,
 )
 
-# The cap bounds the instance (temporal steps, PE instances, relevant tile
-# points), not the walk: an AlexNet layer checks in milliseconds, and the
-# worst case, a refresh below every temporal loop, walks all 10**7 steps
-# in about five seconds (Python 3.11, one core of a shared 2-core host).
+# The cap bounds the work: the temporal steps walked (the loops above the
+# deepest refresh point), the PE instances grouped and the relevant tile
+# points. An AlexNet layer checks in under a millisecond; a walk of 10**7
+# steps takes ~0.6 s over seven loops of 10 and ~5 s, the worst case,
+# when the innermost walked loop has bound 1 (Python 3.11, one core of a
+# shared 2-core host).
 DEFAULT_CAP = 10**7
 
 
@@ -51,25 +54,33 @@ class AccessCounters:
 
 
 def _count_refresh_events(bounds: list[int], depths: set[int]) -> dict[int, int]:
-    """Run the odometer over `bounds`; for each depth d, count iterations
-    where some index at position < d changed (the first iteration counts
-    everywhere). Loops at or below the deepest d never change an index
-    above any d, so the odometer runs over the loops above it only."""
-    counts = {d: 0 for d in depths}
-    prev = None
-    for point in itertools.product(*(range(b) for b in bounds[:max(depths)])):
-        if prev is None:
-            for d in depths:
-                counts[d] += 1
+    """For each depth d, the iterations of the loops over `bounds` where
+    some loop at position < d advanced, the first iteration counting
+    everywhere. Loops at or below the deepest d never advance above any
+    d, so only the loops above it are walked, as nested loops: every
+    iteration adds one to the tally of the loop that advanced, and depth
+    d counts 1 plus the tallies of the loops above it."""
+    walked = bounds[:max(depths)]
+    advances = [0] * len(walked)
+    index = [0] * len(walked)
+    innermost = p = len(walked) - 1
+    while p >= 0:
+        if p == innermost:
+            # one whole pass of the innermost loop
+            n = 0
+            for _ in range(1, walked[p]):
+                n += 1
+            advances[p] += n
+            p -= 1
+        elif index[p] + 1 < walked[p]:
+            index[p] += 1
+            advances[p] += 1
+            p = innermost
         else:
-            changed = 0
-            while point[changed] == prev[changed]:
-                changed += 1
-            for d in depths:
-                if changed < d:
-                    counts[d] += 1
-        prev = point
-    return counts
+            index[p] = 0
+            p -= 1
+    above = [0, *itertools.accumulate(advances)]
+    return {d: 1 + above[d] for d in depths}
 
 
 def _touched(loops, scale: dict[str, int]) -> set[int]:
@@ -106,6 +117,23 @@ def _measure_tile(loops, kind: DataKind, stride: int, cap: int) -> int:
     return math.prod(len(_touched(loops, {d: 1})) for d in RELEVANT_DIMS[kind])
 
 
+def _multicast(spatial_loops) -> dict[DataKind, int]:
+    """Per kind, PE instances over the groups of instances that land on
+    identical tiles: every instance is projected onto its indices of the
+    loops the kind depends on, and equal projections form one group."""
+    points = list(itertools.product(*(range(lv.bound) for lv in spatial_loops)))
+    multicast = {}
+    for kind in KINDS:
+        relevant = [
+            i for i, lv in enumerate(spatial_loops)
+            if lv.dim in RELEVANT_DIMS[kind]
+        ]
+        # with no relevant loop, every instance lands on the one tile
+        groups = set(map(itemgetter(*relevant), points)) if relevant else {()}
+        multicast[kind] = len(points) // len(groups)
+    return multicast
+
+
 def simulate(
     nest: LoopNest,
     refresh: RefreshLocations,
@@ -118,21 +146,9 @@ def simulate(
         i for i, lv in enumerate(nest.levels) if not lv.spatial
     ]
     spatial_loops = [lv for lv in nest.levels if lv.spatial]
-    n_pe = 1
-    for lv in spatial_loops:
-        n_pe *= lv.bound
-    steps = 1
-    for i in temporal_positions:
-        steps *= nest.levels[i].bound
-    # The odometer walks the temporal steps and the multicast grouping
-    # walks the PE instances; neither walks their product.
-    if steps > cap:
-        raise InstanceTooLargeError(f"{steps} temporal steps exceed cap {cap}")
-    if n_pe > cap:
-        raise InstanceTooLargeError(
-            f"{n_pe} spatial instances exceed cap {cap}"
-        )
-    body = steps * n_pe
+    n_pe = math.prod(lv.bound for lv in spatial_loops)
+    bounds = [nest.levels[i].bound for i in temporal_positions]
+    steps = math.prod(bounds)
 
     # Spatial loops are parallel hardware, not iterations: a location is
     # mapped to its temporal depth, so positions inside the spatial group
@@ -146,8 +162,20 @@ def simulate(
         for mem in (MemLevel.GB, MemLevel.RF)
     }
     depth_of = {key: temporal_depth(p) for key, p in locs.items()}
-    bounds = [nest.levels[i].bound for i in temporal_positions]
-    event_counts = _count_refresh_events(bounds, set(depth_of.values()))
+    depths = set(depth_of.values())
+    # The refresh walk runs the temporal loops above the deepest refresh
+    # point and the multicast grouping the PE instances; neither runs
+    # their product.
+    walked = math.prod(bounds[:max(depths)])
+    if walked > cap:
+        raise InstanceTooLargeError(f"{walked} temporal steps exceed cap {cap}")
+    if n_pe > cap:
+        raise InstanceTooLargeError(
+            f"{n_pe} spatial instances exceed cap {cap}"
+        )
+    body = steps * n_pe
+
+    event_counts = _count_refresh_events(bounds, depths)
     refreshes = {
         MemLevel.GB: {k: event_counts[depth_of[(k, MemLevel.GB)]] for k in KINDS},
         MemLevel.RF: {k: event_counts[depth_of[(k, MemLevel.RF)]] for k in KINDS},
@@ -161,19 +189,7 @@ def simulate(
                 below = [lv for lv in below if not lv.spatial]
             volumes[(kind, mem)] = _measure_tile(below, kind, stride, cap)
 
-    multicast = {}
-    for kind in KINDS:
-        projections = {
-            tuple(
-                idx
-                for lv, idx in zip(spatial_loops, pt)
-                if lv.dim in RELEVANT_DIMS[kind]
-            )
-            for pt in itertools.product(
-                *(range(lv.bound) for lv in spatial_loops)
-            )
-        }
-        multicast[kind] = n_pe // len(projections)
+    multicast = _multicast(spatial_loops)
 
     psum = options.psum_factor()
     moved: dict[MemLevel, dict[DataKind, int]] = {

@@ -61,6 +61,62 @@ def two_level_space(hw, **overrides):
     return SearchSpace(hw=hw, **overrides)
 
 
+# The enumeration before candidate factors: every integer up to the bound
+# is tried at each node. Kept as the reference the faster one must match
+# list for list, since candidate indices depend on the order.
+def _ref_divisor_tilings(value: int, k: int, allowed) -> list[tuple[int, ...]]:
+    out: list[tuple[int, ...]] = []
+
+    def rec(remaining: int, prefix: tuple[int, ...]):
+        if len(prefix) == k - 1:
+            if remaining == 1 or allowed is None or remaining in allowed:
+                out.append(prefix + (remaining,))
+            return
+        for b in range(1, remaining + 1):
+            if remaining % b:
+                continue
+            if b > 1 and allowed is not None and b not in allowed:
+                continue
+            rec(remaining // b, prefix + (b,))
+
+    rec(value, ())
+    return out
+
+
+def _ref_padded_tilings(value: int, k: int, allowed) -> list[tuple[int, ...]]:
+    out: list[tuple[int, ...]] = []
+
+    def minimal(tup: tuple[int, ...]) -> bool:
+        product = 1
+        for b in tup:
+            product *= b
+        if product < value:
+            return False
+        for b in tup:
+            if b > 1 and (product // b) * (b - 1) >= value:
+                return False
+        return True
+
+    def rec(prefix: tuple[int, ...], product: int):
+        if len(prefix) == k:
+            if minimal(prefix):
+                out.append(prefix)
+            return
+        top = 1 if product >= value else value
+        for b in range(1, top + 1):
+            if b > 1 and allowed is not None and b not in allowed:
+                continue
+            rec(prefix + (b,), product * b)
+
+    rec((), 1)
+    return out
+
+
+ALLOWED_SETS = [
+    None, frozenset({2, 3, 5}), frozenset({0, 1, 4, 6, 12, 150, 1000}),
+]
+
+
 class TestTilingEnumeration:
     def test_dim_four_two_slots(self):
         assert sorted(_divisor_tilings(4, 2, None)) == [(1, 4), (2, 2), (4, 1)]
@@ -115,6 +171,31 @@ class TestTilingEnumeration:
             _padded_tilings(10**6, 4, None)
         assert "allow_nondivisor" in str(exc.value)
 
+    @pytest.mark.parametrize("allowed", ALLOWED_SETS)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_divisor_tilings_equal_the_full_scan(self, k, allowed):
+        for value in range(1, 201):
+            assert _divisor_tilings(value, k, allowed) == (
+                _ref_divisor_tilings(value, k, allowed)
+            )
+
+    @pytest.mark.parametrize("allowed", ALLOWED_SETS)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_padded_tilings_equal_the_full_scan(self, k, allowed):
+        # without allowed_factors every factor up to the value is a
+        # candidate in both, and the scans grow as value**k
+        top = 40 if allowed is None and k > 1 else 200
+        for value in range(1, top + 1):
+            assert _padded_tilings(value, k, allowed) == (
+                _ref_padded_tilings(value, k, allowed)
+            )
+
+    def test_allowed_factor_far_above_the_scan(self):
+        v = 2**40
+        expected = [(1, 1, 1, v), (1, 1, v, 1), (1, v, 1, 1), (v, 1, 1, 1)]
+        assert _divisor_tilings(v, 4, frozenset({v})) == expected
+        assert _padded_tilings(v, 4, frozenset({v})) == expected
+
 
 class TestSpaceValidation:
     def test_empty_levels(self):
@@ -128,6 +209,13 @@ class TestSpaceValidation:
     def test_empty_styles(self):
         with pytest.raises(ConfigError):
             SearchSpace(hw=_hw(), refresh_styles=())
+
+    # tilings are built from the allowed values themselves: a float would
+    # become a loop bound, and a string would not sort against integers
+    @pytest.mark.parametrize("factors", [("2",), (2.0,), (True,), (0,), 2, "2"])
+    def test_allowed_factors_must_be_counts(self, factors):
+        with pytest.raises(ConfigError, match=r"allowed_factors\['m'\]"):
+            SearchSpace(hw=_hw(), allowed_factors={"m": factors})
 
     # before the space checked its styles, random seeds 0, 2 and 5 drew
     # only the known style and returned an infeasible result

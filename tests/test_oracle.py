@@ -23,7 +23,9 @@ from accel_predict import (
     diff_counts,
     hardware_preset,
     layer_preset,
+    mapping_from_json,
     mapping_preset,
+    mapping_to_json,
     refresh_plan,
     simulate,
 )
@@ -274,9 +276,10 @@ def test_body_iterations_match_padded_macs(instance):
 
 # ------------------------- reference walkers over the full nest
 #
-# An odometer over every temporal step and a point-by-point walk over all
-# of a tile's relevant loops. The narrower walks in accel_predict.oracle
-# must reproduce their counts exactly.
+# An odometer over every temporal step, a point-by-point walk over all
+# of a tile's relevant loops, and a PE grouping that projects each
+# instance element by element. The narrower and faster walks in
+# accel_predict.oracle must reproduce their counts exactly.
 
 
 def _ref_count_refresh_events(bounds: list[int], depths: set[int]) -> dict[int, int]:
@@ -344,10 +347,34 @@ def _ref_measure_tile(loops, kind: DataKind, stride: int, cap: int) -> int:
     return len(seen)
 
 
+def _ref_multicast(spatial_loops) -> dict[DataKind, int]:
+    """Per kind, PE instances over the groups of instances with equal
+    projections onto the loops the kind depends on."""
+    n_pe = 1
+    for lv in spatial_loops:
+        n_pe *= lv.bound
+    multicast = {}
+    for kind in DataKind:
+        projections = {
+            tuple(
+                idx
+                for lv, idx in zip(spatial_loops, pt)
+                if lv.dim in RELEVANT_DIMS[kind]
+            )
+            for pt in itertools.product(
+                *(range(lv.bound) for lv in spatial_loops)
+            )
+        }
+        multicast[kind] = n_pe // len(projections)
+    return multicast
+
+
 def reference_simulate(nest, refresh, options):
     with mock.patch.object(
         oracle, "_count_refresh_events", _ref_count_refresh_events
-    ), mock.patch.object(oracle, "_measure_tile", _ref_measure_tile):
+    ), mock.patch.object(
+        oracle, "_measure_tile", _ref_measure_tile
+    ), mock.patch.object(oracle, "_multicast", _ref_multicast):
         return simulate(nest, refresh, options=options)
 
 
@@ -371,3 +398,46 @@ def test_simulate_equals_full_nest_walk(instance):
     assert simulate(nest, refresh, options=options) == reference_simulate(
         nest, refresh, options
     )
+
+
+def test_refresh_walk_equals_full_odometer():
+    # every bound tuple over {1, 2, 3} up to four loops, every depth set
+    for n in range(5):
+        depth_sets = [
+            set(ds)
+            for size in range(1, n + 2)
+            for ds in itertools.combinations(range(n + 1), size)
+        ]
+        for bounds in itertools.product((1, 2, 3), repeat=n):
+            for depths in depth_sets:
+                assert oracle._count_refresh_events(list(bounds), depths) == (
+                    _ref_count_refresh_events(list(bounds), depths)
+                ), (bounds, depths)
+
+
+def test_cap_bounds_the_walked_steps_not_all_steps():
+    # 32 temporal steps, but every refresh sits below the c loop, so only
+    # its 4 steps are walked
+    layer = LayerShape(m=8, c=4, r=1, s=1, e=1, f=1)
+    nest = nest_of(layer, ("c", 4, GB), ("m", 8, RF))
+    refresh = RefreshLocations(gb={I: 1, O: 1, W: 1}, rf={I: 1, O: 1, W: 1})
+    assert check(nest, refresh, cap=8).ok
+    assert simulate(nest, refresh, cap=8).macs_per_pe == 32
+    with pytest.raises(InstanceTooLargeError, match="4 temporal steps"):
+        simulate(nest, refresh, cap=3)
+
+
+def test_thousands_of_loops_above_the_refresh_points_check():
+    # .dflow drops bound-1 loops; a JSON mapping keeps them, so the walk
+    # runs through 3,000 loops above every refresh point
+    hw = hardware_preset("eyeriss_normalized")
+    layer = layer_preset("conv5")
+    data = mapping_to_json(*mapping_preset("row_stationary", layer, hw))
+    n = 3000
+    data["levels"][:0] = [{"dim": "m", "bound": 1, "mem": "DRAM"}] * n
+    for locs in data["refresh"].values():
+        for mem in locs:
+            locs[mem] += n
+    nest, refresh = mapping_from_json(data, layer)
+    assert len(nest.levels) > n
+    assert check(nest, refresh, hw).ok
