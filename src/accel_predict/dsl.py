@@ -295,8 +295,7 @@ def lower(doc: DslDocument, layer: LayerShape) -> tuple[LoopNest, RefreshLocatio
         else:
             locs[(stmt.kind, stmt.mem)] = len(levels)
     nest = LoopNest(tuple(levels), layer)
-    p_gb = nest.group_start(MemLevel.GB)
-    p_rf = nest.group_start(MemLevel.RF)
+    p_gb, _, p_rf = nest.starts
     refresh = RefreshLocations(
         gb={k: locs.get((k, MemLevel.GB), p_gb) for k in KINDS},
         rf={k: locs.get((k, MemLevel.RF), p_rf) for k in KINDS},

@@ -6,26 +6,18 @@ templates and refresh styles. Candidates are screened against the
 hardware (PE count, buffer capacities) and scored with the analytic
 model under one of three objectives: energy, latency or their product.
 
-A candidate with a positional refresh style (weight_stationary,
-output_stationary) is first screened from its factors alone: its
-refresh points sit at level-group boundaries, so its active PE count
-and resident tiles are products of per-level factors. The screen works
-on plain integers (loopnest's positional_extents, tabulated per tiling,
-and positional_tiles) and asks loopnest's pe_fits and buffers_fit, the
-PE and capacity rules of the full check, for a verdict; a discarded
-candidate costs no Violation and no message. Both styles keep one
-kind's whole tensor in the GB, so a style whose whole-layer tile of that
-kind alone overflows the GB cannot fit at any tiling: that is decided
-once per search (loopnest's kept_tile_fits), and the screen then
-discards its candidates under "capacity" right after the PE rule,
-without computing tiles. Generated nests, beam completions included,
-are legal in structure, so the screen discards exactly what the full
-check would, under the same code. A candidate
-that passes (and every row_stationary_like one, whose refresh points
-depend on loop order) takes one pass: build the nest, place its
-refresh points, check it and plan it in one go, then score a legal
-mapping from that same plan. A discarded candidate is counted under
-the code of the first violation it hit.
+A candidate is checked on plain integers, the same way for every
+refresh style, in the order of the full check's codes. What no tiling
+can change is decided once per search: a row_stationary_like register
+budget under one element, or a positional style's kept tensor alone
+overflowing the GB. The PE rule then reads the candidate's NoC factors.
+Only then are its flat loops built from its factors and ordering, and
+loopnest's planner places its refresh points, sizes its resident tiles
+for the capacity rule and, for a legal candidate alone, builds the plan
+that scores it. Generated nests, beam completions included, are legal
+in structure, so this discards exactly what the full check would, under
+the same code, and builds a LoopNest only for a legal mapping. A
+discard counts under the code of the first violation it hit.
 """
 
 from __future__ import annotations
@@ -49,17 +41,16 @@ from .loopnest import (
     RefreshPlan,
     buffers_fit,
     build_nest,
-    canonical_refresh,
+    build_plan,
     check_ordering,
-    checked_plan,
-    kept_tile_fits,
     pe_fits,
-    positional_extents,
-    positional_tiles,
+    place_refresh,
+    resident_tiles,
 )
 from .model import (
     DIMS,
     INT64_MAX,
+    KINDS,
     HardwareConfig,
     LayerShape,
     LEVELS_OUTER_FIRST,
@@ -118,6 +109,9 @@ class SearchSpace:
             raise ConfigError("search space needs at least one ordering")
         # tilings are enumerated from these values, so they must be counts
         for dim, factors in (self.allowed_factors or {}).items():
+            if dim not in DIMS:
+                raise ConfigError(f"allowed_factors: unknown dim {dim!r}; "
+                                  f"pick from {DIMS}")
             if (not isinstance(factors, Collection)
                     or isinstance(factors, (str, bytes))
                     or not all(type(b) is int and b >= 1 for b in factors)):
@@ -217,11 +211,16 @@ class _Prepared:
     tilings: dict[str, list[tuple[int, ...]]]
     orderings: list[dict[MemLevel, tuple[str, ...]]]
     styles: list[str]
-    # per dim, tiling -> its positional_extents
-    extents: dict[str, dict[tuple[int, ...], tuple[int, ...]]]
+    # per ordering and level (outermost first), the (dim index, slot in a
+    # tiling tuple) of each loop it emits
+    groups: list[list[list[tuple[int, int]]]]
+    # the NoC's slot in a tiling tuple, None if the space has no NoC level
+    noc: int | None
     stride: int
-    # per style, True when no candidate of it can pass the capacity rule
-    hopeless: list[bool]
+    # per style, the code every candidate of it is discarded under, or
+    # None: "refresh_style" when a register budget is under one element,
+    # "capacity" when a positional style's kept tensor overflows the GB
+    doomed: list[str | None]
 
     def __post_init__(self):
         # the mixed radix of a candidate index, most significant first
@@ -231,6 +230,24 @@ class _Prepared:
     @property
     def size(self) -> int:
         return math.prod(self.radices)
+
+
+def _doomed(hw: HardwareConfig, style: str, dims, stride: int) -> str | None:
+    """The code every candidate of `style` fails under, or None. A
+    positional style's kept GB tile spans every level, so it holds at
+    least its kind's whole tensor (`dims`, DIMS order), and neither
+    tile_volumes nor the capacity rule eases as extents grow. A
+    row_stationary_like placement fails on a nest iff on no loops."""
+    kept = STATIONARY_KIND.get(style)
+    if kept is not None:
+        whole = tile_volumes(dims, stride)
+        tiles = [v if k is kept else 0 for k, v in zip(KINDS, whole)]
+        return None if buffers_fit(hw, tiles, [0, 0, 0]) else "capacity"
+    try:
+        place_refresh((), (0, 0, 0), style, hw, stride)
+    except MappingError:
+        return "refresh_style"
+    return None
 
 
 def _prepare(space: SearchSpace, layer: LayerShape) -> _Prepared:
@@ -254,19 +271,20 @@ def _prepare(space: SearchSpace, layer: LayerShape) -> _Prepared:
         max([n, *map(math.prod, tilings[d])]) for n, d in zip(dims, DIMS)
     ]
     decided = max(tile_volumes(largest, stride)) <= INT64_MAX
+    orderings = [_normalize_ordering(t) for t in space.orderings]
+    slot = {mem: j for j, mem in enumerate(space.levels)}
     return _Prepared(
         tilings=tilings,
-        orderings=[_normalize_ordering(t) for t in space.orderings],
+        orderings=orderings,
         styles=list(space.refresh_styles),
-        extents={
-            d: {t: positional_extents(dict(zip(space.levels, t)))
-                for t in tilings[d]}
-            for d in DIMS
-        },
+        groups=[[
+            [(DIMS.index(d), slot[mem]) for d in order.get(mem, DIMS)]
+            if mem in slot else [] for mem in LEVELS_OUTER_FIRST
+        ] for order in orderings],
+        noc=slot.get(MemLevel.NOC),
         stride=stride,
-        hopeless=[
-            decided and s in STATIONARY_KIND
-            and not kept_tile_fits(space.hw, STATIONARY_KIND[s], dims, stride)
+        doomed=[
+            _doomed(space.hw, s, dims, stride) if decided else None
             for s in space.refresh_styles
         ],
     )
@@ -302,67 +320,55 @@ def _unrank(prep: _Prepared, index: int) -> Candidate:
 
 
 def _candidate_nest(
-    space: SearchSpace,
-    layer: LayerShape,
-    prep: _Prepared,
-    cand: Candidate,
-) -> tuple[LoopNest, str]:
+    space: SearchSpace, layer: LayerShape, prep: _Prepared, cand: Candidate
+) -> LoopNest:
     tiling: dict[MemLevel, dict[str, int]] = {mem: {} for mem in space.levels}
     for i, d in enumerate(DIMS):
         for mem, bound in zip(space.levels, cand[i]):
             tiling[mem][d] = bound
-    ordering = prep.orderings[cand[-2]]
-    style = prep.styles[cand[-1]]
-    nest = build_nest(layer, tiling, ordering=ordering)
-    return nest, style
+    return build_nest(layer, tiling, ordering=prep.orderings[cand[-2]])
 
 
-def _factor_screen(
-    space: SearchSpace, prep: _Prepared, cand: Candidate
-) -> str | None:
-    """PE count and buffer fit of a positional-style candidate, from its
-    factors alone: the code of the first violation, or None if it fits."""
-    # a beam completion may hold a tiling the table lacks (a whole dim
-    # whose size allowed_factors excludes)
-    levels = space.levels
-    ext = [
-        prep.extents[d].get(t) or positional_extents(dict(zip(levels, t)))
-        for d, t in zip(DIMS, cand)
-    ]
-    if not pe_fits(space.hw, math.prod(e[0] for e in ext)):
-        return "pe_array"
-    if prep.hopeless[cand[-1]]:
-        return "capacity"
-    kept = STATIONARY_KIND[prep.styles[cand[-1]]]
-    gb_tiles, rf_tiles = positional_tiles(kept, ext, prep.stride)
-    return None if buffers_fit(space.hw, gb_tiles, rf_tiles) else "capacity"
+def _candidate_loops(prep: _Prepared, cand: Candidate):
+    """The flat loops build_nest would give a candidate, and the starts of
+    its GB, NoC and RF groups."""
+    loops, starts = [], []
+    for spatial, group in zip((False, False, True, False), prep.groups[cand[-2]]):
+        starts.append(len(loops))
+        for d, j in group:
+            if (b := cand[d][j]) > 1:
+                loops.append((d, b, spatial))
+    return loops, starts[1:]
 
 
 def _screen(
-    space: SearchSpace,
-    layer: LayerShape,
-    prep: _Prepared,
-    cand: Candidate,
-) -> tuple[
-    LoopNest | None, RefreshLocations | None, RefreshPlan | None, str | None
-]:
-    """Screen one candidate, then build it and check it against the
-    hardware.
+    space: SearchSpace, layer: LayerShape, prep: _Prepared, cand: Candidate
+) -> tuple[LoopNest | None, RefreshLocations | None, RefreshPlan | None, str | None]:
+    """Check one candidate against the hardware, in the full check's
+    order of codes: refresh_style, pe_array, capacity.
 
     Returns (nest, refresh, plan, None) for a legal mapping; otherwise
-    the last item is the code of the first violation found.
+    (None, None, None, code of the first violation found).
     """
-    if prep.styles[cand[-1]] in STATIONARY_KIND:
-        code = _factor_screen(space, prep, cand)
-        if code is not None:
-            return None, None, None, code
-    nest, style = _candidate_nest(space, layer, prep, cand)
+    doomed = prep.doomed[cand[-1]]
+    if doomed != "refresh_style" and prep.noc is not None and not pe_fits(
+        space.hw, math.prod([cand[i][prep.noc] for i in range(len(DIMS))])
+    ):
+        return None, None, None, "pe_array"
+    if doomed:
+        return None, None, None, doomed
+    loops, starts = _candidate_loops(prep, cand)
+    style = prep.styles[cand[-1]]
     try:
-        refresh = canonical_refresh(nest, style, space.hw, space.options)
+        gb, rf = place_refresh(loops, starts, style, space.hw, prep.stride)
     except MappingError as exc:
-        return nest, None, None, exc.violations[0].code
-    plan, violations = checked_plan(nest, space.hw, refresh, space.options)
-    return nest, refresh, plan, violations[0].code if violations else None
+        return None, None, None, exc.violations[0].code
+    tiles = resident_tiles(loops, gb, rf, prep.stride)
+    if not buffers_fit(space.hw, *tiles):
+        return None, None, None, "capacity"
+    refresh = RefreshLocations(gb=dict(zip(KINDS, gb)), rf=dict(zip(KINDS, rf)))
+    nest = _candidate_nest(space, layer, prep, cand)
+    return nest, refresh, build_plan(loops, gb, rf, tiles), None
 
 
 def _evaluate(
@@ -578,7 +584,7 @@ def _beam(
     def heuristic(partial) -> tuple[float, str]:
         nonlocal evaluated
         evaluated += 1
-        if prep.hopeless[0]:
+        if prep.doomed[0]:
             return (float("inf"), "")
         res = evaluate(completion(partial))
         if res[0] == "discard":

@@ -9,6 +9,7 @@ the index advances, and holds one tile spanning the loops below it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
@@ -49,8 +50,18 @@ class LoopNest:
     layer: LayerShape
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(self.levels))
-        # Nests are immutable, so their own half of validate_structure runs once.
+        levels = tuple(self.levels)
+        object.__setattr__(self, "levels", levels)
+        # Nests are immutable, so these are built once: the planner's flat
+        # loops, each (dim index in DIMS, bound, spatial), outermost first;
+        # the indices where the GB, NoC and RF groups start; and the nest's
+        # own half of validate_structure.
+        object.__setattr__(self, "loops", tuple(
+            (_DIM_INDEX[lv.dim], lv.bound, lv.spatial) for lv in levels
+        ))
+        object.__setattr__(self, "starts", tuple(
+            self.group_start(mem) for mem in (MemLevel.GB, MemLevel.NOC, MemLevel.RF)
+        ))
         object.__setattr__(self, "structure_violations", _structure_violations(self))
 
     def group_start(self, mem: MemLevel) -> int:
@@ -61,7 +72,7 @@ class LoopNest:
         return len(self.levels)
 
     def padded_dims(self) -> dict[str, int]:
-        return dict(zip(DIMS, _extents(self.levels, include_spatial=True)))
+        return {d: math.prod(lv.bound for lv in self.levels if lv.dim == d) for d in DIMS}
 
     def padded_mac_count(self) -> int:
         return checked_product([lv.bound for lv in self.levels])
@@ -87,11 +98,8 @@ class RefreshLocations:
     @classmethod
     def outermost(cls, nest: LoopNest) -> "RefreshLocations":
         """Defaults: each buffer refilled at the top of its level's group."""
-        p_gb = nest.group_start(MemLevel.GB)
-        p_rf = nest.group_start(MemLevel.RF)
-        return cls(
-            gb={k: p_gb for k in KINDS}, rf={k: p_rf for k in KINDS}
-        )
+        p_gb, _, p_rf = nest.starts
+        return cls(gb={k: p_gb for k in KINDS}, rf={k: p_rf for k in KINDS})
 
 
 @dataclass(frozen=True)
@@ -116,52 +124,145 @@ class RefreshPlan:
 
 
 _DIM_INDEX = {d: i for i, d in enumerate(DIMS)}
+# the indices of the dims each kind depends on, KINDS order
+_RELEVANT = tuple(
+    frozenset(_DIM_INDEX[d] for d in RELEVANT_DIMS[k]) for k in KINDS
+)
+
+# The positional styles and the kind each keeps stationary. Every refresh
+# point they place sits at a level-group boundary, so their tiles depend
+# only on the per-level factors, never on the loop order.
+STATIONARY_KIND = {
+    "weight_stationary": DataKind.WEIGHT,
+    "output_stationary": DataKind.OUTPUT,
+}
 
 
-def _extents(levels: Sequence[LoopLevel], include_spatial: bool) -> list[int]:
-    """Per-dim products of the loop bounds in `levels` (DIMS order; a dim
-    without a loop counts as 1), spatial loops only if asked."""
-    out = [1] * len(DIMS)
-    for lv in levels:
-        if include_spatial or not lv.spatial:
-            out[_DIM_INDEX[lv.dim]] *= lv.bound
-    return out
+def _volumes_below(loops, gb, rf, stride: int):
+    """tile_volumes (unchecked) of the loops below each location in `gb`,
+    spatial loops included, and in `rf`, temporal loops only: two dicts
+    by location, filled in one pass from the innermost loop out."""
+    array, pe = [1] * len(DIMS), [1] * len(DIMS)
+    gb_volumes, rf_volumes = {}, {}
+    for p in range(len(loops), -1, -1):
+        if p in gb:
+            gb_volumes[p] = tile_volumes(array, stride)
+        if p in rf:
+            rf_volumes[p] = tile_volumes(pe, stride)
+        if p:
+            d, bound, spatial = loops[p - 1]
+            array[d] *= bound
+            if not spatial:
+                pe[d] *= bound
+    return gb_volumes, rf_volumes
+
+
+def rf_budgets(hw: HardwareConfig) -> dict[DataKind, int]:
+    """Register bits per PE for each kind: the per-kind capacity, or a
+    shared capacity split three ways."""
+    cap = hw.capacity_rf
+    if isinstance(cap, Mapping):
+        return {k: cap.get(k, 0) for k in KINDS}
+    return {k: cap // 3 for k in KINDS}
+
+
+def place_refresh(
+    loops, starts, style: str, hw: HardwareConfig | None = None, stride: int = 1
+) -> tuple[list[int], list[int]]:
+    """The GB and the RF refresh locations (KINDS order) of a named
+    stationarity style on flat loops whose GB, NoC and RF groups start at
+    `starts`.
+
+    weight_stationary / output_stationary are positional: the favored
+    kind's GB buffer loads once (location 0) and its RF tile is pinned
+    across the whole GB group; the other kinds refresh at the top of each
+    level's group. row_stationary_like is capacity-driven and needs
+    hardware: GB locations slide past leading GB loops whose dims the kind
+    depends on (which leaves traffic unchanged but shrinks the resident
+    tile), and each RF location is the outermost position whose per-PE
+    tile fits that kind's register budget. It raises MappingError when
+    none does; the innermost tile is one element of each kind, so that is
+    exactly when a budget is under one element, whatever the loops.
+    """
+    p_gb, p_noc, p_rf = starts
+    kept = STATIONARY_KIND.get(style)
+    if kept is not None:
+        gb, rf = [p_gb] * len(KINDS), [p_rf] * len(KINDS)
+        i = KINDS.index(kept)
+        gb[i], rf[i] = 0, p_gb
+        return gb, rf
+    if style != "row_stationary_like":
+        raise ConfigError(f"unknown refresh style {style!r}")
+    if hw is None:
+        raise ConfigError("row_stationary_like needs a hardware config")
+
+    budgets = rf_budgets(hw)
+    bf = hw.buffering_factor
+    volumes = _volumes_below(loops, (), range(p_gb, len(loops) + 1), stride)[1]
+    gb, rf = [], []
+    for i, kind in enumerate(KINDS):
+        loc = p_gb
+        while loc < p_noc and loops[loc][0] in _RELEVANT[i]:
+            loc += 1
+        gb.append(loc)
+
+        budget = budgets[kind] // (hw.precision.bits(kind) * bf)
+        for p in range(loc, len(loops) + 1):
+            if checked_count(volumes[p][i]) <= budget:
+                rf.append(p)
+                break
+        else:
+            raise MappingError([Violation(
+                "refresh_style", f"refresh[{kind}][RF]",
+                f"no location fits the {budgets[kind]}-bit register budget",
+            )])
+    return gb, rf
+
+
+def resident_tiles(loops, gb, rf, stride: int) -> tuple[list[int], list[int]]:
+    """The GB and the RF resident tiles, in elements per kind (KINDS
+    order), below refresh locations `gb` and `rf`: a GB tile is the
+    array-wide tile of every loop below its location, an RF tile one PE's
+    tile (temporal loops only). Each passes checked_count."""
+    gb_volumes, rf_volumes = _volumes_below(loops, gb, rf, stride)
+    return ([checked_count(gb_volumes[p][i]) for i, p in enumerate(gb)],
+            [checked_count(rf_volumes[p][i]) for i, p in enumerate(rf)])
+
+
+def build_plan(loops, gb, rf, tiles) -> RefreshPlan:
+    """The RefreshPlan of flat loops refreshed at `gb` and `rf` (KINDS
+    order), given their resident_tiles: each refresh count is the product
+    of the temporal bounds above its location."""
+    n_ref: dict[tuple[DataKind, MemLevel], int] = {}
+    v_ref: dict[tuple[DataKind, MemLevel], int] = {}
+    for mem, locs, volumes in zip((MemLevel.GB, MemLevel.RF), (gb, rf), tiles):
+        for kind, p, v in zip(KINDS, locs, volumes):
+            n_ref[(kind, mem)] = checked_product(
+                [b for _, b, sp in loops[:p] if not sp]
+            )
+            v_ref[(kind, mem)] = v
+    spatial = [(d, b) for d, b, sp in loops if sp]
+    return RefreshPlan(
+        n_ref=n_ref,
+        v_ref=v_ref,
+        multicast={
+            kind: checked_product(b for d, b in spatial if d not in relevant)
+            for kind, relevant in zip(KINDS, _RELEVANT)
+        },
+        n_pe_active=checked_product(b for _, b in spatial),
+        n_mac_padded=checked_product(b for _, b, _ in loops),
+    )
 
 
 def refresh_plan(
     nest: LoopNest, refresh: RefreshLocations, options: Options = Options()
 ) -> RefreshPlan:
-    stride = options.effective_stride(nest.layer)
-    levels = nest.levels
-    n_ref: dict[tuple[DataKind, MemLevel], int] = {}
-    v_ref: dict[tuple[DataKind, MemLevel], int] = {}
-    for mem, locs in ((MemLevel.GB, refresh.gb), (MemLevel.RF, refresh.rf)):
-        include_spatial = mem is MemLevel.GB
-        volumes: dict[int, list[int]] = {}  # per distinct location
-        for i, kind in enumerate(KINDS):
-            p = locs[kind]
-            n_ref[(kind, mem)] = checked_product(
-                [lv.bound for lv in levels[:p] if not lv.spatial]
-            )
-            if p not in volumes:
-                ext = _extents(levels[p:], include_spatial)
-                volumes[p] = tile_volumes(ext, stride)
-            v_ref[(kind, mem)] = checked_count(volumes[p][i])
-    spatial_loops = [lv for lv in levels if lv.spatial]
-    multicast = {}
-    for kind in KINDS:
-        multicast[kind] = checked_product(
-            lv.bound
-            for lv in spatial_loops
-            if lv.dim not in RELEVANT_DIMS[kind]
-        )
-    return RefreshPlan(
-        n_ref=n_ref,
-        v_ref=v_ref,
-        multicast=multicast,
-        n_pe_active=nest.n_pe_active(),
-        n_mac_padded=nest.padded_mac_count(),
-    )
+    # unchecked locations: one outside 0..n cuts the loops as a slice would
+    n = len(nest.loops)
+    gb, rf = ([slice(locs[k], None).indices(n)[0] for k in KINDS]
+              for locs in (refresh.gb, refresh.rf))
+    tiles = resident_tiles(nest.loops, gb, rf, options.effective_stride(nest.layer))
+    return build_plan(nest.loops, gb, rf, tiles)
 
 
 def _check_coverage(dim: str, true_dim: int, factors: list[int]) -> list[str]:
@@ -223,7 +324,7 @@ def validate_structure(nest: LoopNest, refresh: RefreshLocations) -> list[Violat
         out.append(Violation("structure", field, message))
 
     n = len(nest.levels)
-    p_noc = nest.group_start(MemLevel.NOC)
+    p_noc = nest.starts[1]
     for kind in KINDS:
         gb = refresh.gb[kind]
         rf = refresh.rf[kind]
@@ -387,137 +488,17 @@ def build_nest(
     return nest
 
 
-def rf_budgets(hw: HardwareConfig) -> dict[DataKind, int]:
-    """Register bits per PE for each kind: the per-kind capacity, or a
-    shared capacity split three ways."""
-    cap = hw.capacity_rf
-    if isinstance(cap, Mapping):
-        return {k: cap.get(k, 0) for k in KINDS}
-    return {k: cap // 3 for k in KINDS}
-
-
-# The positional styles and the kind each keeps stationary. Every refresh
-# point they place sits at a level-group boundary, so their tiles depend
-# only on the per-level factors, never on the loop order.
-STATIONARY_KIND = {
-    "weight_stationary": DataKind.WEIGHT,
-    "output_stationary": DataKind.OUTPUT,
-}
-
-
-def positional_extents(
-    factors: Mapping[MemLevel, int],
-) -> tuple[int, int, int, int, int]:
-    """One dim's per-level factors (an absent level counts as 1) as its
-    NoC factor, then its extent below each refresh point the positional
-    styles place: RF; GB*RF, temporal; GB*NoC*RF; all levels."""
-    dram, gb, noc, rf = (factors.get(mem, 1) for mem in LEVELS_OUTER_FIRST)
-    return noc, rf, gb * rf, gb * noc * rf, dram * gb * noc * rf
-
-
-def positional_tiles(
-    kept: DataKind, ext: Sequence[Sequence[int]], stride: int
-) -> tuple[list[int], list[int]]:
-    """RefreshPlan.v_ref of a positional style, flat: the GB and the RF
-    resident tiles in elements per kind (KINDS order), from each dim's
-    positional_extents (DIMS order), without building the nest.
-
-    Mirrors canonical_refresh: the kept kind's GB tile spans every level
-    (location 0) and its RF tile the GB and RF loops (location p_gb, the
-    NoC loops being spatial); every other kind's GB tile spans GB, NoC and
-    RF (p_gb) and its RF tile the RF loops (p_rf). Volumes come from
-    tile_volumes, as in refresh_plan, and the largest goes through
-    checked_count, so this raises CountOverflowError where the plan would.
-    """
-    _, rf, gb_rf, on_chip, whole = zip(*ext)
-    gb_tiles = tile_volumes(on_chip, stride)
-    rf_tiles = tile_volumes(rf, stride)
-    i = KINDS.index(kept)
-    gb_tiles[i] = tile_volumes(whole, stride)[i]
-    rf_tiles[i] = tile_volumes(gb_rf, stride)[i]
-    checked_count(max(*gb_tiles, *rf_tiles))
-    return gb_tiles, rf_tiles
-
-
-def kept_tile_fits(
-    hw: HardwareConfig, kept: DataKind, dims: Sequence[int], stride: int
-) -> bool:
-    """Whether any positional tiling keeping `kept` can pass the capacity
-    rule on a layer of per-dim sizes `dims` (DIMS order): its kept GB tile
-    spans every level, so it holds at least the kind's whole-layer tile,
-    and neither tile_volumes nor the rule eases as extents grow."""
-    whole = tile_volumes(dims, stride)
-    gb_tiles = [v if k is kept else 0 for k, v in zip(KINDS, whole)]
-    return buffers_fit(hw, gb_tiles, [0, 0, 0])
-
-
 def canonical_refresh(
     nest: LoopNest,
     style: str,
     hw: HardwareConfig | None = None,
     options: Options = Options(),
 ) -> RefreshLocations:
-    """Construct refresh locations for a named stationarity style.
-
-    weight_stationary / output_stationary are positional: the favored
-    kind's GB buffer loads once (location 0) and its RF tile is pinned
-    across the whole GB group. row_stationary_like is capacity-driven and
-    needs hardware: GB locations slide past leading GB loops whose dims
-    the kind depends on (which leaves traffic unchanged but shrinks the
-    resident tile), and each RF location is the outermost position whose
-    per-PE tile fits that kind's register budget.
-    """
-    p_gb = nest.group_start(MemLevel.GB)
-    p_rf = nest.group_start(MemLevel.RF)
-    kept = STATIONARY_KIND.get(style)
-    if kept is not None:
-        gb = {k: p_gb for k in KINDS}
-        rf = {k: p_rf for k in KINDS}
-        gb[kept] = 0
-        rf[kept] = p_gb
-        return RefreshLocations(gb=gb, rf=rf)
-    if style != "row_stationary_like":
-        raise ConfigError(f"unknown refresh style {style!r}")
-    if hw is None:
-        raise ConfigError("row_stationary_like needs a hardware config")
-
-    stride = options.effective_stride(nest.layer)
-    p_noc = nest.group_start(MemLevel.NOC)
-    budgets = rf_budgets(hw)
-    bf = hw.buffering_factor
-    volumes: dict[int, list[int]] = {}  # per-PE tiles below each location
-    gb_locs: dict[DataKind, int] = {}
-    rf_locs: dict[DataKind, int] = {}
-    for i, kind in enumerate(KINDS):
-        loc = p_gb
-        while (
-            loc < p_noc and nest.levels[loc].dim in RELEVANT_DIMS[kind]
-        ):
-            loc += 1
-        gb_locs[kind] = loc
-
-        budget = budgets[kind] // (hw.precision.bits(kind) * bf)
-        chosen = None
-        for p in range(gb_locs[kind], len(nest.levels) + 1):
-            if p not in volumes:
-                ext = _extents(nest.levels[p:], include_spatial=False)
-                volumes[p] = tile_volumes(ext, stride)
-            if checked_count(volumes[p][i]) <= budget:
-                chosen = p
-                break
-        if chosen is None:
-            raise MappingError(
-                [
-                    Violation(
-                        "refresh_style",
-                        f"refresh[{kind}][RF]",
-                        f"no location fits the {budgets[kind]}-bit register "
-                        "budget",
-                    )
-                ]
-            )
-        rf_locs[kind] = chosen
-    return RefreshLocations(gb=gb_locs, rf=rf_locs)
+    """Refresh locations for a named stationarity style (place_refresh)."""
+    gb, rf = place_refresh(
+        nest.loops, nest.starts, style, hw, options.effective_stride(nest.layer)
+    )
+    return RefreshLocations(gb=dict(zip(KINDS, gb)), rf=dict(zip(KINDS, rf)))
 
 
 REFRESH_STYLES = (

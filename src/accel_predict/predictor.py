@@ -18,6 +18,7 @@ from .loopnest import (
     refresh_plan,
 )
 from .model import (
+    DIMS,
     KINDS,
     LEVELS_OUTER_FIRST,
     DataKind,
@@ -298,6 +299,11 @@ def _model_notes(options: Options) -> dict:
     }
 
 
+def _shape(layer: LayerShape) -> tuple[int, ...]:
+    """What the counts depend on: the dims (DIMS order) and the stride."""
+    return (*(layer.dim(d) for d in DIMS), layer.stride)
+
+
 def predict_layer(
     layer: LayerShape,
     nest: LoopNest,
@@ -306,6 +312,12 @@ def predict_layer(
     options: Options = Options(),
     validate: bool = True,
 ) -> PredictionReport:
+    if layer is not nest.layer and _shape(layer) != _shape(nest.layer):
+        raise ConfigError(
+            f"layer {layer.name!r} does not match the mapping's layer "
+            f"{nest.layer.name!r}: (m, c, r, s, e, f, stride) "
+            f"{_shape(layer)} != {_shape(nest.layer)}"
+        )
     if validate:
         plan, violations = checked_plan(nest, hw, refresh, options)
         if violations:

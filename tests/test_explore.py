@@ -30,16 +30,17 @@ from accel_predict import (
     space_size,
 )
 from accel_predict.dsl import render
-from accel_predict.errors import Violation
-from accel_predict.loopnest import STATIONARY_KIND
+from accel_predict.errors import MappingError, Violation
+from accel_predict.loopnest import REFRESH_STYLES, STATIONARY_KIND
 from accel_predict.model import KINDS
 from accel_predict.explore import (
+    _candidate_loops,
     _candidate_nest,
     _divisor_tilings,
-    _factor_screen,
     _iter_candidates,
     _padded_tilings,
     _prepare,
+    _screen,
 )
 from tests.test_model import _hw
 
@@ -216,6 +217,17 @@ class TestSpaceValidation:
     def test_allowed_factors_must_be_counts(self, factors):
         with pytest.raises(ConfigError, match=r"allowed_factors\['m'\]"):
             SearchSpace(hw=_hw(), allowed_factors={"m": factors})
+
+    # an unknown key used to be ignored: {"M": (2,)} on an m=4 layer gave
+    # the 20,480 candidates of no restriction at all
+    @pytest.mark.parametrize("key", ["M", "x", "", 0])
+    def test_allowed_factors_keys_must_be_dims(self, key):
+        with pytest.raises(ConfigError) as exc:
+            SearchSpace(hw=_hw(), allowed_factors={"m": (2,), key: (2,)})
+        assert str(exc.value) == (
+            f"allowed_factors: unknown dim {key!r}; pick from "
+            "('m', 'c', 'r', 's', 'e', 'f')"
+        )
 
     # before the space checked its styles, random seeds 0, 2 and 5 drew
     # only the known style and returned an infeasible result
@@ -481,18 +493,28 @@ class TestResultShape:
         assert keys == sorted(keys)
 
 
-def _full_path_code(space, layer, prep, cand):
-    """The first violation code of the build -> refresh -> check path."""
-    nest, style = _candidate_nest(space, layer, prep, cand)
-    refresh = canonical_refresh(nest, style, space.hw, space.options)
-    violations = checked_plan(nest, space.hw, refresh, space.options)[1]
-    return violations[0].code if violations else None
+def _full_path(space, layer, prep, cand):
+    """(nest, refresh, plan, code) of the build -> refresh -> check path,
+    in the shape _screen returns."""
+    nest = _candidate_nest(space, layer, prep, cand)
+    # the flat loops the screen builds from the factors are the nest's
+    assert _candidate_loops(prep, cand) == (list(nest.loops), list(nest.starts))
+    try:
+        refresh = canonical_refresh(
+            nest, prep.styles[cand[-1]], space.hw, space.options
+        )
+    except MappingError as exc:
+        return None, None, None, exc.violations[0].code
+    plan, violations = checked_plan(nest, space.hw, refresh, space.options)
+    if violations:
+        return None, None, None, violations[0].code
+    return nest, refresh, plan, None
 
 
 def _random_space(rng):
     """A small seeded space: shared or per-kind capacities, buffering
     factor 1 or 2, stride 1 or 2, level subsets, padded covers, two
-    orderings."""
+    orderings, every refresh style."""
     def capacity(sizes):
         if rng.random() < 0.5:
             return {k: 16 * rng.choice(sizes) for k in KINDS}
@@ -518,56 +540,84 @@ def _random_space(rng):
              (GB, RF)]
         ),
         orderings=((), ("f", "e", "s", "r", "c", "m")),
+        refresh_styles=REFRESH_STYLES,
         allow_nondivisor=rng.random() < 0.4,
         options=Options(assume_stride_one=rng.random() < 0.3),
     )
     return space, layer
 
 
+def _screen_outcomes(seed, n_spaces, doomed_only):
+    """Every candidate of seeded random spaces: _screen's code, and for a
+    legal one its nest, refresh locations and plan, against the full
+    path. Counts (style, doomed code, code)."""
+    rng = random.Random(seed)
+    outcomes = Counter()
+    spaces = 0
+    while spaces < n_spaces:
+        space, layer = _random_space(rng)
+        if not 100 <= space_size(space, layer) <= 3000:
+            continue
+        spaces += 1
+        prep = _prepare(space, layer)
+        if doomed_only and not any(prep.doomed):
+            continue
+        for cand in _iter_candidates(prep):
+            got = _screen(space, layer, prep, cand)
+            assert got == _full_path(space, layer, prep, cand), (
+                layer, space, cand
+            )
+            style = prep.styles[cand[-1]]
+            outcomes[style, prep.doomed[cand[-1]], got[-1]] += 1
+    return outcomes
+
+
 class TestFactorScreen:
     def test_screen_code_equals_full_path_code(self):
-        rng = random.Random(20)
-        outcomes = Counter()
-        spaces = 0
-        while spaces < 20:
-            space, layer = _random_space(rng)
-            if not 100 <= space_size(space, layer) <= 3000:
-                continue
-            spaces += 1
-            prep = _prepare(space, layer)
-            for cand in _iter_candidates(prep):
-                code = _factor_screen(space, prep, cand)
-                assert code == _full_path_code(space, layer, prep, cand), (
-                    layer, space, cand
-                )
-                outcomes[code] += 1
-        assert set(outcomes) == {None, "pe_array", "capacity"}
+        outcomes = _screen_outcomes(20, 20, doomed_only=False)
+        assert {code for _, _, code in outcomes} == {
+            None, "pe_array", "capacity", "refresh_style"
+        }
+        for style in REFRESH_STYLES:
+            assert (style, None, None) in outcomes
+        assert ("row_stationary_like", "refresh_style", "refresh_style") in (
+            outcomes
+        )
 
-    def test_build_nest_runs_only_for_screened_candidates(self, monkeypatch):
-        def spy(name):
+    def test_hopeless_styles_screen_like_the_full_path(self):
+        outcomes = _screen_outcomes(21, 300, doomed_only=True)
+        assert {(doomed, code) for _, doomed, code in outcomes} == {
+            ("refresh_style", "refresh_style"),
+            ("capacity", "pe_array"), ("capacity", "capacity"),
+            (None, "pe_array"), (None, "capacity"), (None, None),
+        }
+        assert {style for style, doomed, _ in outcomes if doomed} == set(
+            REFRESH_STYLES
+        )
+
+    def test_nest_built_only_for_legal_candidates(self, monkeypatch):
+        def spy(name, record):
             log, fn = [], getattr(explore_module, name)
 
             def wrapper(*args, **kwargs):
-                log.append(fn(*args, **kwargs))
-                return log[-1]
+                out = fn(*args, **kwargs)
+                log.append(record(args, out))
+                return out
             monkeypatch.setattr(explore_module, name, wrapper)
             return log
 
-        screened, built = spy("_factor_screen"), spy("build_nest")
-        space = SearchSpace(hardware_preset("eyeriss_normalized"))
+        # (style index, code) per screened candidate
+        screened = spy("_screen", lambda args, out: (args[-1][-1], out[-1]))
+        built = spy("build_nest", lambda args, out: out)
+        space = SearchSpace(hardware_preset("eyeriss_normalized"),
+                            refresh_styles=REFRESH_STYLES)
         result = explore(space, layer_preset("alexnet_conv5"),
                          strategy="random", n_samples=300, seed=1, top_k=3)
+        legal = Counter(REFRESH_STYLES[si] for si, code in screened
+                        if code is None)
         assert len(screened) == 300
-        assert len(built) == screened.count(None) == result.stats["legal"] == 3
-
-    def test_row_stationary_like_takes_the_full_path(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("row_stationary_like was screened")
-        monkeypatch.setattr(explore_module, "_factor_screen", refuse)
-        space = two_level_space(
-            roomy_hw(), refresh_styles=("row_stationary_like",)
-        )
-        assert explore(space, SMALL).feasible
+        assert len(built) == result.stats["legal"] == sum(legal.values())
+        assert legal["row_stationary_like"] > 0
 
     # beam completions leave a dim whole at the outermost level, a tiling
     # outside the screen's table when allowed_factors excludes the dim's
@@ -585,7 +635,7 @@ class TestFactorScreen:
           "da3c288e28bef680e1bff90599c3c2c3231c4f1c3f2773817e0c91c75bf5c744")),
     ])
     def test_beam_with_allowed_factors(
-        self, monkeypatch, capacity_gb, capacity_rf, allowed, padded, pin
+        self, capacity_gb, capacity_rf, allowed, padded, pin
     ):
         layer = LayerShape(m=4, c=4, r=3, s=3, e=6, f=6)
         space = SearchSpace(
@@ -604,12 +654,7 @@ class TestFactorScreen:
                 hashlib.sha256(text.encode()).hexdigest(),
             )
 
-        screened, got = run()
-        assert got == pin
-        # every candidate through the full path gives the same result
-        monkeypatch.setattr(explore_module, "_factor_screen",
-                            lambda *args: None)
-        assert run()[0] == screened
+        assert run()[1] == pin
 
     def test_discards_build_no_violation(self, monkeypatch):
         built = []
@@ -634,7 +679,7 @@ class TestFactorScreen:
         outcomes = []
         for cand in itertools.islice(_iter_candidates(prep), 20_001):
             try:
-                outcomes.append(str(_factor_screen(space, prep, cand)))
+                outcomes.append(str(_screen(space, layer, prep, cand)[-1]))
             except CountOverflowError:
                 outcomes.append("overflow")
         assert Counter(outcomes) == {
@@ -647,29 +692,6 @@ class TestFactorScreen:
                        {"strategy": "beam", "beam_width": 4}):
             with pytest.raises(CountOverflowError):
                 explore(space, layer, **kwargs)
-
-    def test_hopeless_styles_screen_like_the_full_path(self):
-        rng = random.Random(21)
-        outcomes = Counter()
-        spaces = 0
-        while spaces < 300:
-            space, layer = _random_space(rng)
-            if not 100 <= space_size(space, layer) <= 3000:
-                continue
-            spaces += 1
-            prep = _prepare(space, layer)
-            if not any(prep.hopeless):
-                continue
-            for cand in _iter_candidates(prep):
-                code = _factor_screen(space, prep, cand)
-                assert code == _full_path_code(space, layer, prep, cand), (
-                    layer, space, cand
-                )
-                outcomes[prep.hopeless[cand[-1]], code] += 1
-        assert set(outcomes) == {
-            (True, "pe_array"), (True, "capacity"),
-            (False, "pe_array"), (False, "capacity"), (False, None),
-        }
 
     # the kept kind's whole tensor: weights m*c*r*s = 24, outputs m*e*f = 18
     @pytest.mark.parametrize("shared", [True, False],
@@ -692,21 +714,21 @@ class TestFactorScreen:
                 _hw(capacity_gb=capacity, buffering_factor=bf),
                 refresh_styles=(style,),
             )
-            return _prepare(space, layer).hopeless
+            return _prepare(space, layer).doomed
 
         need = elements * 16 * bf
-        assert hopeless(need) == [False]
-        assert hopeless(need - 1) == [True]
+        assert hopeless(need) == [None]
+        assert hopeless(need - 1) == ["capacity"]
 
     def test_no_verdict_where_a_tile_can_overflow(self):
         # whole weights 2^64 overflow; a hopeless verdict there would hide
         # the CountOverflowError some candidates raise
         huge = LayerShape(m=2**16, c=2**16, r=2**16, s=2**16, e=1, f=1)
         space = SearchSpace(hardware_preset("eyeriss_normalized"))
-        assert _prepare(space, huge).hopeless == [False, False]
+        assert _prepare(space, huge).doomed == [None, None]
         # 2^48 (2^15 - 1) weights stay under 2^63
         fits = dataclasses.replace(huge, s=2**15 - 1)
-        assert _prepare(space, fits).hopeless == [True, True]
+        assert _prepare(space, fits).doomed == ["capacity", "capacity"]
         # but not when s is padded to 2 x 2^14
         padded = dataclasses.replace(
             space, allow_nondivisor=True,
@@ -714,16 +736,16 @@ class TestFactorScreen:
                              "s": (2, 2**14)},
         )
         prep = _prepare(padded, fits)
-        assert prep.hopeless == [False, False]
+        assert prep.doomed == [None, None]
         with pytest.raises(CountOverflowError):
-            _factor_screen(padded, prep, next(_iter_candidates(prep)))
+            _screen(padded, fits, prep, next(_iter_candidates(prep)))
 
     def test_hopeless_styles_compute_no_tiles(self, monkeypatch):
         # conv3: neither kept tensor fits the 884,736-bit GB; stats captured
         # before the verdict existed
         def refuse(*args):
-            raise AssertionError("positional_tiles called")
-        monkeypatch.setattr(explore_module, "positional_tiles", refuse)
+            raise AssertionError("resident_tiles called")
+        monkeypatch.setattr(explore_module, "resident_tiles", refuse)
         space = SearchSpace(hardware_preset("eyeriss_normalized"))
         result = explore(space, layer_preset("alexnet_conv3"),
                          objective="edp", strategy="random", n_samples=300)
@@ -826,3 +848,18 @@ class TestSearchOutputMatchesOracle:
                     assert diff.ok, (small.name, strategy, entry.dsl)
                     n_entries += 1
         assert n_entries == 50
+
+    def test_full_size_top_entries_pass_the_oracle(self):
+        hw = hardware_preset("eyeriss_normalized")
+        space = SearchSpace(hw, refresh_styles=REFRESH_STYLES)
+        n_entries = 0
+        for layer in network_preset("alexnet_conv"):
+            result = explore(space, layer, objective="edp", strategy="random",
+                             n_samples=2000, seed=0, top_k=5)
+            for entry in result.entries:
+                # at the default cap; MappingError if the entry is illegal
+                assert check(entry.nest, entry.refresh, hw).ok, (
+                    layer.name, entry.dsl
+                )
+                n_entries += 1
+        assert n_entries == 25

@@ -1,6 +1,8 @@
 """Nest construction, legality checks, and refresh-count derivation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accel_predict import (
     ConfigError,
@@ -19,12 +21,8 @@ from accel_predict import (
     validate_nest,
     validate_structure,
 )
-from accel_predict.loopnest import (
-    STATIONARY_KIND,
-    positional_extents,
-    positional_tiles,
-)
-from accel_predict.model import DIMS, KINDS
+from accel_predict.loopnest import place_refresh
+from accel_predict.model import DIMS, KINDS, LEVELS_OUTER_FIRST, Precision
 from tests.test_model import _hw
 
 I, O, W = DataKind.INPUT, DataKind.OUTPUT, DataKind.WEIGHT
@@ -306,6 +304,18 @@ class TestRefreshPlan:
                     assert traffic <= prev
                 prev = traffic
 
+    def test_unchecked_locations_cut_the_loops_as_a_slice_would(self):
+        layer = LayerShape(m=4, c=2, r=1, s=1, e=2, f=1)
+        nest = build_nest(layer, {GB: {"m": 2}, RF: {"m": 2, "c": 2, "e": 2}})
+        n = len(nest.levels)
+
+        def plan(rf):
+            return refresh_plan(nest, RefreshLocations(
+                gb={k: 0 for k in DataKind}, rf={k: rf for k in DataKind}
+            ))
+        for outside, inside in ((n + 1, n), (-1, n - 1), (-10, 0)):
+            assert plan(outside) == plan(inside)
+
     def test_rf_traffic_dominates_gb_traffic_without_multicast(self):
         layer = LayerShape(m=4, c=3, r=2, s=2, e=2, f=2)
         nest = build_nest(
@@ -417,29 +427,6 @@ class TestCanonicalRefresh:
         assert refresh.loc(O, RF) == nest.group_start(GB)
         assert refresh.loc(W, GB) == nest.group_start(GB)
 
-    @pytest.mark.parametrize("style", sorted(STATIONARY_KIND))
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_positional_tiles_from_factors_match_the_plan(self, style, stride):
-        layer = LayerShape(m=4, c=2, r=3, s=1, e=4, f=2, stride=stride)
-        tiling = {
-            DRAM: {"m": 2, "e": 2},
-            GB: {"c": 2, "r": 3},
-            NOC: {"e": 2, "m": 2},
-            RF: {"f": 2},
-        }
-        ext = [
-            positional_extents({mem: t.get(d, 1) for mem, t in tiling.items()})
-            for d in DIMS
-        ]
-        tiles = positional_tiles(STATIONARY_KIND[style], ext, stride)
-        nest = build_nest(layer, tiling)
-        plan = refresh_plan(nest, canonical_refresh(nest, style))
-        assert tiles == tuple(
-            [plan.v_ref[(k, mem)] for k in KINDS] for mem in (GB, RF)
-        )
-        assert len(plan.v_ref) == 6
-        assert plan.n_pe_active == 4 == ext[0][0] * ext[4][0]
-
     def test_row_stationary_like_needs_hardware(self):
         with pytest.raises(ConfigError):
             canonical_refresh(self._nest(), "row_stationary_like")
@@ -468,6 +455,49 @@ class TestCanonicalRefresh:
         hw = _hw(capacity_rf=8, capacity_gb=10**9)  # under one element
         with pytest.raises(MappingError):
             canonical_refresh(nest, "row_stationary_like", hw)
+
+    # The explorer decides once per search that a row_stationary_like
+    # candidate cannot place its refresh points, from the empty loop list:
+    # sound only if every nest fails exactly when that one does.
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_row_stationary_like_fails_exactly_when_no_loops_do(self, data):
+        factor = st.integers(1, 3)
+        tiling = {mem: {d: data.draw(factor) for d in DIMS}
+                  for mem in LEVELS_OUTER_FIRST}
+        layer = LayerShape(
+            **{d: tiling[DRAM][d] * tiling[GB][d] * tiling[NOC][d]
+               * tiling[RF][d] for d in DIMS},
+            stride=data.draw(st.integers(1, 3)),
+        )
+        ordering = {mem: data.draw(st.permutations(DIMS))
+                    for mem in LEVELS_OUTER_FIRST}
+        nest = build_nest(layer, tiling, ordering)
+        bits = st.integers(1, 16)
+        capacity_rf = data.draw(st.one_of(
+            st.integers(1, 300),
+            st.fixed_dictionaries({k: st.integers(1, 100) for k in KINDS}),
+        ))
+        hw = _hw(
+            capacity_rf=capacity_rf,
+            buffering_factor=data.draw(st.sampled_from((1, 2))),
+            precision=Precision(data.draw(bits), data.draw(bits),
+                                data.draw(bits)),
+        )
+        stride = layer.stride
+
+        def raises(place) -> bool:
+            try:
+                place()
+            except MappingError:
+                return True
+            return False
+        assert raises(
+            lambda: canonical_refresh(nest, "row_stationary_like", hw)
+        ) == raises(
+            lambda: place_refresh((), (0, 0, 0), "row_stationary_like", hw,
+                                  stride)
+        )
 
     def test_unknown_style_rejected(self):
         with pytest.raises(ConfigError):

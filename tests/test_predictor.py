@@ -1,5 +1,6 @@
 """Energy, latency, and throughput closed forms."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -21,6 +22,9 @@ from accel_predict import (
     access_counts,
     build_nest,
     energy,
+    hardware_preset,
+    layer_preset,
+    mapping_preset,
     latency,
     mac_count,
     predict_layer,
@@ -274,6 +278,25 @@ class TestPredictLayer:
             predict_layer(layer, nest, refresh, hw)
         rep = predict_layer(layer, nest, refresh, hw, validate=False)
         assert rep.n_pe_active == 17
+
+    # conv5's counts with conv1's MAC count gave n_mac 105,415,200 beside
+    # n_mac_padded 74,760,192
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_layer_must_match_the_mapping(self, validate):
+        hw = hardware_preset("eyeriss_normalized")
+        conv1, conv5 = layer_preset("alexnet_conv1"), layer_preset("alexnet_conv5")
+        nest, refresh = mapping_preset("row_stationary", conv5, hw)
+        with pytest.raises(ConfigError) as exc:
+            predict_layer(conv1, nest, refresh, hw, validate=validate)
+        assert str(exc.value) == (
+            "layer 'CONV1' does not match the mapping's layer 'CONV5': "
+            "(m, c, r, s, e, f, stride) (96, 3, 11, 11, 55, 55, 4) != "
+            "(256, 192, 3, 3, 13, 13, 1)"
+        )
+        # the same shape under another name is the same layer
+        renamed = dataclasses.replace(conv5, name="renamed")
+        rep = predict_layer(renamed, nest, refresh, hw, validate=validate)
+        assert rep.n_mac == mac_count(conv5) <= rep.n_mac_padded
 
     def test_validated_prediction_plans_once_and_counts_once(
         self, monkeypatch
