@@ -16,14 +16,19 @@ loopnest's planner places its refresh points, sizes its resident tiles
 for the capacity rule and, for a legal candidate alone, builds the plan
 that scores it. Generated nests, beam completions included, are legal
 in structure, so this discards exactly what the full check would, under
-the same code, and builds a LoopNest only for a legal mapping. A
-discard counts under the code of the first violation it hit.
+the same code. A discard counts under the code of the first violation
+it hit.
+
+Results rank on (value, mapping text, index), but a candidate's LoopNest
+and text are built only when it is kept, or when its value ties another
+legal one's within the kept places; elsewhere the text cannot change
+the order.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
-import heapq
 import itertools
 import math
 import random
@@ -343,32 +348,31 @@ def _candidate_loops(prep: _Prepared, cand: Candidate):
 
 def _screen(
     space: SearchSpace, layer: LayerShape, prep: _Prepared, cand: Candidate
-) -> tuple[LoopNest | None, RefreshLocations | None, RefreshPlan | None, str | None]:
+) -> tuple[RefreshLocations | None, RefreshPlan | None, str | None]:
     """Check one candidate against the hardware, in the full check's
-    order of codes: refresh_style, pe_array, capacity.
+    order of codes: refresh_style, pe_array, capacity. Builds no nest.
 
-    Returns (nest, refresh, plan, None) for a legal mapping; otherwise
-    (None, None, None, code of the first violation found).
+    Returns (refresh, plan, None) for a legal mapping; otherwise
+    (None, None, code of the first violation found).
     """
     doomed = prep.doomed[cand[-1]]
     if doomed != "refresh_style" and prep.noc is not None and not pe_fits(
         space.hw, math.prod([cand[i][prep.noc] for i in range(len(DIMS))])
     ):
-        return None, None, None, "pe_array"
+        return None, None, "pe_array"
     if doomed:
-        return None, None, None, doomed
+        return None, None, doomed
     loops, starts = _candidate_loops(prep, cand)
     style = prep.styles[cand[-1]]
     try:
         gb, rf = place_refresh(loops, starts, style, space.hw, prep.stride)
     except MappingError as exc:
-        return None, None, None, exc.violations[0].code
+        return None, None, exc.violations[0].code
     tiles = resident_tiles(loops, gb, rf, prep.stride)
     if not buffers_fit(space.hw, *tiles):
-        return None, None, None, "capacity"
+        return None, None, "capacity"
     refresh = RefreshLocations(gb=dict(zip(KINDS, gb)), rf=dict(zip(KINDS, rf)))
-    nest = _candidate_nest(space, layer, prep, cand)
-    return nest, refresh, build_plan(loops, gb, rf, tiles), None
+    return refresh, build_plan(loops, gb, rf, tiles), None
 
 
 def _evaluate(
@@ -378,18 +382,52 @@ def _evaluate(
     objective: str,
     cand: Candidate,
 ):
-    """Score one candidate.
+    """Score one candidate from its plan.
 
-    Returns ("ok", value, dsl, nest, refresh) or ("discard", code).
+    Returns ("ok", value, cand, refresh) or ("discard", code).
     """
-    nest, refresh, plan, code = _screen(space, layer, prep, cand)
+    refresh, plan, code = _screen(space, layer, prep, cand)
     if code is not None:
         return ("discard", code)
     counts = access_counts(plan, space.options)
     e = energy(plan, counts, space.hw).total
     lat = latency(plan, counts, space.hw, space.options).l_total_s
     value = {"energy": e, "latency": lat, "edp": e * lat}[objective]
-    return ("ok", value, render(nest, refresh), nest, refresh)
+    return ("ok", value, cand, refresh)
+
+
+def _builder(space: SearchSpace, layer: LayerShape, prep: _Prepared):
+    """A per-search memo from an "ok" result to its mapping text and
+    nest, built the first time they are asked for."""
+    memo: dict[Candidate, tuple[str, LoopNest]] = {}
+
+    def built(res) -> tuple[str, LoopNest]:
+        cand = res[2]
+        if cand not in memo:
+            nest = _candidate_nest(space, layer, prep, cand)
+            memo[cand] = render(nest, res[3]), nest
+        return memo[cand]
+    return built
+
+
+def _order(scored, n: int, built) -> list[int]:
+    """The indices of the n best results in `scored`, best first: by
+    value, then mapping text, then index, a discard counting as value
+    inf and text "". Text is built only for the legal members of a value
+    tie that reaches the first n places."""
+    # the flag puts a discard before a legal inf, as "" sorts before text
+    keys = [(r[1], 1) if r[0] == "ok" else (math.inf, 0) for r in scored]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    start, n = 0, min(n, len(order))
+    while start < n:
+        key = keys[order[start]]
+        end = bisect.bisect_right(order, key, start, key=keys.__getitem__)
+        if key[1] and end - start > 1:
+            order[start:end] = sorted(
+                order[start:end], key=lambda i: built(scored[i])[0]
+            )
+        start = end
+    return order[:n]
 
 
 def enumerate_mappings(
@@ -404,9 +442,9 @@ def enumerate_mappings(
     """
     prep = _prepare(space, layer)
     for cand in _iter_candidates(prep):
-        nest, refresh, _, code = _screen(space, layer, prep, cand)
+        refresh, _, code = _screen(space, layer, prep, cand)
         if code is None:
-            yield nest, refresh
+            yield _candidate_nest(space, layer, prep, cand), refresh
         elif discards is not None:
             discards[code] += 1
 
@@ -459,19 +497,13 @@ class SearchResult:
         return out
 
 
-def _rank(scored, top_k: int, discards: Counter):
-    """Keep the top_k best (value, dsl) pairs; count the rest."""
-    kept = []
-    legal = 0
-    for res in scored:
-        if res[0] == "discard":
-            discards[res[1]] += 1
-            continue
-        legal += 1
-        _, value, dsl, nest, refresh = res
-        kept.append((value, dsl, nest, refresh))
-    kept = heapq.nsmallest(top_k, kept, key=lambda t: (t[0], t[1]))
-    return kept, legal
+def _rank(scored, top_k: int, discards: Counter, built):
+    """Keep the top_k best legal results as (value, dsl, nest, refresh);
+    count the discards."""
+    discards.update(r[1] for r in scored if r[0] == "discard")
+    legal = [r for r in scored if r[0] == "ok"]
+    kept = [legal[i] for i in _order(legal, top_k, built)]
+    return [(r[1], *built(r), r[3]) for r in kept], len(legal)
 
 
 def explore(
@@ -536,7 +568,7 @@ def explore(
         )
 
     scored = [_evaluate(space, layer, prep, objective, c) for c in candidates]
-    kept, legal = _rank(scored, top_k, discards)
+    kept, legal = _rank(scored, top_k, discards, _builder(space, layer, prep))
     stats.update(
         evaluated=len(candidates), legal=legal, discarded=dict(discards)
     )
@@ -573,6 +605,7 @@ def _beam(
     ones = (1,) * (len(space.levels) - 1)
     whole = {d: (layer.dim(d),) + ones for d in DIMS}
     evaluated = 0
+    built = _builder(space, layer, prep)
 
     @functools.cache  # rounds and finalists revisit candidates
     def evaluate(cand: Candidate):
@@ -581,24 +614,15 @@ def _beam(
     def completion(partial: dict[str, tuple[int, ...]]) -> Candidate:
         return tuple([partial.get(d) or whole[d] for d in DIMS]) + (0, 0)
 
-    def heuristic(partial) -> tuple[float, str]:
-        nonlocal evaluated
-        evaluated += 1
-        if prep.doomed[0]:
-            return (float("inf"), "")
-        res = evaluate(completion(partial))
-        if res[0] == "discard":
-            return (float("inf"), "")
-        return (res[1], res[2])
-
     pool: list[dict[str, tuple[int, ...]]] = [{}]
     for d in DIMS:
         expanded = [dict(p, **{d: t}) for p in pool for t in prep.tilings[d]]
-        scored = sorted(
-            ((heuristic(p), i) for i, p in enumerate(expanded)),
-            key=lambda t: (t[0][0], t[0][1], t[1]),
-        )
-        pool = [expanded[i] for (_, i) in scored[:beam_width]]
+        evaluated += len(expanded)
+        if prep.doomed[0]:  # completions are style 0, all discarded alike
+            pool = expanded[:beam_width]
+            continue
+        scored = [evaluate(completion(p)) for p in expanded]
+        pool = [expanded[i] for i in _order(scored, beam_width, built)]
 
     # tilings fixed; widen over orderings, then styles
     staged: list[Candidate] = [completion(p) for p in pool]
@@ -608,21 +632,16 @@ def _beam(
     if len(prep.orderings) > 1:
         scored = [evaluate(c) for c in with_orderings]
         evaluated += len(with_orderings)
-        ranked = sorted(
-            (
-                ((r[1], r[2]) if r[0] == "ok" else (float("inf"), ""), i)
-                for i, r in enumerate(scored)
-            ),
-            key=lambda t: (t[0][0], t[0][1], t[1]),
-        )
-        with_orderings = [with_orderings[i] for (_, i) in ranked[:beam_width]]
+        with_orderings = [
+            with_orderings[i] for i in _order(scored, beam_width, built)
+        ]
 
     finalists = [
         c[:-1] + (si,) for c in with_orderings for si in range(len(prep.styles))
     ]
     scored = [evaluate(c) for c in finalists]
     evaluated += len(finalists)
-    kept, legal = _rank(scored, top_k, discards)
+    kept, legal = _rank(scored, top_k, discards, built)
     stats.update(
         evaluated=evaluated,
         legal=legal,

@@ -21,7 +21,13 @@ from operator import itemgetter
 
 from . import predictor
 from .errors import InstanceTooLargeError, MappingError
-from .loopnest import LoopNest, RefreshLocations, checked_plan, refresh_plan
+from .loopnest import (
+    LoopNest,
+    RefreshLocations,
+    checked_plan,
+    refresh_plan,
+    validate_structure,
+)
 from .model import (
     KINDS,
     LEVELS_OUTER_FIRST,
@@ -281,13 +287,15 @@ def check(
     options: Options = Options(),
     cap: int = DEFAULT_CAP,
 ) -> DiffReport:
-    """Analytic counts vs. a brute-force run of the same nest."""
+    """Analytic counts vs. a brute-force run of the same nest, which must
+    be legal in structure and, when hw is given, fit it."""
     if hw is None:
-        plan = refresh_plan(nest, refresh, options)
+        violations = validate_structure(nest, refresh)
+        plan = None if violations else refresh_plan(nest, refresh, options)
     else:
         plan, violations = checked_plan(nest, hw, refresh, options)
-        if violations:
-            raise MappingError(violations)
+    if violations:
+        raise MappingError(violations)
     analytic = predictor.access_counts(plan, options)
     counters = simulate(nest, refresh, options=options, cap=cap)
     return diff_counts(plan, analytic, counters)

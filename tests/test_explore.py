@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -494,8 +495,8 @@ class TestResultShape:
 
 
 def _full_path(space, layer, prep, cand):
-    """(nest, refresh, plan, code) of the build -> refresh -> check path,
-    in the shape _screen returns."""
+    """(refresh, plan, code) of the build -> refresh -> check path, in the
+    shape _screen returns."""
     nest = _candidate_nest(space, layer, prep, cand)
     # the flat loops the screen builds from the factors are the nest's
     assert _candidate_loops(prep, cand) == (list(nest.loops), list(nest.starts))
@@ -504,11 +505,24 @@ def _full_path(space, layer, prep, cand):
             nest, prep.styles[cand[-1]], space.hw, space.options
         )
     except MappingError as exc:
-        return None, None, None, exc.violations[0].code
+        return None, None, exc.violations[0].code
     plan, violations = checked_plan(nest, space.hw, refresh, space.options)
     if violations:
-        return None, None, None, violations[0].code
-    return nest, refresh, plan, None
+        return None, None, violations[0].code
+    return refresh, plan, None
+
+
+def _spy(monkeypatch, name, record):
+    """Wrap the explore module's `name`; returns the list that gets
+    record(args, result) of each call."""
+    log, fn = [], getattr(explore_module, name)
+
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        log.append(record(args, out))
+        return out
+    monkeypatch.setattr(explore_module, name, wrapper)
+    return log
 
 
 def _random_space(rng):
@@ -549,8 +563,9 @@ def _random_space(rng):
 
 def _screen_outcomes(seed, n_spaces, doomed_only):
     """Every candidate of seeded random spaces: _screen's code, and for a
-    legal one its nest, refresh locations and plan, against the full
-    path. Counts (style, doomed code, code)."""
+    legal one its refresh locations and plan, against the full path,
+    which also checks the flat loops against the nest's. Counts (style,
+    doomed code, code)."""
     rng = random.Random(seed)
     outcomes = Counter()
     spaces = 0
@@ -594,30 +609,6 @@ class TestFactorScreen:
         assert {style for style, doomed, _ in outcomes if doomed} == set(
             REFRESH_STYLES
         )
-
-    def test_nest_built_only_for_legal_candidates(self, monkeypatch):
-        def spy(name, record):
-            log, fn = [], getattr(explore_module, name)
-
-            def wrapper(*args, **kwargs):
-                out = fn(*args, **kwargs)
-                log.append(record(args, out))
-                return out
-            monkeypatch.setattr(explore_module, name, wrapper)
-            return log
-
-        # (style index, code) per screened candidate
-        screened = spy("_screen", lambda args, out: (args[-1][-1], out[-1]))
-        built = spy("build_nest", lambda args, out: out)
-        space = SearchSpace(hardware_preset("eyeriss_normalized"),
-                            refresh_styles=REFRESH_STYLES)
-        result = explore(space, layer_preset("alexnet_conv5"),
-                         strategy="random", n_samples=300, seed=1, top_k=3)
-        legal = Counter(REFRESH_STYLES[si] for si, code in screened
-                        if code is None)
-        assert len(screened) == 300
-        assert len(built) == result.stats["legal"] == sum(legal.values())
-        assert legal["row_stationary_like"] > 0
 
     # beam completions leave a dim whole at the outermost level, a tiling
     # outside the screen's table when allowed_factors excludes the dim's
@@ -777,6 +768,120 @@ class TestFactorScreen:
         with pytest.raises(ConfigError) as exc:
             explore(space, SMALL, strategy="random", n_samples=50)
         assert "ordering for DRAM must be a permutation" in str(exc.value)
+
+
+class TestRanking:
+    # calls per op on the eyeriss preset, default space, edp, seed 0,
+    # top_k 10: every legal candidate is scored, but only the 10 entries
+    # and the members of value ties reaching them build a nest and text
+    @pytest.mark.parametrize("layer, strategy, built, legal", [
+        ("alexnet_conv1", "beam", 12, 349),
+        ("alexnet_conv1", "random", 10, 35),
+        ("alexnet_conv5", "random", 10, 22),
+    ])
+    def test_nest_and_text_built_only_for_ranked_candidates(
+        self, monkeypatch, layer, strategy, built, legal
+    ):
+        screened = _spy(monkeypatch, "_screen", lambda args, out: out[-1])
+        nests = _spy(monkeypatch, "build_nest", lambda args, out: out)
+        texts = _spy(monkeypatch, "render", lambda args, out: out)
+        explore(SearchSpace(hardware_preset("eyeriss_normalized")),
+                layer_preset(layer), objective="edp", strategy=strategy,
+                n_samples=2000, beam_width=16, seed=0, top_k=10)
+        assert (len(nests), len(texts)) == (built, built)
+        assert screened.count(None) == legal > built
+
+    def test_row_stationary_like_builds_no_nest_unless_it_ranks(
+        self, monkeypatch
+    ):
+        # each scoring's result; the candidate of each nest built
+        scored = _spy(monkeypatch, "_evaluate", lambda args, out: out)
+        built = _spy(monkeypatch, "_candidate_nest",
+                     lambda args, out: args[-1])
+        space = SearchSpace(hardware_preset("eyeriss_normalized"),
+                            refresh_styles=REFRESH_STYLES)
+        result = explore(space, layer_preset("alexnet_conv5"),
+                         strategy="random", n_samples=300, seed=1, top_k=3)
+        legal = [(r[2], r[1]) for r in scored if r[0] == "ok"]
+        assert len(scored) == 300 and len(legal) == result.stats["legal"]
+        # exactly the candidates that rank or tie the last entry
+        cut = result.entries[-1].objective_value
+        assert len(built) == len(set(built))
+        assert set(built) == {c for c, v in legal if v <= cut}
+        rsl = REFRESH_STYLES.index("row_stationary_like")
+        assert sum(c[-1] == rsl for c, _ in legal) == 62
+        assert sum(c[-1] == rsl for c in built) == 3
+
+    def test_order_equals_sorting_on_value_text_index(self):
+        # few values and texts, so ties are common; a legal value may be
+        # inf, which sorts after the discards' inf and ""
+        rng = random.Random(5)
+        for _ in range(300):
+            scored = [
+                ("discard", "capacity") if rng.random() < 0.3 else
+                ("ok", rng.choice((1.0, 2.0, 2.0, 3.0, math.inf)), i, None)
+                for i in range(rng.randrange(1, 30))
+            ]
+            texts = {r[2]: rng.choice("abc") for r in scored if r[0] == "ok"}
+            asked = []
+
+            def built(res):
+                asked.append(res[2])
+                return texts[res[2]], None
+
+            keys = [(r[1], texts[r[2]]) if r[0] == "ok" else (math.inf, "")
+                    for r in scored]
+            want = sorted(range(len(keys)), key=lambda i: (keys[i], i))
+            n = rng.randrange(1, len(scored) + 2)
+            assert explore_module._order(scored, n, built) == want[:n]
+            # text only for the legal members of a tie reaching the first n
+            legal = Counter(r[1] for r in scored if r[0] == "ok")
+            reached = {scored[i][1] for i in want[:n] if scored[i][0] == "ok"}
+            assert set(asked) == {
+                r[2] for r in scored
+                if r[0] == "ok" and r[1] in reached and legal[r[1]] > 1
+            }
+
+    def test_ranking_equals_the_eager_reference(self, monkeypatch):
+        # the reference builds every legal result's text and sorts on
+        # (value, text, index); ties seen at the top-k cut and in beam
+        # rounds, where texts differ
+        top_k, ties = 5, Counter()  # beam_width 3: n tells the caller
+
+        def eager(scored, n, built):
+            keys = [(r[1], built(r)[0]) if r[0] == "ok" else (math.inf, "")
+                    for r in scored]
+            order = sorted(range(len(keys)), key=lambda i: (keys[i], i))
+            ranked = [keys[i] for i in order]
+            where = "top_k" if n == top_k else "beam round"
+            if n < len(ranked) and ranked[n - 1][0] == ranked[n][0] < math.inf:
+                ties[where, "cut"] += 1
+            if any(a[0] == b[0] < math.inf and a[1] != b[1]
+                   for a, b in zip(ranked[:n], ranked[1:n])):
+                ties[where, "within"] += 1
+            return order[:n]
+
+        rng = random.Random(1)
+        runs = 0
+        while runs < 6:
+            space, layer = _random_space(rng)
+            if not 100 <= space_size(space, layer) <= 3000:
+                continue
+            runs += 1
+            for objective in ("energy", "latency", "edp"):
+                for strategy in ("exhaustive", "random", "beam"):
+                    kwargs = dict(objective=objective, strategy=strategy,
+                                  top_k=top_k, beam_width=3, n_samples=200,
+                                  seed=runs)
+                    got = canonical_json(explore(space, layer,
+                                                 **kwargs).to_dict())
+                    with monkeypatch.context() as m:
+                        m.setattr(explore_module, "_order", eager)
+                        want = canonical_json(explore(space, layer,
+                                                      **kwargs).to_dict())
+                    assert got == want, (layer, space, kwargs)
+        assert {("top_k", "cut"), ("top_k", "within"), ("beam round", "cut"),
+                ("beam round", "within")} <= set(ties), ties
 
 
 # explore(..., objective="edp", n_samples=2000, beam_width=16, seed=0) on

@@ -19,6 +19,7 @@ from accel_predict import (
     Options,
     RefreshLocations,
     access_counts,
+    build_nest,
     check,
     diff_counts,
     hardware_preset,
@@ -208,6 +209,23 @@ class TestDiff:
         hw = _hw(pe_rows=4, pe_cols=4)
         with pytest.raises(MappingError):
             check(nest, RefreshLocations.outermost(nest), hw)
+
+    # a Python slice would cut the loops at 5 or -10 as at 4 or 0
+    @pytest.mark.parametrize("location", [5, -10, -1])
+    def test_check_without_hardware_rejects_a_location_outside_the_nest(
+        self, location
+    ):
+        layer = LayerShape(m=4, c=2, r=1, s=1, e=2, f=1)
+        nest = build_nest(layer, {GB: {"m": 2}, RF: {"m": 2, "c": 2, "e": 2}})
+        refresh = RefreshLocations(
+            gb={I: 0, O: 0, W: 0},
+            rf={I: location, O: location, W: location},
+        )
+        with pytest.raises(MappingError) as exc:
+            check(nest, refresh)
+        first = exc.value.violations[0]
+        assert (first.code, first.field) == ("structure", "refresh[I][RF]")
+        assert first.message == f"location {location} outside [0, 4]"
 
 
 # ------------------------- randomized equivalence (small, fast cases)
