@@ -228,8 +228,11 @@ class _Prepared:
     doomed: list[str | None]
 
     def __post_init__(self):
-        # the mixed radix of a candidate index, most significant first
+        # the mixed radix of a candidate index, most significant first; per
+        # dim, its tilings and its digit's place value below ordering and style
         self.radices = [len(self.tilings[d]) for d in DIMS]
+        self.places = tuple((self.tilings[d], math.prod(self.radices[i + 1:]))
+                            for i, d in enumerate(DIMS))
         self.radices += [len(self.orderings), len(self.styles)]
 
     @property
@@ -315,13 +318,9 @@ def _iter_candidates(prep: _Prepared):
 
 
 def _unrank(prep: _Prepared, index: int) -> Candidate:
-    digits = []
-    for radix in reversed(prep.radices):
-        digits.append(index % radix)
-        index //= radix
-    digits.reverse()
-    parts = [prep.tilings[d][digits[i]] for i, d in enumerate(DIMS)]
-    return tuple(parts) + (digits[-2], digits[-1])
+    index, style = divmod(index, len(prep.styles))
+    index, ordering = divmod(index, len(prep.orderings))
+    return (*[t[index // p % len(t)] for t, p in prep.places], ordering, style)
 
 
 def _candidate_nest(
@@ -347,7 +346,7 @@ def _candidate_loops(prep: _Prepared, cand: Candidate):
 
 
 def _screen(
-    space: SearchSpace, layer: LayerShape, prep: _Prepared, cand: Candidate
+    space: SearchSpace, prep: _Prepared, cand: Candidate
 ) -> tuple[RefreshLocations | None, RefreshPlan | None, str | None]:
     """Check one candidate against the hardware, in the full check's
     order of codes: refresh_style, pe_array, capacity. Builds no nest.
@@ -375,18 +374,12 @@ def _screen(
     return refresh, build_plan(loops, gb, rf, tiles), None
 
 
-def _evaluate(
-    space: SearchSpace,
-    layer: LayerShape,
-    prep: _Prepared,
-    objective: str,
-    cand: Candidate,
-):
+def _evaluate(space: SearchSpace, prep: _Prepared, objective: str, cand: Candidate):
     """Score one candidate from its plan.
 
     Returns ("ok", value, cand, refresh) or ("discard", code).
     """
-    refresh, plan, code = _screen(space, layer, prep, cand)
+    refresh, plan, code = _screen(space, prep, cand)
     if code is not None:
         return ("discard", code)
     counts = access_counts(plan, space.options)
@@ -442,7 +435,7 @@ def enumerate_mappings(
     """
     prep = _prepare(space, layer)
     for cand in _iter_candidates(prep):
-        refresh, _, code = _screen(space, layer, prep, cand)
+        refresh, _, code = _screen(space, prep, cand)
         if code is None:
             yield _candidate_nest(space, layer, prep, cand), refresh
         elif discards is not None:
@@ -567,7 +560,7 @@ def explore(
             space, layer, prep, objective, top_k, beam_width, stats, discards
         )
 
-    scored = [_evaluate(space, layer, prep, objective, c) for c in candidates]
+    scored = [_evaluate(space, prep, objective, c) for c in candidates]
     kept, legal = _rank(scored, top_k, discards, _builder(space, layer, prep))
     stats.update(
         evaluated=len(candidates), legal=legal, discarded=dict(discards)
@@ -609,7 +602,7 @@ def _beam(
 
     @functools.cache  # rounds and finalists revisit candidates
     def evaluate(cand: Candidate):
-        return _evaluate(space, layer, prep, objective, cand)
+        return _evaluate(space, prep, objective, cand)
 
     def completion(partial: dict[str, tuple[int, ...]]) -> Candidate:
         return tuple([partial.get(d) or whole[d] for d in DIMS]) + (0, 0)

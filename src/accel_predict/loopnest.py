@@ -19,6 +19,7 @@ from .model import (
     KINDS,
     RELEVANT_DIMS,
     DataKind,
+    INT64_MAX,
     HardwareConfig,
     LayerShape,
     LEVELS_OUTER_FIRST,
@@ -128,6 +129,8 @@ _DIM_INDEX = {d: i for i, d in enumerate(DIMS)}
 _RELEVANT = tuple(
     frozenset(_DIM_INDEX[d] for d in RELEVANT_DIMS[k]) for k in KINDS
 )
+# the keys of a plan's n_ref and v_ref: GB then RF, KINDS order within each
+_PLAN_KEYS = tuple((k, mem) for mem in (MemLevel.GB, MemLevel.RF) for k in KINDS)
 
 # The positional styles and the kind each keeps stationary. Every refresh
 # point they place sits at a level-group boundary, so their tiles depend
@@ -233,24 +236,35 @@ def build_plan(loops, gb, rf, tiles) -> RefreshPlan:
     """The RefreshPlan of flat loops refreshed at `gb` and `rf` (KINDS
     order), given their resident_tiles: each refresh count is the product
     of the temporal bounds above its location."""
-    n_ref: dict[tuple[DataKind, MemLevel], int] = {}
-    v_ref: dict[tuple[DataKind, MemLevel], int] = {}
-    for mem, locs, volumes in zip((MemLevel.GB, MemLevel.RF), (gb, rf), tiles):
-        for kind, p, v in zip(KINDS, locs, volumes):
-            n_ref[(kind, mem)] = checked_product(
-                [b for _, b, sp in loops[:p] if not sp]
-            )
-            v_ref[(kind, mem)] = v
-    spatial = [(d, b) for d, b, sp in loops if sp]
+    # one pass: the temporal product above each location, and the spatial
+    # products, each kind's multicast over the dims it does not depend on
+    above, multicast = [1], [1] * len(KINDS)
+    t = n_pe = 1
+    for d, b, sp in loops:
+        if sp:
+            n_pe *= b
+            for i, relevant in enumerate(_RELEVANT):
+                if d not in relevant:
+                    multicast[i] *= b
+        else:
+            t *= b
+        above.append(t)
+    # With bounds >= 1 every count here divides n_mac; otherwise (an overflow,
+    # or a bound under 1) the checked products raise as and where they would.
+    n_mac = t * n_pe
+    if not 0 < n_mac <= INT64_MAX:
+        for p in (*gb, *rf):
+            checked_product([b for _, b, sp in loops[:p] if not sp])
+        for relevant in _RELEVANT:
+            checked_product(b for d, b, sp in loops if sp and d not in relevant)
+        checked_product(b for _, b, sp in loops if sp)
+        checked_product(b for _, b, _ in loops)
     return RefreshPlan(
-        n_ref=n_ref,
-        v_ref=v_ref,
-        multicast={
-            kind: checked_product(b for d, b in spatial if d not in relevant)
-            for kind, relevant in zip(KINDS, _RELEVANT)
-        },
-        n_pe_active=checked_product(b for _, b in spatial),
-        n_mac_padded=checked_product(b for _, b, _ in loops),
+        n_ref=dict(zip(_PLAN_KEYS, [above[p] for p in (*gb, *rf)])),
+        v_ref=dict(zip(_PLAN_KEYS, (*tiles[0], *tiles[1]))),
+        multicast=dict(zip(KINDS, multicast)),
+        n_pe_active=n_pe,
+        n_mac_padded=n_mac,
     )
 
 
@@ -259,8 +273,8 @@ def refresh_plan(
 ) -> RefreshPlan:
     # unchecked locations: one outside 0..n cuts the loops as a slice would
     n = len(nest.loops)
-    gb, rf = ([slice(locs[k], None).indices(n)[0] for k in KINDS]
-              for locs in (refresh.gb, refresh.rf))
+    gb, rf = ([p if 0 <= (p := locs[k]) <= n else slice(p, None).indices(n)[0]
+               for k in KINDS] for locs in (refresh.gb, refresh.rf))
     tiles = resident_tiles(nest.loops, gb, rf, options.effective_stride(nest.layer))
     return build_plan(nest.loops, gb, rf, tiles)
 

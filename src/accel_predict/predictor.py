@@ -19,6 +19,7 @@ from .loopnest import (
 )
 from .model import (
     DIMS,
+    INT64_MAX,
     KINDS,
     LEVELS_OUTER_FIRST,
     DataKind,
@@ -26,11 +27,16 @@ from .model import (
     LayerShape,
     MemLevel,
     Options,
+    checked_count,
     checked_product,
     mac_count,
 )
 
 AccessCounts = dict[MemLevel, dict[DataKind, int]]
+
+# bound once: reading a member off an Enum class runs EnumType's slow hook
+_DRAM, _GB, _NOC, _RF = LEVELS_OUTER_FIRST
+_INPUT, _OUTPUT, _WEIGHT = KINDS
 
 
 def access_counts(plan: RefreshPlan, options: Options = Options()) -> AccessCounts:
@@ -44,31 +50,31 @@ def access_counts(plan: RefreshPlan, options: Options = Options()) -> AccessCoun
     deliveries and register traffic are counted once per the flat forms.
     """
     psum = options.psum_factor()
-    n_pe = plan.n_pe_active
-
-    def out_factor(mem: MemLevel):
-        return psum if plan.n_ref[(DataKind.OUTPUT, mem)] > 1 else 1
-
-    def _scale(count: int, factor):
-        if isinstance(factor, int):
-            return checked_product((count, factor))
-        return count * factor
-
+    n_pe, n_ref, v_ref = plan.n_pe_active, plan.n_ref, plan.v_ref
     counts: AccessCounts = {lvl: {} for lvl in LEVELS_OUTER_FIRST}
+    dram_row, gb_row, noc_row, rf_row = counts.values()
     for k in KINDS:
-        dram = plan.traffic(k, MemLevel.GB)
-        gb = checked_product(
-            (plan.traffic(k, MemLevel.RF), n_pe // plan.multicast[k])
-        )
-        noc = checked_product((plan.traffic(k, MemLevel.RF), n_pe))
-        if k is DataKind.OUTPUT:
-            dram = _scale(dram, out_factor(MemLevel.GB))
-            gb = _scale(gb, out_factor(MemLevel.RF))
-        counts[MemLevel.DRAM][k] = dram
-        counts[MemLevel.GB][k] = gb
-        counts[MemLevel.NOC][k] = noc
-        counts[MemLevel.RF][k] = plan.n_mac_padded
+        dram = n_ref[k, _GB] * v_ref[k, _GB]
+        delivered = n_ref[k, _RF] * v_ref[k, _RF]
+        groups = n_pe // plan.multicast[k]
+        gb, noc = delivered * groups, delivered * n_pe
+        if delivered > INT64_MAX or gb > INT64_MAX or noc > INT64_MAX:
+            checked_product((delivered, groups))
+            checked_product((delivered, n_pe))
+        if k is _OUTPUT:
+            dram = _scale(dram, psum if n_ref[k, _GB] > 1 else 1)
+            gb = _scale(gb, psum if n_ref[k, _RF] > 1 else 1)
+        dram_row[k], gb_row[k], noc_row[k], rf_row[k] = dram, gb, noc, plan.n_mac_padded
+    for k in KINDS:  # DRAM traffic passes the overflow rule last
+        checked_count(plan.traffic(k, _GB))
     return counts
+
+
+def _scale(count: int, factor):
+    """count x factor, under the overflow rule for an integer factor."""
+    if isinstance(factor, int):
+        return checked_product((count, factor))
+    return count * factor
 
 
 @dataclass(frozen=True)
@@ -119,18 +125,19 @@ def energy(
     by_level_kind: dict[MemLevel, dict[DataKind, float]] = {}
     level_totals: dict[MemLevel, float] = {}
     for lvl, per_kind in counts.items():
-        by_level_kind[lvl] = {
-            k: per_kind[k] * uc.access(lvl, k) for k in KINDS
-        }
-        level_totals[lvl] = sum(by_level_kind[lvl].values())
+        costs = uc.e_access.get(lvl) or {}
+        by_level_kind[lvl] = row = {}
+        for k in KINDS:
+            row[k] = per_kind[k] * costs.get(k, 0.0)
+        level_totals[lvl] = sum(row.values())
     e_comp = plan.n_mac_padded * uc.e_mac
     total = e_comp + sum(level_totals.values())
     return EnergyReport(
         e_comp=e_comp,
-        e_rf=level_totals[MemLevel.RF],
-        e_noc=level_totals[MemLevel.NOC],
-        e_gb=level_totals[MemLevel.GB],
-        e_dram=level_totals[MemLevel.DRAM],
+        e_rf=level_totals[_RF],
+        e_noc=level_totals[_NOC],
+        e_gb=level_totals[_GB],
+        e_dram=level_totals[_DRAM],
         total=total,
         by_level_kind=by_level_kind,
     )
@@ -156,15 +163,6 @@ def _bw_checked(value: float, name: str, kind: DataKind | None = None) -> float:
     return value
 
 
-def _max_over_kinds(terms: dict[DataKind, float]) -> tuple[float, DataKind | None]:
-    best_kind = None
-    best = 0.0
-    for k in KINDS:
-        if k in terms and terms[k] > best:
-            best, best_kind = terms[k], k
-    return best, best_kind
-
-
 def latency(
     plan: RefreshPlan,
     counts: AccessCounts,
@@ -178,28 +176,32 @@ def latency(
         # spatial bounds divide the padded MAC product exactly
         l_comp = (plan.n_mac_padded // plan.n_pe_active) * t_comp
 
-    bits = hw.precision.bits
     bw_dram = _bw_checked(hw.bw_dram, "bw_dram")
 
-    dram_terms = {}
-    gb_terms = {}
-    for k in KINDS:
+    # each max over kinds: the first kind with the largest term > 0, or None
+    dram_row = counts[_DRAM]
+    gb_row = counts[_GB if options.gb_latency_multicast_aware else _NOC]
+    l_dram = l_gb = 0.0
+    dram_kind = gb_kind = None
+    for k, bits in zip(KINDS, hw.precision.by_kind):
         gb_bw = _bw_checked(hw.gb_bw(k), "bw_gb", k)
-        dram_terms[k] = counts[MemLevel.DRAM][k] * bits(k) / min(gb_bw, bw_dram)
-        gb_level = MemLevel.GB if options.gb_latency_multicast_aware else MemLevel.NOC
-        gb_terms[k] = counts[gb_level][k] * bits(k) / gb_bw
-    l_dram, dram_kind = _max_over_kinds(dram_terms)
-    l_gb, gb_kind = _max_over_kinds(gb_terms)
+        term = dram_row[k] * bits / min(gb_bw, bw_dram)
+        if term > l_dram:
+            l_dram, dram_kind = term, k
+        term = gb_row[k] * bits / gb_bw
+        if term > l_gb:
+            l_gb, gb_kind = term, k
 
     # First-tile fill before steady state; outputs are produced, not staged.
-    setup_terms = {}
-    for k in (DataKind.INPUT, DataKind.WEIGHT):
-        gb_bw = _bw_checked(hw.gb_bw(k), "bw_gb", k)
+    l_setup, setup_kind = 0.0, None
+    for k in (_INPUT, _WEIGHT):
+        bits, gb_bw = hw.precision.bits(k), hw.gb_bw(k)  # gb_bw checked above
         rf_bw = _bw_checked(hw.rf_bw(k), "bw_rf", k)
-        fill_gb = plan.v_ref[(k, MemLevel.GB)] * bits(k) / min(gb_bw, bw_dram)
-        fill_rf = plan.v_ref[(k, MemLevel.RF)] * bits(k) / min(rf_bw, gb_bw)
-        setup_terms[k] = max(fill_gb, fill_rf)
-    l_setup, setup_kind = _max_over_kinds(setup_terms)
+        fill_gb = plan.v_ref[k, _GB] * bits / min(gb_bw, bw_dram)
+        fill_rf = plan.v_ref[k, _RF] * bits / min(rf_bw, gb_bw)
+        term = max(fill_gb, fill_rf)
+        if term > l_setup:
+            l_setup, setup_kind = term, k
 
     steady = max(l_dram, l_gb, l_comp)
     if steady == l_comp:

@@ -578,7 +578,7 @@ def _screen_outcomes(seed, n_spaces, doomed_only):
         if doomed_only and not any(prep.doomed):
             continue
         for cand in _iter_candidates(prep):
-            got = _screen(space, layer, prep, cand)
+            got = _screen(space, prep, cand)
             assert got == _full_path(space, layer, prep, cand), (
                 layer, space, cand
             )
@@ -670,7 +670,7 @@ class TestFactorScreen:
         outcomes = []
         for cand in itertools.islice(_iter_candidates(prep), 20_001):
             try:
-                outcomes.append(str(_screen(space, layer, prep, cand)[-1]))
+                outcomes.append(str(_screen(space, prep, cand)[-1]))
             except CountOverflowError:
                 outcomes.append("overflow")
         assert Counter(outcomes) == {
@@ -729,7 +729,7 @@ class TestFactorScreen:
         prep = _prepare(padded, fits)
         assert prep.doomed == [None, None]
         with pytest.raises(CountOverflowError):
-            _screen(padded, fits, prep, next(_iter_candidates(prep)))
+            _screen(padded, prep, next(_iter_candidates(prep)))
 
     def test_hopeless_styles_compute_no_tiles(self, monkeypatch):
         # conv3: neither kept tensor fits the 884,736-bit GB; stats captured
