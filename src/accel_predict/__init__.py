@@ -51,7 +51,6 @@ from .model import (
     UnitCosts,
     mac_count,
     tile_volumes,
-    validate_hardware,
 )
 from .oracle import AccessCounters, DiffReport, check, diff_counts, simulate
 from .predictor import (
@@ -161,7 +160,6 @@ __all__ = [
     "simulate",
     "space_size",
     "tile_volumes",
-    "validate_hardware",
     "validate_nest",
     "validate_structure",
 ]

@@ -10,8 +10,8 @@ class Violation:
     """One failed check, with the config/field path it refers to.
 
     `code` names the kind of check: structure (grouping, coverage,
-    refresh ranges), pe_array, capacity, refresh_style (no refresh
-    location fits a register budget) or hardware (an invalid config).
+    refresh ranges), pe_array, capacity or refresh_style (no refresh
+    location fits a register budget).
     """
 
     code: str

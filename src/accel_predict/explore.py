@@ -62,7 +62,6 @@ from .model import (
     MemLevel,
     Options,
     tile_volumes,
-    validate_hardware,
 )
 from .predictor import (
     PredictionReport,
@@ -122,11 +121,6 @@ class SearchSpace:
                     or not all(type(b) is int and b >= 1 for b in factors)):
                 raise ConfigError(f"allowed_factors[{dim!r}]: expected "
                                   f"integers >= 1, got {factors!r}")
-        bad = validate_hardware(self.hw)
-        if bad:
-            raise ConfigError(
-                "search space hardware: " + "; ".join(map(str, bad))
-            )
 
 
 def _normalize_ordering(template) -> dict[MemLevel, tuple[str, ...]]:

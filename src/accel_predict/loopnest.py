@@ -165,7 +165,7 @@ def rf_budgets(hw: HardwareConfig) -> dict[DataKind, int]:
     shared capacity split three ways."""
     cap = hw.capacity_rf
     if isinstance(cap, Mapping):
-        return {k: cap.get(k, 0) for k in KINDS}
+        return {k: cap[k] for k in KINDS}
     return {k: cap // 3 for k in KINDS}
 
 
@@ -381,8 +381,8 @@ def _overflows(hw: HardwareConfig, gb_tiles, rf_tiles):
                 yield name, None, sum(need), capacity
             continue
         for kind, n in zip(KINDS, need):
-            if n > capacity.get(kind, 0):
-                yield name, kind, n, capacity.get(kind, 0)
+            if n > capacity[kind]:
+                yield name, kind, n, capacity[kind]
 
 
 def buffers_fit(
@@ -451,39 +451,21 @@ def build_nest(
     layer: LayerShape,
     tiling: Mapping[MemLevel, Mapping[str, int]],
     ordering: Mapping[MemLevel, Sequence[str]] | None = None,
-    allow_padding: bool = True,
 ) -> LoopNest:
     """Assemble a nest from per-level tiling factors and dim orderings.
 
     Factors default to 1 and bound-1 loops are dropped; NoC-level loops
-    come out spatial. Per-dim factor products must cover the layer dims,
-    exactly when padding is disabled, minimally otherwise.
+    come out spatial. Per-dim factor products must cover the layer dims
+    minimally: no factor can shrink without losing coverage.
     """
     ordering = ordering or {}
     check_ordering(ordering)
-    violations = []
     for mem in LEVELS_OUTER_FIRST:
         for d, b in tiling.get(mem, {}).items():
             if d not in DIMS:
                 raise ConfigError(f"unknown dim {d!r} in tiling")
             if b < 1:
                 raise ConfigError(f"tiling factor {d}@{mem.label} must be >= 1")
-
-    for d in DIMS:
-        product = 1
-        for mem in LEVELS_OUTER_FIRST:
-            product *= tiling.get(mem, {}).get(d, 1)
-        if not allow_padding and product != layer.dim(d):
-            violations.append(
-                Violation(
-                    "structure",
-                    f"dim {d}",
-                    f"tiling product {product} != layer dim "
-                    f"{layer.dim(d)} and padding is disabled",
-                )
-            )
-    if violations:
-        raise MappingError(violations)
 
     levels = []
     for mem in LEVELS_OUTER_FIRST:

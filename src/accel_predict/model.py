@@ -9,12 +9,13 @@ products are reported instead of propagated.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from types import MappingProxyType
 
-from .errors import ConfigError, CountOverflowError, Violation
+from .errors import ConfigError, CountOverflowError
 
 INT64_MAX = 2**63 - 1
 
@@ -220,6 +221,9 @@ class HardwareConfig:
         # Per-kind bandwidths; the fields keep the form hardware JSON prints.
         object.__setattr__(self, "_gb_bw", _per_kind(self.bw_gb))
         object.__setattr__(self, "_rf_bw", _per_kind(self.bw_rf))
+        bad = _hardware_violations(self)
+        if bad:
+            raise ConfigError("hardware: " + "; ".join(bad))
 
     @property
     def n_pe(self) -> int:
@@ -232,57 +236,74 @@ class HardwareConfig:
         return self._rf_bw[kind]
 
 
-def validate_hardware(hw: HardwareConfig) -> list[Violation]:
-    """All invariant checks, reported individually; never raises.
+_FLOAT_MAX = sys.float_info.max
 
-    Bounds are written as `not x > 0` / `not x >= 0` so that NaN fails.
+
+def _hardware_violations(hw: HardwareConfig) -> list[str]:
+    """Every broken hardware rule as 'path: message', in field order.
+
+    Counts are integers and other values numbers (bools are neither), a
+    per-kind map names exactly I, O and W, and only bandwidths may be
+    math.inf. Bounds are written so that NaN fails them.
     """
-    out: list[Violation] = []
+    out: list[str] = []
 
-    def flag(path: str, message: str) -> None:
-        out.append(Violation("hardware", path, message))
+    def check(path: str, value, integer: bool, ok, rule: str) -> None:
+        if isinstance(value, bool) or not isinstance(
+            value, int if integer else (int, float)
+        ):
+            expected = "an integer" if integer else "a number"
+            out.append(f"{path}: expected {expected}, got {value!r}")
+        elif not ok(value):
+            out.append(f"{path}: {rule}")
 
-    if hw.pe_rows < 1:
-        flag("pe_rows", "must be >= 1")
-    if hw.pe_cols < 1:
-        flag("pe_cols", "must be >= 1")
+    check("pe_rows", hw.pe_rows, True, lambda n: n >= 1, "must be >= 1")
+    check("pe_cols", hw.pe_cols, True, lambda n: n >= 1, "must be >= 1")
 
-    for name, cap in (("capacity_gb", hw.capacity_gb), ("capacity_rf", hw.capacity_rf)):
-        entries = (
-            cap.items() if isinstance(cap, Mapping) else [(None, cap)]
-        )
-        for kind, bits in entries:
-            path = f"{name}[{kind}]" if kind is not None else name
-            if not bits > 0:
-                flag(path, "capacity must be > 0 bits")
+    def per_kind(name: str, integer: bool, rule: str) -> None:
+        value = getattr(hw, name)
+        if not isinstance(value, Mapping):
+            check(name, value, integer, lambda x: x > 0, rule)
+            return
+        if set(value) != set(KINDS):
+            out.append(f"{name}: expected exactly the data kinds "
+                       f"['I', 'O', 'W'], got {[str(k) for k in value]}")
+        for kind, x in value.items():
+            check(f"{name}[{kind}]", x, integer, lambda x: x > 0, rule)
 
-    if not hw.bw_dram > 0:
-        flag("bw_dram", "bandwidth must be > 0")
-    for name, bw in (("bw_gb", hw._gb_bw), ("bw_rf", hw._rf_bw)):
-        for kind, val in bw.items():
-            if not val > 0:
-                flag(f"{name}[{kind}]", "bandwidth must be > 0")
+    per_kind("capacity_gb", True, "capacity must be > 0 bits")
+    per_kind("capacity_rf", True, "capacity must be > 0 bits")
+    check("bw_dram", hw.bw_dram, False, lambda x: x > 0, "bandwidth must be > 0")
+    per_kind("bw_gb", False, "bandwidth must be > 0")
+    per_kind("bw_rf", False, "bandwidth must be > 0")
 
-    if hw.buffering_factor not in (1, 2):
-        flag("buffering_factor", "must be 1 or 2")
+    check("buffering_factor", hw.buffering_factor, True,
+          lambda n: n in (1, 2), "must be 1 or 2")
 
     uc = hw.unit_costs
-    if not uc.e_mac >= 0:
-        flag("unit_costs.e_mac", "must be >= 0")
-    for level, per_kind in uc.e_access.items():
-        for kind, val in per_kind.items():
-            if not val >= 0:
-                flag(f"unit_costs.e_access[{level.label}][{kind}]", "must be >= 0")
-    try:
-        if not uc.mac_time() > 0:
-            flag("unit_costs.t_comp", "must be > 0")
-    except ConfigError:
-        flag("unit_costs", "need t_comp or clock_hz")
+    costs = [("unit_costs.e_mac", uc.e_mac)]
+    for level, row in uc.e_access.items():
+        if not (isinstance(level, MemLevel) and isinstance(row, Mapping)
+                and set(row) <= set(KINDS)):
+            out.append("unit_costs.e_access: expected per-kind costs by "
+                       f"memory level, got {level!r}: {row!r}")
+            continue
+        costs += [(f"unit_costs.e_access[{level.label}][{kind}]", x)
+                  for kind, x in row.items()]
+    for path, x in costs:
+        check(path, x, False, lambda x: 0 <= x <= _FLOAT_MAX,
+              "must be finite and >= 0")
+    if uc.t_comp is None and uc.clock_hz is None:
+        out.append("unit_costs: need t_comp or clock_hz")
+    for key in ("t_comp", "clock_hz"):
+        x = getattr(uc, key)
+        if x is not None:
+            check(f"unit_costs.{key}", x, False, lambda x: 0 < x <= _FLOAT_MAX,
+                  "must be finite and > 0")
 
-    for fname in ("bits_input", "bits_output", "bits_weight"):
-        bits = getattr(hw.precision, fname)
-        if not 1 <= bits <= 64:
-            flag(f"precision.{fname}", "must be in [1, 64]")
+    for key in ("bits_input", "bits_output", "bits_weight"):
+        check(f"precision.{key}", getattr(hw.precision, key), True,
+              lambda n: 1 <= n <= 64, "must be in [1, 64]")
     return out
 
 
@@ -300,9 +321,20 @@ class Options:
     # one per PE delivery.
     gb_latency_multicast_aware: bool = False
     # Read+write factor for partial-sum recirculation of outputs; None
-    # means the default of 2. Applies only where the output buffer is
-    # refreshed more than once.
+    # means the default of 2, else a finite number >= 1. Applies only
+    # where the output buffer is refreshed more than once.
     psum_rw_factor: float | None = None
+
+    def __post_init__(self):
+        f = self.psum_rw_factor
+        if f is not None and (
+            isinstance(f, bool)
+            or not isinstance(f, (int, float))
+            or not 1 <= f <= _FLOAT_MAX
+        ):
+            raise ConfigError(
+                f"psum_rw_factor: must be a finite number >= 1, got {f!r}"
+            )
 
     def effective_stride(self, layer: LayerShape) -> int:
         return 1 if self.assume_stride_one else layer.stride

@@ -156,13 +156,6 @@ class LatencyReport:
     setup_kind: DataKind | None
 
 
-def _bw_checked(value: float, name: str, kind: DataKind | None = None) -> float:
-    if not value > 0:
-        path = name if kind is None else f"{name}[{kind}]"
-        raise ConfigError(f"{path}: bandwidth must be > 0")
-    return value
-
-
 def latency(
     plan: RefreshPlan,
     counts: AccessCounts,
@@ -176,7 +169,7 @@ def latency(
         # spatial bounds divide the padded MAC product exactly
         l_comp = (plan.n_mac_padded // plan.n_pe_active) * t_comp
 
-    bw_dram = _bw_checked(hw.bw_dram, "bw_dram")
+    bw_dram = hw.bw_dram
 
     # each max over kinds: the first kind with the largest term > 0, or None
     dram_row = counts[_DRAM]
@@ -184,7 +177,7 @@ def latency(
     l_dram = l_gb = 0.0
     dram_kind = gb_kind = None
     for k, bits in zip(KINDS, hw.precision.by_kind):
-        gb_bw = _bw_checked(hw.gb_bw(k), "bw_gb", k)
+        gb_bw = hw.gb_bw(k)
         term = dram_row[k] * bits / min(gb_bw, bw_dram)
         if term > l_dram:
             l_dram, dram_kind = term, k
@@ -195,8 +188,7 @@ def latency(
     # First-tile fill before steady state; outputs are produced, not staged.
     l_setup, setup_kind = 0.0, None
     for k in (_INPUT, _WEIGHT):
-        bits, gb_bw = hw.precision.bits(k), hw.gb_bw(k)  # gb_bw checked above
-        rf_bw = _bw_checked(hw.rf_bw(k), "bw_rf", k)
+        bits, gb_bw, rf_bw = hw.precision.bits(k), hw.gb_bw(k), hw.rf_bw(k)
         fill_gb = plan.v_ref[k, _GB] * bits / min(gb_bw, bw_dram)
         fill_rf = plan.v_ref[k, _RF] * bits / min(rf_bw, gb_bw)
         term = max(fill_gb, fill_rf)

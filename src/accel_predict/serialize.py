@@ -28,7 +28,6 @@ from .model import (
     UnitCosts,
     _per_kind,
     int_field,
-    validate_hardware,
 )
 
 _LEVEL_BY_LABEL = {lvl.label: lvl for lvl in MemLevel}
@@ -75,7 +74,8 @@ def _json_text(obj) -> str:
 
 def _float_field(raw, path: str) -> float:
     """A JSON number as a float; bools and strings are rejected, not
-    coerced. NaN passes here and is refused by validate_hardware."""
+    coerced. NaN passes here and is refused by the HardwareConfig
+    constructor."""
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {raw!r}")
     return float(raw)
@@ -203,7 +203,7 @@ def hardware_from_json(data: Mapping) -> HardwareConfig:
         key: int_field(value, f"precision.{key}")
         for key, value in prec_data.items()
     })
-    hw = HardwareConfig(
+    return HardwareConfig(
         pe_rows=int_field(data["pe_rows"], "pe_rows"),
         pe_cols=int_field(data["pe_cols"], "pe_cols"),
         capacity_gb=_per_kind_map(cap["GB"], "capacity[GB]", int_field),
@@ -217,12 +217,6 @@ def hardware_from_json(data: Mapping) -> HardwareConfig:
             data.get("buffering_factor", 1), "buffering_factor"
         ),
     )
-    violations = validate_hardware(hw)
-    if violations:
-        raise ConfigError(
-            "hardware JSON: " + "; ".join(str(v) for v in violations)
-        )
-    return hw
 
 
 def _per_kind_json(value):

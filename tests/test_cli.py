@@ -496,6 +496,33 @@ class TestPredictCommand:
         psum4 = json.loads(capsys.readouterr().out)
         assert psum4["model_notes"]["psum_rw_factor"] == 4
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "0.5"])
+    def test_psum_factor_out_of_range_exits_two(self, files, capsys, value):
+        assert run(["predict", "--layer", files["layer"], "--hw", files["hw"],
+                    "--mapping", files["mapping"],
+                    "--psum-rw-factor", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: psum_rw_factor: must be a finite number >= 1, "
+            f"got {float(value)!r}\n"
+        )
+
+    @pytest.mark.parametrize("key, rule", [
+        ("e_mac", "must be finite and >= 0"),
+        ("t_comp", "must be finite and > 0"),
+    ])
+    def test_infinite_cost_exits_two(self, files, capsys, key, rule):
+        hw = Path(files["hw"])
+        data = json.loads(hw.read_text())
+        data["unit_costs"][key] = math.inf
+        hw.write_text(json.dumps(data))  # written as Infinity
+        assert run(["predict", "--layer", files["layer"], "--hw", str(hw),
+                    "--mapping", files["mapping"]]) == 2
+        assert capsys.readouterr().err == (
+            f"error: hardware: unit_costs.{key}: {rule}\n"
+        )
+
     def test_preset_round(self, capsys):
         assert run(["predict", "--layer", "preset:alexnet_conv1",
                     "--hw", "preset:eyeriss_normalized",

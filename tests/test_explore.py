@@ -289,14 +289,13 @@ class TestSpaceValidation:
     # NaN compares false, so a NaN capacity would read "fits" everywhere
     @pytest.mark.parametrize("override, path", [
         ({"capacity_gb": float("nan")},
-         "capacity_gb: capacity must be > 0 bits"),
+         "capacity_gb: expected an integer, got nan"),
         ({"pe_rows": 0}, "pe_rows: must be >= 1"),
     ])
     def test_invalid_hardware_rejected(self, override, path):
-        hw = dataclasses.replace(hardware_preset("eyeriss_normalized"),
-                                 **override)
         with pytest.raises(ConfigError) as exc:
-            SearchSpace(hw)
+            dataclasses.replace(hardware_preset("eyeriss_normalized"),
+                                **override)
         assert path in str(exc.value)
 
     def test_exhaustive_cap_refuses_large_space(self):

@@ -216,9 +216,9 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-# a bandwidth: mostly usable, sometimes zero or NaN
+# a bandwidth; zero and NaN are refused when hardware is built
 _BANDWIDTHS = st.sampled_from(
-    [1e9, 2e9, 3.3e9, 7.7e8, 5e9, 1.1e10, 4e9, 6e8, math.inf, 0.0, math.nan]
+    [1e9, 2e9, 3.3e9, 7.7e8, 5e9, 1.1e10, 4e9, 6e8, math.inf]
 )
 # costs whose sums round, so a changed summation order shows
 _COSTS = st.floats(0.0, 300.0, allow_nan=False)

@@ -81,12 +81,6 @@ class TestBuildNest:
         with pytest.raises(MappingError):
             build_nest(layer, {DRAM: {"m": 2}, GB: {"m": 2}})
 
-    def test_padding_disabled_requires_exact_product(self):
-        layer = LayerShape(m=3, c=1, r=1, s=1, e=1, f=1)
-        with pytest.raises(MappingError):
-            build_nest(layer, {DRAM: {"m": 2, }, GB: {"m": 2}},
-                       allow_padding=False)
-
     def test_minimal_padding_accepted(self):
         # 2*2 covers 3 and neither factor can shrink
         layer = LayerShape(m=3, c=1, r=1, s=1, e=1, f=1)

@@ -1,5 +1,6 @@
 """Layer arithmetic, hardware validation, and option semantics."""
 
+import dataclasses
 import math
 
 import pytest
@@ -12,13 +13,17 @@ from accel_predict import (
     DataKind,
     HardwareConfig,
     LayerShape,
+    MappingError,
     MemLevel,
     Options,
     Precision,
     UnitCosts,
+    hardware_preset,
+    layer_preset,
     mac_count,
+    mapping_preset,
+    predict_layer,
     tile_volumes,
-    validate_hardware,
 )
 from accel_predict.model import (
     DIMS,
@@ -218,9 +223,16 @@ def _hw(**overrides):
     return HardwareConfig(**base)
 
 
+def _hw_error(**overrides) -> str:
+    """The message of the ConfigError that building _hw(**overrides) raises."""
+    with pytest.raises(ConfigError) as exc:
+        _hw(**overrides)
+    return str(exc.value)
+
+
 class TestHardwareConfig:
-    def test_valid_config_has_no_violations(self):
-        assert validate_hardware(_hw()) == []
+    def test_valid_config_constructs(self):
+        assert _hw(buffering_factor=2).buffering_factor == 2
 
     def test_n_pe(self):
         assert _hw().n_pe == 6
@@ -239,31 +251,47 @@ class TestHardwareConfig:
         assert hw.gb_bw(DataKind.WEIGHT) == 3e9
 
     def test_bad_geometry_and_capacity_reported_by_field(self):
-        violations = validate_hardware(_hw(pe_rows=0, capacity_gb=-5))
-        fields = {v.field for v in violations}
-        assert "pe_rows" in fields
-        assert any("capacity_gb" in f for f in fields)
+        assert _hw_error(pe_rows=0, capacity_gb=-5) == (
+            "hardware: pe_rows: must be >= 1; "
+            "capacity_gb: capacity must be > 0 bits"
+        )
 
-    def test_nonpositive_bandwidth_flagged(self):
-        violations = validate_hardware(_hw(bw_dram=0.0))
-        assert any("bw_dram" in v.field for v in violations)
+    @pytest.mark.parametrize("field", ["capacity_gb", "capacity_rf"])
+    def test_nan_capacity_rejected(self, field):
+        assert f"{field}: expected an integer, got nan" in _hw_error(
+            **{field: math.nan}
+        )
+
+    def test_per_kind_nan_capacity_rejected(self):
+        cap = {DataKind.INPUT: 64, DataKind.OUTPUT: 64, DataKind.WEIGHT: math.nan}
+        assert "capacity_rf[W]: expected an integer, got nan" in _hw_error(
+            capacity_rf=cap
+        )
+
+    @pytest.mark.parametrize("value", [0.0, -1e9, math.nan, -math.inf])
+    def test_nonpositive_bandwidth_flagged(self, value):
+        assert "bw_dram: bandwidth must be > 0" in _hw_error(bw_dram=value)
+        assert "bw_rf[I]: bandwidth must be > 0" in _hw_error(
+            bw_rf={k: value if k is DataKind.INPUT else 1e9 for k in KINDS}
+        )
 
     def test_buffering_factor_must_be_single_or_double(self):
-        assert validate_hardware(_hw(buffering_factor=2)) == []
-        violations = validate_hardware(_hw(buffering_factor=3))
-        assert any(v.field == "buffering_factor" for v in violations)
+        assert "buffering_factor: must be 1 or 2" in _hw_error(
+            buffering_factor=3
+        )
 
     def test_precision_bounds(self):
-        violations = validate_hardware(
-            _hw(precision=Precision(bits_input=0, bits_output=128,
-                                    bits_weight=16))
+        message = _hw_error(
+            precision=Precision(bits_input=0, bits_output=128, bits_weight=16)
         )
-        fields = {v.field for v in violations}
-        assert any("bits_input" in f for f in fields)
-        assert any("bits_output" in f for f in fields)
+        assert "precision.bits_input: must be in [1, 64]" in message
+        assert "precision.bits_output: must be in [1, 64]" in message
+        assert "bits_weight" not in message
 
     def test_unbounded_bandwidth_is_legal(self):
-        assert validate_hardware(_hw(bw_dram=math.inf)) == []
+        assert _hw(bw_dram=math.inf, bw_gb=math.inf).gb_bw(DataKind.INPUT) == (
+            math.inf
+        )
 
     def test_nan_costs_flagged(self):
         costs = UnitCosts(
@@ -271,11 +299,144 @@ class TestHardwareConfig:
             e_access={MemLevel.GB: {DataKind.INPUT: math.nan}},
             t_comp=1e-9,
         )
-        violations = validate_hardware(_hw(unit_costs=costs))
-        assert [v.field for v in violations] == [
-            "unit_costs.e_mac", "unit_costs.e_access[GB][I]",
-        ]
-        assert {v.code for v in violations} == {"hardware"}
+        assert _hw_error(unit_costs=costs) == (
+            "hardware: unit_costs.e_mac: must be finite and >= 0; "
+            "unit_costs.e_access[GB][I]: must be finite and >= 0"
+        )
+
+    @pytest.mark.parametrize("costs, path", [
+        (UnitCosts(e_mac=math.inf, t_comp=1e-9), "unit_costs.e_mac"),
+        (UnitCosts(e_access={MemLevel.RF: {DataKind.OUTPUT: math.inf}},
+                   t_comp=1e-9), "unit_costs.e_access[RF][O]"),
+        (UnitCosts(t_comp=math.inf), "unit_costs.t_comp"),
+        (UnitCosts(clock_hz=math.inf), "unit_costs.clock_hz"),
+        (UnitCosts(t_comp=0.0), "unit_costs.t_comp"),
+    ], ids=["e_mac", "e_access", "t_comp", "clock_hz", "zero_t_comp"])
+    def test_costs_must_be_finite(self, costs, path):
+        assert f"{path}: must be finite" in _hw_error(unit_costs=costs)
+
+    @pytest.mark.parametrize("e_access", [
+        {"GB": {DataKind.INPUT: 1.0}},
+        {MemLevel.GB: {"I": 1.0}},
+        {MemLevel.GB: 1.0},
+    ], ids=["level-name", "kind-name", "not-per-kind"])
+    def test_access_costs_keyed_by_level_and_kind(self, e_access):
+        message = _hw_error(unit_costs=UnitCosts(e_access=e_access, t_comp=1e-9))
+        assert "unit_costs.e_access: expected per-kind costs by" in message
+
+    def test_time_base_required(self):
+        assert "unit_costs: need t_comp or clock_hz" in _hw_error(
+            unit_costs=UnitCosts(e_mac=1.0)
+        )
+
+    @pytest.mark.parametrize("field, value", [
+        ("pe_rows", 12.5), ("pe_cols", 4.0), ("pe_rows", True),
+        ("capacity_gb", 1024.0), ("capacity_rf", False),
+        ("buffering_factor", True), ("buffering_factor", 2.0),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        assert f"{field}: expected an integer, got {value!r}" in _hw_error(
+            **{field: value}
+        )
+
+    @pytest.mark.parametrize("key", ["bits_input", "bits_output", "bits_weight"])
+    @pytest.mark.parametrize("value", [16.0, True])
+    def test_precision_widths_must_be_integers(self, key, value):
+        precision = Precision(**{key: value})
+        assert f"precision.{key}: expected an integer" in _hw_error(
+            precision=precision
+        )
+
+    def test_bool_bandwidth_rejected(self):
+        assert "bw_gb: expected a number, got True" in _hw_error(bw_gb=True)
+
+    @pytest.mark.parametrize("field", ["capacity_gb", "capacity_rf",
+                                       "bw_gb", "bw_rf"])
+    @pytest.mark.parametrize("keys", [
+        (DataKind.INPUT,),
+        (*KINDS, MemLevel.GB),
+        (DataKind.INPUT, DataKind.OUTPUT, "W"),
+    ], ids=["missing", "extra", "foreign"])
+    def test_per_kind_map_names_exactly_i_o_w(self, field, keys):
+        value = {k: 10**6 for k in keys}
+        assert f"{field}: expected exactly the data kinds ['I', 'O', 'W']" in (
+            _hw_error(**{field: value})
+        )
+
+
+# A value of any numeric type, in or out of every field's range.
+_ANY_NUMBER = st.one_of(
+    st.integers(),
+    st.floats(-1e12, 1e12),
+    st.sampled_from([0, 0.0, -1, 1, 2, True, False,
+                     math.nan, math.inf, -math.inf]),
+)
+_ANY_PER_KIND = st.one_of(
+    _ANY_NUMBER,
+    st.fixed_dictionaries({k: _ANY_NUMBER for k in KINDS}),
+    st.dictionaries(st.sampled_from([*KINDS, "I", MemLevel.GB]), _ANY_NUMBER),
+)
+_FUZZED = {
+    "pe_rows": _ANY_NUMBER,
+    "pe_cols": _ANY_NUMBER,
+    "capacity_gb": _ANY_PER_KIND,
+    "capacity_rf": _ANY_PER_KIND,
+    "bw_dram": _ANY_NUMBER,
+    "bw_gb": _ANY_PER_KIND,
+    "bw_rf": _ANY_PER_KIND,
+    "buffering_factor": _ANY_NUMBER,
+    "e_mac": _ANY_NUMBER,
+    "e_access": _ANY_NUMBER,
+    "t_comp": st.one_of(st.none(), _ANY_NUMBER),
+    "clock_hz": st.one_of(st.none(), _ANY_NUMBER),
+    "bits_input": _ANY_NUMBER,
+    "bits_weight": _ANY_NUMBER,
+}
+_COST_FIELDS = ("e_mac", "t_comp", "clock_hz")
+_BITS_FIELDS = ("bits_input", "bits_weight")
+
+
+def _eyeriss_with(values):
+    """The eyeriss_normalized preset with the given fields replaced; an
+    "e_access" value replaces the GB input access cost."""
+    values = dict(values)
+    base = hardware_preset("eyeriss_normalized")
+    e_access = {lvl: dict(row) for lvl, row in base.unit_costs.e_access.items()}
+    if "e_access" in values:
+        e_access[MemLevel.GB][DataKind.INPUT] = values.pop("e_access")
+    costs = dataclasses.replace(base.unit_costs, e_access=e_access, **{
+        key: values.pop(key) for key in _COST_FIELDS if key in values
+    })
+    precision = dataclasses.replace(base.precision, **{
+        key: values.pop(key) for key in _BITS_FIELDS if key in values
+    })
+    return dataclasses.replace(
+        base, unit_costs=costs, precision=precision, **values
+    )
+
+
+class TestHardwareFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.sampled_from(sorted(_FUZZED)), max_size=3).flatmap(
+        lambda names: st.fixed_dictionaries({n: _FUZZED[n] for n in names})
+    ))
+    def test_construction_refuses_or_predicts(self, values):
+        """Arbitrary field values either fail at construction with a
+        ConfigError, or give hardware on which the conv3 row_stationary
+        mapping predicts numbers or is refused as a MappingError."""
+        try:
+            hw = _eyeriss_with(values)
+        except ConfigError as exc:
+            assert str(exc).startswith("hardware: ")
+            return
+        conv3 = layer_preset("alexnet_conv3")
+        try:
+            nest, refresh = mapping_preset("row_stationary", conv3, hw)
+            report = predict_layer(conv3, nest, refresh, hw)
+        except MappingError:
+            return
+        assert not math.isnan(report.energy.total)
+        assert not math.isnan(report.latency.l_total_s)
 
 
 class TestUnitCosts:
@@ -313,3 +474,13 @@ class TestOptions:
 
     def test_fractional_psum_factor_allowed(self):
         assert Options(psum_rw_factor=1.5).psum_factor() == 1.5
+
+    @pytest.mark.parametrize("factor", [
+        math.nan, math.inf, -math.inf, -1, 0, 0.5, True, "2",
+    ])
+    def test_psum_factor_out_of_range_rejected(self, factor):
+        with pytest.raises(ConfigError) as exc:
+            Options(psum_rw_factor=factor)
+        assert str(exc.value) == (
+            f"psum_rw_factor: must be a finite number >= 1, got {factor!r}"
+        )
