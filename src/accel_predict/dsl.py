@@ -9,6 +9,10 @@ Line-oriented, one statement per line:
 Statement order is nesting order, outermost first; indentation is
 cosmetic. Keywords and names are case-insensitive, `#` starts a comment.
 Loop bounds are tiling factors, not original dimension extents.
+
+A loop line parses to the nest's own `LoopLevel` and a refresh line to a
+`RefreshStmt`; `lower` keeps the loops as they are (bound-1 loops
+dropped) and assembles the nest through `loopnest.assemble_mapping`.
 """
 
 from __future__ import annotations
@@ -17,28 +21,19 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DslError, MappingError
-from .loopnest import (
-    LoopLevel,
-    LoopNest,
-    RefreshLocations,
-    validate_structure,
-)
-from .model import DIMS, KINDS, DataKind, LayerShape, MemLevel
+from .errors import DslError
+from .loopnest import LoopLevel, LoopNest, RefreshLocations, assemble_mapping
+from .model import DIMS, KINDS, LEVELS_OUTER_FIRST, DataKind, LayerShape, MemLevel
 
-_LEVELS = {"dram": MemLevel.DRAM, "gb": MemLevel.GB, "noc": MemLevel.NOC, "rf": MemLevel.RF}
+# bound once: reading a member off an Enum class runs EnumType's slow hook
+_DRAM, _GB, _NOC, _RF = LEVELS_OUTER_FIRST
+_LEVELS = {"dram": _DRAM, "gb": _GB, "noc": _NOC, "rf": _RF}
 _KINDS = {"i": DataKind.INPUT, "o": DataKind.OUTPUT, "w": DataKind.WEIGHT}
 
 
-# Statements are named tuples: a document holds one per line, and a
-# named tuple is built about twice as fast as a frozen dataclass.
-class LoopStmt(NamedTuple):
-    dim: str
-    bound: int
-    mem: MemLevel
-    spatial: bool
-
-
+# Statements are named tuples, loops the nest's own LoopLevel: a document
+# holds one per line, and a named tuple is built about twice as fast as a
+# frozen dataclass.
 class RefreshStmt(NamedTuple):
     kind: DataKind
     mem: MemLevel
@@ -48,15 +43,15 @@ class RefreshStmt(NamedTuple):
 class DslDocument:
     statements: tuple
 
-    def loops(self) -> tuple[LoopStmt, ...]:
-        return tuple(s for s in self.statements if isinstance(s, LoopStmt))
+    def loops(self) -> tuple[LoopLevel, ...]:
+        return tuple(s for s in self.statements if isinstance(s, LoopLevel))
 
     def refresh_set(self) -> frozenset:
         """(kind, mem, position) triples; position counts loop lines above."""
         out = []
         pos = 0
         for s in self.statements:
-            if isinstance(s, LoopStmt):
+            if isinstance(s, LoopLevel):
                 pos += 1
             else:
                 out.append((s.kind, s.mem, pos))
@@ -87,99 +82,57 @@ _REFRESH_RE = re.compile(
 )
 
 
-def _column(line: str, match: re.Match, group: str) -> int:
-    return match.start(group) + 1
+def _error(
+    message: str, lineno: int, indent: int, m: re.Match | None = None, group: str = ""
+) -> DslError:
+    """The error of a statement indented `indent` on line `lineno`, placed
+    at the start of `group` in its match `m`, or at the statement's start."""
+    return DslError(message, lineno, indent + (m.start(group) + 1 if m else 1))
 
 
-def _parse_loop(line: str, lineno: int, indent: int) -> LoopStmt:
+def _parse_loop(line: str, lineno: int, indent: int) -> LoopLevel:
     m = _LOOP_RE.match(line)
     if m is None:
-        raise DslError(
-            "malformed loop, expected 'for DIM in 0..N @LEVEL'",
-            lineno,
-            indent + 1,
-        )
+        raise _error("malformed loop, expected 'for DIM in 0..N @LEVEL'",
+                     lineno, indent)
     kw, dim_name, in_kw, lo, bound_text, mem_name = m.groups()
     if in_kw.lower() != "in":
-        raise DslError(
-            f"expected 'in', got {in_kw!r}",
-            lineno,
-            indent + _column(line, m, "in"),
-        )
+        raise _error(f"expected 'in', got {in_kw!r}", lineno, indent, m, "in")
     dim = dim_name.lower()
     if dim not in DIMS:
-        raise DslError(
-            f"unknown dimension {dim_name!r}",
-            lineno,
-            indent + _column(line, m, "dim"),
-        )
+        raise _error(f"unknown dimension {dim_name!r}", lineno, indent, m, "dim")
     if lo != "0":
-        raise DslError(
-            "loop ranges start at 0",
-            lineno,
-            indent + _column(line, m, "lo"),
-        )
+        raise _error("loop ranges start at 0", lineno, indent, m, "lo")
     try:
         bound = int(bound_text)
     except ValueError as exc:  # more digits than Python converts
-        raise DslError(
-            f"loop bound of {len(bound_text)} digits is too long to read",
-            lineno,
-            indent + _column(line, m, "bound"),
-        ) from exc
+        raise _error(f"loop bound of {len(bound_text)} digits is too long to read",
+                     lineno, indent, m, "bound") from exc
     if bound < 1:
-        raise DslError(
-            "loop bound must be >= 1",
-            lineno,
-            indent + _column(line, m, "bound"),
-        )
+        raise _error("loop bound must be >= 1", lineno, indent, m, "bound")
     mem = _LEVELS.get(mem_name.lower())
     if mem is None:
-        raise DslError(
-            f"unknown memory level {mem_name!r}",
-            lineno,
-            indent + _column(line, m, "mem"),
-        )
+        raise _error(f"unknown memory level {mem_name!r}", lineno, indent, m, "mem")
     spatial = kw.lower() == "parallel-for"
-    if spatial and mem is not MemLevel.NOC:
-        raise DslError(
-            "spatial loop only allowed at NoC",
-            lineno,
-            indent + _column(line, m, "mem"),
-        )
-    return LoopStmt(dim, bound, mem, spatial)
+    if spatial and mem is not _NOC:
+        raise _error("spatial loop only allowed at NoC", lineno, indent, m, "mem")
+    return LoopLevel(dim, bound, mem, spatial)
 
 
 def _parse_refresh(line: str, lineno: int, indent: int) -> RefreshStmt:
     m = _REFRESH_RE.match(line)
     if m is None:
-        raise DslError(
-            "malformed refresh, expected 'refresh KIND @LEVEL'",
-            lineno,
-            indent + 1,
-        )
-    kind_name = m.group("kind")
+        raise _error("malformed refresh, expected 'refresh KIND @LEVEL'",
+                     lineno, indent)
+    kind_name, mem_name = m.groups()
     kind = _KINDS.get(kind_name.lower())
     if kind is None:
-        raise DslError(
-            f"unknown data kind {kind_name!r}",
-            lineno,
-            indent + _column(line, m, "kind"),
-        )
-    mem_name = m.group("mem")
+        raise _error(f"unknown data kind {kind_name!r}", lineno, indent, m, "kind")
     mem = _LEVELS.get(mem_name.lower())
     if mem is None:
-        raise DslError(
-            f"unknown memory level {mem_name!r}",
-            lineno,
-            indent + _column(line, m, "mem"),
-        )
-    if mem not in (MemLevel.GB, MemLevel.RF):
-        raise DslError(
-            "refresh must target GB or RF",
-            lineno,
-            indent + _column(line, m, "mem"),
-        )
+        raise _error(f"unknown memory level {mem_name!r}", lineno, indent, m, "mem")
+    if mem is not _GB and mem is not _RF:
+        raise _error("refresh must target GB or RF", lineno, indent, m, "mem")
     return RefreshStmt(kind, mem)
 
 
@@ -199,20 +152,13 @@ def parse(text: str) -> DslDocument:
             stmt = _parse_refresh(stripped, lineno, indent)
             key = (stmt.kind, stmt.mem)
             if key in seen_refresh:
-                raise DslError(
-                    f"duplicate refresh for {stmt.kind} @{stmt.mem.label} "
-                    f"(first on line {seen_refresh[key]})",
-                    lineno,
-                    indent + 1,
-                )
+                raise _error(f"duplicate refresh for {stmt.kind} @{stmt.mem.label} "
+                             f"(first on line {seen_refresh[key]})", lineno, indent)
             seen_refresh[key] = lineno
             statements.append(stmt)
         else:
-            raise DslError(
-                f"expected 'for', 'parallel-for' or 'refresh', got {head!r}",
-                lineno,
-                indent + 1,
-            )
+            raise _error(f"expected 'for', 'parallel-for' or 'refresh', got {head!r}",
+                         lineno, indent)
     return DslDocument(tuple(statements))
 
 
@@ -251,14 +197,13 @@ def document_from_ir(
 ) -> DslDocument:
     by_pos: dict[int, list[RefreshStmt]] = {}
     if refresh is not None:
-        for mem in (MemLevel.GB, MemLevel.RF):
+        for mem, locs in ((_GB, refresh.gb), (_RF, refresh.rf)):
             for kind in KINDS:
-                p = refresh.loc(kind, mem)
-                by_pos.setdefault(p, []).append(RefreshStmt(kind, mem))
+                by_pos.setdefault(locs[kind], []).append(RefreshStmt(kind, mem))
     statements = []
     for i, lv in enumerate(nest.levels):
         statements.extend(by_pos.get(i, ()))
-        statements.append(LoopStmt(lv.dim, lv.bound, lv.mem, lv.spatial))
+        statements.append(lv)
     statements.extend(by_pos.get(len(nest.levels), ()))
     return DslDocument(tuple(statements))
 
@@ -287,20 +232,8 @@ def lower(doc: DslDocument, layer: LayerShape) -> tuple[LoopNest, RefreshLocatio
     levels = []
     locs: dict[tuple[DataKind, MemLevel], int] = {}
     for stmt in doc.statements:
-        if isinstance(stmt, LoopStmt):
-            if stmt.bound > 1:
-                levels.append(
-                    LoopLevel(stmt.dim, stmt.bound, stmt.mem, stmt.spatial)
-                )
-        else:
+        if isinstance(stmt, RefreshStmt):
             locs[(stmt.kind, stmt.mem)] = len(levels)
-    nest = LoopNest(tuple(levels), layer)
-    p_gb, _, p_rf = nest.starts
-    refresh = RefreshLocations(
-        gb={k: locs.get((k, MemLevel.GB), p_gb) for k in KINDS},
-        rf={k: locs.get((k, MemLevel.RF), p_rf) for k in KINDS},
-    )
-    violations = validate_structure(nest, refresh)
-    if violations:
-        raise MappingError(violations)
-    return nest, refresh
+        elif stmt.bound > 1:
+            levels.append(stmt)
+    return assemble_mapping(levels, layer, locs)

@@ -48,7 +48,6 @@ from .loopnest import (
     build_nest,
     build_plan,
     check_ordering,
-    pe_fits,
     place_refresh,
     resident_tiles,
 )
@@ -349,8 +348,8 @@ def _screen(
     (None, None, code of the first violation found).
     """
     doomed = prep.doomed[cand[-1]]
-    if doomed != "refresh_style" and prep.noc is not None and not pe_fits(
-        space.hw, math.prod([cand[i][prep.noc] for i in range(len(DIMS))])
+    if doomed != "refresh_style" and prep.noc is not None and (
+        math.prod([cand[i][prep.noc] for i in range(len(DIMS))]) > space.hw.n_pe
     ):
         return None, None, "pe_array"
     if doomed:

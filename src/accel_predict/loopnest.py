@@ -5,6 +5,10 @@ memory level DRAM -> GB -> NoC -> RF. Spatial loops (the PE array) live in
 the NoC group. A refresh location is an index into that list: the buffer
 for a data kind at a memory level is refilled every time any loop above
 the index advances, and holds one tile spanning the loops below it.
+
+A loop is a `LoopLevel` named tuple, the record the `.dflow` parser emits
+too; a `LoopNest` checks each loop's dim and placement. Both mapping
+loaders build their checked (nest, refresh) pair with `assemble_mapping`.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
+from typing import NamedTuple
 
 from .errors import ConfigError, MappingError, Violation
 from .model import (
@@ -31,18 +36,17 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class LoopLevel:
+# bound once: reading a member off an Enum class runs EnumType's slow hook
+_DRAM, _GB, _NOC, _RF = LEVELS_OUTER_FIRST
+
+
+# one per loop in a nest or a document: a named tuple is built about
+# twice as fast as a frozen dataclass
+class LoopLevel(NamedTuple):
     dim: str
     bound: int
     mem: MemLevel
     spatial: bool = False
-
-    def __post_init__(self):
-        if self.dim not in DIMS:
-            raise ConfigError(f"unknown loop dimension {self.dim!r}")
-        if self.spatial and self.mem is not MemLevel.NOC:
-            raise ConfigError("spatial loops are only allowed at NoC")
 
 
 @dataclass(frozen=True)
@@ -57,11 +61,16 @@ class LoopNest:
         # loops, each (dim index in DIMS, bound, spatial), outermost first;
         # the indices where the GB, NoC and RF groups start; and the nest's
         # own half of validate_structure.
+        for i, (dim, _, mem, spatial) in enumerate(levels):
+            if dim not in DIMS:
+                raise ConfigError(f"levels[{i}]: unknown loop dimension {dim!r}")
+            if spatial and mem is not _NOC:
+                raise ConfigError(f"levels[{i}]: spatial loops are only allowed at NoC")
         object.__setattr__(self, "loops", tuple(
             (_DIM_INDEX[lv.dim], lv.bound, lv.spatial) for lv in levels
         ))
         object.__setattr__(self, "starts", tuple(
-            self.group_start(mem) for mem in (MemLevel.GB, MemLevel.NOC, MemLevel.RF)
+            self.group_start(mem) for mem in (_GB, _NOC, _RF)
         ))
         object.__setattr__(self, "structure_violations", _structure_violations(self))
 
@@ -90,9 +99,9 @@ class RefreshLocations:
     rf: Mapping[DataKind, int]
 
     def loc(self, kind: DataKind, mem: MemLevel) -> int:
-        if mem is MemLevel.GB:
+        if mem is _GB:
             return self.gb[kind]
-        if mem is MemLevel.RF:
+        if mem is _RF:
             return self.rf[kind]
         raise ConfigError(f"no refresh location at {mem.label}")
 
@@ -130,7 +139,7 @@ _RELEVANT = tuple(
     frozenset(_DIM_INDEX[d] for d in RELEVANT_DIMS[k]) for k in KINDS
 )
 # the keys of a plan's n_ref and v_ref: GB then RF, KINDS order within each
-_PLAN_KEYS = tuple((k, mem) for mem in (MemLevel.GB, MemLevel.RF) for k in KINDS)
+_PLAN_KEYS = tuple((k, mem) for mem in (_GB, _RF) for k in KINDS)
 
 # The positional styles and the kind each keeps stationary. Every refresh
 # point they place sits at a level-group boundary, so their tiles depend
@@ -304,7 +313,7 @@ def _structure_violations(nest: LoopNest) -> tuple[Violation, ...]:
     def flag(field: str, message: str) -> None:
         out.append(Violation("structure", field, message))
 
-    prev = MemLevel.DRAM
+    prev = _DRAM
     per_dim: dict[str, list[int]] = {d: [] for d in DIMS}
     for i, lv in enumerate(nest.levels):
         if lv.bound < 1:
@@ -359,9 +368,24 @@ def validate_structure(nest: LoopNest, refresh: RefreshLocations) -> list[Violat
     return out
 
 
-def pe_fits(hw: HardwareConfig, n_pe_active: int) -> bool:
-    """The PE rule: a mapping's spatial instances fit the PE array."""
-    return n_pe_active <= hw.n_pe
+def assemble_mapping(
+    levels: Sequence[LoopLevel],
+    layer: LayerShape,
+    given: Mapping[tuple[DataKind, MemLevel], int],
+) -> tuple[LoopNest, RefreshLocations]:
+    """The nest of `levels` and the refresh locations `given` by (kind, GB
+    or RF), each one not given at the top of its level's group. Raises
+    MappingError unless the pair passes validate_structure."""
+    nest = LoopNest(tuple(levels), layer)
+    p_gb, _, p_rf = nest.starts
+    refresh = RefreshLocations(
+        gb={k: given.get((k, _GB), p_gb) for k in KINDS},
+        rf={k: given.get((k, _RF), p_rf) for k in KINDS},
+    )
+    violations = validate_structure(nest, refresh)
+    if violations:
+        raise MappingError(violations)
+    return nest, refresh
 
 
 def _overflows(hw: HardwareConfig, gb_tiles, rf_tiles):
@@ -409,13 +433,13 @@ def checked_plan(
     if out:
         return None, out
     plan = refresh_plan(nest, refresh, options)
-    if not pe_fits(hw, plan.n_pe_active):
+    if plan.n_pe_active > hw.n_pe:
         out.append(Violation(
             "pe_array", "levels", f"{plan.n_pe_active} spatial instances > "
             f"{hw.pe_rows}x{hw.pe_cols} array",
         ))
     gb, rf = (
-        [plan.v_ref[(k, mem)] for k in KINDS] for mem in (MemLevel.GB, MemLevel.RF)
+        [plan.v_ref[(k, mem)] for k in KINDS] for mem in (_GB, _RF)
     )
     for name, kind, need, cap in _overflows(hw, gb, rf):
         if kind is None:
@@ -475,7 +499,7 @@ def build_nest(
             b = per_level.get(d, 1)
             if b > 1:
                 levels.append(
-                    LoopLevel(d, b, mem, spatial=(mem is MemLevel.NOC))
+                    LoopLevel(d, b, mem, spatial=(mem is _NOC))
                 )
     # Loops come out grouped and contiguous: only coverage or padding can fail.
     nest = LoopNest(tuple(levels), layer)

@@ -46,6 +46,10 @@ from .model import (
 # shared 2-core host).
 DEFAULT_CAP = 10**7
 
+# bound once: reading a member off an Enum class runs EnumType's slow hook
+_DRAM, _GB, _NOC, _RF = LEVELS_OUTER_FIRST
+_INPUT, _OUTPUT = KINDS[:2]
+
 
 @dataclass(frozen=True)
 class AccessCounters:
@@ -113,7 +117,7 @@ def _measure_tile(loops, kind: DataKind, stride: int, cap: int) -> int:
         raise InstanceTooLargeError(
             f"tile enumeration of {size} points exceeds cap {cap}"
         )
-    if kind is DataKind.INPUT:
+    if kind is _INPUT:
         cs = _touched(loops, {"c": 1})
         hs = _touched(loops, {"e": stride, "r": 1})
         ws = _touched(loops, {"f": stride, "s": 1})
@@ -165,7 +169,7 @@ def simulate(
     locs = {
         (kind, mem): refresh.loc(kind, mem)
         for kind in KINDS
-        for mem in (MemLevel.GB, MemLevel.RF)
+        for mem in (_GB, _RF)
     }
     depth_of = {key: temporal_depth(p) for key, p in locs.items()}
     depths = set(depth_of.values())
@@ -183,15 +187,15 @@ def simulate(
 
     event_counts = _count_refresh_events(bounds, depths)
     refreshes = {
-        MemLevel.GB: {k: event_counts[depth_of[(k, MemLevel.GB)]] for k in KINDS},
-        MemLevel.RF: {k: event_counts[depth_of[(k, MemLevel.RF)]] for k in KINDS},
+        _GB: {k: event_counts[depth_of[(k, _GB)]] for k in KINDS},
+        _RF: {k: event_counts[depth_of[(k, _RF)]] for k in KINDS},
     }
 
     volumes = {}
     for kind in KINDS:
-        for mem in (MemLevel.GB, MemLevel.RF):
+        for mem in (_GB, _RF):
             below = nest.levels[locs[(kind, mem)]:]
-            if mem is MemLevel.RF:
+            if mem is _RF:
                 below = [lv for lv in below if not lv.spatial]
             volumes[(kind, mem)] = _measure_tile(below, kind, stride, cap)
 
@@ -202,20 +206,20 @@ def simulate(
         lvl: {} for lvl in LEVELS_OUTER_FIRST
     }
     for k in KINDS:
-        n_gb = refreshes[MemLevel.GB][k]
-        n_rf = refreshes[MemLevel.RF][k]
-        dram = n_gb * volumes[(k, MemLevel.GB)]
-        gb = n_rf * volumes[(k, MemLevel.RF)] * (n_pe // multicast[k])
-        noc = n_rf * volumes[(k, MemLevel.RF)] * n_pe
-        if k is DataKind.OUTPUT:
+        n_gb = refreshes[_GB][k]
+        n_rf = refreshes[_RF][k]
+        dram = n_gb * volumes[(k, _GB)]
+        gb = n_rf * volumes[(k, _RF)] * (n_pe // multicast[k])
+        noc = n_rf * volumes[(k, _RF)] * n_pe
+        if k is _OUTPUT:
             if n_gb > 1:
                 dram *= psum
             if n_rf > 1:
                 gb *= psum
-        moved[MemLevel.DRAM][k] = dram
-        moved[MemLevel.GB][k] = gb
-        moved[MemLevel.NOC][k] = noc
-        moved[MemLevel.RF][k] = body
+        moved[_DRAM][k] = dram
+        moved[_GB][k] = gb
+        moved[_NOC][k] = noc
+        moved[_RF][k] = body
     return AccessCounters(
         refreshes=refreshes,
         elements_moved=moved,
@@ -265,7 +269,7 @@ def diff_counts(plan, analytic, counters: AccessCounters) -> DiffReport:
                     counters.elements_moved[lvl][k],
                 )
             )
-    for mem in (MemLevel.GB, MemLevel.RF):
+    for mem in (_GB, _RF):
         for k in KINDS:
             rows.append(
                 DiffRow(

@@ -7,6 +7,7 @@ divides the same counts by bandwidths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, MappingError
@@ -27,6 +28,7 @@ from .model import (
     LayerShape,
     MemLevel,
     Options,
+    _FLOAT_MAX,
     checked_count,
     checked_product,
     mac_count,
@@ -114,24 +116,39 @@ def _shares(parts: dict[str, float]) -> dict[str, float]:
     total = sum(parts.values())
     if total == 0:
         return {k: 0.0 for k in parts}
-    return {k: 100.0 * v / total for k, v in parts.items()}
+    if total <= _FLOAT_MAX / 100.0:
+        return {k: 100.0 * v / total for k, v in parts.items()}
+    # 100 x a term this large would overflow: take the ratio first
+    return {k: v / total * 100.0 for k, v in parts.items()}
+
+
+def _energy_overflow(name: str) -> ConfigError:
+    return ConfigError(f"energy: {name} exceeds the largest float; the unit "
+                       "costs are too large for this mapping")
 
 
 def energy(
     plan: RefreshPlan, counts: AccessCounts, hw: HardwareConfig
 ) -> EnergyReport:
-    """Each access count times its unit cost, plus the MACs."""
+    """Each access count times its unit cost, plus the MACs. Raises
+    ConfigError naming the first term past the largest float, if any."""
     uc = hw.unit_costs
     by_level_kind: dict[MemLevel, dict[DataKind, float]] = {}
-    level_totals: dict[MemLevel, float] = {}
     for lvl, per_kind in counts.items():
         costs = uc.e_access.get(lvl) or {}
-        by_level_kind[lvl] = row = {}
-        for k in KINDS:
-            row[k] = per_kind[k] * costs.get(k, 0.0)
-        level_totals[lvl] = sum(row.values())
+        by_level_kind[lvl] = {k: per_kind[k] * costs.get(k, 0.0) for k in KINDS}
     e_comp = plan.n_mac_padded * uc.e_mac
-    total = e_comp + sum(level_totals.values())
+    try:
+        level_totals = {lvl: sum(row.values()) for lvl, row in by_level_kind.items()}
+        total = e_comp + sum(level_totals.values())
+    except OverflowError:  # an integer term past the float range
+        total = math.inf
+    # costs are >= 0, so a total in range keeps every term in range
+    if not total <= _FLOAT_MAX:
+        terms = {"comp": e_comp, **{f"{lvl.label}[{k}]": v
+                 for lvl, row in by_level_kind.items() for k, v in row.items()}}
+        name = next((n for n, v in terms.items() if not v <= _FLOAT_MAX), None)
+        raise _energy_overflow(f"the {name} term" if name else "the total")
     return EnergyReport(
         e_comp=e_comp,
         e_rf=level_totals[_RF],
@@ -376,6 +393,8 @@ def predict_network(
     if not reports:
         raise ConfigError("predict_network needs at least one layer")
     energy_total = sum(r.energy.total for r in reports)
+    if not energy_total <= _FLOAT_MAX:
+        raise _energy_overflow("the network total")
     latency_total = sum(r.latency.l_total_s for r in reports)
     n_mac = sum(r.n_mac for r in reports)
     return NetworkReport(

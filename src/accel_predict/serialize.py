@@ -14,8 +14,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .dsl import lower, parse
-from .errors import ConfigError, MappingError
-from .loopnest import LoopLevel, LoopNest, RefreshLocations, validate_structure
+from .errors import ConfigError
+from .loopnest import LoopLevel, LoopNest, RefreshLocations, assemble_mapping
 from .model import (
     DIMS,
     KINDS,
@@ -32,6 +32,9 @@ from .model import (
 
 _LEVEL_BY_LABEL = {lvl.label: lvl for lvl in MemLevel}
 _KIND_BY_LABEL = {str(k): k for k in KINDS}
+# bound once: reading a member off an Enum class runs EnumType's slow hook
+_NOC = MemLevel.NOC
+_REFRESH_LEVELS = {"GB": MemLevel.GB, "RF": MemLevel.RF}
 
 
 def canonical_json(obj) -> str:
@@ -287,23 +290,18 @@ def mapping_from_json(data: Mapping, layer: LayerShape) -> tuple[LoopNest, Refre
         spatial = entry.get("spatial", False)
         if not isinstance(spatial, bool):
             raise ConfigError(f"{path}.spatial: expected a bool, got {spatial!r}")
-        if spatial and mem is not MemLevel.NOC:
+        if spatial and mem is not _NOC:
             raise ConfigError(f"{path}.spatial: spatial loops are only allowed at NoC")
-        levels.append(LoopLevel(dim, bound, mem, spatial=spatial))
-    nest = LoopNest(tuple(levels), layer)
+        levels.append(LoopLevel(dim, bound, mem, spatial))
 
-    outermost = RefreshLocations.outermost(nest)
-    gb, rf = dict(outermost.gb), dict(outermost.rf)
+    given = {}
     per_kind = _object(data.get("refresh", {}), "refresh", _KIND_BY_LABEL)
     for key, raw in per_kind.items():
-        for label, pos in _object(raw, f"refresh[{key}]", ("GB", "RF")).items():
-            locs = gb if label == "GB" else rf
-            locs[_KIND_BY_LABEL[key]] = int_field(pos, f"refresh[{key}][{label}]")
-    refresh = RefreshLocations(gb=gb, rf=rf)
-    violations = validate_structure(nest, refresh)
-    if violations:
-        raise MappingError(violations)
-    return nest, refresh
+        for label, pos in _object(raw, f"refresh[{key}]", _REFRESH_LEVELS).items():
+            given[(_KIND_BY_LABEL[key], _REFRESH_LEVELS[label])] = int_field(
+                pos, f"refresh[{key}][{label}]"
+            )
+    return assemble_mapping(levels, layer, given)
 
 
 def mapping_to_json(nest: LoopNest, refresh: RefreshLocations) -> dict:
@@ -318,11 +316,7 @@ def mapping_to_json(nest: LoopNest, refresh: RefreshLocations) -> dict:
             for lv in nest.levels
         ],
         "refresh": {
-            str(k): {
-                "GB": refresh.loc(k, MemLevel.GB),
-                "RF": refresh.loc(k, MemLevel.RF),
-            }
-            for k in KINDS
+            str(k): {"GB": refresh.gb[k], "RF": refresh.rf[k]} for k in KINDS
         },
     }
 

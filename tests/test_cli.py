@@ -26,6 +26,7 @@ from accel_predict import (
     canonical_refresh,
     explore,
     hardware_from_json,
+    hardware_preset,
     hardware_to_json,
     layer_from_json,
     layer_to_json,
@@ -802,6 +803,38 @@ class TestPresetsCommand:
         assert run(["presets", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert set(data) == {"hardware", "networks", "layers", "mappings"}
+
+
+class TestHugeUnitCosts:
+    """conv3 on row_stationary with `e_mac` near the largest float."""
+
+    def _predict(self, tmp_path, e_mac, fmt):
+        data = hardware_to_json(hardware_preset("eyeriss_normalized"))
+        data["unit_costs"]["e_mac"] = e_mac
+        hw = tmp_path / "hw.json"
+        hw.write_text(json.dumps(data))
+        return run(["predict", "--layer", "preset:alexnet_conv3",
+                    "--hw", str(hw), "--mapping", "preset:row_stationary",
+                    "--format", fmt])
+
+    def test_finite_energy_prints_finite_shares_in_every_format(
+        self, tmp_path, capsys
+    ):
+        outs = {}
+        for fmt in ("table", "json", "csv"):
+            assert self._predict(tmp_path, 1e300, fmt) == 0, fmt
+            outs[fmt] = capsys.readouterr().out
+            assert "inf" not in outs[fmt] and "nan" not in outs[fmt], fmt
+        shares = json.loads(outs["json"])["onchip_breakdown_pct"]
+        assert sum(shares.values()) == pytest.approx(100.0)
+
+    def test_energy_past_the_float_range_exits_two_in_every_format(
+        self, tmp_path, capsys
+    ):
+        for fmt in ("table", "json", "csv"):
+            assert self._predict(tmp_path, 1.7e308, fmt) == 2, fmt
+            err = capsys.readouterr().err
+            assert "energy: the comp term exceeds the largest float" in err
 
 
 class TestExitCodes:

@@ -8,6 +8,7 @@ from accel_predict import (
     DataKind,
     DslError,
     LayerShape,
+    LoopLevel,
     MappingError,
     MemLevel,
     build_nest,
@@ -18,7 +19,7 @@ from accel_predict import (
     render,
     render_document,
 )
-from accel_predict.dsl import LoopStmt, RefreshStmt, DslDocument
+from accel_predict.dsl import RefreshStmt, DslDocument
 from accel_predict.model import DIMS
 
 I, O, W = DataKind.INPUT, DataKind.OUTPUT, DataKind.WEIGHT
@@ -29,7 +30,7 @@ class TestParse:
     def test_two_loops_with_refresh_between(self):
         doc = parse("for m in 0..2 @DRAM\nrefresh W @GB\nfor c in 0..2 @GB")
         assert doc.loops() == (
-            LoopStmt("m", 2, DRAM, False), LoopStmt("c", 2, GB, False)
+            LoopLevel("m", 2, DRAM, False), LoopLevel("c", 2, GB, False)
         )
         assert doc.refresh_set() == {(W, GB, 1)}
 
@@ -51,7 +52,7 @@ class TestParse:
 
     def test_keywords_and_levels_case_insensitive(self):
         doc = parse("FOR M IN 0..2 @dram\nRefresh w @gb")
-        assert doc.loops()[0] == LoopStmt("m", 2, DRAM, False)
+        assert doc.loops()[0] == LoopLevel("m", 2, DRAM, False)
         assert doc.refresh_set() == {(W, GB, 1)}
 
     def test_comments_and_blank_lines_ignored(self):
@@ -253,7 +254,7 @@ def documents(draw):
     for _ in range(n):
         mem = draw(st.sampled_from(list(MemLevel)))
         spatial = mem is NOC and draw(st.booleans())
-        loops.append(LoopStmt(
+        loops.append(LoopLevel(
             draw(st.sampled_from(DIMS)),
             draw(st.integers(1, 9)),
             mem,

@@ -17,13 +17,19 @@ from accel_predict import (
     build_nest,
     canonical_refresh,
     checked_plan,
+    lower,
+    mapping_from_json,
+    mapping_to_json,
+    parse,
     refresh_plan,
+    render,
     validate_nest,
     validate_structure,
 )
 from accel_predict.loopnest import place_refresh
 from accel_predict.model import DIMS, KINDS, LEVELS_OUTER_FIRST, Precision
 from tests.test_model import _hw
+from tests.test_oracle import legal_instances
 
 I, O, W = DataKind.INPUT, DataKind.OUTPUT, DataKind.WEIGHT
 DRAM, GB, NOC, RF = MemLevel.DRAM, MemLevel.GB, MemLevel.NOC, MemLevel.RF
@@ -38,17 +44,33 @@ def uniform_refresh(nest):
 
 
 class TestLoopLevel:
-    def test_unknown_dim_rejected(self):
-        with pytest.raises(ConfigError):
-            LoopLevel("x", 2, DRAM)
+    def test_nest_rejects_unknown_dim(self):
+        layer = LayerShape(m=2, c=2, r=1, s=1, e=1, f=1)
+        with pytest.raises(ConfigError, match=r"^levels\[1\]: unknown loop "
+                           "dimension 'x'$"):
+            nest_of(layer, ("m", 2, DRAM), ("x", 2, GB), ("c", 2, RF))
 
-    def test_spatial_outside_noc_rejected(self):
-        with pytest.raises(ConfigError):
-            LoopLevel("m", 2, GB, spatial=True)
+    def test_nest_rejects_spatial_outside_noc(self):
+        layer = LayerShape(m=2, c=2, r=1, s=1, e=1, f=1)
+        with pytest.raises(ConfigError, match=r"^levels\[2\]: spatial loops "
+                           "are only allowed at NoC$"):
+            nest_of(layer, ("c", 2, DRAM), ("e", 1, GB), ("m", 2, GB, True))
 
     def test_spatial_at_noc_ok(self):
         lv = LoopLevel("m", 2, NOC, spatial=True)
         assert lv.spatial
+
+
+@settings(max_examples=100, deadline=None)
+@given(legal_instances())
+def test_both_loaders_assemble_what_was_written(instance):
+    nest, refresh, _ = instance
+    layer = nest.layer
+    data = mapping_to_json(nest, refresh)
+    assert mapping_from_json(data, layer) == (nest, refresh)
+    # lower drops bound-1 loops by design
+    if all(lv.bound > 1 for lv in nest.levels):
+        assert lower(parse(render(nest, refresh)), layer) == (nest, refresh)
 
 
 class TestBuildNest:

@@ -17,6 +17,7 @@ from accel_predict import (
     MemLevel,
     Options,
     Precision,
+    PredictorError,
     RefreshLocations,
     UnitCosts,
     access_counts,
@@ -140,6 +141,30 @@ class TestEnergy:
         rep = energy(plan, access_counts(plan), hw)
         assert rep.total == 0.0
         assert set(rep.breakdown_pct().values()) == {0.0}
+
+
+    def test_integer_cost_past_the_float_range_names_the_term(self):
+        layer = layer_preset("conv3")
+        hw = hardware_preset("eyeriss_normalized")
+        nest, refresh = mapping_preset("row_stationary", layer, hw)
+        hw = dataclasses.replace(hw, unit_costs=dataclasses.replace(
+            hw.unit_costs, e_mac=10**308
+        ))
+        with pytest.raises(PredictorError, match="^energy: the comp term "
+                           "exceeds the largest float"):
+            predict_layer(layer, nest, refresh, hw)
+
+    def test_network_total_past_the_float_range_raises(self):
+        layer = layer_preset("conv3")
+        hw = hardware_preset("eyeriss_normalized")
+        nest, refresh = mapping_preset("row_stationary", layer, hw)
+        hw = dataclasses.replace(hw, unit_costs=dataclasses.replace(
+            hw.unit_costs, e_mac=1e300
+        ))
+        assert predict_layer(layer, nest, refresh, hw).energy.total < math.inf
+        with pytest.raises(PredictorError, match="^energy: the network total "
+                           "exceeds the largest float"):
+            predict_network([(layer, nest, refresh)] * 2, hw)
 
 
 class TestLatency:
