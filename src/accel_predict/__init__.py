@@ -25,7 +25,6 @@ from .explore import (
     SearchEntry,
     SearchResult,
     SearchSpace,
-    enumerate_mappings,
     explore,
     space_size,
 )
@@ -74,7 +73,6 @@ from .presets import (
 )
 from .serialize import (
     canonical_json,
-    counts_csv,
     hardware_from_json,
     hardware_to_json,
     layer_from_json,
@@ -84,7 +82,6 @@ from .serialize import (
     load_mapping,
     mapping_from_json,
     mapping_to_json,
-    report_csv,
 )
 from .cli import main
 
@@ -125,10 +122,8 @@ __all__ = [
     "canonical_refresh",
     "check",
     "checked_plan",
-    "counts_csv",
     "diff_counts",
     "energy",
-    "enumerate_mappings",
     "explore",
     "fmt",
     "hardware_from_json",
@@ -153,7 +148,6 @@ __all__ = [
     "predict_layer",
     "predict_network",
     "refresh_plan",
-    "report_csv",
     "render",
     "render_document",
     "row_stationary_mapping",

@@ -393,7 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--styles", default="weight_stationary,output_stationary",
         help="comma list of refresh styles to try",
     )
-    p.add_argument("--allow-nondivisor", action="store_true")
+    p.add_argument(
+        "--allow-nondivisor", action="store_true",
+        help="also try padded tilings whose products overshoot a dim minimally",
+    )
     p.add_argument(
         "--cap", type=_count, default=500_000,
         help="refuse exhaustive search above this candidate count",

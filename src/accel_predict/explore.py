@@ -44,6 +44,7 @@ from .loopnest import (
     LoopNest,
     RefreshLocations,
     RefreshPlan,
+    _check_coverage,
     buffers_fit,
     build_nest,
     build_plan,
@@ -168,17 +169,6 @@ def _padded_tilings(value: int, k: int, allowed) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
     nodes = 0
 
-    def minimal(tup: tuple[int, ...]) -> bool:
-        product = 1
-        for b in tup:
-            product *= b
-        if product < value:
-            return False
-        for b in tup:
-            if b > 1 and (product // b) * (b - 1) >= value:
-                return False
-        return True
-
     def rec(prefix: tuple[int, ...], product: int):
         nonlocal nodes
         nodes += 1
@@ -188,7 +178,7 @@ def _padded_tilings(value: int, k: int, allowed) -> list[tuple[int, ...]]:
                 "allowed_factors or disable allow_nondivisor"
             )
         if len(prefix) == k:
-            if minimal(prefix):
+            if product >= value and not _check_coverage(value, prefix)[1]:
                 out.append(prefix)
             return
         # once coverage is reached, only 1s can stay minimal
@@ -414,25 +404,6 @@ def _order(scored, n: int, built) -> list[int]:
             )
         start = end
     return order[:n]
-
-
-def enumerate_mappings(
-    space: SearchSpace,
-    layer: LayerShape,
-    discards: Counter | None = None,
-):
-    """Yield every legal (nest, refresh) pair in deterministic order.
-
-    Pass a Counter to collect how many candidates each legality check
-    rejected.
-    """
-    prep = _prepare(space, layer)
-    for cand in _iter_candidates(prep):
-        refresh, _, code = _screen(space, prep, cand)
-        if code is None:
-            yield _candidate_nest(space, layer, prep, cand), refresh
-        elif discards is not None:
-            discards[code] += 1
 
 
 # --------------------------------------------------------------- results

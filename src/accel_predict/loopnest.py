@@ -7,7 +7,7 @@ for a data kind at a memory level is refilled every time any loop above
 the index advances, and holds one tile spanning the loops below it.
 
 A loop is a `LoopLevel` named tuple, the record the `.dflow` parser emits
-too; a `LoopNest` checks each loop's dim and placement. Both mapping
+too; a `LoopNest` checks each loop's types, dim and placement. Both mapping
 loaders build their checked (nest, refresh) pair with `assemble_mapping`.
 """
 
@@ -61,7 +61,11 @@ class LoopNest:
         # loops, each (dim index in DIMS, bound, spatial), outermost first;
         # the indices where the GB, NoC and RF groups start; and the nest's
         # own half of validate_structure.
-        for i, (dim, _, mem, spatial) in enumerate(levels):
+        for i, (dim, bound, mem, spatial) in enumerate(levels):
+            if type(bound) is not int or type(mem) is not MemLevel:
+                what = (f"bound {bound!r} is not an integer" if type(bound) is not int
+                        else f"level {mem!r} is not a MemLevel")
+                raise ConfigError(f"levels[{i}]: {what}")
             if dim not in DIMS:
                 raise ConfigError(f"levels[{i}]: unknown loop dimension {dim!r}")
             if spatial and mem is not _NOC:
@@ -80,12 +84,6 @@ class LoopNest:
             if lv.mem <= mem:
                 return i
         return len(self.levels)
-
-    def padded_dims(self) -> dict[str, int]:
-        return {d: math.prod(lv.bound for lv in self.levels if lv.dim == d) for d in DIMS}
-
-    def padded_mac_count(self) -> int:
-        return checked_product([lv.bound for lv in self.levels])
 
     def n_pe_active(self) -> int:
         return checked_product([lv.bound for lv in self.levels if lv.spatial])
@@ -280,29 +278,26 @@ def build_plan(loops, gb, rf, tiles) -> RefreshPlan:
 def refresh_plan(
     nest: LoopNest, refresh: RefreshLocations, options: Options = Options()
 ) -> RefreshPlan:
-    # unchecked locations: one outside 0..n cuts the loops as a slice would
+    """The refresh plan of an unchecked mapping. Raises MappingError, with
+    validate_structure's violations, for a location outside 0..n."""
     n = len(nest.loops)
-    gb, rf = ([p if 0 <= (p := locs[k]) <= n else slice(p, None).indices(n)[0]
-               for k in KINDS] for locs in (refresh.gb, refresh.rf))
+    gb, rf = ([p for k in KINDS if 0 <= (p := locs[k]) <= n]
+              for locs in (refresh.gb, refresh.rf))
+    if len(gb) + len(rf) < 2 * len(KINDS):  # a location was out of range
+        raise MappingError(validate_structure(nest, refresh))
     tiles = resident_tiles(nest.loops, gb, rf, options.effective_stride(nest.layer))
     return build_plan(nest.loops, gb, rf, tiles)
 
 
-def _check_coverage(dim: str, true_dim: int, factors: list[int]) -> list[str]:
-    """Messages for coverage/minimality problems of one dimension."""
-    product = 1
-    for b in factors:
-        product *= b
-    if product < true_dim:
-        return [f"tiling product {product} < layer dim {true_dim}"]
-    msgs = []
+def _check_coverage(true_dim: int, factors) -> tuple[int, list[int]]:
+    """The minimal-cover rule: the factors' product, and each factor that
+    could shrink with it still covering `true_dim` (none if it falls short)."""
+    product = math.prod(factors)
+    shrinkable = []
     for b in factors:
         if b > 1 and (product // b) * (b - 1) >= true_dim:
-            msgs.append(
-                f"padding is not minimal: factor {b} could shrink "
-                f"({product}//{b}*{b - 1} still covers {true_dim})"
-            )
-    return msgs
+            shrinkable.append(b)
+    return product, shrinkable
 
 
 def _structure_violations(nest: LoopNest) -> tuple[Violation, ...]:
@@ -333,8 +328,13 @@ def _structure_violations(nest: LoopNest) -> tuple[Violation, ...]:
         flag("levels", "spatial loops must be contiguous within NoC")
 
     for d in DIMS:
-        for msg in _check_coverage(d, getattr(nest.layer, d), per_dim[d]):
-            flag(f"dim {d}", msg)
+        true_dim = getattr(nest.layer, d)
+        product, shrinkable = _check_coverage(true_dim, per_dim[d])
+        if product < true_dim:
+            flag(f"dim {d}", f"tiling product {product} < layer dim {true_dim}")
+        for b in shrinkable:
+            flag(f"dim {d}", f"padding is not minimal: factor {b} could shrink "
+                 f"({product}//{b}*{b - 1} still covers {true_dim})")
     return tuple(out)
 
 

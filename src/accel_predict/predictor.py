@@ -89,17 +89,6 @@ class EnergyReport:
     total: float
     by_level_kind: dict[MemLevel, dict[DataKind, float]]
 
-    def breakdown_pct(self) -> dict[str, float]:
-        """Shares of the full total, DRAM included."""
-        parts = {
-            "comp": self.e_comp,
-            "rf": self.e_rf,
-            "noc": self.e_noc,
-            "gb": self.e_gb,
-            "dram": self.e_dram,
-        }
-        return _shares(parts)
-
     def onchip_breakdown_pct(self) -> dict[str, float]:
         """The four-column view (comp/RF/NoC/GB) used for chip comparisons,
         normalized without the DRAM share."""
@@ -323,6 +312,11 @@ def predict_layer(
     options: Options = Options(),
     validate: bool = True,
 ) -> PredictionReport:
+    """Access counts, energy, latency and throughput of one mapped layer.
+
+    Raises MappingError unless the mapping passes the structure and
+    hardware checks. validate=False skips both, for a mapping known legal;
+    refresh_plan still refuses a refresh location outside the nest."""
     if layer is not nest.layer and _shape(layer) != _shape(nest.layer):
         raise ConfigError(
             f"layer {layer.name!r} does not match the mapping's layer "
@@ -382,12 +376,11 @@ def predict_network(
     items,
     hw: HardwareConfig,
     options: Options = Options(),
-    validate: bool = True,
 ) -> NetworkReport:
-    """Aggregate over (layer, nest, refresh) triples; layers run back to
-    back, each paying its own setup."""
+    """Aggregate over (layer, nest, refresh) triples, each one checked;
+    layers run back to back, each paying its own setup."""
     reports = tuple(
-        predict_layer(layer, nest, refresh, hw, options, validate)
+        predict_layer(layer, nest, refresh, hw, options)
         for layer, nest, refresh in items
     )
     if not reports:

@@ -33,13 +33,6 @@ MAPPING_PRESETS = (
     "output_stationary",
 )
 
-_STYLE_FOR_PRESET = {
-    "row_stationary": "row_stationary_like",
-    "row_stationary_like": "row_stationary_like",  # alias
-    "weight_stationary": "weight_stationary",
-    "output_stationary": "output_stationary",
-}
-
 
 def _load_data(name: str) -> dict:
     ref = resources.files(__package__) / "presets" / f"{name}.json"
@@ -224,12 +217,11 @@ def mapping_preset(
     hw: HardwareConfig,
     options: Options = Options(),
 ) -> tuple[LoopNest, RefreshLocations]:
-    style = _STYLE_FOR_PRESET.get(name)
-    if style is None:
+    if name not in MAPPING_PRESETS:
         raise ConfigError(
             f"unknown mapping preset {name!r}; available: {MAPPING_PRESETS}"
         )
     nest, refresh = row_stationary_mapping(layer, hw, options)
-    if style == "row_stationary_like":
+    if name == "row_stationary":
         return nest, refresh
-    return nest, canonical_refresh(nest, style, hw, options)
+    return nest, canonical_refresh(nest, name, hw, options)

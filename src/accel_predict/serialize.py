@@ -370,16 +370,6 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def counts_csv(counts_by_layer: Mapping[str, Mapping]) -> str:
-    """Access counts as `layer,level,kind,accesses` rows."""
-    return csv_text(["layer", "level", "kind", "accesses"], [
-        [layer_name, lvl.label, str(k), counts[lvl][k]]
-        for layer_name, counts in counts_by_layer.items()
-        for lvl in LEVELS_OUTER_FIRST
-        for k in KINDS
-    ])
-
-
 def report_rows(reports) -> tuple[list[str], list[list]]:
     """CSV header and one row per layer x level x kind: accesses, energy."""
     header = ["layer", "level", "kind", "accesses", "energy_units"]
@@ -390,8 +380,3 @@ def report_rows(reports) -> tuple[list[str], list[list]]:
         for lvl in LEVELS_OUTER_FIRST
         for k in KINDS
     ]
-
-
-def report_csv(reports) -> str:
-    """One row per layer x level x kind with accesses and energy."""
-    return csv_text(*report_rows(reports))

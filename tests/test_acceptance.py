@@ -5,6 +5,7 @@ PASS/FAIL line (run with -s or -rA to see them). The randomized checks
 use fixed seeds so the gate is reproducible.
 """
 
+import math
 import random
 import time
 from dataclasses import replace
@@ -23,7 +24,6 @@ from accel_predict import (
     SearchSpace,
     access_counts,
     diff_counts,
-    enumerate_mappings,
     explore,
     hardware_preset,
     layer_preset,
@@ -41,6 +41,7 @@ from accel_predict import (
     validate_structure,
 )
 from accel_predict.model import DIMS, KINDS
+from tests.test_explore import enumerate_mappings
 from tests.test_model import _hw
 
 I, O, W = DataKind.INPUT, DataKind.OUTPUT, DataKind.WEIGHT
@@ -116,7 +117,9 @@ def oracle_runs():
         plan = refresh_plan(nest, refresh, options)
         counters = simulate(nest, refresh, options=options)
         diff = diff_counts(plan, access_counts(plan, options), counters)
-        padded = LayerShape(**nest.padded_dims(), stride=nest.layer.stride)
+        padded = LayerShape(**{
+            d: math.prod(lv.bound for lv in nest.levels if lv.dim == d) for d in DIMS
+        }, stride=nest.layer.stride)
         runs.append((diff.ok, counters.body_iterations == mac_count(padded)))
     return runs, time.monotonic() - t0
 
@@ -156,7 +159,7 @@ def test_energy_breakdown_reproduction():
     parts = []
     for name, targets in BREAKDOWN_TARGETS.items():
         layer = layer_preset(name)
-        nest, refresh = mapping_preset("row_stationary_like", layer, hw)
+        nest, refresh = mapping_preset("row_stationary", layer, hw)
         pct = predict_layer(layer, nest, refresh, hw).energy.onchip_breakdown_pct()
         for key, target in targets.items():
             ok &= abs(pct[key] - target) <= 6.0
@@ -201,7 +204,7 @@ def test_throughput_identity_and_aggregate():
     hw = hardware_preset("eyeriss_normalized")
     items = []
     for layer in network_preset("alexnet_conv"):
-        nest, refresh = mapping_preset("row_stationary_like", layer, hw)
+        nest, refresh = mapping_preset("row_stationary", layer, hw)
         items.append((layer, nest, refresh))
     agg = predict_network(items, hw).throughput_gops
     _gate(
@@ -327,7 +330,7 @@ def test_mapping_text_round_trips():
 def test_stride_relaxation_lowers_input_traffic():
     layer = layer_preset("alexnet_conv1")  # stride 4
     hw = hardware_preset("eyeriss_normalized")
-    nest, refresh = mapping_preset("row_stationary_like", layer, hw)
+    nest, refresh = mapping_preset("row_stationary", layer, hw)
     exact = access_counts(refresh_plan(nest, refresh))
     relaxed = access_counts(
         refresh_plan(nest, refresh, Options(assume_stride_one=True))

@@ -35,11 +35,10 @@ from accel_predict import (
     main,
     mapping_from_json,
     mapping_to_json,
-    report_csv,
 )
 import accel_predict.predictor
 from accel_predict.model import UNBOUNDED
-from accel_predict.serialize import counts_csv
+from accel_predict.serialize import csv_text, report_rows
 from tests.test_model import _hw
 
 GB, RF = MemLevel.GB, MemLevel.RF
@@ -376,7 +375,7 @@ class TestMappingJson:
         path = tmp_path / "map.dflow"
         path.write_text("for m in 0..4 @GB\nfor e in 0..3 @GB\nfor c in 0..2 @RF\n")
         got_nest, got_refresh = load_mapping(path, layer)
-        assert got_nest.padded_mac_count() == 24
+        assert math.prod(lv.bound for lv in got_nest.levels) == 24
 
     def test_invalid_json_names_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -394,19 +393,11 @@ class TestCsv:
         from accel_predict import predict_layer
         rep = predict_layer(layer, nest, refresh,
                             _hw(capacity_gb=10**9, capacity_rf=10**6))
-        text = report_csv([rep])
+        text = csv_text(*report_rows([rep]))
         lines = text.strip().split("\n")
         assert lines[0] == "layer,level,kind,accesses,energy_units"
         assert len(lines) == 1 + 12  # 4 levels x 3 kinds
         assert all(line.startswith("tiny,") for line in lines[1:])
-
-    def test_counts_csv_header(self):
-        from accel_predict import DataKind
-        counts = {lvl: {k: 1 for k in DataKind} for lvl in MemLevel}
-        text = counts_csv({"l0": counts})
-        lines = text.strip().split("\n")
-        assert lines[0] == "layer,level,kind,accesses"
-        assert len(lines) == 13
 
 
 # ------------------------------------------------------------------ CLI
@@ -770,6 +761,16 @@ class TestExploreCommand:
         assert run(["explore", "--layer", files["layer"], "--hw", files["hw"],
                     "--levels", "GB,L2"]) == 2
         assert "L2" in capsys.readouterr().err
+
+    def test_allow_nondivisor(self, files, capsys):
+        assert run(["explore", "--layer", files["layer"], "--hw", files["hw"],
+                    "--levels", "GB,RF", "--allow-nondivisor"]) == 0
+        # e = 3 gains the padded cover 2 x 2: 36 candidates, not 24
+        assert "space: 36 candidates" in capsys.readouterr().out
+        assert run(["explore", "--layer", "preset:alexnet_conv2",
+                    "--hw", "preset:eyeriss_normalized",
+                    "--allow-nondivisor"]) == 2
+        assert "too many padded tilings to enumerate" in capsys.readouterr().err
 
 
 class TestFmtCommand:

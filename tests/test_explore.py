@@ -22,7 +22,6 @@ from accel_predict import (
     canonical_refresh,
     check,
     checked_plan,
-    enumerate_mappings,
     explore,
     hardware_preset,
     layer_preset,
@@ -50,6 +49,19 @@ explore_module = importlib.import_module("accel_predict.explore")
 loopnest_module = importlib.import_module("accel_predict.loopnest")
 
 DRAM, GB, NOC, RF = MemLevel.DRAM, MemLevel.GB, MemLevel.NOC, MemLevel.RF
+
+
+def enumerate_mappings(space, layer, discards=None):
+    """A linear-scan reference: yield every legal (nest, refresh) pair of
+    the space in candidate order, counting each discard's code into
+    `discards` if given."""
+    prep = explore_module._prepare(space, layer)
+    for cand in explore_module._iter_candidates(prep):
+        refresh, _, code = explore_module._screen(space, prep, cand)
+        if code is None:
+            yield explore_module._candidate_nest(space, layer, prep, cand), refresh
+        elif discards is not None:
+            discards[code] += 1
 
 
 def roomy_hw(**overrides):

@@ -9,7 +9,9 @@ counts, energy and latency, bit for bit and in the same key order, or
 raise the same exception with the same message. The one intended
 difference is DRAM traffic: the reference leaves input and weight DRAM
 counts (and output ones under a fractional read+write factor) unchecked,
-and the kernel passes them through the overflow rule.
+and the kernel passes them through the overflow rule. An instance with a
+refresh location outside 0..n is excluded: the reference cuts the loops
+there as a slice would, and the kernel refuses it with a MappingError.
 """
 
 import dataclasses
@@ -26,6 +28,7 @@ from accel_predict import (
     LayerShape,
     LoopLevel,
     LoopNest,
+    MappingError,
     MemLevel,
     Options,
     Precision,
@@ -312,6 +315,13 @@ def _check_against_reference(nest, refresh, options, hw):
 )
 @given(kernel_instances())
 def test_kernel_matches_reference(instance):
+    nest, refresh, options, _ = instance
+    n = len(nest.loops)
+    if any(not 0 <= p <= n for locs in (refresh.gb, refresh.rf)
+           for p in locs.values()):
+        with pytest.raises(MappingError):
+            refresh_plan(nest, refresh, options)
+        return
     _check_against_reference(*instance)
 
 

@@ -1,5 +1,7 @@
 """Nest construction, legality checks, and refresh-count derivation."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +58,22 @@ class TestLoopLevel:
                            "are only allowed at NoC$"):
             nest_of(layer, ("c", 2, DRAM), ("e", 1, GB), ("m", 2, GB, True))
 
+    # a float bound reached the plan as an n_mac_padded of 2.0
+    @pytest.mark.parametrize("bound", [2.0, True, "2"])
+    def test_nest_rejects_a_bound_that_is_not_an_integer(self, bound):
+        layer = LayerShape(m=2, c=2, r=1, s=1, e=1, f=1)
+        with pytest.raises(ConfigError, match=rf"^levels\[1\]: bound "
+                           rf"{bound!r} is not an integer$"):
+            nest_of(layer, ("c", 2, DRAM), ("m", bound, GB))
+
+    # a level given by its label failed later, in group_start's comparison
+    @pytest.mark.parametrize("mem", ["GB", 2, None])
+    def test_nest_rejects_a_level_that_is_not_a_memlevel(self, mem):
+        layer = LayerShape(m=2, c=2, r=1, s=1, e=1, f=1)
+        with pytest.raises(ConfigError, match=rf"^levels\[1\]: level "
+                           rf"{mem!r} is not a MemLevel$"):
+            nest_of(layer, ("c", 2, DRAM), ("m", 2, mem))
+
     def test_spatial_at_noc_ok(self):
         lv = LoopLevel("m", 2, NOC, spatial=True)
         assert lv.spatial
@@ -107,7 +125,7 @@ class TestBuildNest:
         # 2*2 covers 3 and neither factor can shrink
         layer = LayerShape(m=3, c=1, r=1, s=1, e=1, f=1)
         nest = build_nest(layer, {DRAM: {"m": 2}, GB: {"m": 2}})
-        assert nest.padded_dims()["m"] == 4
+        assert math.prod(lv.bound for lv in nest.levels if lv.dim == "m") == 4
 
     def test_reducible_padding_rejected(self):
         # a single factor 4 over dim 3 could be 3
@@ -320,17 +338,21 @@ class TestRefreshPlan:
                     assert traffic <= prev
                 prev = traffic
 
-    def test_unchecked_locations_cut_the_loops_as_a_slice_would(self):
+    # a Python slice would cut the loops at n + 1, -1 or -10 as at n, n - 1 or 0
+    def test_a_location_outside_the_nest_is_refused(self):
         layer = LayerShape(m=4, c=2, r=1, s=1, e=2, f=1)
         nest = build_nest(layer, {GB: {"m": 2}, RF: {"m": 2, "c": 2, "e": 2}})
         n = len(nest.levels)
-
-        def plan(rf):
-            return refresh_plan(nest, RefreshLocations(
-                gb={k: 0 for k in DataKind}, rf={k: rf for k in DataKind}
-            ))
-        for outside, inside in ((n + 1, n), (-1, n - 1), (-10, 0)):
-            assert plan(outside) == plan(inside)
+        for outside in (n + 1, -1, -10):
+            refresh = RefreshLocations(
+                gb={k: 0 for k in DataKind}, rf={k: outside for k in DataKind}
+            )
+            with pytest.raises(MappingError) as exc:
+                refresh_plan(nest, refresh)
+            assert exc.value.violations == validate_structure(nest, refresh)
+            assert exc.value.violations[0].message == (
+                f"location {outside} outside [0, {n}]"
+            )
 
     def test_rf_traffic_dominates_gb_traffic_without_multicast(self):
         layer = LayerShape(m=4, c=3, r=2, s=2, e=2, f=2)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 from unittest import mock
 
 import pytest
@@ -64,7 +65,7 @@ class TestWorkedExample:
     def test_body_iterations_equal_padded_mac_count(self):
         nest, refresh = self._setup()
         counters = simulate(nest, refresh)
-        assert counters.body_iterations == 8 == nest.padded_mac_count()
+        assert counters.body_iterations == 8 == math.prod(lv.bound for lv in nest.levels)
 
 
 class TestMeasurementDetails:
@@ -288,7 +289,7 @@ def test_analytic_counts_equal_brute_force(instance):
 def test_body_iterations_match_padded_macs(instance):
     nest, refresh, options = instance
     counters = simulate(nest, refresh, options=options)
-    assert counters.body_iterations == nest.padded_mac_count()
+    assert counters.body_iterations == math.prod(lv.bound for lv in nest.levels)
     assert counters.macs_per_pe * counters.n_pe_active == counters.body_iterations
 
 

@@ -23,6 +23,7 @@ from accel_predict import (
     validate_nest,
     validate_structure,
 )
+from accel_predict.presets import MAPPING_PRESETS
 
 I, O, W = DataKind.INPUT, DataKind.OUTPUT, DataKind.WEIGHT
 
@@ -104,11 +105,21 @@ class TestRowStationaryRecipe:
             "              for s in 0..11 @RF\n"
         )
 
-    def test_alias_matches(self):
+    def test_accepted_names_are_the_listed_ones(self):
         hw = hardware_preset("eyeriss_normalized")
         layer = layer_preset("conv1")
-        assert mapping_preset("row_stationary_like", layer, hw) == \
-            mapping_preset("row_stationary", layer, hw)
+        listed = set(list_presets()["mappings"])
+        accepted = set()
+        # row_stationary_like was once an alias of row_stationary
+        for name in sorted(listed | {*MAPPING_PRESETS, "row_stationary_like"}):
+            try:
+                mapping_preset(name, layer, hw)
+            except ConfigError as exc:
+                assert str(exc) == (f"unknown mapping preset {name!r}; "
+                                    f"available: {MAPPING_PRESETS}")
+            else:
+                accepted.add(name)
+        assert accepted == listed == set(MAPPING_PRESETS)
 
     def test_recipe_is_legal_on_every_layer(self):
         hw = hardware_preset("eyeriss_normalized")
