@@ -395,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--allow-nondivisor", action="store_true",
-        help="also try padded tilings whose products overshoot a dim minimally",
+        help="also try padded tilings, each dim's minimal covers (a far "
+             "larger space, where random sampling finds worse mappings)",
     )
     p.add_argument(
         "--cap", type=_count, default=500_000,

@@ -84,9 +84,10 @@ class SearchSpace:
     levels lists the memories each dimension may tile across, outermost
     first. orderings holds loop-order templates, each either one dim
     permutation applied at every level or a per-level mapping. Factors
-    larger than 1 can be restricted per dim with allowed_factors;
-    allow_nondivisor admits padded covers (kept minimal, so no factor
-    can shrink without losing coverage).
+    larger than 1 can be restricted per dim with allowed_factors.
+    allow_nondivisor adds each dim's minimal covers (no factor can shrink
+    and still cover the dim): a far larger space, which suits a directed
+    search better than random sampling.
     """
 
     hw: HardwareConfig
@@ -133,64 +134,41 @@ def _normalize_ordering(template) -> dict[MemLevel, tuple[str, ...]]:
     return ordering
 
 
-def _allowed_upto(allowed, top: int) -> list[int]:
-    """1 and the allowed factors up to `top`, ascending."""
-    return [1, *sorted(b for b in allowed if 1 < b <= top)]
-
-
 def _divisors(n: int) -> list[int]:
     """The divisors of n, ascending, found up to its square root."""
     small = [b for b in range(1, math.isqrt(n) + 1) if not n % b]
     return small + [n // b for b in reversed(small) if b * b != n]
 
 
-def _divisor_tilings(value: int, k: int, allowed) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, prefix: tuple[int, ...]):
-        if len(prefix) == k - 1:
-            if remaining == 1 or allowed is None or remaining in allowed:
-                out.append(prefix + (remaining,))
-            return
-        if allowed is None:
-            factors = _divisors(remaining)
-        else:
-            factors = [b for b in _allowed_upto(allowed, remaining)
-                       if not remaining % b]
-        for b in factors:
-            rec(remaining // b, prefix + (b,))
-
-    rec(value, ())
-    return out
-
-
-def _padded_tilings(value: int, k: int, allowed) -> list[tuple[int, ...]]:
-    """Minimal covers: product >= value and no factor can be reduced."""
+def _tilings(value: int, k: int, allowed, padded: bool) -> list[tuple[int, ...]]:
+    """Per-level factor tuples of `value` across k levels, in lexicographic
+    order: its divisor tilings or, if `padded`, its minimal covers. Each
+    node carries rest = ceil(value / prefix product). The last factor is
+    rest: a larger one could shrink, and a smaller one does not cover."""
+    if allowed is None:
+        factors = (lambda rest: range(1, rest + 1)) if padded else _divisors
+    else:
+        def factors(rest: int) -> list[int]:
+            return [1, *sorted(b for b in allowed
+                               if 1 < b <= rest and (padded or not rest % b))]
     out: list[tuple[int, ...]] = []
     nodes = 0
 
-    def rec(prefix: tuple[int, ...], product: int):
+    def rec(rest: int, prefix: tuple[int, ...]):
         nonlocal nodes
-        nodes += 1
-        if nodes > _FACTOR_ENUM_CAP:
-            raise ConfigError(
-                "too many padded tilings to enumerate; restrict "
-                "allowed_factors or disable allow_nondivisor"
-            )
-        if len(prefix) == k:
-            if product >= value and not _check_coverage(value, prefix)[1]:
-                out.append(prefix)
+        if padded and (nodes := nodes + 1) > _FACTOR_ENUM_CAP:
+            raise ConfigError("too many padded tilings to enumerate; restrict "
+                              "allowed_factors or disable allow_nondivisor")
+        if len(prefix) == k - 1:
+            tiling = prefix + (rest,)
+            if ((rest == 1 or allowed is None or rest in allowed)
+                    and not (padded and _check_coverage(value, tiling)[1])):
+                out.append(tiling)
             return
-        # once coverage is reached, only 1s can stay minimal
-        top = 1 if product >= value else value
-        if allowed is None:
-            factors = range(1, top + 1)
-        else:
-            factors = _allowed_upto(allowed, top)
-        for b in factors:
-            rec(prefix + (b,), product * b)
+        for b in factors(rest):
+            rec(-(-rest // b), prefix + (b,))
 
-    rec((), 1)
+    rec(value, ())
     return out
 
 
@@ -248,11 +226,7 @@ def _prepare(space: SearchSpace, layer: LayerShape) -> _Prepared:
         allowed = None
         if space.allowed_factors and d in space.allowed_factors:
             allowed = frozenset(space.allowed_factors[d])
-        value = layer.dim(d)
-        if space.allow_nondivisor:
-            tilings[d] = _padded_tilings(value, k, allowed)
-        else:
-            tilings[d] = _divisor_tilings(value, k, allowed)
+        tilings[d] = _tilings(layer.dim(d), k, allowed, space.allow_nondivisor)
     stride = space.options.effective_stride(layer)
     dims = [layer.dim(d) for d in DIMS]
     # No verdict where a tile can overflow, so CountOverflowError stays where

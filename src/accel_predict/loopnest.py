@@ -38,6 +38,7 @@ from .model import (
 
 # bound once: reading a member off an Enum class runs EnumType's slow hook
 _DRAM, _GB, _NOC, _RF = LEVELS_OUTER_FIRST
+_KIND_SET = frozenset(KINDS)
 
 
 # one per loop in a nest or a document: a named tuple is built about
@@ -95,6 +96,17 @@ class RefreshLocations:
 
     gb: Mapping[DataKind, int]
     rf: Mapping[DataKind, int]
+
+    def __post_init__(self):
+        # types and keys here; ranges depend on the nest (validate_structure)
+        for label, locs in (("GB", self.gb), ("RF", self.rf)):
+            if not isinstance(locs, Mapping) or locs.keys() != _KIND_SET:
+                raise ConfigError(f"refresh[{label}]: expected a location for "
+                                  f"each of I, O and W, got {locs!r}")
+            for kind, loc in locs.items():
+                if type(loc) is not int:
+                    raise ConfigError(f"refresh[{kind}][{label}]: location "
+                                      f"{loc!r} is not an integer")
 
     def loc(self, kind: DataKind, mem: MemLevel) -> int:
         if mem is _GB:

@@ -109,6 +109,8 @@ class LayerShape:
     name: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"layer name: expected a string, got {self.name!r}")
         for key in (*DIMS, "stride"):
             int_field(getattr(self, key), f"layer {self.name!r}: {key}")
         bad = [d for d in (*DIMS, "stride") if getattr(self, d) < 1]

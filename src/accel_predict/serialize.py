@@ -109,7 +109,10 @@ def layer_from_json(data: Mapping) -> LayerShape:
         for key in (*DIMS, "stride")
         if key in data
     }
-    return LayerShape(**fields, name=str(data.get("name", "")))
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise ConfigError(f"layer JSON: name: expected a string, got {name!r}")
+    return LayerShape(**fields, name=name)
 
 
 def layer_to_json(layer: LayerShape) -> dict:

@@ -220,6 +220,15 @@ class TestLayerJson:
             layer_from_json(data)
         assert f"layer JSON: {key}: expected an integer" in str(exc.value)
 
+    @pytest.mark.parametrize("value", [None, 5, {"a": 1}, ["CONV1"]])
+    def test_name_not_coerced(self, value):
+        data = {"m": 1, "c": 1, "r": 1, "s": 1, "e": 1, "f": 1, "name": value}
+        with pytest.raises(ConfigError) as exc:
+            layer_from_json(data)
+        assert str(exc.value) == (
+            f"layer JSON: name: expected a string, got {value!r}"
+        )
+
 
 class TestHardwareJson:
     def test_round_trip(self):
@@ -767,10 +776,12 @@ class TestExploreCommand:
                     "--levels", "GB,RF", "--allow-nondivisor"]) == 0
         # e = 3 gains the padded cover 2 x 2: 36 candidates, not 24
         assert "space: 36 candidates" in capsys.readouterr().out
-        assert run(["explore", "--layer", "preset:alexnet_conv2",
-                    "--hw", "preset:eyeriss_normalized",
-                    "--allow-nondivisor"]) == 2
-        assert "too many padded tilings to enumerate" in capsys.readouterr().err
+        conv2 = ["explore", "--layer", "preset:alexnet_conv2",
+                 "--hw", "preset:eyeriss_normalized", "--allow-nondivisor"]
+        assert run(conv2) == 2
+        assert "space has 1974414700800 candidates" in capsys.readouterr().err
+        assert run([*conv2, "--strategy", "random", "--samples", "50",
+                    "--seed", "0"]) == 0
 
 
 class TestFmtCommand:

@@ -36,11 +36,10 @@ from accel_predict.model import KINDS
 from accel_predict.explore import (
     _candidate_loops,
     _candidate_nest,
-    _divisor_tilings,
     _iter_candidates,
-    _padded_tilings,
     _prepare,
     _screen,
+    _tilings,
 )
 from tests.test_model import _hw
 
@@ -126,6 +125,20 @@ def _ref_padded_tilings(value: int, k: int, allowed) -> list[tuple[int, ...]]:
     return out
 
 
+def _ref_minimal_covers(value: int, k: int, allowed) -> list[tuple[int, ...]]:
+    """The minimal covers of `value` by characterization. A cover whose
+    largest factor b > 1 could not shrink has product * (b - 1) / b < value,
+    so its product is under 2 * value: the minimal covers are the divisor
+    tilings of the extents value..2*value-1 that lose coverage when any one
+    factor drops by 1, sorted."""
+    def minimal(t: tuple[int, ...]) -> bool:
+        return not any(b > 1 and math.prod(t[:i] + (b - 1,) + t[i + 1:]) >= value
+                       for i, b in enumerate(t))
+
+    return sorted(t for n in range(value, 2 * value)
+                  for t in _tilings(n, k, allowed, padded=False) if minimal(t))
+
+
 ALLOWED_SETS = [
     None, frozenset({2, 3, 5}), frozenset({0, 1, 4, 6, 12, 150, 1000}),
 ]
@@ -133,10 +146,10 @@ ALLOWED_SETS = [
 
 class TestTilingEnumeration:
     def test_dim_four_two_slots(self):
-        assert sorted(_divisor_tilings(4, 2, None)) == [(1, 4), (2, 2), (4, 1)]
+        assert sorted(_tilings(4, 2, None, padded=False)) == [(1, 4), (2, 2), (4, 1)]
 
     def test_dim_six_two_slots(self):
-        assert len(_divisor_tilings(6, 2, None)) == 4
+        assert len(_tilings(6, 2, None, padded=False)) == 4
 
     def test_all_dims_two_across_two_levels(self):
         layer = LayerShape(m=2, c=2, r=2, s=2, e=2, f=2)
@@ -168,7 +181,7 @@ class TestTilingEnumeration:
 
     def test_padded_covers_are_minimal(self):
         # 2x2 covers 3 and cannot shrink; 1x4 and 4x1 can
-        assert sorted(_padded_tilings(3, 2, None)) == [(1, 3), (2, 2), (3, 1)]
+        assert sorted(_tilings(3, 2, None, padded=True)) == [(1, 3), (2, 2), (3, 1)]
 
     def test_nondivisor_space_is_superset(self):
         layer = LayerShape(m=3, c=1, r=1, s=1, e=1, f=1)
@@ -182,14 +195,14 @@ class TestTilingEnumeration:
 
     def test_padded_enumeration_cap(self):
         with pytest.raises(ConfigError) as exc:
-            _padded_tilings(10**6, 4, None)
+            _tilings(10**6, 4, None, padded=True)
         assert "allow_nondivisor" in str(exc.value)
 
     @pytest.mark.parametrize("allowed", ALLOWED_SETS)
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_divisor_tilings_equal_the_full_scan(self, k, allowed):
         for value in range(1, 201):
-            assert _divisor_tilings(value, k, allowed) == (
+            assert _tilings(value, k, allowed, padded=False) == (
                 _ref_divisor_tilings(value, k, allowed)
             )
 
@@ -200,15 +213,24 @@ class TestTilingEnumeration:
         # candidate in both, and the scans grow as value**k
         top = 40 if allowed is None and k > 1 else 200
         for value in range(1, top + 1):
-            assert _padded_tilings(value, k, allowed) == (
+            assert _tilings(value, k, allowed, padded=True) == (
                 _ref_padded_tilings(value, k, allowed)
+            )
+
+    @pytest.mark.parametrize("allowed", ALLOWED_SETS)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_padded_tilings_equal_the_minimal_covers(self, k, allowed):
+        # up to the AlexNet dims, which the full scan cannot reach
+        for value in [*range(1, 60), 96, 128, 192, 255, 256, 384]:
+            assert _tilings(value, k, allowed, padded=True) == (
+                _ref_minimal_covers(value, k, allowed)
             )
 
     def test_allowed_factor_far_above_the_scan(self):
         v = 2**40
         expected = [(1, 1, 1, v), (1, 1, v, 1), (1, v, 1, 1), (v, 1, 1, 1)]
-        assert _divisor_tilings(v, 4, frozenset({v})) == expected
-        assert _padded_tilings(v, 4, frozenset({v})) == expected
+        assert _tilings(v, 4, frozenset({v}), padded=False) == expected
+        assert _tilings(v, 4, frozenset({v}), padded=True) == expected
 
 
 class TestSpaceValidation:
@@ -965,9 +987,11 @@ class TestSearchOutputMatchesOracle:
                     n_entries += 1
         assert n_entries == 50
 
-    def test_full_size_top_entries_pass_the_oracle(self):
+    @pytest.mark.parametrize("padded", [False, True], ids=["divisor", "padded"])
+    def test_full_size_top_entries_pass_the_oracle(self, padded):
         hw = hardware_preset("eyeriss_normalized")
-        space = SearchSpace(hw, refresh_styles=REFRESH_STYLES)
+        space = SearchSpace(hw, refresh_styles=REFRESH_STYLES,
+                            allow_nondivisor=padded)
         n_entries = 0
         for layer in network_preset("alexnet_conv"):
             result = explore(space, layer, objective="edp", strategy="random",

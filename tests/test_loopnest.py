@@ -19,10 +19,14 @@ from accel_predict import (
     build_nest,
     canonical_refresh,
     checked_plan,
+    hardware_preset,
+    layer_preset,
     lower,
     mapping_from_json,
     mapping_to_json,
+    mapping_preset,
     parse,
+    predict_layer,
     refresh_plan,
     render,
     validate_nest,
@@ -202,6 +206,36 @@ class TestStructureValidation:
         assert any(
             "refresh" in v.field for v in validate_structure(nest, bad)
         )
+
+
+class TestRefreshLocations:
+    """Types and keys are checked when the locations are built, before a
+    prediction or an oracle check reads them."""
+
+    @pytest.fixture
+    def conv5(self):
+        hw = hardware_preset("eyeriss_normalized")
+        layer = layer_preset("alexnet_conv5")
+        nest, refresh = mapping_preset("row_stationary", layer, hw)
+        return hw, layer, nest, refresh
+
+    @pytest.mark.parametrize("loc", [1.0, "1", None, True])
+    def test_non_integer_location(self, conv5, loc):
+        hw, layer, nest, refresh = conv5
+        with pytest.raises(ConfigError, match=r"refresh\[W\]\[GB\]: location"):
+            bad = RefreshLocations(gb={**refresh.gb, W: loc}, rf=refresh.rf)
+            predict_layer(layer, nest, bad, hw)
+
+    @pytest.mark.parametrize("mem", ["gb", "rf"])
+    @pytest.mark.parametrize("keys", [(I, O), (I, O, W, "X"), ("I", "O", "W")],
+                             ids=["missing", "extra", "strings"])
+    def test_map_must_name_exactly_the_three_kinds(self, conv5, mem, keys):
+        hw, layer, nest, refresh = conv5
+        fields = {"gb": refresh.gb, "rf": refresh.rf}
+        fields[mem] = dict.fromkeys(keys, 1)
+        with pytest.raises(ConfigError, match=rf"refresh\[{mem.upper()}\]: "
+                                              "expected a location for each"):
+            predict_layer(layer, nest, RefreshLocations(**fields), hw)
 
 
 class TestRefreshPlan:

@@ -72,6 +72,12 @@ class TestLayerShape:
             LayerShape(**kwargs)
         assert f"{field}: expected an integer" in str(exc.value)
 
+    @pytest.mark.parametrize("name", [5, None, b"conv1"])
+    def test_non_string_name_rejected(self, name):
+        with pytest.raises(ConfigError) as exc:
+            LayerShape(m=1, c=1, r=1, s=1, e=1, f=1, name=name)
+        assert str(exc.value) == f"layer name: expected a string, got {name!r}"
+
     def test_dim_lookup(self):
         assert CONV1.dim("e") == 55
         assert CONV1.dims() == {
