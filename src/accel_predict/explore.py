@@ -17,7 +17,8 @@ for the capacity rule and, for a legal candidate alone, builds the plan
 that scores it. Generated nests, beam completions included, are legal
 in structure, so this discards exactly what the full check would, under
 the same code. A discard counts under the code of the first violation
-it hit.
+it hit. A beam stage whose first style is doomed scores nothing, so it
+builds only the first beam_width partials, the ones it keeps.
 
 Results rank on (value, mapping text, index), but a candidate's LoopNest
 and text are built only when it is kept, or when its value ties another
@@ -112,6 +113,9 @@ class SearchSpace:
                                   f"from {REFRESH_STYLES}")
         if not self.orderings:
             raise ConfigError("search space needs at least one ordering")
+        if type(self.exhaustive_cap) is not int or self.exhaustive_cap < 1:
+            raise ConfigError("exhaustive_cap: expected an integer >= 1, got "
+                              f"{self.exhaustive_cap!r}")
         # tilings are enumerated from these values, so they must be counts
         for dim, factors in (self.allowed_factors or {}).items():
             if dim not in DIMS:
@@ -151,6 +155,7 @@ def _tilings(value: int, k: int, allowed, padded: bool) -> list[tuple[int, ...]]
         def factors(rest: int) -> list[int]:
             return [1, *sorted(b for b in allowed
                                if 1 < b <= rest and (padded or not rest % b))]
+    factors = functools.cache(factors)  # for this call: rests repeat
     out: list[tuple[int, ...]] = []
     nodes = 0
 
@@ -187,13 +192,17 @@ class _Prepared:
     # None: "refresh_style" when a register budget is under one element,
     # "capacity" when a positional style's kept tensor overflows the GB
     doomed: list[str | None]
+    n_pe: int
 
     def __post_init__(self):
         # the mixed radix of a candidate index, most significant first; per
-        # dim, its tilings and its digit's place value below ordering and style
+        # dim, its tilings, its digit's place value below ordering and style
+        # and its radix
         self.radices = [len(self.tilings[d]) for d in DIMS]
-        self.places = tuple((self.tilings[d], math.prod(self.radices[i + 1:]))
-                            for i, d in enumerate(DIMS))
+        self.places = tuple(
+            (self.tilings[d], math.prod(self.radices[i + 1:]), self.radices[i])
+            for i, d in enumerate(DIMS)
+        )
         self.radices += [len(self.orderings), len(self.styles)]
 
     @property
@@ -252,6 +261,7 @@ def _prepare(space: SearchSpace, layer: LayerShape) -> _Prepared:
             _doomed(space.hw, s, dims, stride) if decided else None
             for s in space.refresh_styles
         ],
+        n_pe=space.hw.n_pe,
     )
 
 
@@ -275,9 +285,9 @@ def _iter_candidates(prep: _Prepared):
 
 
 def _unrank(prep: _Prepared, index: int) -> Candidate:
-    index, style = divmod(index, len(prep.styles))
-    index, ordering = divmod(index, len(prep.orderings))
-    return (*[t[index // p % len(t)] for t, p in prep.places], ordering, style)
+    index, style = divmod(index, prep.radices[-1])
+    index, ordering = divmod(index, prep.radices[-2])
+    return (*[t[index // p % n] for t, p, n in prep.places], ordering, style)
 
 
 def _candidate_nest(
@@ -313,7 +323,7 @@ def _screen(
     """
     doomed = prep.doomed[cand[-1]]
     if doomed != "refresh_style" and prep.noc is not None and (
-        math.prod([cand[i][prep.noc] for i in range(len(DIMS))]) > space.hw.n_pe
+        math.prod([cand[i][prep.noc] for i in range(len(DIMS))]) > prep.n_pe
     ):
         return None, None, "pe_array"
     if doomed:
@@ -464,6 +474,10 @@ def explore(
         raise ConfigError(
             f"unknown strategy {strategy!r}; pick from {STRATEGIES}"
         )
+    for name, count in (("top_k", top_k), ("seed", seed),
+                        ("n_samples", n_samples), ("beam_width", beam_width)):
+        if type(count) is not int:  # bools too: True would print as true
+            raise ConfigError(f"{name}: expected an integer, got {count!r}")
     if top_k < 1:
         raise ConfigError("top_k must be >= 1")
     if strategy == "random" and n_samples < 1:
@@ -547,11 +561,14 @@ def _beam(
 
     pool: list[dict[str, tuple[int, ...]]] = [{}]
     for d in DIMS:
-        expanded = [dict(p, **{d: t}) for p in pool for t in prep.tilings[d]]
-        evaluated += len(expanded)
-        if prep.doomed[0]:  # completions are style 0, all discarded alike
-            pool = expanded[:beam_width]
+        evaluated += len(pool) * len(prep.tilings[d])
+        expanded = (dict(p, **{d: t}) for p in pool for t in prep.tilings[d])
+        if prep.doomed[0]:
+            # completions are style 0, all discarded alike: the stage keeps
+            # its first beam_width partials and builds no others
+            pool = list(itertools.islice(expanded, beam_width))
             continue
+        expanded = list(expanded)
         scored = [evaluate(completion(p)) for p in expanded]
         pool = [expanded[i] for i in _order(scored, beam_width, built)]
 

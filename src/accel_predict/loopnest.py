@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import ConfigError, MappingError, Violation
@@ -98,15 +99,19 @@ class RefreshLocations:
     rf: Mapping[DataKind, int]
 
     def __post_init__(self):
-        # types and keys here; ranges depend on the nest (validate_structure)
-        for label, locs in (("GB", self.gb), ("RF", self.rf)):
+        # types and keys here; ranges depend on the nest (validate_structure).
+        # Each map is kept as a read-only copy, so no later write undoes them.
+        for label, name in (("GB", "gb"), ("RF", "rf")):
+            locs = getattr(self, name)
             if not isinstance(locs, Mapping) or locs.keys() != _KIND_SET:
                 raise ConfigError(f"refresh[{label}]: expected a location for "
                                   f"each of I, O and W, got {locs!r}")
+            locs = MappingProxyType(dict(locs))
             for kind, loc in locs.items():
                 if type(loc) is not int:
                     raise ConfigError(f"refresh[{kind}][{label}]: location "
                                       f"{loc!r} is not an integer")
+            object.__setattr__(self, name, locs)
 
     def loc(self, kind: DataKind, mem: MemLevel) -> int:
         if mem is _GB:
@@ -405,28 +410,33 @@ def _overflows(hw: HardwareConfig, gb_tiles, rf_tiles):
     (KINDS order); a tile needs volume x bits x buffering_factor bits,
     checked per kind or, for a shared capacity, summed over the kinds.
     Yields (field, kind or None if shared, bits needed, capacity) for
-    each capacity exceeded, GB first."""
-    bf = hw.buffering_factor
-    for name, capacity, tiles in (
-        ("capacity_gb", hw.capacity_gb, gb_tiles),
-        ("capacity_rf", hw.capacity_rf, rf_tiles),
-    ):
-        need = [v * bits * bf for v, bits in zip(tiles, hw.precision.by_kind)]
-        if not isinstance(capacity, Mapping):
-            if sum(need) > capacity:
-                yield name, None, sum(need), capacity
+    each capacity exceeded, GB first. It and buffers_fit read the rule's
+    table, hw.capacities."""
+    for (name, per, shared, cap), tiles in zip(hw.capacities,
+                                               (gb_tiles, rf_tiles)):
+        need = [v * n for v, n in zip(tiles, per)]
+        if shared:
+            if sum(need) > cap:
+                yield name, None, sum(need), cap
             continue
-        for kind, n in zip(KINDS, need):
-            if n > capacity[kind]:
-                yield name, kind, n, capacity[kind]
+        for kind, n, c in zip(KINDS, need, cap):
+            if n > c:
+                yield name, kind, n, c
 
 
 def buffers_fit(
     hw: HardwareConfig, gb_tiles: Sequence[int], rf_tiles: Sequence[int]
 ) -> bool:
     """The capacity rule's verdict on flat tiles (elements per kind,
-    KINDS order), without building a violation."""
-    return next(_overflows(hw, gb_tiles, rf_tiles), None) is None
+    KINDS order), without building a violation: _overflows yields none."""
+    for (_, (x, y, z), shared, cap), (a, b, c) in zip(hw.capacities,
+                                                      (gb_tiles, rf_tiles)):
+        if shared:
+            if a * x + b * y + c * z > cap:
+                return False
+        elif a * x > cap[0] or b * y > cap[1] or c * z > cap[2]:
+            return False
+    return True
 
 
 def checked_plan(

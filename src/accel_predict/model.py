@@ -226,6 +226,17 @@ class HardwareConfig:
         bad = _hardware_violations(self)
         if bad:
             raise ConfigError("hardware: " + "; ".join(bad))
+        # The capacity rule's table, GB then RF: the field, the bits an
+        # element of each kind needs (KINDS order, buffering included),
+        # whether the capacity is shared, and the capacity or per-kind ones.
+        need = tuple(b * self.buffering_factor for b in self.precision.by_kind)
+        table = []
+        for name in ("capacity_gb", "capacity_rf"):
+            cap = getattr(self, name)
+            shared = not isinstance(cap, Mapping)
+            table.append((name, need, shared,
+                          cap if shared else tuple(cap[k] for k in KINDS)))
+        object.__setattr__(self, "capacities", tuple(table))
 
     @property
     def n_pe(self) -> int:

@@ -1,6 +1,7 @@
 """Mapping search: tiling enumeration, strategies, ranking determinism."""
 
 import dataclasses
+import functools
 import hashlib
 import importlib
 import itertools
@@ -32,12 +33,20 @@ from accel_predict import (
 from accel_predict.dsl import render
 from accel_predict.errors import MappingError, Violation
 from accel_predict.loopnest import REFRESH_STYLES, STATIONARY_KIND
-from accel_predict.model import KINDS
+from accel_predict.model import DIMS, KINDS
 from accel_predict.explore import (
+    Candidate,
+    SearchResult,
+    _Prepared,
+    _builder,
     _candidate_loops,
     _candidate_nest,
+    _evaluate,
+    _finish,
     _iter_candidates,
+    _order,
     _prepare,
+    _rank,
     _screen,
     _tilings,
 )
@@ -312,6 +321,20 @@ class TestSpaceValidation:
         ({"strategy": "random", "n_samples": -3}, "n_samples must be >= 1"),
         ({"strategy": "beam", "beam_width": 0}, "beam_width must be >= 1"),
         ({"strategy": "anneal"}, "unknown strategy 'anneal'"),
+        # counts are ints: these raised bare TypeErrors, were accepted, or
+        # (True) printed as a JSON boolean in the stats
+        ({"strategy": "random", "n_samples": 2.5},
+         "n_samples: expected an integer, got 2.5"),
+        ({"strategy": "random", "n_samples": "10"},
+         "n_samples: expected an integer, got '10'"),
+        ({"strategy": "random", "n_samples": True},
+         "n_samples: expected an integer, got True"),
+        ({"strategy": "beam", "beam_width": 2.0},
+         "beam_width: expected an integer, got 2.0"),
+        ({"strategy": "random", "n_samples": 5, "top_k": 1.5},
+         "top_k: expected an integer, got 1.5"),
+        ({"strategy": "random", "n_samples": 5, "seed": 1.5},
+         "seed: expected an integer, got 1.5"),
     ])
     def test_search_arguments_checked(self, kwargs, message, allowed):
         space = SearchSpace(hardware_preset("eyeriss_normalized"),
@@ -331,6 +354,15 @@ class TestSpaceValidation:
             dataclasses.replace(hardware_preset("eyeriss_normalized"),
                                 **override)
         assert path in str(exc.value)
+
+    # the CLI's --cap takes only an integer >= 1
+    @pytest.mark.parametrize("cap", [-1, 0, 1.5, True, "10"])
+    def test_exhaustive_cap_must_be_a_count(self, cap):
+        with pytest.raises(ConfigError) as exc:
+            SearchSpace(hw=_hw(), exhaustive_cap=cap)
+        assert str(exc.value) == (
+            f"exhaustive_cap: expected an integer >= 1, got {cap!r}"
+        )
 
     def test_exhaustive_cap_refuses_large_space(self):
         layer = LayerShape(m=4, c=4, r=4, s=4, e=4, f=4)
@@ -915,6 +947,105 @@ class TestRanking:
                     assert got == want, (layer, space, kwargs)
         assert {("top_k", "cut"), ("top_k", "within"), ("beam round", "cut"),
                 ("beam round", "within")} <= set(ties), ties
+
+
+# The beam search before doomed stages were built lazily, kept verbatim as
+# the reference: every stage builds all its expansions, and a stage whose
+# first style is doomed then keeps the first beam_width of them.
+def _ref_beam(
+    space: SearchSpace,
+    layer: LayerShape,
+    prep: _Prepared,
+    objective: str,
+    top_k: int,
+    beam_width: int,
+    stats: dict,
+    discards: Counter,
+) -> SearchResult:
+    # an unassigned dim stays whole at the outermost search level
+    ones = (1,) * (len(space.levels) - 1)
+    whole = {d: (layer.dim(d),) + ones for d in DIMS}
+    evaluated = 0
+    built = _builder(space, layer, prep)
+
+    @functools.cache  # rounds and finalists revisit candidates
+    def evaluate(cand: Candidate):
+        return _evaluate(space, prep, objective, cand)
+
+    def completion(partial: dict[str, tuple[int, ...]]) -> Candidate:
+        return tuple([partial.get(d) or whole[d] for d in DIMS]) + (0, 0)
+
+    pool: list[dict[str, tuple[int, ...]]] = [{}]
+    for d in DIMS:
+        expanded = [dict(p, **{d: t}) for p in pool for t in prep.tilings[d]]
+        evaluated += len(expanded)
+        if prep.doomed[0]:  # completions are style 0, all discarded alike
+            pool = expanded[:beam_width]
+            continue
+        scored = [evaluate(completion(p)) for p in expanded]
+        pool = [expanded[i] for i in _order(scored, beam_width, built)]
+
+    # tilings fixed; widen over orderings, then styles
+    staged: list[Candidate] = [completion(p) for p in pool]
+    with_orderings = [
+        c[:-2] + (oi, 0) for c in staged for oi in range(len(prep.orderings))
+    ]
+    if len(prep.orderings) > 1:
+        scored = [evaluate(c) for c in with_orderings]
+        evaluated += len(with_orderings)
+        with_orderings = [
+            with_orderings[i] for i in _order(scored, beam_width, built)
+        ]
+
+    finalists = [
+        c[:-1] + (si,) for c in with_orderings for si in range(len(prep.styles))
+    ]
+    scored = [evaluate(c) for c in finalists]
+    evaluated += len(finalists)
+    kept, legal = _rank(scored, top_k, discards, built)
+    stats.update(
+        evaluated=evaluated,
+        legal=legal,
+        discarded=dict(discards),
+        beam_width=beam_width,
+    )
+    return _finish(space, layer, objective, "beam", kept, stats)
+
+
+class TestLazyBeam:
+    def test_beam_equals_the_eager_reference(self, monkeypatch):
+        # seeded spaces, each refresh style rotated first in turn; kept
+        # until 40 have a doomed first style (about 1 in 10 does) and 60
+        # do not
+        rng = random.Random(18)
+        doomed, free = [], []
+        while len(doomed) < 40 or len(free) < 60:
+            space, layer = _random_space(rng)
+            styles = space.refresh_styles
+            for i in range(len(styles)):
+                rotated = dataclasses.replace(
+                    space, refresh_styles=styles[i:] + styles[:i]
+                )
+                pile = doomed if _prepare(rotated, layer).doomed[0] else free
+                if len(pile) < (40 if pile is doomed else 60):
+                    pile.append((rotated, layer))
+        assert {_prepare(*case).doomed[0] for case in doomed} == {
+            "capacity", "refresh_style"
+        }
+
+        def run(space, layer, kwargs):
+            result = explore(space, layer, strategy="beam", **kwargs)
+            text = canonical_json(result.to_dict())
+            return result.stats, hashlib.sha256(text.encode()).hexdigest()
+
+        for space, layer in doomed + free:
+            kwargs = dict(objective=rng.choice(("energy", "latency", "edp")),
+                          beam_width=rng.choice((1, 2, 3, 5, 8)),
+                          top_k=rng.choice((1, 3)))
+            got = run(space, layer, kwargs)
+            with monkeypatch.context() as m:
+                m.setattr(explore_module, "_beam", _ref_beam)
+                assert got == run(space, layer, kwargs), (space, layer, kwargs)
 
 
 # explore(..., objective="edp", n_samples=2000, beam_width=16, seed=0) on

@@ -32,7 +32,7 @@ from accel_predict import (
     validate_nest,
     validate_structure,
 )
-from accel_predict.loopnest import place_refresh
+from accel_predict.loopnest import _overflows, buffers_fit, place_refresh
 from accel_predict.model import DIMS, KINDS, LEVELS_OUTER_FIRST, Precision
 from tests.test_model import _hw
 from tests.test_oracle import legal_instances
@@ -236,6 +236,65 @@ class TestRefreshLocations:
         with pytest.raises(ConfigError, match=rf"refresh\[{mem.upper()}\]: "
                                               "expected a location for each"):
             predict_layer(layer, nest, RefreshLocations(**fields), hw)
+
+    # a write after construction used to reach build_plan as a bare
+    # TypeError from a float list index
+    def test_stored_maps_are_read_only(self, conv5):
+        hw, layer, nest, refresh = conv5
+        want = predict_layer(layer, nest, refresh, hw).to_dict()
+        for locs in (refresh.gb, refresh.rf):
+            with pytest.raises(TypeError):
+                locs[W] = 1.0
+        assert predict_layer(layer, nest, refresh, hw).to_dict() == want
+
+    def test_caller_maps_are_copied(self, conv5):
+        hw, layer, nest, refresh = conv5
+        want = predict_layer(layer, nest, refresh, hw).to_dict()
+        gb, rf = dict(refresh.gb), dict(refresh.rf)
+        copied = RefreshLocations(gb=gb, rf=rf)
+        gb[W] = rf[W] = 1.0
+        assert copied == refresh
+        assert predict_layer(layer, nest, copied, hw).to_dict() == want
+
+
+class TestCapacityRule:
+    # buffers_fit is the explorer's plain-integer form of the rule that
+    # _overflows states; tiles sit at or one over each kind's own limit
+    # (0 too, so a shared capacity sees sums on both sides of it), and a
+    # capacity may be an exact multiple of a kind's need, where a tile at
+    # the limit fills it to the bit
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_buffers_fit_agrees_with_overflows(self, data):
+        bits = st.integers(1, 64)
+        # HardwareConfig refuses a buffering factor outside 1..2
+        bf = data.draw(st.sampled_from((1, 2)))
+        precision = Precision(data.draw(bits), data.draw(bits), data.draw(bits))
+        per = [b * bf for b in precision.by_kind]
+
+        def amount(need):
+            return st.one_of(st.integers(1, 10**6),
+                             st.integers(1, 10**4).map(lambda n: n * need))
+
+        capacity = st.one_of(
+            st.sampled_from(per).flatmap(amount),
+            st.fixed_dictionaries({k: amount(n) for k, n in zip(KINDS, per)}),
+        )
+        hw = _hw(capacity_gb=data.draw(capacity),
+                 capacity_rf=data.draw(capacity),
+                 buffering_factor=bf, precision=precision)
+
+        def tiles(cap):
+            out = []
+            for kind, need in zip(KINDS, per):
+                limit = (cap[kind] if isinstance(cap, dict) else cap) // need
+                out.append(data.draw(st.sampled_from((0, limit, limit + 1))))
+            return out
+
+        gb, rf = tiles(hw.capacity_gb), tiles(hw.capacity_rf)
+        assert buffers_fit(hw, gb, rf) == (
+            next(_overflows(hw, gb, rf), None) is None
+        )
 
 
 class TestRefreshPlan:
