@@ -11,19 +11,24 @@ refresh style, in the order of the full check's codes. What no tiling
 can change is decided once per search: a row_stationary_like register
 budget under one element, or a positional style's kept tensor alone
 overflowing the GB. The PE rule then reads the candidate's NoC factors.
-Only then are its flat loops built from its factors and ordering, and
-loopnest's planner places its refresh points, sizes its resident tiles
-for the capacity rule and, for a legal candidate alone, builds the plan
-that scores it. Generated nests, beam completions included, are legal
-in structure, so this discards exactly what the full check would, under
-the same code. A discard counts under the code of the first violation
-it hit. A beam stage whose first style is doomed scores nothing, so it
-builds only the first beam_width partials, the ones it keeps.
+Exhaustive and random search walk candidate indices (a mixed radix in
+itertools.product order), and settle those two rules from an index's
+style digit and its tilings' NoC factors: only a survivor is unranked
+into a candidate. Its flat loops are then built from its factors and
+ordering, and loopnest's planner places its refresh points, sizes its
+resident tiles for the capacity rule and, for a legal candidate alone,
+builds the plan that scores it. Generated nests, beam
+completions included, are legal in structure, so this discards exactly
+what the full check would, under the same code. A discard counts under
+the code of the first violation it hit. Beam works on candidate tuples,
+as a completion's whole-dim tiling may lie outside the tiling table; a
+beam stage whose first style is doomed scores nothing, so it builds
+only the first beam_width partials, the ones it keeps.
 
-Results rank on (value, mapping text, index), but a candidate's LoopNest
-and text are built only when it is kept, or when its value ties another
-legal one's within the kept places; elsewhere the text cannot change
-the order.
+Results rank on (value, mapping text, index), but a candidate's
+RefreshLocations, LoopNest and text are built only when it is kept, or
+when its value ties another legal one's within the kept places;
+elsewhere the text cannot change the order.
 """
 
 from __future__ import annotations
@@ -196,14 +201,15 @@ class _Prepared:
 
     def __post_init__(self):
         # the mixed radix of a candidate index, most significant first; per
-        # dim, its tilings, its digit's place value below ordering and style
-        # and its radix
+        # dim, its tilings, their NoC factors (1 without a NoC level), its
+        # digit's place value and its radix
         self.radices = [len(self.tilings[d]) for d in DIMS]
-        self.places = tuple(
-            (self.tilings[d], math.prod(self.radices[i + 1:]), self.radices[i])
-            for i, d in enumerate(DIMS)
-        )
         self.radices += [len(self.orderings), len(self.styles)]
+        self.places = tuple(
+            (ts, [1 if self.noc is None else t[self.noc] for t in ts],
+             math.prod(self.radices[i + 1:]), self.radices[i])
+            for i, ts in enumerate(self.tilings[d] for d in DIMS)
+        )
 
     @property
     def size(self) -> int:
@@ -275,19 +281,11 @@ def space_size(space: SearchSpace, layer: LayerShape) -> int:
 Candidate = tuple  # (per-dim factor tuples..., ordering index, style index)
 
 
-def _iter_candidates(prep: _Prepared):
-    dim_choices = [prep.tilings[d] for d in DIMS]
-    return itertools.product(
-        *dim_choices,
-        range(len(prep.orderings)),
-        range(len(prep.styles)),
-    )
-
-
 def _unrank(prep: _Prepared, index: int) -> Candidate:
-    index, style = divmod(index, prep.radices[-1])
-    index, ordering = divmod(index, prep.radices[-2])
-    return (*[t[index // p % n] for t, p, n in prep.places], ordering, style)
+    """Candidate `index` of the space, in itertools.product order."""
+    n_orderings, n_styles = prep.radices[-2:]
+    return (*[t[index // p % n] for t, _, p, n in prep.places],
+            index // n_styles % n_orderings, index % n_styles)
 
 
 def _candidate_nest(
@@ -312,22 +310,30 @@ def _candidate_loops(prep: _Prepared, cand: Candidate):
     return loops, starts[1:]
 
 
+def _rejected(prep: _Prepared, style: int, noc_product: int) -> str | None:
+    """The code a candidate of style index `style` whose NoC factors
+    multiply to `noc_product` is discarded under before its loops are
+    built, or None: a doomed style's, unless the PE rule comes first."""
+    doomed = prep.doomed[style]
+    if doomed != "refresh_style" and noc_product > prep.n_pe:
+        return "pe_array"
+    return doomed
+
+
 def _screen(
     space: SearchSpace, prep: _Prepared, cand: Candidate
-) -> tuple[RefreshLocations | None, RefreshPlan | None, str | None]:
+) -> tuple[tuple[list[int], list[int]] | None, RefreshPlan | None, str | None]:
     """Check one candidate against the hardware, in the full check's
     order of codes: refresh_style, pe_array, capacity. Builds no nest.
 
-    Returns (refresh, plan, None) for a legal mapping; otherwise
-    (None, None, code of the first violation found).
+    Returns ((gb, rf), plan, None) for a legal mapping, its refresh
+    locations in KINDS order; otherwise (None, None, code of the first
+    violation found).
     """
-    doomed = prep.doomed[cand[-1]]
-    if doomed != "refresh_style" and prep.noc is not None and (
-        math.prod([cand[i][prep.noc] for i in range(len(DIMS))]) > prep.n_pe
-    ):
-        return None, None, "pe_array"
-    if doomed:
-        return None, None, doomed
+    noc = 1 if prep.noc is None else math.prod(
+        [cand[i][prep.noc] for i in range(len(DIMS))])
+    if code := _rejected(prep, cand[-1], noc):
+        return None, None, code
     loops, starts = _candidate_loops(prep, cand)
     style = prep.styles[cand[-1]]
     try:
@@ -337,35 +343,47 @@ def _screen(
     tiles = resident_tiles(loops, gb, rf, prep.stride)
     if not buffers_fit(space.hw, *tiles):
         return None, None, "capacity"
-    refresh = RefreshLocations(gb=dict(zip(KINDS, gb)), rf=dict(zip(KINDS, rf)))
-    return refresh, build_plan(loops, gb, rf, tiles), None
+    return (gb, rf), build_plan(loops, gb, rf, tiles), None
 
 
 def _evaluate(space: SearchSpace, prep: _Prepared, objective: str, cand: Candidate):
     """Score one candidate from its plan.
 
-    Returns ("ok", value, cand, refresh) or ("discard", code).
+    Returns ("ok", value, cand, (gb, rf)) or ("discard", code).
     """
-    refresh, plan, code = _screen(space, prep, cand)
+    locs, plan, code = _screen(space, prep, cand)
     if code is not None:
         return ("discard", code)
     counts = access_counts(plan, space.options)
     e = energy(plan, counts, space.hw).total
     lat = latency(plan, counts, space.hw, space.options).l_total_s
     value = {"energy": e, "latency": lat, "edp": e * lat}[objective]
-    return ("ok", value, cand, refresh)
+    return ("ok", value, cand, locs)
+
+
+def _evaluate_index(
+    space: SearchSpace, prep: _Prepared, objective: str, index: int
+):
+    """_evaluate of candidate `index`, but a discard on the PE rule or a
+    doomed style is read off the index's digits, building nothing."""
+    noc = math.prod([f[index // p % n] for _, f, p, n in prep.places])
+    if code := _rejected(prep, index % prep.radices[-1], noc):
+        return ("discard", code)
+    return _evaluate(space, prep, objective, _unrank(prep, index))
 
 
 def _builder(space: SearchSpace, layer: LayerShape, prep: _Prepared):
-    """A per-search memo from an "ok" result to its mapping text and
-    nest, built the first time they are asked for."""
-    memo: dict[Candidate, tuple[str, LoopNest]] = {}
+    """A per-search memo from an "ok" result to its mapping text, nest
+    and refresh locations, built the first time they are asked for."""
+    memo: dict[Candidate, tuple[str, LoopNest, RefreshLocations]] = {}
 
-    def built(res) -> tuple[str, LoopNest]:
-        cand = res[2]
+    def built(res) -> tuple[str, LoopNest, RefreshLocations]:
+        cand, (gb, rf) = res[2:]
         if cand not in memo:
             nest = _candidate_nest(space, layer, prep, cand)
-            memo[cand] = render(nest, res[3]), nest
+            refresh = RefreshLocations(gb=dict(zip(KINDS, gb)),
+                                       rf=dict(zip(KINDS, rf)))
+            memo[cand] = render(nest, refresh), nest, refresh
         return memo[cand]
     return built
 
@@ -444,7 +462,7 @@ def _rank(scored, top_k: int, discards: Counter, built):
     discards.update(r[1] for r in scored if r[0] == "discard")
     legal = [r for r in scored if r[0] == "ok"]
     kept = [legal[i] for i in _order(legal, top_k, built)]
-    return [(r[1], *built(r), r[3]) for r in kept], len(legal)
+    return [(r[1], *built(r)) for r in kept], len(legal)
 
 
 def explore(
@@ -499,12 +517,10 @@ def explore(
                 f"space has {size} candidates, above the exhaustive cap "
                 f"{space.exhaustive_cap}; use random or beam"
             )
-        candidates = list(_iter_candidates(prep))
+        indices = range(size)
     elif strategy == "random":
         n = min(n_samples, size)
-        rng = random.Random(seed)
-        indices = sorted(rng.sample(range(size), n))
-        candidates = [_unrank(prep, i) for i in indices]
+        indices = sorted(random.Random(seed).sample(range(size), n))
         stats["seed"] = seed
         stats["n_samples"] = n
     else:
@@ -512,10 +528,10 @@ def explore(
             space, layer, prep, objective, top_k, beam_width, stats, discards
         )
 
-    scored = [_evaluate(space, prep, objective, c) for c in candidates]
+    scored = [_evaluate_index(space, prep, objective, i) for i in indices]
     kept, legal = _rank(scored, top_k, discards, _builder(space, layer, prep))
     stats.update(
-        evaluated=len(candidates), legal=legal, discarded=dict(discards)
+        evaluated=len(indices), legal=legal, discarded=dict(discards)
     )
     return _finish(space, layer, objective, strategy, kept, stats)
 

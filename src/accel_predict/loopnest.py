@@ -184,15 +184,6 @@ def _volumes_below(loops, gb, rf, stride: int):
     return gb_volumes, rf_volumes
 
 
-def rf_budgets(hw: HardwareConfig) -> dict[DataKind, int]:
-    """Register bits per PE for each kind: the per-kind capacity, or a
-    shared capacity split three ways."""
-    cap = hw.capacity_rf
-    if isinstance(cap, Mapping):
-        return {k: cap[k] for k in KINDS}
-    return {k: cap // 3 for k in KINDS}
-
-
 def place_refresh(
     loops, starts, style: str, hw: HardwareConfig | None = None, stride: int = 1
 ) -> tuple[list[int], list[int]]:
@@ -223,17 +214,14 @@ def place_refresh(
     if hw is None:
         raise ConfigError("row_stationary_like needs a hardware config")
 
-    budgets = rf_budgets(hw)
-    bf = hw.buffering_factor
     volumes = _volumes_below(loops, (), range(p_gb, len(loops) + 1), stride)[1]
     gb, rf = [], []
-    for i, kind in enumerate(KINDS):
+    for i, (kind, (bits, budget)) in enumerate(zip(KINDS, hw.rf_budgets)):
         loc = p_gb
         while loc < p_noc and loops[loc][0] in _RELEVANT[i]:
             loc += 1
         gb.append(loc)
 
-        budget = budgets[kind] // (hw.precision.bits(kind) * bf)
         for p in range(loc, len(loops) + 1):
             if checked_count(volumes[p][i]) <= budget:
                 rf.append(p)
@@ -241,7 +229,7 @@ def place_refresh(
         else:
             raise MappingError([Violation(
                 "refresh_style", f"refresh[{kind}][RF]",
-                f"no location fits the {budgets[kind]}-bit register budget",
+                f"no location fits the {bits}-bit register budget",
             )])
     return gb, rf
 

@@ -237,6 +237,12 @@ class HardwareConfig:
             table.append((name, need, shared,
                           cap if shared else tuple(cap[k] for k in KINDS)))
         object.__setattr__(self, "capacities", tuple(table))
+        # Each kind's register budget per PE (KINDS order) as (bits,
+        # elements): its own capacity or a shared one split three ways.
+        _, _, shared, rf = table[1]
+        bits = (rf // 3,) * len(KINDS) if shared else rf
+        object.__setattr__(self, "rf_budgets", tuple(
+            (b, b // n) for b, n in zip(bits, need)))
 
     @property
     def n_pe(self) -> int:

@@ -19,10 +19,9 @@ from .loopnest import (
     RefreshLocations,
     build_nest,
     canonical_refresh,
-    rf_budgets,
     validate_nest,
 )
-from .model import DataKind, HardwareConfig, LayerShape, MemLevel, Options
+from .model import KINDS, DataKind, HardwareConfig, LayerShape, MemLevel, Options
 from .serialize import hardware_from_json, layer_from_json
 
 HARDWARE_PRESETS = ("eyeriss_normalized",)
@@ -147,10 +146,7 @@ def row_stationary_mapping(
     start at the global buffer and move outward to DRAM one smallest
     prime factor at a time, channels first, until the buffer fits.
     """
-    budgets = {
-        k: bits // (hw.precision.bits(k) * hw.buffering_factor)
-        for k, bits in rf_budgets(hw).items()
-    }
+    budgets = {k: elements for k, (_, elements) in zip(KINDS, hw.rf_budgets)}
     if min(budgets.values()) < 1:
         raise MappingError(
             [

@@ -32,7 +32,11 @@ from accel_predict import (
 )
 from accel_predict.dsl import render
 from accel_predict.errors import MappingError, Violation
-from accel_predict.loopnest import REFRESH_STYLES, STATIONARY_KIND
+from accel_predict.loopnest import (
+    REFRESH_STYLES,
+    STATIONARY_KIND,
+    RefreshLocations,
+)
 from accel_predict.model import DIMS, KINDS
 from accel_predict.explore import (
     Candidate,
@@ -42,13 +46,14 @@ from accel_predict.explore import (
     _candidate_loops,
     _candidate_nest,
     _evaluate,
+    _evaluate_index,
     _finish,
-    _iter_candidates,
     _order,
     _prepare,
     _rank,
     _screen,
     _tilings,
+    _unrank,
 )
 from tests.test_model import _hw
 
@@ -64,9 +69,11 @@ def enumerate_mappings(space, layer, discards=None):
     the space in candidate order, counting each discard's code into
     `discards` if given."""
     prep = explore_module._prepare(space, layer)
-    for cand in explore_module._iter_candidates(prep):
-        refresh, _, code = explore_module._screen(space, prep, cand)
+    for i in range(prep.size):
+        cand = explore_module._unrank(prep, i)
+        locs, _, code = explore_module._screen(space, prep, cand)
         if code is None:
+            refresh = RefreshLocations(*[dict(zip(KINDS, v)) for v in locs])
             yield explore_module._candidate_nest(space, layer, prep, cand), refresh
         elif discards is not None:
             discards[code] += 1
@@ -560,8 +567,8 @@ class TestResultShape:
 
 
 def _full_path(space, layer, prep, cand):
-    """(refresh, plan, code) of the build -> refresh -> check path, in the
-    shape _screen returns."""
+    """((gb, rf), plan, code) of the build -> refresh -> check path, in
+    the shape _screen returns."""
     nest = _candidate_nest(space, layer, prep, cand)
     # the flat loops the screen builds from the factors are the nest's
     assert _candidate_loops(prep, cand) == (list(nest.loops), list(nest.starts))
@@ -574,7 +581,8 @@ def _full_path(space, layer, prep, cand):
     plan, violations = checked_plan(nest, space.hw, refresh, space.options)
     if violations:
         return None, None, violations[0].code
-    return refresh, plan, None
+    locs = [refresh.gb[k] for k in KINDS], [refresh.rf[k] for k in KINDS]
+    return locs, plan, None
 
 
 def _spy(monkeypatch, name, record):
@@ -626,11 +634,13 @@ def _random_space(rng):
     return space, layer
 
 
-def _screen_outcomes(seed, n_spaces, doomed_only):
+def _screen_outcomes(seed, n_spaces, doomed_only, noc=False):
     """Every candidate of seeded random spaces: _screen's code, and for a
     legal one its refresh locations and plan, against the full path,
-    which also checks the flat loops against the nest's. Counts (style,
-    doomed code, code)."""
+    which also checks the flat loops against the nest's; and each index's
+    _evaluate_index against _evaluate of its candidate, in
+    itertools.product order. Counts (style, doomed code, code), and with
+    `noc` whether the space has a NoC level."""
     rng = random.Random(seed)
     outcomes = Counter()
     spaces = 0
@@ -642,13 +652,23 @@ def _screen_outcomes(seed, n_spaces, doomed_only):
         prep = _prepare(space, layer)
         if doomed_only and not any(prep.doomed):
             continue
-        for cand in _iter_candidates(prep):
+        candidates = [_unrank(prep, i) for i in range(prep.size)]
+        # exhaustive ties break on the index, as they did on this order
+        assert candidates == list(itertools.product(
+            *[prep.tilings[d] for d in DIMS],
+            range(len(prep.orderings)), range(len(prep.styles)),
+        ))
+        for i, cand in enumerate(candidates):
             got = _screen(space, prep, cand)
             assert got == _full_path(space, layer, prep, cand), (
                 layer, space, cand
             )
+            assert _evaluate_index(space, prep, "edp", i) == _evaluate(
+                space, prep, "edp", cand
+            ), (layer, space, i)
             style = prep.styles[cand[-1]]
-            outcomes[style, prep.doomed[cand[-1]], got[-1]] += 1
+            key = style, prep.doomed[cand[-1]], got[-1]
+            outcomes[key + ((prep.noc is not None,) if noc else ())] += 1
     return outcomes
 
 
@@ -663,6 +683,18 @@ class TestFactorScreen:
         assert ("row_stationary_like", "refresh_style", "refresh_style") in (
             outcomes
         )
+
+    def test_index_path_equals_the_candidate_path(self):
+        # doomed styles, a row_stationary_like register verdict and spaces
+        # without a NoC level among the indices checked both ways
+        outcomes = _screen_outcomes(56, 31, doomed_only=False, noc=True)
+        assert {(doomed, code, noc) for _, doomed, code, noc in outcomes} >= {
+            ("capacity", "capacity", True), ("capacity", "pe_array", True),
+            ("refresh_style", "refresh_style", True),
+            ("capacity", "capacity", False),
+            ("refresh_style", "refresh_style", False),
+            (None, None, False), (None, "pe_array", True),
+        }
 
     def test_hopeless_styles_screen_like_the_full_path(self):
         outcomes = _screen_outcomes(21, 300, doomed_only=True)
@@ -733,9 +765,9 @@ class TestFactorScreen:
         space = SearchSpace(hardware_preset("eyeriss_normalized"))
         prep = _prepare(space, layer)
         outcomes = []
-        for cand in itertools.islice(_iter_candidates(prep), 20_001):
+        for i in range(20_001):
             try:
-                outcomes.append(str(_screen(space, prep, cand)[-1]))
+                outcomes.append(str(_screen(space, prep, _unrank(prep, i))[-1]))
             except CountOverflowError:
                 outcomes.append("overflow")
         assert Counter(outcomes) == {
@@ -794,7 +826,7 @@ class TestFactorScreen:
         prep = _prepare(padded, fits)
         assert prep.doomed == [None, None]
         with pytest.raises(CountOverflowError):
-            _screen(padded, prep, next(_iter_candidates(prep)))
+            _screen(padded, prep, _unrank(prep, 0))
 
     def test_hopeless_styles_compute_no_tiles(self, monkeypatch):
         # conv3: neither kept tensor fits the 884,736-bit GB; stats captured
@@ -859,8 +891,8 @@ class TestRanking:
     def test_row_stationary_like_builds_no_nest_unless_it_ranks(
         self, monkeypatch
     ):
-        # each scoring's result; the candidate of each nest built
-        scored = _spy(monkeypatch, "_evaluate", lambda args, out: out)
+        # each sample's result; the candidate of each nest built
+        scored = _spy(monkeypatch, "_evaluate_index", lambda args, out: out)
         built = _spy(monkeypatch, "_candidate_nest",
                      lambda args, out: args[-1])
         space = SearchSpace(hardware_preset("eyeriss_normalized"),

@@ -16,6 +16,7 @@ from accel_predict import (
     MemLevel,
     Options,
     RefreshLocations,
+    Violation,
     build_nest,
     canonical_refresh,
     checked_plan,
@@ -581,11 +582,26 @@ class TestCanonicalRefresh:
         for kind in DataKind:
             assert plan.v_ref[(kind, RF)] * 16 <= 16 * 64 // 3
 
-    def test_row_stationary_like_unfittable_raises(self):
+    # under one element: a shared capacity split three ways, one kind's
+    # own capacity, or a double-buffered 31 bits; the message names the
+    # budget in bits
+    @pytest.mark.parametrize("capacity_rf, bf, field, bits", [
+        (8, 1, "refresh[I][RF]", 2),
+        ({I: 10**4, O: 31, W: 10**4}, 2, "refresh[O][RF]", 31),
+        (95, 2, "refresh[I][RF]", 31),
+    ])
+    def test_row_stationary_like_unfittable_raises(
+        self, capacity_rf, bf, field, bits
+    ):
         nest = self._nest()
-        hw = _hw(capacity_rf=8, capacity_gb=10**9)  # under one element
-        with pytest.raises(MappingError):
+        hw = _hw(capacity_rf=capacity_rf, capacity_gb=10**9,
+                 buffering_factor=bf)
+        with pytest.raises(MappingError) as exc:
             canonical_refresh(nest, "row_stationary_like", hw)
+        assert exc.value.violations == [Violation(
+            "refresh_style", field,
+            f"no location fits the {bits}-bit register budget",
+        )]
 
     # The explorer decides once per search that a row_stationary_like
     # candidate cannot place its refresh points, from the empty loop list:
