@@ -11,24 +11,26 @@ refresh style, in the order of the full check's codes. What no tiling
 can change is decided once per search: a row_stationary_like register
 budget under one element, or a positional style's kept tensor alone
 overflowing the GB. The PE rule then reads the candidate's NoC factors.
-Exhaustive and random search walk candidate indices (a mixed radix in
-itertools.product order), and settle those two rules from an index's
-style digit and its tilings' NoC factors: only a survivor is unranked
-into a candidate. Its flat loops are then built from its factors and
-ordering, and loopnest's planner places its refresh points, sizes its
-resident tiles for the capacity rule and, for a legal candidate alone,
-builds the plan that scores it. Generated nests, beam
-completions included, are legal in structure, so this discards exactly
-what the full check would, under the same code. A discard counts under
-the code of the first violation it hit. Beam works on candidate tuples,
-as a completion's whole-dim tiling may lie outside the tiling table; a
-beam stage whose first style is doomed scores nothing, so it builds
-only the first beam_width partials, the ones it keeps.
+Those two rules run once per candidate. Exhaustive and random search
+walk candidate indices (a mixed radix in itertools.product order) and
+read them off an index's style digit and its tilings' NoC factors: only
+a survivor is unranked into a candidate. Beam reads them off candidate
+tuples, as a completion's whole-dim tiling may lie outside the tiling
+table. Every survivor goes to the one scorer: its flat loops are built
+from its factors and ordering, and loopnest's planner places its
+refresh points, sizes its resident tiles for the capacity rule and, for
+a legal candidate alone, builds the plan that scores it. Generated
+nests, beam completions included, are legal in structure, so this
+discards exactly what the full check would, under the same code. A
+discard counts under the code of the first violation it hit. A beam
+stage whose first style is doomed scores nothing, so it builds only the
+first beam_width partials, the ones it keeps.
 
 Results rank on (value, mapping text, index), but a candidate's
 RefreshLocations, LoopNest and text are built only when it is kept, or
 when its value ties another legal one's within the kept places;
-elsewhere the text cannot change the order.
+elsewhere the text cannot change the order. The nest is built from the
+same flat loops the scorer planned.
 """
 
 from __future__ import annotations
@@ -47,12 +49,11 @@ from .errors import ConfigError, MappingError
 from .loopnest import (
     REFRESH_STYLES,
     STATIONARY_KIND,
+    LoopLevel,
     LoopNest,
     RefreshLocations,
-    RefreshPlan,
     _check_coverage,
     buffers_fit,
-    build_nest,
     build_plan,
     check_ordering,
     place_refresh,
@@ -108,6 +109,9 @@ class SearchSpace:
     def __post_init__(self):
         if not self.levels:
             raise ConfigError("search space needs at least one memory level")
+        for i, mem in enumerate(self.levels):
+            if type(mem) is not MemLevel:  # LoopNest's rule
+                raise ConfigError(f"levels[{i}]: {mem!r} is not a MemLevel")
         if len(set(self.levels)) != len(self.levels):
             raise ConfigError("search space levels must be distinct")
         if not self.refresh_styles:
@@ -116,6 +120,8 @@ class SearchSpace:
             if style not in REFRESH_STYLES:
                 raise ConfigError(f"unknown refresh style {style!r}; pick "
                                   f"from {REFRESH_STYLES}")
+        if len(set(self.refresh_styles)) != len(self.refresh_styles):
+            raise ConfigError("search space refresh styles must be distinct")
         if not self.orderings:
             raise ConfigError("search space needs at least one ordering")
         if type(self.exhaustive_cap) is not int or self.exhaustive_cap < 1:
@@ -185,11 +191,10 @@ def _tilings(value: int, k: int, allowed, padded: bool) -> list[tuple[int, ...]]
 @dataclass
 class _Prepared:
     tilings: dict[str, list[tuple[int, ...]]]
-    orderings: list[dict[MemLevel, tuple[str, ...]]]
     styles: list[str]
     # per ordering and level (outermost first), the (dim index, slot in a
     # tiling tuple) of each loop it emits
-    groups: list[list[list[tuple[int, int]]]]
+    groups: list[tuple[tuple[tuple[int, int], ...], ...]]
     # the NoC's slot in a tiling tuple, None if the space has no NoC level
     noc: int | None
     stride: int
@@ -204,7 +209,7 @@ class _Prepared:
         # dim, its tilings, their NoC factors (1 without a NoC level), its
         # digit's place value and its radix
         self.radices = [len(self.tilings[d]) for d in DIMS]
-        self.radices += [len(self.orderings), len(self.styles)]
+        self.radices += [len(self.groups), len(self.styles)]
         self.places = tuple(
             (ts, [1 if self.noc is None else t[self.noc] for t in ts],
              math.prod(self.radices[i + 1:]), self.radices[i])
@@ -251,16 +256,18 @@ def _prepare(space: SearchSpace, layer: LayerShape) -> _Prepared:
         max([n, *map(math.prod, tilings[d])]) for n, d in zip(dims, DIMS)
     ]
     decided = max(tile_volumes(largest, stride)) <= INT64_MAX
-    orderings = [_normalize_ordering(t) for t in space.orderings]
     slot = {mem: j for j, mem in enumerate(space.levels)}
+    groups = [tuple(
+        tuple((DIMS.index(d), slot[mem]) for d in order.get(mem, DIMS))
+        if mem in slot else () for mem in LEVELS_OUTER_FIRST
+    ) for order in map(_normalize_ordering, space.orderings)]
+    if len(set(groups)) != len(groups):
+        raise ConfigError("search space orderings must emit distinct loops "
+                          "over its levels")
     return _Prepared(
         tilings=tilings,
-        orderings=orderings,
         styles=list(space.refresh_styles),
-        groups=[[
-            [(DIMS.index(d), slot[mem]) for d in order.get(mem, DIMS)]
-            if mem in slot else [] for mem in LEVELS_OUTER_FIRST
-        ] for order in orderings],
+        groups=groups,
         noc=slot.get(MemLevel.NOC),
         stride=stride,
         doomed=[
@@ -288,19 +295,9 @@ def _unrank(prep: _Prepared, index: int) -> Candidate:
             index // n_styles % n_orderings, index % n_styles)
 
 
-def _candidate_nest(
-    space: SearchSpace, layer: LayerShape, prep: _Prepared, cand: Candidate
-) -> LoopNest:
-    tiling: dict[MemLevel, dict[str, int]] = {mem: {} for mem in space.levels}
-    for i, d in enumerate(DIMS):
-        for mem, bound in zip(space.levels, cand[i]):
-            tiling[mem][d] = bound
-    return build_nest(layer, tiling, ordering=prep.orderings[cand[-2]])
-
-
 def _candidate_loops(prep: _Prepared, cand: Candidate):
-    """The flat loops build_nest would give a candidate, and the starts of
-    its GB, NoC and RF groups."""
+    """A candidate's flat loops, each (dim index, bound, spatial), and the
+    starts of its GB, NoC and RF groups."""
     loops, starts = [], []
     for spatial, group in zip((False, False, True, False), prep.groups[cand[-2]]):
         starts.append(len(loops))
@@ -308,6 +305,17 @@ def _candidate_loops(prep: _Prepared, cand: Candidate):
             if (b := cand[d][j]) > 1:
                 loops.append((d, b, spatial))
     return loops, starts[1:]
+
+
+def _candidate_nest(layer: LayerShape, prep: _Prepared, cand: Candidate) -> LoopNest:
+    """A candidate's LoopNest: its flat loops, each at the level of the
+    group it falls in."""
+    loops, starts = _candidate_loops(prep, cand)
+    return LoopNest(tuple(
+        LoopLevel(DIMS[d], b, LEVELS_OUTER_FIRST[bisect.bisect_right(starts, i)],
+                  spatial)
+        for i, (d, b, spatial) in enumerate(loops)
+    ), layer)
 
 
 def _rejected(prep: _Prepared, style: int, noc_product: int) -> str | None:
@@ -320,56 +328,47 @@ def _rejected(prep: _Prepared, style: int, noc_product: int) -> str | None:
     return doomed
 
 
-def _screen(
-    space: SearchSpace, prep: _Prepared, cand: Candidate
-) -> tuple[tuple[list[int], list[int]] | None, RefreshPlan | None, str | None]:
-    """Check one candidate against the hardware, in the full check's
-    order of codes: refresh_style, pe_array, capacity. Builds no nest.
+def _score(space: SearchSpace, prep: _Prepared, objective: str, cand: Candidate):
+    """Check a candidate that passed _rejected against the rest of the
+    hardware, in the full check's order of codes (refresh_style, then
+    capacity), and score a legal one from its plan. Builds no nest.
 
-    Returns ((gb, rf), plan, None) for a legal mapping, its refresh
-    locations in KINDS order; otherwise (None, None, code of the first
-    violation found).
+    Returns ("ok", value, cand, (gb, rf)), its refresh locations in KINDS
+    order, or ("discard", code of the first violation found).
     """
-    noc = 1 if prep.noc is None else math.prod(
-        [cand[i][prep.noc] for i in range(len(DIMS))])
-    if code := _rejected(prep, cand[-1], noc):
-        return None, None, code
     loops, starts = _candidate_loops(prep, cand)
-    style = prep.styles[cand[-1]]
     try:
-        gb, rf = place_refresh(loops, starts, style, space.hw, prep.stride)
+        gb, rf = place_refresh(loops, starts, prep.styles[cand[-1]], space.hw,
+                               prep.stride)
     except MappingError as exc:
-        return None, None, exc.violations[0].code
+        return ("discard", exc.violations[0].code)
     tiles = resident_tiles(loops, gb, rf, prep.stride)
     if not buffers_fit(space.hw, *tiles):
-        return None, None, "capacity"
-    return (gb, rf), build_plan(loops, gb, rf, tiles), None
-
-
-def _evaluate(space: SearchSpace, prep: _Prepared, objective: str, cand: Candidate):
-    """Score one candidate from its plan.
-
-    Returns ("ok", value, cand, (gb, rf)) or ("discard", code).
-    """
-    locs, plan, code = _screen(space, prep, cand)
-    if code is not None:
-        return ("discard", code)
+        return ("discard", "capacity")
+    plan = build_plan(loops, gb, rf, tiles)
     counts = access_counts(plan, space.options)
     e = energy(plan, counts, space.hw).total
     lat = latency(plan, counts, space.hw, space.options).l_total_s
     value = {"energy": e, "latency": lat, "edp": e * lat}[objective]
-    return ("ok", value, cand, locs)
+    return ("ok", value, cand, (gb, rf))
 
 
-def _evaluate_index(
-    space: SearchSpace, prep: _Prepared, objective: str, index: int
-):
-    """_evaluate of candidate `index`, but a discard on the PE rule or a
-    doomed style is read off the index's digits, building nothing."""
+def _evaluate(space: SearchSpace, prep: _Prepared, objective: str, cand: Candidate):
+    """_score of a candidate tuple, unless _rejected discards it."""
+    noc = 1 if prep.noc is None else math.prod(
+        [cand[i][prep.noc] for i in range(len(DIMS))])
+    if code := _rejected(prep, cand[-1], noc):
+        return ("discard", code)
+    return _score(space, prep, objective, cand)
+
+
+def _evaluate_index(space: SearchSpace, prep: _Prepared, objective: str, index: int):
+    """_evaluate of candidate `index`, but the discard by _rejected is
+    read off the index's digits, building nothing."""
     noc = math.prod([f[index // p % n] for _, f, p, n in prep.places])
     if code := _rejected(prep, index % prep.radices[-1], noc):
         return ("discard", code)
-    return _evaluate(space, prep, objective, _unrank(prep, index))
+    return _score(space, prep, objective, _unrank(prep, index))
 
 
 def _builder(space: SearchSpace, layer: LayerShape, prep: _Prepared):
@@ -380,7 +379,7 @@ def _builder(space: SearchSpace, layer: LayerShape, prep: _Prepared):
     def built(res) -> tuple[str, LoopNest, RefreshLocations]:
         cand, (gb, rf) = res[2:]
         if cand not in memo:
-            nest = _candidate_nest(space, layer, prep, cand)
+            nest = _candidate_nest(layer, prep, cand)
             refresh = RefreshLocations(gb=dict(zip(KINDS, gb)),
                                        rf=dict(zip(KINDS, rf)))
             memo[cand] = render(nest, refresh), nest, refresh
@@ -456,15 +455,6 @@ class SearchResult:
         return out
 
 
-def _rank(scored, top_k: int, discards: Counter, built):
-    """Keep the top_k best legal results as (value, dsl, nest, refresh);
-    count the discards."""
-    discards.update(r[1] for r in scored if r[0] == "discard")
-    legal = [r for r in scored if r[0] == "ok"]
-    kept = [legal[i] for i in _order(legal, top_k, built)]
-    return [(r[1], *built(r)) for r in kept], len(legal)
-
-
 def explore(
     space: SearchSpace,
     layer: LayerShape,
@@ -504,52 +494,42 @@ def explore(
         raise ConfigError("beam_width must be >= 1")
     prep = _prepare(space, layer)
     size = prep.size
-    discards: Counter = Counter()
     stats = {"space_size": size, "strategy": strategy, "objective": objective}
 
     if size == 0:
         stats.update(evaluated=0, legal=0, discarded={})
         return SearchResult(False, objective, strategy, (), stats)
 
-    if strategy == "exhaustive":
-        if size > space.exhaustive_cap:
-            raise ConfigError(
-                f"space has {size} candidates, above the exhaustive cap "
-                f"{space.exhaustive_cap}; use random or beam"
-            )
-        indices = range(size)
-    elif strategy == "random":
-        n = min(n_samples, size)
-        indices = sorted(random.Random(seed).sample(range(size), n))
-        stats["seed"] = seed
-        stats["n_samples"] = n
-    else:
-        return _beam(
-            space, layer, prep, objective, top_k, beam_width, stats, discards
+    if strategy == "exhaustive" and size > space.exhaustive_cap:
+        raise ConfigError(
+            f"space has {size} candidates, above the exhaustive cap "
+            f"{space.exhaustive_cap}; use random or beam"
         )
+    built = _builder(space, layer, prep)
+    if strategy == "beam":
+        scored, evaluated = _beam(space, layer, prep, objective, beam_width, built)
+    else:
+        indices = range(size)
+        if strategy == "random":
+            n = min(n_samples, size)
+            indices = sorted(random.Random(seed).sample(range(size), n))
+            stats.update(seed=seed, n_samples=n)
+        scored = [_evaluate_index(space, prep, objective, i) for i in indices]
+        evaluated = len(indices)
 
-    scored = [_evaluate_index(space, prep, objective, i) for i in indices]
-    kept, legal = _rank(scored, top_k, discards, _builder(space, layer, prep))
-    stats.update(
-        evaluated=len(indices), legal=legal, discarded=dict(discards)
-    )
-    return _finish(space, layer, objective, strategy, kept, stats)
-
-
-def _finish(space, layer, objective, strategy, kept, stats) -> SearchResult:
+    legal = [r for r in scored if r[0] == "ok"]
+    discards = Counter(r[1] for r in scored if r[0] == "discard")
+    stats.update(evaluated=evaluated, legal=len(legal), discarded=dict(discards))
+    if strategy == "beam":
+        stats["beam_width"] = beam_width
     entries = []
-    for value, dsl, nest, refresh in kept:
+    for i in _order(legal, top_k, built):
+        dsl, nest, refresh = built(legal[i])
         report = predict_layer(
             layer, nest, refresh, space.hw, space.options, validate=False
         )
-        entries.append(SearchEntry(value, dsl, nest, refresh, report))
-    return SearchResult(
-        feasible=bool(entries),
-        objective=objective,
-        strategy=strategy,
-        entries=tuple(entries),
-        stats=stats,
-    )
+        entries.append(SearchEntry(legal[i][1], dsl, nest, refresh, report))
+    return SearchResult(bool(entries), objective, strategy, tuple(entries), stats)
 
 
 def _beam(
@@ -557,16 +537,15 @@ def _beam(
     layer: LayerShape,
     prep: _Prepared,
     objective: str,
-    top_k: int,
     beam_width: int,
-    stats: dict,
-    discards: Counter,
-) -> SearchResult:
+    built,
+):
+    """The scored finalists of a beam search, and how many candidates it
+    evaluated; `built` is the search's _builder."""
     # an unassigned dim stays whole at the outermost search level
     ones = (1,) * (len(space.levels) - 1)
     whole = {d: (layer.dim(d),) + ones for d in DIMS}
     evaluated = 0
-    built = _builder(space, layer, prep)
 
     @functools.cache  # rounds and finalists revisit candidates
     def evaluate(cand: Candidate):
@@ -591,9 +570,9 @@ def _beam(
     # tilings fixed; widen over orderings, then styles
     staged: list[Candidate] = [completion(p) for p in pool]
     with_orderings = [
-        c[:-2] + (oi, 0) for c in staged for oi in range(len(prep.orderings))
+        c[:-2] + (oi, 0) for c in staged for oi in range(len(prep.groups))
     ]
-    if len(prep.orderings) > 1:
+    if len(prep.groups) > 1:
         scored = [evaluate(c) for c in with_orderings]
         evaluated += len(with_orderings)
         with_orderings = [
@@ -603,13 +582,4 @@ def _beam(
     finalists = [
         c[:-1] + (si,) for c in with_orderings for si in range(len(prep.styles))
     ]
-    scored = [evaluate(c) for c in finalists]
-    evaluated += len(finalists)
-    kept, legal = _rank(scored, top_k, discards, built)
-    stats.update(
-        evaluated=evaluated,
-        legal=legal,
-        discarded=dict(discards),
-        beam_width=beam_width,
-    )
-    return _finish(space, layer, objective, "beam", kept, stats)
+    return [evaluate(c) for c in finalists], evaluated + len(finalists)

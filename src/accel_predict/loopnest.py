@@ -472,8 +472,12 @@ def validate_nest(
 
 
 def check_ordering(ordering: Mapping[MemLevel, Sequence[str]]) -> None:
-    """Raise ConfigError unless each level's loop order (all dims when a
-    level is absent) is a permutation of the dims."""
+    """Raise ConfigError unless each key is a MemLevel and each level's
+    loop order (all dims when a level is absent) is a permutation of the
+    dims."""
+    for mem in ordering:
+        if type(mem) is not MemLevel:  # LoopNest's rule
+            raise ConfigError(f"ordering: {mem!r} is not a MemLevel")
     for mem in LEVELS_OUTER_FIRST:
         if sorted(ordering.get(mem, DIMS)) != sorted(DIMS):
             raise ConfigError(

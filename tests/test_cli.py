@@ -766,6 +766,11 @@ class TestExploreCommand:
                     "--styles", "weight_stationary,bogus"]) == 2
         assert "unknown refresh style 'bogus'" in capsys.readouterr().err
 
+    def test_repeated_refresh_style_exits_two(self, files, capsys):
+        assert run(["explore", "--layer", files["layer"], "--hw", files["hw"],
+                    "--styles", "output_stationary,output_stationary"]) == 2
+        assert "refresh styles must be distinct" in capsys.readouterr().err
+
     def test_bad_level_name(self, files, capsys):
         assert run(["explore", "--layer", files["layer"], "--hw", files["hw"],
                     "--levels", "GB,L2"]) == 2

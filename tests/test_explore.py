@@ -19,6 +19,7 @@ from accel_predict import (
     Options,
     SearchSpace,
     UnitCosts,
+    build_nest,
     canonical_json,
     canonical_refresh,
     check,
@@ -40,18 +41,13 @@ from accel_predict.loopnest import (
 from accel_predict.model import DIMS, KINDS
 from accel_predict.explore import (
     Candidate,
-    SearchResult,
     _Prepared,
-    _builder,
     _candidate_loops,
     _candidate_nest,
     _evaluate,
     _evaluate_index,
-    _finish,
     _order,
     _prepare,
-    _rank,
-    _screen,
     _tilings,
     _unrank,
 )
@@ -71,12 +67,12 @@ def enumerate_mappings(space, layer, discards=None):
     prep = explore_module._prepare(space, layer)
     for i in range(prep.size):
         cand = explore_module._unrank(prep, i)
-        locs, _, code = explore_module._screen(space, prep, cand)
-        if code is None:
-            refresh = RefreshLocations(*[dict(zip(KINDS, v)) for v in locs])
-            yield explore_module._candidate_nest(space, layer, prep, cand), refresh
+        res = explore_module._evaluate(space, prep, "energy", cand)
+        if res[0] == "ok":
+            refresh = RefreshLocations(*[dict(zip(KINDS, v)) for v in res[3]])
+            yield explore_module._candidate_nest(layer, prep, cand), refresh
         elif discards is not None:
-            discards[code] += 1
+            discards[res[1]] += 1
 
 
 def roomy_hw(**overrides):
@@ -181,7 +177,7 @@ class TestTilingEnumeration:
         layer = LayerShape(m=4, c=1, r=1, s=1, e=1, f=1)
         space = two_level_space(
             _hw(),
-            orderings=((), ("m", "c", "r", "s", "e", "f")),
+            orderings=((), ("f", "e", "s", "r", "c", "m")),
             refresh_styles=("weight_stationary", "output_stationary"),
         )
         assert space_size(space, layer) == 3 * 2 * 2
@@ -261,6 +257,49 @@ class TestSpaceValidation:
     def test_empty_styles(self):
         with pytest.raises(ConfigError):
             SearchSpace(hw=_hw(), refresh_styles=())
+
+    # a label used to fail late, on a coverage error from build_nest; with
+    # the nest built from the flat loops it would give an empty mapping
+    @pytest.mark.parametrize("levels, where", [
+        (("GB", "RF"), "levels[0]: 'GB'"), ((GB, 3), "levels[1]: 3"),
+    ])
+    def test_levels_must_be_mem_levels(self, levels, where):
+        with pytest.raises(ConfigError) as exc:
+            SearchSpace(hw=_hw(), levels=levels)
+        assert str(exc.value) == f"{where} is not a MemLevel"
+
+    # a repeated style or ordering used to rank each mapping twice
+    def test_duplicate_styles(self):
+        with pytest.raises(ConfigError, match="refresh styles must be distinct"):
+            SearchSpace(hw=_hw(), refresh_styles=("output_stationary",) * 2)
+
+    @pytest.mark.parametrize("orderings", [
+        ((), ("m", "c", "r", "s", "e", "f")),
+        # differs only at DRAM, which the space does not tile
+        ((), {DRAM: ("f", "e", "s", "r", "c", "m")}),
+        (("e", "f", "m", "c", "r", "s"), ("e", "f", "m", "c", "r", "s")),
+    ])
+    def test_orderings_emitting_the_same_loops(self, orderings):
+        space = two_level_space(roomy_hw(), orderings=orderings)
+        for run in (lambda: space_size(space, SMALL),
+                    lambda: explore(space, SMALL, strategy="beam")):
+            with pytest.raises(ConfigError, match="orderings must emit distinct"):
+                run()
+        distinct = dataclasses.replace(
+            space, orderings=((), {GB: ("f", "e", "s", "r", "c", "m")})
+        )
+        assert space_size(distinct, SMALL) == 2 * space_size(
+            dataclasses.replace(space, orderings=((),)), SMALL
+        )
+
+    # a label key used to pass, and its order was silently not used
+    def test_ordering_keys_must_be_mem_levels(self):
+        space = SearchSpace(
+            hw=_hw(), orderings=({"GB": ("f", "e", "s", "r", "c", "m")},)
+        )
+        with pytest.raises(ConfigError) as exc:
+            explore(space, SMALL, strategy="random", n_samples=10)
+        assert str(exc.value) == "ordering: 'GB' is not a MemLevel"
 
     # tilings are built from the allowed values themselves: a float would
     # become a loop bound, and a string would not sort against integers
@@ -566,23 +605,33 @@ class TestResultShape:
         assert keys == sorted(keys)
 
 
-def _full_path(space, layer, prep, cand):
-    """((gb, rf), plan, code) of the build -> refresh -> check path, in
-    the shape _screen returns."""
-    nest = _candidate_nest(space, layer, prep, cand)
-    # the flat loops the screen builds from the factors are the nest's
+def _full_path(space, layer, prep, cand, objective="edp"):
+    """The build -> refresh -> check -> predict path, in the shape
+    _evaluate returns; its nest comes from build_nest, given the
+    candidate's tiling dict and ordering."""
+    tiling = {mem: {} for mem in space.levels}
+    for i, d in enumerate(DIMS):
+        for mem, bound in zip(space.levels, cand[i]):
+            tiling[mem][d] = bound
+    ordering = explore_module._normalize_ordering(space.orderings[cand[-2]])
+    nest = build_nest(layer, tiling, ordering=ordering)
+    # the flat loops the scorer plans, and the nest built from them, are its
     assert _candidate_loops(prep, cand) == (list(nest.loops), list(nest.starts))
+    assert _candidate_nest(layer, prep, cand) == nest
     try:
         refresh = canonical_refresh(
             nest, prep.styles[cand[-1]], space.hw, space.options
         )
     except MappingError as exc:
-        return None, None, exc.violations[0].code
-    plan, violations = checked_plan(nest, space.hw, refresh, space.options)
+        return ("discard", exc.violations[0].code)
+    violations = checked_plan(nest, space.hw, refresh, space.options)[1]
     if violations:
-        return None, None, violations[0].code
+        return ("discard", violations[0].code)
+    report = predict_layer(layer, nest, refresh, space.hw, space.options)
+    e, lat = report.energy.total, report.latency.l_total_s
+    value = {"energy": e, "latency": lat, "edp": e * lat}[objective]
     locs = [refresh.gb[k] for k in KINDS], [refresh.rf[k] for k in KINDS]
-    return locs, plan, None
+    return ("ok", value, cand, locs)
 
 
 def _spy(monkeypatch, name, record):
@@ -635,12 +684,12 @@ def _random_space(rng):
 
 
 def _screen_outcomes(seed, n_spaces, doomed_only, noc=False):
-    """Every candidate of seeded random spaces: _screen's code, and for a
-    legal one its refresh locations and plan, against the full path,
-    which also checks the flat loops against the nest's; and each index's
-    _evaluate_index against _evaluate of its candidate, in
-    itertools.product order. Counts (style, doomed code, code), and with
-    `noc` whether the space has a NoC level."""
+    """Every candidate of seeded random spaces: _evaluate's code, and for
+    a legal one its value and refresh locations, against the full path,
+    which also checks the flat loops and the nest against build_nest's;
+    and each index's _evaluate_index against _evaluate of its candidate,
+    in itertools.product order. Counts (style, doomed code, code), and
+    with `noc` whether the space has a NoC level."""
     rng = random.Random(seed)
     outcomes = Counter()
     spaces = 0
@@ -656,18 +705,19 @@ def _screen_outcomes(seed, n_spaces, doomed_only, noc=False):
         # exhaustive ties break on the index, as they did on this order
         assert candidates == list(itertools.product(
             *[prep.tilings[d] for d in DIMS],
-            range(len(prep.orderings)), range(len(prep.styles)),
+            range(len(space.orderings)), range(len(prep.styles)),
         ))
         for i, cand in enumerate(candidates):
-            got = _screen(space, prep, cand)
+            got = _evaluate(space, prep, "edp", cand)
             assert got == _full_path(space, layer, prep, cand), (
                 layer, space, cand
             )
-            assert _evaluate_index(space, prep, "edp", i) == _evaluate(
-                space, prep, "edp", cand
-            ), (layer, space, i)
+            assert _evaluate_index(space, prep, "edp", i) == got, (
+                layer, space, i
+            )
             style = prep.styles[cand[-1]]
-            key = style, prep.doomed[cand[-1]], got[-1]
+            code = got[1] if got[0] == "discard" else None
+            key = style, prep.doomed[cand[-1]], code
             outcomes[key + ((prep.noc is not None,) if noc else ())] += 1
     return outcomes
 
@@ -767,7 +817,8 @@ class TestFactorScreen:
         outcomes = []
         for i in range(20_001):
             try:
-                outcomes.append(str(_screen(space, prep, _unrank(prep, i))[-1]))
+                res = _evaluate(space, prep, "edp", _unrank(prep, i))
+                outcomes.append(res[1] if res[0] == "discard" else "None")
             except CountOverflowError:
                 outcomes.append("overflow")
         assert Counter(outcomes) == {
@@ -826,7 +877,7 @@ class TestFactorScreen:
         prep = _prepare(padded, fits)
         assert prep.doomed == [None, None]
         with pytest.raises(CountOverflowError):
-            _screen(padded, prep, _unrank(prep, 0))
+            _evaluate(padded, prep, "edp", _unrank(prep, 0))
 
     def test_hopeless_styles_compute_no_tiles(self, monkeypatch):
         # conv3: neither kept tensor fits the 884,736-bit GB; stats captured
@@ -859,6 +910,24 @@ class TestFactorScreen:
         assert len(calls) == len(set(calls)) == 864
         assert result.stats["evaluated"] == 960
 
+    # a survivor of the PE and doomed-style rule used to run it again
+    # before its loops were built
+    @pytest.mark.parametrize("strategy, walk, evaluated", [
+        ("random", "_evaluate_index", 2000), ("beam", "_evaluate", 864),
+    ])
+    def test_rejected_runs_once_per_candidate(
+        self, monkeypatch, strategy, walk, evaluated
+    ):
+        rejected = _spy(monkeypatch, "_rejected", lambda args, out: out)
+        walked = _spy(monkeypatch, walk, lambda args, out: out)
+        scored = _spy(monkeypatch, "_score", lambda args, out: out)
+        explore(SearchSpace(hardware_preset("eyeriss_normalized")),
+                layer_preset("alexnet_conv1"), objective="edp",
+                strategy=strategy, n_samples=2000, beam_width=16, seed=0)
+        assert len(rejected) == len(walked) == evaluated
+        # every candidate _rejected passes is scored, and no other
+        assert len(scored) == rejected.count(None) > 0
+
     def test_bad_ordering_raises_when_every_candidate_is_discarded(self):
         # capacity_rf=1 screens out every candidate, so no nest is built
         space = SearchSpace(roomy_hw(capacity_rf=1), orderings=(("m", "c"),))
@@ -879,14 +948,14 @@ class TestRanking:
     def test_nest_and_text_built_only_for_ranked_candidates(
         self, monkeypatch, layer, strategy, built, legal
     ):
-        screened = _spy(monkeypatch, "_screen", lambda args, out: out[-1])
-        nests = _spy(monkeypatch, "build_nest", lambda args, out: out)
+        scored = _spy(monkeypatch, "_score", lambda args, out: out[0])
+        nests = _spy(monkeypatch, "_candidate_nest", lambda args, out: out)
         texts = _spy(monkeypatch, "render", lambda args, out: out)
         explore(SearchSpace(hardware_preset("eyeriss_normalized")),
                 layer_preset(layer), objective="edp", strategy=strategy,
                 n_samples=2000, beam_width=16, seed=0, top_k=10)
         assert (len(nests), len(texts)) == (built, built)
-        assert screened.count(None) == legal > built
+        assert scored.count("ok") == legal > built
 
     def test_row_stationary_like_builds_no_nest_unless_it_ranks(
         self, monkeypatch
@@ -983,22 +1052,20 @@ class TestRanking:
 
 # The beam search before doomed stages were built lazily, kept verbatim as
 # the reference: every stage builds all its expansions, and a stage whose
-# first style is doomed then keeps the first beam_width of them.
+# first style is doomed then keeps the first beam_width of them. It returns
+# what _beam returns: the scored finalists and the evaluated count.
 def _ref_beam(
     space: SearchSpace,
     layer: LayerShape,
     prep: _Prepared,
     objective: str,
-    top_k: int,
     beam_width: int,
-    stats: dict,
-    discards: Counter,
-) -> SearchResult:
+    built,
+):
     # an unassigned dim stays whole at the outermost search level
     ones = (1,) * (len(space.levels) - 1)
     whole = {d: (layer.dim(d),) + ones for d in DIMS}
     evaluated = 0
-    built = _builder(space, layer, prep)
 
     @functools.cache  # rounds and finalists revisit candidates
     def evaluate(cand: Candidate):
@@ -1020,9 +1087,9 @@ def _ref_beam(
     # tilings fixed; widen over orderings, then styles
     staged: list[Candidate] = [completion(p) for p in pool]
     with_orderings = [
-        c[:-2] + (oi, 0) for c in staged for oi in range(len(prep.orderings))
+        c[:-2] + (oi, 0) for c in staged for oi in range(len(prep.groups))
     ]
-    if len(prep.orderings) > 1:
+    if len(prep.groups) > 1:
         scored = [evaluate(c) for c in with_orderings]
         evaluated += len(with_orderings)
         with_orderings = [
@@ -1034,14 +1101,7 @@ def _ref_beam(
     ]
     scored = [evaluate(c) for c in finalists]
     evaluated += len(finalists)
-    kept, legal = _rank(scored, top_k, discards, built)
-    stats.update(
-        evaluated=evaluated,
-        legal=legal,
-        discarded=dict(discards),
-        beam_width=beam_width,
-    )
-    return _finish(space, layer, objective, "beam", kept, stats)
+    return scored, evaluated
 
 
 class TestLazyBeam:

@@ -33,7 +33,12 @@ from accel_predict import (
     validate_nest,
     validate_structure,
 )
-from accel_predict.loopnest import _overflows, buffers_fit, place_refresh
+from accel_predict.loopnest import (
+    _overflows,
+    buffers_fit,
+    check_ordering,
+    place_refresh,
+)
 from accel_predict.model import DIMS, KINDS, LEVELS_OUTER_FIRST, Precision
 from tests.test_model import _hw
 from tests.test_oracle import legal_instances
@@ -151,6 +156,17 @@ class TestBuildNest:
         layer = LayerShape(m=2, c=1, r=1, s=1, e=1, f=1)
         with pytest.raises(ConfigError):
             build_nest(layer, {GB: {"m": 2}}, ordering={GB: ("m", "m")})
+
+    # a label key used to pass, and build_nest used the default order
+    @pytest.mark.parametrize("key", ["GB", 1, None])
+    def test_ordering_key_must_be_a_mem_level(self, key):
+        layer = LayerShape(m=2, c=2, r=1, s=1, e=1, f=1)
+        with pytest.raises(ConfigError) as exc:
+            build_nest(layer, {GB: {"m": 2, "c": 2}},
+                       ordering={key: ("c", "m", "r", "s", "e", "f")})
+        assert str(exc.value) == f"ordering: {key!r} is not a MemLevel"
+        with pytest.raises(ConfigError):
+            check_ordering({key: DIMS})
 
     def test_bad_factor_rejected(self):
         layer = LayerShape(m=2, c=1, r=1, s=1, e=1, f=1)
