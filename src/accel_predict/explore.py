@@ -13,13 +13,16 @@ budget under one element, or a positional style's kept tensor alone
 overflowing the GB. The PE rule then reads the candidate's NoC factors.
 Those two rules run once per candidate. Exhaustive and random search
 walk candidate indices (a mixed radix in itertools.product order) and
-read them off an index's style digit and its tilings' NoC factors: only
-a survivor is unranked into a candidate. Beam reads them off candidate
-tuples, as a completion's whole-dim tiling may lie outside the tiling
-table. Every survivor goes to the one scorer: its flat loops are built
-from its factors and ordering, and loopnest's planner places its
-refresh points, sizes its resident tiles for the capacity rule and, for
-a legal candidate alone, builds the plan that scores it. Generated
+settle the whole sample in one loop, reading the rules off each index's
+style digit and its tilings' NoC factors: only a survivor is unranked
+into a candidate. Beam reads them off candidate tuples, as a
+completion's whole-dim tiling may lie outside the tiling table. Every
+survivor goes to the one scorer. Its flat loops are built from its
+factors and ordering and walked once: that walk places its refresh
+points and sizes its resident tiles for the capacity rule. A legal
+candidate's energy and latency totals come from predictor.score_totals,
+which builds no plan or report; the report path is its bit-for-bit
+reference, and only the returned entries get a full report. Generated
 nests, beam completions included, are legal in structure, so this
 discards exactly what the full check would, under the same code. A
 discard counts under the code of the first violation it hit. A beam
@@ -54,7 +57,6 @@ from .loopnest import (
     RefreshLocations,
     _check_coverage,
     buffers_fit,
-    build_plan,
     check_ordering,
     place_refresh,
     resident_tiles,
@@ -70,13 +72,7 @@ from .model import (
     Options,
     tile_volumes,
 )
-from .predictor import (
-    PredictionReport,
-    access_counts,
-    energy,
-    latency,
-    predict_layer,
-)
+from .predictor import PredictionReport, predict_layer, score_totals
 
 OBJECTIVES = ("energy", "latency", "edp")
 STRATEGIES = ("exhaustive", "random", "beam")
@@ -137,6 +133,17 @@ class SearchSpace:
                     or not all(type(b) is int and b >= 1 for b in factors)):
                 raise ConfigError(f"allowed_factors[{dim!r}]: expected "
                                   f"integers >= 1, got {factors!r}")
+        # per ordering and level (outermost first), the (dim index, slot in
+        # a tiling tuple) of each loop it emits
+        slot = {mem: j for j, mem in enumerate(self.levels)}
+        groups = tuple(tuple(
+            tuple((DIMS.index(d), slot[mem]) for d in order.get(mem, DIMS))
+            if mem in slot else () for mem in LEVELS_OUTER_FIRST
+        ) for order in map(_normalize_ordering, self.orderings))
+        if len(set(groups)) != len(groups):
+            raise ConfigError("search space orderings must emit distinct loops "
+                              "over its levels")
+        object.__setattr__(self, "groups", groups)
 
 
 def _normalize_ordering(template) -> dict[MemLevel, tuple[str, ...]]:
@@ -192,9 +199,7 @@ def _tilings(value: int, k: int, allowed, padded: bool) -> list[tuple[int, ...]]
 class _Prepared:
     tilings: dict[str, list[tuple[int, ...]]]
     styles: list[str]
-    # per ordering and level (outermost first), the (dim index, slot in a
-    # tiling tuple) of each loop it emits
-    groups: list[tuple[tuple[tuple[int, int], ...], ...]]
+    groups: tuple  # SearchSpace.groups
     # the NoC's slot in a tiling tuple, None if the space has no NoC level
     noc: int | None
     stride: int
@@ -256,19 +261,12 @@ def _prepare(space: SearchSpace, layer: LayerShape) -> _Prepared:
         max([n, *map(math.prod, tilings[d])]) for n, d in zip(dims, DIMS)
     ]
     decided = max(tile_volumes(largest, stride)) <= INT64_MAX
-    slot = {mem: j for j, mem in enumerate(space.levels)}
-    groups = [tuple(
-        tuple((DIMS.index(d), slot[mem]) for d in order.get(mem, DIMS))
-        if mem in slot else () for mem in LEVELS_OUTER_FIRST
-    ) for order in map(_normalize_ordering, space.orderings)]
-    if len(set(groups)) != len(groups):
-        raise ConfigError("search space orderings must emit distinct loops "
-                          "over its levels")
     return _Prepared(
         tilings=tilings,
         styles=list(space.refresh_styles),
-        groups=groups,
-        noc=slot.get(MemLevel.NOC),
+        groups=space.groups,
+        noc=next((j for j, mem in enumerate(space.levels) if mem is MemLevel.NOC),
+                 None),
         stride=stride,
         doomed=[
             _doomed(space.hw, s, dims, stride) if decided else None
@@ -331,24 +329,21 @@ def _rejected(prep: _Prepared, style: int, noc_product: int) -> str | None:
 def _score(space: SearchSpace, prep: _Prepared, objective: str, cand: Candidate):
     """Check a candidate that passed _rejected against the rest of the
     hardware, in the full check's order of codes (refresh_style, then
-    capacity), and score a legal one from its plan. Builds no nest.
+    capacity), and score a legal one with score_totals. Builds no nest.
 
     Returns ("ok", value, cand, (gb, rf)), its refresh locations in KINDS
     order, or ("discard", code of the first violation found).
     """
     loops, starts = _candidate_loops(prep, cand)
     try:
-        gb, rf = place_refresh(loops, starts, prep.styles[cand[-1]], space.hw,
-                               prep.stride)
+        gb, rf, *walk = place_refresh(loops, starts, prep.styles[cand[-1]],
+                                      space.hw, prep.stride)
     except MappingError as exc:
         return ("discard", exc.violations[0].code)
-    tiles = resident_tiles(loops, gb, rf, prep.stride)
+    tiles = resident_tiles(gb, rf, *walk)
     if not buffers_fit(space.hw, *tiles):
         return ("discard", "capacity")
-    plan = build_plan(loops, gb, rf, tiles)
-    counts = access_counts(plan, space.options)
-    e = energy(plan, counts, space.hw).total
-    lat = latency(plan, counts, space.hw, space.options).l_total_s
+    e, lat = score_totals(loops, gb, rf, tiles, space.hw, space.options)
     value = {"energy": e, "latency": lat, "edp": e * lat}[objective]
     return ("ok", value, cand, (gb, rf))
 
@@ -362,13 +357,24 @@ def _evaluate(space: SearchSpace, prep: _Prepared, objective: str, cand: Candida
     return _score(space, prep, objective, cand)
 
 
-def _evaluate_index(space: SearchSpace, prep: _Prepared, objective: str, index: int):
-    """_evaluate of candidate `index`, but the discard by _rejected is
-    read off the index's digits, building nothing."""
-    noc = math.prod([f[index // p % n] for _, f, p, n in prep.places])
-    if code := _rejected(prep, index % prep.radices[-1], noc):
-        return ("discard", code)
-    return _score(space, prep, objective, _unrank(prep, index))
+def _settle(space: SearchSpace, prep: _Prepared, objective: str, indices):
+    """_evaluate of candidates `indices` in one loop: the "ok" results and
+    the other codes, in index order. _rejected reads an index's style and
+    six NoC digits, building nothing; only a survivor is unranked."""
+    (_, f0, p0, n0), (_, f1, p1, n1), (_, f2, p2, n2), \
+        (_, f3, p3, n3), (_, f4, p4, n4), (_, f5, p5, n5) = prep.places
+    n_styles = prep.radices[-1]
+    legal, codes = [], []
+    for i in indices:
+        noc = (f0[i // p0 % n0] * f1[i // p1 % n1] * f2[i // p2 % n2]
+               * f3[i // p3 % n3] * f4[i // p4 % n4] * f5[i // p5 % n5])
+        if code := _rejected(prep, i % n_styles, noc):
+            codes.append(code)
+        elif (res := _score(space, prep, objective, _unrank(prep, i)))[0] == "ok":
+            legal.append(res)
+        else:
+            codes.append(res[1])
+    return legal, codes
 
 
 def _builder(space: SearchSpace, layer: LayerShape, prep: _Prepared):
@@ -508,17 +514,18 @@ def explore(
     built = _builder(space, layer, prep)
     if strategy == "beam":
         scored, evaluated = _beam(space, layer, prep, objective, beam_width, built)
+        legal = [r for r in scored if r[0] == "ok"]
+        codes = [r[1] for r in scored if r[0] == "discard"]
     else:
         indices = range(size)
         if strategy == "random":
             n = min(n_samples, size)
             indices = sorted(random.Random(seed).sample(range(size), n))
             stats.update(seed=seed, n_samples=n)
-        scored = [_evaluate_index(space, prep, objective, i) for i in indices]
+        legal, codes = _settle(space, prep, objective, indices)
         evaluated = len(indices)
 
-    legal = [r for r in scored if r[0] == "ok"]
-    discards = Counter(r[1] for r in scored if r[0] == "discard")
+    discards = Counter(codes)
     stats.update(evaluated=evaluated, legal=len(legal), discarded=dict(discards))
     if strategy == "beam":
         stats["beam_width"] = beam_width

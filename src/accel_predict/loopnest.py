@@ -186,10 +186,12 @@ def _volumes_below(loops, gb, rf, stride: int):
 
 def place_refresh(
     loops, starts, style: str, hw: HardwareConfig | None = None, stride: int = 1
-) -> tuple[list[int], list[int]]:
+):
     """The GB and the RF refresh locations (KINDS order) of a named
     stationarity style on flat loops whose GB, NoC and RF groups start at
-    `starts`.
+    `starts`, and the one _volumes_below walk that placed them: its GB
+    volumes at the GB locations and its RF volumes at every location an RF
+    tile may sit at, for resident_tiles.
 
     weight_stationary / output_stationary are positional: the favored
     kind's GB buffer loads once (location 0) and its RF tile is pinned
@@ -208,22 +210,25 @@ def place_refresh(
         gb, rf = [p_gb] * len(KINDS), [p_rf] * len(KINDS)
         i = KINDS.index(kept)
         gb[i], rf[i] = 0, p_gb
-        return gb, rf
+        return gb, rf, *_volumes_below(loops, gb, rf, stride)
     if style != "row_stationary_like":
         raise ConfigError(f"unknown refresh style {style!r}")
     if hw is None:
         raise ConfigError("row_stationary_like needs a hardware config")
 
-    volumes = _volumes_below(loops, (), range(p_gb, len(loops) + 1), stride)[1]
     gb, rf = [], []
-    for i, (kind, (bits, budget)) in enumerate(zip(KINDS, hw.rf_budgets)):
+    for relevant in _RELEVANT:
         loc = p_gb
-        while loc < p_noc and loops[loc][0] in _RELEVANT[i]:
+        while loc < p_noc and loops[loc][0] in relevant:
             loc += 1
         gb.append(loc)
-
-        for p in range(loc, len(loops) + 1):
-            if checked_count(volumes[p][i]) <= budget:
+    gb_volumes, volumes = _volumes_below(loops, gb, range(p_gb, len(loops) + 1),
+                                         stride)
+    for i, (kind, (bits, budget)) in enumerate(zip(KINDS, hw.rf_budgets)):
+        for p in range(gb[i], len(loops) + 1):
+            if (v := volumes[p][i]) > INT64_MAX:
+                checked_count(v)
+            if v <= budget:
                 rf.append(p)
                 break
         else:
@@ -231,25 +236,24 @@ def place_refresh(
                 "refresh_style", f"refresh[{kind}][RF]",
                 f"no location fits the {bits}-bit register budget",
             )])
-    return gb, rf
+    return gb, rf, gb_volumes, volumes
 
 
-def resident_tiles(loops, gb, rf, stride: int) -> tuple[list[int], list[int]]:
+def resident_tiles(gb, rf, gb_volumes, rf_volumes) -> tuple[list[int], list[int]]:
     """The GB and the RF resident tiles, in elements per kind (KINDS
-    order), below refresh locations `gb` and `rf`: a GB tile is the
-    array-wide tile of every loop below its location, an RF tile one PE's
-    tile (temporal loops only). Each passes checked_count."""
-    gb_volumes, rf_volumes = _volumes_below(loops, gb, rf, stride)
+    order), below refresh locations `gb` and `rf`, read off the
+    _volumes_below walk of their loops (place_refresh returns its own): a
+    GB tile is the array-wide tile of every loop below its location, an RF
+    tile one PE's tile (temporal loops only). Each passes checked_count."""
     return ([checked_count(gb_volumes[p][i]) for i, p in enumerate(gb)],
             [checked_count(rf_volumes[p][i]) for i, p in enumerate(rf)])
 
 
-def build_plan(loops, gb, rf, tiles) -> RefreshPlan:
-    """The RefreshPlan of flat loops refreshed at `gb` and `rf` (KINDS
-    order), given their resident_tiles: each refresh count is the product
-    of the temporal bounds above its location."""
-    # one pass: the temporal product above each location, and the spatial
-    # products, each kind's multicast over the dims it does not depend on
+def loop_products(loops):
+    """One pass over flat loops: the temporal product above each location
+    0..n, each kind's multicast (the spatial bounds of the dims it does not
+    depend on, KINDS order), the spatial product and the product of every
+    bound."""
     above, multicast = [1], [1] * len(KINDS)
     t = n_pe = 1
     for d, b, sp in loops:
@@ -261,9 +265,16 @@ def build_plan(loops, gb, rf, tiles) -> RefreshPlan:
         else:
             t *= b
         above.append(t)
+    return above, multicast, n_pe, t * n_pe
+
+
+def build_plan(loops, gb, rf, tiles) -> RefreshPlan:
+    """The RefreshPlan of flat loops refreshed at `gb` and `rf` (KINDS
+    order), given their resident_tiles: each refresh count is the product
+    of the temporal bounds above its location."""
+    above, multicast, n_pe, n_mac = loop_products(loops)
     # With bounds >= 1 every count here divides n_mac; otherwise (an overflow,
     # or a bound under 1) the checked products raise as and where they would.
-    n_mac = t * n_pe
     if not 0 < n_mac <= INT64_MAX:
         for p in (*gb, *rf):
             checked_product([b for _, b, sp in loops[:p] if not sp])
@@ -290,7 +301,8 @@ def refresh_plan(
               for locs in (refresh.gb, refresh.rf))
     if len(gb) + len(rf) < 2 * len(KINDS):  # a location was out of range
         raise MappingError(validate_structure(nest, refresh))
-    tiles = resident_tiles(nest.loops, gb, rf, options.effective_stride(nest.layer))
+    stride = options.effective_stride(nest.layer)
+    tiles = resident_tiles(gb, rf, *_volumes_below(nest.loops, gb, rf, stride))
     return build_plan(nest.loops, gb, rf, tiles)
 
 
@@ -529,7 +541,7 @@ def canonical_refresh(
     options: Options = Options(),
 ) -> RefreshLocations:
     """Refresh locations for a named stationarity style (place_refresh)."""
-    gb, rf = place_refresh(
+    gb, rf, *_ = place_refresh(
         nest.loops, nest.starts, style, hw, options.effective_stride(nest.layer)
     )
     return RefreshLocations(gb=dict(zip(KINDS, gb)), rf=dict(zip(KINDS, rf)))

@@ -178,6 +178,16 @@ class UnitCosts:
     t_comp: float | None = None
     clock_hz: float | None = None
 
+    def __post_init__(self):
+        # Read-only copies, so no later write undoes the costs a
+        # HardwareConfig checked and tabulated; a malformed map is left as
+        # given, for that check to report.
+        costs = self.e_access
+        if isinstance(costs, Mapping) and all(
+                isinstance(row, Mapping) for row in costs.values()):
+            object.__setattr__(self, "e_access", MappingProxyType(
+                {lvl: MappingProxyType(dict(row)) for lvl, row in costs.items()}))
+
     def access(self, level: MemLevel, kind: DataKind) -> float:
         return self.e_access.get(level, _NO_COSTS).get(kind, 0.0)
 
@@ -243,6 +253,18 @@ class HardwareConfig:
         bits = (rf // 3,) * len(KINDS) if shared else rf
         object.__setattr__(self, "rf_budgets", tuple(
             (b, b // n) for b, n in zip(bits, need)))
+        # predictor.score_totals' constants, as energy and latency read them:
+        # e_mac, the MAC time, per level (outermost first) each kind's cost,
+        # and per kind its bits, min(GB, DRAM), GB and min(RF, GB) bandwidth.
+        uc = self.unit_costs
+        object.__setattr__(self, "score_table", (
+            uc.e_mac, uc.mac_time(),
+            tuple(tuple((uc.e_access.get(lvl) or {}).get(k, 0.0) for k in KINDS)
+                  for lvl in LEVELS_OUTER_FIRST),
+            tuple((b, min(g, self.bw_dram), g, min(self._rf_bw[k], g))
+                  for k, b, g in zip(KINDS, self.precision.by_kind,
+                                     map(self._gb_bw.get, KINDS))),
+        ))
 
     @property
     def n_pe(self) -> int:

@@ -3,19 +3,27 @@
 Access counts are the shared currency: every boundary's traffic is
 counted once, energy multiplies each count by a unit cost, and latency
 divides the same counts by bandwidths.
+
+The explorer's legal candidates get their energy and latency totals
+from score_totals, which builds no plan, count rows or report; this
+report path is its bit-for-bit reference. (The explorer walks a
+candidate's loops once and settles a sample in one loop; see explore.)
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import ConfigError, MappingError
 from .loopnest import (
     LoopNest,
     RefreshLocations,
     RefreshPlan,
+    build_plan,
     checked_plan,
+    loop_products,
     refresh_plan,
 )
 from .model import (
@@ -219,6 +227,64 @@ def latency(
         gb_kind=gb_kind,
         setup_kind=setup_kind,
     )
+
+
+def score_totals(
+    loops, gb, rf, tiles, hw: HardwareConfig, options: Options = Options()
+) -> tuple[float, float]:
+    """energy(...).total and latency(...).l_total_s of build_plan(loops,
+    gb, rf, tiles), bit for bit: the same operations in the same order,
+    reading hw.score_table, with no plan, count rows or report built. A
+    count past 2^63-1 or a total past the largest float goes down that
+    report path, its reference, which raises what and where it raises."""
+    above, multicast, n_pe, n_mac = loop_products(loops)
+    if not 0 < n_mac <= INT64_MAX:  # or a bound under 1
+        return _report_totals(loops, gb, rf, tiles, hw, options)
+    e_mac, t_mac, costs, per_kind = hw.score_table
+    (v_i, v_o, v_w), (w_i, w_o, w_w) = tiles
+    (g_i, g_o, g_w), (r_i, r_o, r_w) = gb, rf
+    m_i, m_o, m_w = multicast
+    dram = [above[g_i] * v_i, above[g_o] * v_o, above[g_w] * v_w]
+    d_i, d_o, d_w = above[r_i] * w_i, above[r_o] * w_o, above[r_w] * w_w
+    array = [d_i * (n_pe // m_i), d_o * (n_pe // m_o), d_w * (n_pe // m_w)]
+    noc = [d_i * n_pe, d_o * n_pe, d_w * n_pe]
+    largest = max(*dram, d_i, d_o, d_w, *array, *noc)
+    # outputs: partial sums recirculate where the buffer is refreshed
+    psum = options.psum_factor()
+    if above[g_o] > 1:
+        dram[1] = dram[1] * psum
+    if above[r_o] > 1:
+        array[1] = array[1] * psum
+    if max(largest, dram[1], array[1]) > INT64_MAX:
+        return _report_totals(loops, gb, rf, tiles, hw, options)
+    try:
+        e = n_mac * e_mac + sum([sum(map(mul, row, cost)) for row, cost
+                                 in zip((dram, array, noc, [n_mac] * 3), costs)])
+    except OverflowError:  # an integer term past the float range
+        return _report_totals(loops, gb, rf, tiles, hw, options)
+    # each max over kinds as latency takes it: the largest term, or 0.0
+    (b_i, dram_i, gb_i, fill_i), (b_o, dram_o, gb_o, _), \
+        (b_w, dram_w, gb_w, fill_w) = per_kind
+    sent = array if options.gb_latency_multicast_aware else noc
+    l_dram = max(0.0, dram[0] * b_i / dram_i, dram[1] * b_o / dram_o,
+                 dram[2] * b_w / dram_w)
+    l_gb = max(0.0, sent[0] * b_i / gb_i, sent[1] * b_o / gb_o,
+               sent[2] * b_w / gb_w)
+    l_setup = max(0.0, max(v_i * b_i / dram_i, w_i * b_i / fill_i),
+                  max(v_w * b_w / dram_w, w_w * b_w / fill_w))
+    l_comp = (n_mac if options.literal_eq8 else n_mac // n_pe) * t_mac
+    lat = l_setup + max(l_dram, l_gb, l_comp)
+    if not (e <= _FLOAT_MAX and lat <= _FLOAT_MAX):
+        return _report_totals(loops, gb, rf, tiles, hw, options)
+    return e, lat
+
+
+def _report_totals(loops, gb, rf, tiles, hw, options) -> tuple[float, float]:
+    """score_totals the report path's way."""
+    plan = build_plan(loops, gb, rf, tiles)
+    counts = access_counts(plan, options)
+    return (energy(plan, counts, hw).total,
+            latency(plan, counts, hw, options).l_total_s)
 
 
 @dataclass(frozen=True)

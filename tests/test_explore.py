@@ -45,9 +45,9 @@ from accel_predict.explore import (
     _candidate_loops,
     _candidate_nest,
     _evaluate,
-    _evaluate_index,
     _order,
     _prepare,
+    _settle,
     _tilings,
     _unrank,
 )
@@ -56,6 +56,7 @@ from tests.test_model import _hw
 # the package's `explore` attribute is the function, not this module
 explore_module = importlib.import_module("accel_predict.explore")
 loopnest_module = importlib.import_module("accel_predict.loopnest")
+predictor_module = importlib.import_module("accel_predict.predictor")
 
 DRAM, GB, NOC, RF = MemLevel.DRAM, MemLevel.GB, MemLevel.NOC, MemLevel.RF
 
@@ -280,25 +281,23 @@ class TestSpaceValidation:
         (("e", "f", "m", "c", "r", "s"), ("e", "f", "m", "c", "r", "s")),
     ])
     def test_orderings_emitting_the_same_loops(self, orderings):
-        space = two_level_space(roomy_hw(), orderings=orderings)
-        for run in (lambda: space_size(space, SMALL),
-                    lambda: explore(space, SMALL, strategy="beam")):
+        # refused when the space is constructed, or replaced
+        space = two_level_space(roomy_hw())
+        for build in (lambda: two_level_space(roomy_hw(), orderings=orderings),
+                      lambda: dataclasses.replace(space, orderings=orderings)):
             with pytest.raises(ConfigError, match="orderings must emit distinct"):
-                run()
+                build()
         distinct = dataclasses.replace(
             space, orderings=((), {GB: ("f", "e", "s", "r", "c", "m")})
         )
-        assert space_size(distinct, SMALL) == 2 * space_size(
-            dataclasses.replace(space, orderings=((),)), SMALL
-        )
+        assert space_size(distinct, SMALL) == 2 * space_size(space, SMALL)
 
     # a label key used to pass, and its order was silently not used
     def test_ordering_keys_must_be_mem_levels(self):
-        space = SearchSpace(
-            hw=_hw(), orderings=({"GB": ("f", "e", "s", "r", "c", "m")},)
-        )
         with pytest.raises(ConfigError) as exc:
-            explore(space, SMALL, strategy="random", n_samples=10)
+            SearchSpace(
+                hw=_hw(), orderings=({"GB": ("f", "e", "s", "r", "c", "m")},)
+            )
         assert str(exc.value) == "ordering: 'GB' is not a MemLevel"
 
     # tilings are built from the allowed values themselves: a float would
@@ -634,16 +633,16 @@ def _full_path(space, layer, prep, cand, objective="edp"):
     return ("ok", value, cand, locs)
 
 
-def _spy(monkeypatch, name, record):
-    """Wrap the explore module's `name`; returns the list that gets
-    record(args, result) of each call."""
-    log, fn = [], getattr(explore_module, name)
+def _spy(monkeypatch, name, record, module=explore_module):
+    """Wrap `module`'s `name` (the explore module's by default); returns
+    the list that gets record(args, result) of each call."""
+    log, fn = [], getattr(module, name)
 
     def wrapper(*args, **kwargs):
         out = fn(*args, **kwargs)
         log.append(record(args, out))
         return out
-    monkeypatch.setattr(explore_module, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return log
 
 
@@ -687,9 +686,9 @@ def _screen_outcomes(seed, n_spaces, doomed_only, noc=False):
     """Every candidate of seeded random spaces: _evaluate's code, and for
     a legal one its value and refresh locations, against the full path,
     which also checks the flat loops and the nest against build_nest's;
-    and each index's _evaluate_index against _evaluate of its candidate,
-    in itertools.product order. Counts (style, doomed code, code), and
-    with `noc` whether the space has a NoC level."""
+    and _settle over every index against _evaluate of each candidate, in
+    itertools.product order. Counts (style, doomed code, code), and with
+    `noc` whether the space has a NoC level."""
     rng = random.Random(seed)
     outcomes = Counter()
     spaces = 0
@@ -707,18 +706,21 @@ def _screen_outcomes(seed, n_spaces, doomed_only, noc=False):
             *[prep.tilings[d] for d in DIMS],
             range(len(space.orderings)), range(len(prep.styles)),
         ))
-        for i, cand in enumerate(candidates):
+        results = []
+        for cand in candidates:
             got = _evaluate(space, prep, "edp", cand)
             assert got == _full_path(space, layer, prep, cand), (
                 layer, space, cand
             )
-            assert _evaluate_index(space, prep, "edp", i) == got, (
-                layer, space, i
-            )
+            results.append(got)
             style = prep.styles[cand[-1]]
             code = got[1] if got[0] == "discard" else None
             key = style, prep.doomed[cand[-1]], code
             outcomes[key + ((prep.noc is not None,) if noc else ())] += 1
+        assert _settle(space, prep, "edp", range(prep.size)) == (
+            [r for r in results if r[0] == "ok"],
+            [r[1] for r in results if r[0] == "discard"],
+        ), (layer, space)
     return outcomes
 
 
@@ -911,28 +913,66 @@ class TestFactorScreen:
         assert result.stats["evaluated"] == 960
 
     # a survivor of the PE and doomed-style rule used to run it again
-    # before its loops were built
+    # before its loops were built; the walk records how many candidates
+    # each call settles: all of a random sample at once, one per _evaluate
     @pytest.mark.parametrize("strategy, walk, evaluated", [
-        ("random", "_evaluate_index", 2000), ("beam", "_evaluate", 864),
+        ("random", "_settle", 2000), ("beam", "_evaluate", 864),
     ])
     def test_rejected_runs_once_per_candidate(
         self, monkeypatch, strategy, walk, evaluated
     ):
         rejected = _spy(monkeypatch, "_rejected", lambda args, out: out)
-        walked = _spy(monkeypatch, walk, lambda args, out: out)
+        walked = _spy(monkeypatch, walk, lambda args, out: (
+            len(args[-1]) if walk == "_settle" else 1))
         scored = _spy(monkeypatch, "_score", lambda args, out: out)
         explore(SearchSpace(hardware_preset("eyeriss_normalized")),
                 layer_preset("alexnet_conv1"), objective="edp",
                 strategy=strategy, n_samples=2000, beam_width=16, seed=0)
-        assert len(rejected) == len(walked) == evaluated
+        assert len(rejected) == sum(walked) == evaluated
         # every candidate _rejected passes is scored, and no other
         assert len(scored) == rejected.count(None) > 0
 
+    # a row_stationary_like candidate used to walk its loops twice (once to
+    # place its refresh points, again for its tiles), and every legal one
+    # built a plan, count rows and two reports to keep two floats
+    @pytest.mark.parametrize("layer, styles, search", [
+        ("alexnet_conv1", ("weight_stationary", "output_stationary"),
+         {"strategy": "beam", "beam_width": 16}),
+        ("alexnet_conv5", ("row_stationary_like",),
+         {"strategy": "random", "n_samples": 300}),
+    ])
+    def test_loops_walked_once_and_reports_built_for_entries_only(
+        self, monkeypatch, layer, styles, search
+    ):
+        walks = _spy(monkeypatch, "_volumes_below",
+                     lambda args, out: tuple(args[0]), module=loopnest_module)
+        placed = _spy(monkeypatch, "_score", lambda args, out: (
+            tuple(_candidate_loops(args[1], args[3])[0]), out[0]))
+        reports = {name: _spy(monkeypatch, name, lambda args, out: None,
+                              module=predictor_module)
+                   for name in ("access_counts", "energy", "latency")}
+        space = SearchSpace(hardware_preset("eyeriss_normalized"),
+                            refresh_styles=styles)
+        result = explore(space, layer_preset(layer), objective="edp",
+                         seed=0, top_k=10, **search)
+        legal = sum(verdict == "ok" for _, verdict in placed)
+        assert len(result.entries) == 10 and legal > 10
+        # every candidate that reaches placement, then each entry's report;
+        # a row_stationary_like style is placed once on no loops per search
+        assert Counter(walks) == Counter(
+            [loops for loops, _ in placed]
+            + [entry.nest.loops for entry in result.entries]
+            + [()] * styles.count("row_stationary_like")
+        )
+        assert {name: len(calls) for name, calls in reports.items()} == dict.fromkeys(
+            reports, len(result.entries)
+        )
+
     def test_bad_ordering_raises_when_every_candidate_is_discarded(self):
-        # capacity_rf=1 screens out every candidate, so no nest is built
-        space = SearchSpace(roomy_hw(capacity_rf=1), orderings=(("m", "c"),))
+        # capacity_rf=1 screens out every candidate, so no nest is built;
+        # the space refuses the ordering when it is constructed
         with pytest.raises(ConfigError) as exc:
-            explore(space, SMALL, strategy="random", n_samples=50)
+            SearchSpace(roomy_hw(capacity_rf=1), orderings=(("m", "c"),))
         assert "ordering for DRAM must be a permutation" in str(exc.value)
 
 
@@ -960,16 +1000,19 @@ class TestRanking:
     def test_row_stationary_like_builds_no_nest_unless_it_ranks(
         self, monkeypatch
     ):
-        # each sample's result; the candidate of each nest built
-        scored = _spy(monkeypatch, "_evaluate_index", lambda args, out: out)
+        # the walk's legal results and discard codes; the candidate of each
+        # nest built
+        settled = _spy(monkeypatch, "_settle", lambda args, out: out)
         built = _spy(monkeypatch, "_candidate_nest",
                      lambda args, out: args[-1])
         space = SearchSpace(hardware_preset("eyeriss_normalized"),
                             refresh_styles=REFRESH_STYLES)
         result = explore(space, layer_preset("alexnet_conv5"),
                          strategy="random", n_samples=300, seed=1, top_k=3)
-        legal = [(r[2], r[1]) for r in scored if r[0] == "ok"]
-        assert len(scored) == 300 and len(legal) == result.stats["legal"]
+        [(scored, codes)] = settled
+        legal = [(r[2], r[1]) for r in scored]
+        assert len(scored) + len(codes) == 300
+        assert len(legal) == result.stats["legal"]
         # exactly the candidates that rank or tie the last entry
         cut = result.entries[-1].objective_value
         assert len(built) == len(set(built))
@@ -1183,6 +1226,101 @@ class TestBenchmarkPin:
                     hashlib.sha256(text.encode()).hexdigest(),
                 )
         assert got == BENCHMARK_PIN
+
+
+# explore(..., objective="edp", n_samples=3000, beam_width=16, seed=0) on the
+# eyeriss preset, searching row_stationary_like alone ("rsl") and all three
+# styles with it first ("three"): stats and the sha256 of the canonical
+# to_dict() JSON, per layer and strategy, captured before the score kernel
+ROW_STATIONARY_LIKE_PIN = {
+    ("rsl", "CONV1", "random"): (3000, 1460, {"pe_array": 1146, "capacity": 394},
+                                 "ff32d811d7cb1694d5839ed44d02c92518a97ab1f77af6a56165092bfffc2167"),
+    ("rsl", "CONV1", "beam"): (944, 16, {},
+                               "7c3736bf060fd8c5cc998f26cb92e8402d966595c210b6d3014f92d3ee0f21cb"),
+    ("rsl", "CONV2", "random"): (3000, 1658, {"capacity": 113, "pe_array": 1229},
+                                 "3a880484d154ee4c3e89301ae6eb467a9e076a8a9c08cb8f7acc47f0869f1510"),
+    ("rsl", "CONV2", "beam"): (3189, 16, {},
+                               "6fb698782ffbb6124ef8fa035af9a182ae3a51a8fc0ca3aefecffa86f9fe4035"),
+    ("rsl", "CONV3", "random"): (3000, 1653, {"capacity": 194, "pe_array": 1153},
+                                 "d1dfe903364f81b61fee8687c302c5f741f131493384abe2a645a096c51c2403"),
+    ("rsl", "CONV3", "beam"): (3392, 16, {},
+                               "1e97cbaa6734d191d97456434ffb178a48c4a09aeb6447d8f70540781dfd6fed"),
+    ("rsl", "CONV4", "random"): (3000, 1728, {"capacity": 78, "pe_array": 1194},
+                                 "6feb32f4d16862cf44217ef799f329d099db3957912e3a89d4fcedeffd0e374d"),
+    ("rsl", "CONV4", "beam"): (6128, 16, {},
+                               "bbd3daad9835c38d97900956af09a23c24088b4a89ec0c1f7af57a7136ab6dd6"),
+    ("rsl", "CONV5", "random"): (3000, 1749, {"capacity": 51, "pe_array": 1200},
+                                 "994ae645c1820b9b85659920d6fa8bfeec3901813e21dcbc5f5ecee0cb6700f6"),
+    ("rsl", "CONV5", "beam"): (5813, 16, {},
+                               "50545b052a6681c80715a30be34718c2cedb8c91099a7a8524e7e759091b500c"),
+    ("three", "CONV1", "random"): (3000, 520, {"capacity": 1346, "pe_array": 1134},
+                                   "4b5d1693e230466aa0b8b2af8cf793efc9c9c4edabdc1f00baaf76e6487e38c1"),
+    ("three", "CONV1", "beam"): (976, 16, {"capacity": 32},
+                                 "a6944fc06508666ec20d36aa1032fc2324457a972548b6d2a5fc5cbdd7ee7622"),
+    ("three", "CONV2", "random"): (3000, 521, {"capacity": 1212, "pe_array": 1267},
+                                   "98c82030be961a6c357e6e946e5cb3f418a246bab7063cb86e93c3e1f1f5efb0"),
+    ("three", "CONV2", "beam"): (3221, 16, {"capacity": 32},
+                                 "0db73b6091fe8f59575b7b0b96d3e802477e359140f3565f545b705f6686c504"),
+    ("three", "CONV3", "random"): (3000, 560, {"capacity": 1204, "pe_array": 1236},
+                                   "40906c9ea9ac865bde14194ffd7e9523eceb675e33c7362b11c5ed949cca4994"),
+    ("three", "CONV3", "beam"): (3424, 16, {"capacity": 32},
+                                 "59c5ad88863a408eaa5a20bc236c20bf38d18715b04fc4831cb91734d6832d81"),
+    ("three", "CONV4", "random"): (3000, 609, {"pe_array": 1144, "capacity": 1247},
+                                   "5e054c2b412438275142fe3eb07deac06b3c7034c55db8a7490dd7354fea126d"),
+    ("three", "CONV4", "beam"): (6160, 16, {"capacity": 32},
+                                 "fe0ef06397136e4ef0edf2f85cf6019cacf9549c2032657e1d235a7484b776e6"),
+    ("three", "CONV5", "random"): (3000, 640, {"capacity": 1209, "pe_array": 1151},
+                                   "1bd50ef8fc8414468fd4e6d5df71800e1aa038e2c5a816a60470871817d03b5a"),
+    ("three", "CONV5", "beam"): (5845, 16, {"capacity": 32},
+                                 "23022ae022d109f5401710ba61bf445c3e3c662a76e3bed4f01e8af22ec951a4"),
+}
+
+
+class TestRowStationaryLikePin:
+    def test_alexnet_edp_search(self):
+        hw = hardware_preset("eyeriss_normalized")
+        rsl = ("row_stationary_like",)
+        spaces = {
+            "rsl": SearchSpace(hw, refresh_styles=rsl),
+            "three": SearchSpace(hw, refresh_styles=rsl + (
+                "weight_stationary", "output_stationary")),
+        }
+        got = {}
+        for name, space in spaces.items():
+            for layer in network_preset("alexnet_conv"):
+                for strategy in ("random", "beam"):
+                    result = explore(space, layer, objective="edp",
+                                     strategy=strategy, n_samples=3000,
+                                     beam_width=16, seed=0)
+                    text = canonical_json(result.to_dict())
+                    got[name, layer.name, strategy] = (
+                        result.stats["evaluated"], result.stats["legal"],
+                        result.stats["discarded"],
+                        hashlib.sha256(text.encode()).hexdigest(),
+                    )
+        assert got == ROW_STATIONARY_LIKE_PIN
+
+
+def test_access_costs_written_after_construction_reach_no_score():
+    # the score kernel reads costs tabulated when the hardware is built,
+    # and the entries' reports read them live; neither a write through the
+    # caller's map nor one through the hardware's may split the two
+    base = hardware_preset("eyeriss_normalized")
+    e_access = {lvl: dict(row) for lvl, row in base.unit_costs.e_access.items()}
+    hw = dataclasses.replace(base, unit_costs=dataclasses.replace(
+        base.unit_costs, e_access=e_access))
+    e_access[DRAM][KINDS[0]] *= 10
+    with pytest.raises(TypeError):
+        hw.unit_costs.e_access[DRAM][KINDS[0]] = 0.0
+    with pytest.raises(TypeError):
+        hw.unit_costs.e_access[DRAM] = {}
+    assert hw == base
+    result = explore(SearchSpace(hw), layer_preset("alexnet_conv5"),
+                     objective="edp", strategy="random", n_samples=300, seed=1)
+    for entry in result.entries:
+        report = entry.report
+        assert entry.objective_value == (
+            report.energy.total * report.latency.l_total_s)
 
 
 class TestSearchOutputMatchesOracle:

@@ -1,4 +1,4 @@
-"""The plan-to-score kernel against its reference implementation.
+"""The plan-to-score kernels against their reference implementations.
 
 `loopnest.build_plan` and `predictor.access_counts`, `energy` and
 `latency` compute every count from one pass over the loops and read the
@@ -12,10 +12,17 @@ counts (and output ones under a fractional read+write factor) unchecked,
 and the kernel passes them through the overflow rule. An instance with a
 refresh location outside 0..n is excluded: the reference cuts the loops
 there as a slice would, and the kernel refuses it with a MappingError.
+
+`predictor.score_totals`, the explorer's score, returns the energy and
+latency totals without a plan, count rows or reports. Its reference is
+that report path itself: `energy(...).total` and `latency(...).l_total_s`
+of `build_plan` and `access_counts`, bit for bit, or the same exception
+with the same message.
 """
 
 import dataclasses
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -41,14 +48,27 @@ from accel_predict import (
     predict_layer,
     refresh_plan,
 )
-from accel_predict.loopnest import _RELEVANT, RefreshPlan, resident_tiles
+from accel_predict import predictor
+from accel_predict.loopnest import (
+    _RELEVANT,
+    RefreshPlan,
+    _volumes_below,
+    build_plan,
+    resident_tiles,
+)
 from accel_predict.model import (
     INT64_MAX,
     KINDS,
     LEVELS_OUTER_FIRST,
+    _FLOAT_MAX,
     checked_product,
 )
-from accel_predict.predictor import AccessCounts, EnergyReport, LatencyReport
+from accel_predict.predictor import (
+    AccessCounts,
+    EnergyReport,
+    LatencyReport,
+    score_totals,
+)
 from tests.test_model import _hw
 from tests.test_oracle import legal_instances
 
@@ -85,7 +105,8 @@ def _ref_refresh_plan(nest, refresh, options=Options()) -> RefreshPlan:
     n = len(nest.loops)
     gb, rf = ([slice(locs[k], None).indices(n)[0] for k in KINDS]
               for locs in (refresh.gb, refresh.rf))
-    tiles = resident_tiles(nest.loops, gb, rf, options.effective_stride(nest.layer))
+    stride = options.effective_stride(nest.layer)
+    tiles = resident_tiles(gb, rf, *_volumes_below(nest.loops, gb, rf, stride))
     return _ref_build_plan(nest.loops, gb, rf, tiles)
 
 
@@ -225,6 +246,9 @@ _BANDWIDTHS = st.sampled_from(
 )
 # costs whose sums round, so a changed summation order shows
 _COSTS = st.floats(0.0, 300.0, allow_nan=False)
+# for the score kernel also, now and then, an integer cost, whose products
+# stay exact, or one whose products pass the float range
+_SCORE_COSTS = st.one_of(_COSTS, st.integers(0, 300), st.just(10**300))
 
 
 @st.composite
@@ -235,7 +259,7 @@ def _bandwidth(draw):
 
 
 @st.composite
-def kernel_instances(draw):
+def kernel_instances(draw, costs=_COSTS):
     """A legal nest and refresh with bounds small or large enough to
     overflow, a stride up to 2^31 now and then (an input tile then counts
     the gaps between windows, so DRAM traffic can outgrow every array-side
@@ -254,7 +278,7 @@ def kernel_instances(draw):
         )
     options = dataclasses.replace(
         options,
-        psum_rw_factor=draw(st.sampled_from([None, 1, 1.5, 3])),
+        psum_rw_factor=draw(st.sampled_from([None, 1, 1.5, 2.0, 3])),
         literal_eq8=draw(st.booleans()),
         gb_latency_multicast_aware=draw(st.booleans()),
         assume_stride_one=draw(st.booleans()),
@@ -265,9 +289,9 @@ def kernel_instances(draw):
         bw_gb=draw(_bandwidth()),
         bw_rf=draw(_bandwidth()),
         unit_costs=UnitCosts(
-            e_mac=draw(_COSTS),
+            e_mac=draw(costs),
             e_access={
-                lvl: {k: draw(_COSTS) for k in KINDS
+                lvl: {k: draw(costs) for k in KINDS
                       if draw(st.integers(0, 5))}
                 for lvl in levels
             },
@@ -370,6 +394,8 @@ def test_kernel_matches_reference_at_the_edges(name):
     with pytest.raises(CountOverflowError) as exc:
         access_counts(refresh_plan(nest, refresh, options), options)
     assert str(exc.value) == message
+    # the score kernel hands each of them to the report path
+    assert _score_against_report_path(*instance)
 
 
 def test_dram_traffic_passes_the_overflow_rule():
@@ -385,3 +411,63 @@ def test_dram_traffic_passes_the_overflow_rule():
     with pytest.raises(CountOverflowError) as exc:
         predict_layer(layer, nest, refresh, hw, Options(psum_rw_factor=1))
     assert str(exc.value) == "count 9903520309671356182913089536 exceeds 2^63-1"
+    assert _score_against_report_path(nest, refresh, Options(psum_rw_factor=1), hw)
+
+
+# ------------------------------------------------------- score kernel
+
+
+def _score_against_report_path(nest, refresh, options, hw):
+    """score_totals against energy(...).total and latency(...).l_total_s
+    of the same loops, locations and resident tiles. Returns whether the
+    kernel handed the instance to the report path."""
+    loops, n = nest.loops, len(nest.loops)
+    gb, rf = ([locs[k] for k in KINDS] for locs in (refresh.gb, refresh.rf))
+    if not all(0 <= p <= n for p in (*gb, *rf)):
+        return None  # refresh_plan refuses these before any count
+    try:
+        stride = options.effective_stride(nest.layer)
+        tiles = resident_tiles(gb, rf, *_volumes_below(loops, gb, rf, stride))
+    except CountOverflowError:
+        return None  # no tiles to score
+
+    def report_path():
+        plan = build_plan(loops, gb, rf, tiles)
+        counts = access_counts(plan, options)
+        return (energy(plan, counts, hw).total,
+                latency(plan, counts, hw, options).l_total_s)
+
+    handed = []
+
+    def spy(*args):
+        handed.append(args)
+        return build_plan(*args)
+
+    # the kernel builds a plan only when it hands an instance over
+    with mock.patch.object(predictor, "build_plan", spy):
+        got = _outcome(score_totals, loops, gb, rf, tiles, hw, options)
+    assert got == _outcome(report_path)
+    return bool(handed)
+
+
+def _in_range(nest, refresh, options, hw) -> bool:
+    """Whether every count of the instance is at most 2^63-1 and both of
+    its totals are finite: where the kernel must not hand over."""
+    plan = refresh_plan(nest, refresh, options)
+    counts = access_counts(plan, options)
+    totals = (energy(plan, counts, hw).total,
+              latency(plan, counts, hw, options).l_total_s)
+    return (all(x <= INT64_MAX for row in counts.values() for x in row.values())
+            and all(t <= _FLOAT_MAX for t in totals))
+
+
+@settings(
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(kernel_instances(costs=_SCORE_COSTS))
+def test_score_kernel_matches_the_report_path(instance):
+    handed = _score_against_report_path(*instance)
+    if handed and _outcome(_in_range, *instance) is True:
+        raise AssertionError("an in-range instance went to the report path")
