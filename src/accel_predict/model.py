@@ -155,15 +155,11 @@ class Precision:
 
     def __post_init__(self):
         bits = (self.bits_input, self.bits_output, self.bits_weight)
-        # bits per kind in KINDS order, for the plain-integer capacity rule
+        # bits per kind, in KINDS order
         object.__setattr__(self, "by_kind", bits)
-        object.__setattr__(self, "_bits", dict(zip(KINDS, bits)))
 
     def bits(self, kind: DataKind) -> int:
-        return self._bits[kind]
-
-
-_NO_COSTS: Mapping[DataKind, float] = MappingProxyType({})
+        return self.by_kind[KINDS.index(kind)]
 
 
 @dataclass(frozen=True)
@@ -189,7 +185,7 @@ class UnitCosts:
                 {lvl: MappingProxyType(dict(row)) for lvl, row in costs.items()}))
 
     def access(self, level: MemLevel, kind: DataKind) -> float:
-        return self.e_access.get(level, _NO_COSTS).get(kind, 0.0)
+        return self.e_access.get(level, {}).get(kind, 0.0)
 
     def mac_time(self) -> float:
         if self.t_comp is not None:
@@ -215,7 +211,9 @@ class HardwareConfig:
     Capacities are bits: `capacity_gb` is the whole buffer, `capacity_rf`
     is per PE. Either may be a single shared number or a per-kind mapping
     (shared capacity is checked against the sum of resident tiles).
-    Bandwidths are bits/second; math.inf means unbounded.
+    Bandwidths are bits/second; math.inf means unbounded. Per-kind maps
+    are kept as read-only copies: the checks, and every score and report,
+    read tables built from the fields once, at construction.
     """
 
     pe_rows: int
@@ -230,6 +228,11 @@ class HardwareConfig:
     buffering_factor: int = 1
 
     def __post_init__(self):
+        # Read-only copies; any other value is left for the check to report.
+        for name in ("capacity_gb", "capacity_rf", "bw_gb", "bw_rf"):
+            value = getattr(self, name)
+            if isinstance(value, Mapping):
+                object.__setattr__(self, name, MappingProxyType(dict(value)))
         # Per-kind bandwidths; the fields keep the form hardware JSON prints.
         object.__setattr__(self, "_gb_bw", _per_kind(self.bw_gb))
         object.__setattr__(self, "_rf_bw", _per_kind(self.bw_rf))
@@ -253,14 +256,14 @@ class HardwareConfig:
         bits = (rf // 3,) * len(KINDS) if shared else rf
         object.__setattr__(self, "rf_budgets", tuple(
             (b, b // n) for b, n in zip(bits, need)))
-        # predictor.score_totals' constants, as energy and latency read them:
-        # e_mac, the MAC time, per level (outermost first) each kind's cost,
-        # and per kind its bits, min(GB, DRAM), GB and min(RF, GB) bandwidth.
+        # The one table energy, latency and score_totals price mappings from:
+        # e_mac, the MAC time, each level's costs (outermost first, KINDS
+        # order), and per kind bits, min(GB, DRAM), GB, min(RF, GB) bandwidth.
         uc = self.unit_costs
         object.__setattr__(self, "score_table", (
             uc.e_mac, uc.mac_time(),
-            tuple(tuple((uc.e_access.get(lvl) or {}).get(k, 0.0) for k in KINDS)
-                  for lvl in LEVELS_OUTER_FIRST),
+            MappingProxyType({lvl: tuple(uc.access(lvl, k) for k in KINDS)
+                              for lvl in LEVELS_OUTER_FIRST}),
             tuple((b, min(g, self.bw_dram), g, min(self._rf_bw[k], g))
                   for k, b, g in zip(KINDS, self.precision.by_kind,
                                      map(self._gb_bw.get, KINDS))),

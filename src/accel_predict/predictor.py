@@ -2,12 +2,14 @@
 
 Access counts are the shared currency: every boundary's traffic is
 counted once, energy multiplies each count by a unit cost, and latency
-divides the same counts by bandwidths.
+divides the same counts by bandwidths. Every cost and bandwidth comes
+from one table built with the hardware, HardwareConfig.score_table.
 
 The explorer's legal candidates get their energy and latency totals
-from score_totals, which builds no plan, count rows or report; this
-report path is its bit-for-bit reference. (The explorer walks a
-candidate's loops once and settles a sample in one loop; see explore.)
+from score_totals, which reads that table and builds no plan, count rows
+or report; this report path is its bit-for-bit reference. (The explorer
+walks a candidate's loops once and settles a sample in one loop; see
+explore.)
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ AccessCounts = dict[MemLevel, dict[DataKind, int]]
 
 # bound once: reading a member off an Enum class runs EnumType's slow hook
 _DRAM, _GB, _NOC, _RF = LEVELS_OUTER_FIRST
-_INPUT, _OUTPUT, _WEIGHT = KINDS
+_OUTPUT = DataKind.OUTPUT
 
 
 def access_counts(plan: RefreshPlan, options: Options = Options()) -> AccessCounts:
@@ -129,12 +131,11 @@ def energy(
 ) -> EnergyReport:
     """Each access count times its unit cost, plus the MACs. Raises
     ConfigError naming the first term past the largest float, if any."""
-    uc = hw.unit_costs
+    e_mac, _, costs, _ = hw.score_table
     by_level_kind: dict[MemLevel, dict[DataKind, float]] = {}
     for lvl, per_kind in counts.items():
-        costs = uc.e_access.get(lvl) or {}
-        by_level_kind[lvl] = {k: per_kind[k] * costs.get(k, 0.0) for k in KINDS}
-    e_comp = plan.n_mac_padded * uc.e_mac
+        by_level_kind[lvl] = {k: per_kind[k] * c for k, c in zip(KINDS, costs[lvl])}
+    e_comp = plan.n_mac_padded * e_mac
     try:
         level_totals = {lvl: sum(row.values()) for lvl, row in by_level_kind.items()}
         total = e_comp + sum(level_totals.values())
@@ -176,35 +177,29 @@ def latency(
     hw: HardwareConfig,
     options: Options = Options(),
 ) -> LatencyReport:
-    t_comp = hw.unit_costs.mac_time()
+    _, t_comp, _, per_kind = hw.score_table
     if options.literal_eq8:
         l_comp = plan.n_mac_padded * t_comp
     else:
         # spatial bounds divide the padded MAC product exactly
         l_comp = (plan.n_mac_padded // plan.n_pe_active) * t_comp
 
-    bw_dram = hw.bw_dram
-
     # each max over kinds: the first kind with the largest term > 0, or None
     dram_row = counts[_DRAM]
     gb_row = counts[_GB if options.gb_latency_multicast_aware else _NOC]
-    l_dram = l_gb = 0.0
-    dram_kind = gb_kind = None
-    for k, bits in zip(KINDS, hw.precision.by_kind):
-        gb_bw = hw.gb_bw(k)
-        term = dram_row[k] * bits / min(gb_bw, bw_dram)
+    l_dram = l_gb = l_setup = 0.0
+    dram_kind = gb_kind = setup_kind = None
+    for k, (bits, dram_bw, gb_bw, fill_bw) in zip(KINDS, per_kind):
+        term = dram_row[k] * bits / dram_bw
         if term > l_dram:
             l_dram, dram_kind = term, k
         term = gb_row[k] * bits / gb_bw
         if term > l_gb:
             l_gb, gb_kind = term, k
-
-    # First-tile fill before steady state; outputs are produced, not staged.
-    l_setup, setup_kind = 0.0, None
-    for k in (_INPUT, _WEIGHT):
-        bits, gb_bw, rf_bw = hw.precision.bits(k), hw.gb_bw(k), hw.rf_bw(k)
-        fill_gb = plan.v_ref[k, _GB] * bits / min(gb_bw, bw_dram)
-        fill_rf = plan.v_ref[k, _RF] * bits / min(rf_bw, gb_bw)
+        if k is _OUTPUT:  # first-tile fill: outputs are produced, not staged
+            continue
+        fill_gb = plan.v_ref[k, _GB] * bits / dram_bw
+        fill_rf = plan.v_ref[k, _RF] * bits / fill_bw
         term = max(fill_gb, fill_rf)
         if term > l_setup:
             l_setup, setup_kind = term, k
@@ -258,8 +253,8 @@ def score_totals(
     if max(largest, dram[1], array[1]) > INT64_MAX:
         return _report_totals(loops, gb, rf, tiles, hw, options)
     try:
-        e = n_mac * e_mac + sum([sum(map(mul, row, cost)) for row, cost
-                                 in zip((dram, array, noc, [n_mac] * 3), costs)])
+        e = n_mac * e_mac + sum([sum(map(mul, row, cost)) for row, cost in zip(
+            (dram, array, noc, [n_mac] * 3), costs.values())])
     except OverflowError:  # an integer term past the float range
         return _report_totals(loops, gb, rf, tiles, hw, options)
     # each max over kinds as latency takes it: the largest term, or 0.0

@@ -25,7 +25,9 @@ from accel_predict import (
     check,
     checked_plan,
     explore,
+    hardware_from_json,
     hardware_preset,
+    hardware_to_json,
     layer_preset,
     network_preset,
     predict_layer,
@@ -1302,9 +1304,9 @@ class TestRowStationaryLikePin:
 
 
 def test_access_costs_written_after_construction_reach_no_score():
-    # the score kernel reads costs tabulated when the hardware is built,
-    # and the entries' reports read them live; neither a write through the
-    # caller's map nor one through the hardware's may split the two
+    # the score kernel and the entries' reports read one table built with
+    # the hardware; neither a write through the caller's map nor one
+    # through the hardware's may change what either reads
     base = hardware_preset("eyeriss_normalized")
     e_access = {lvl: dict(row) for lvl, row in base.unit_costs.e_access.items()}
     hw = dataclasses.replace(base, unit_costs=dataclasses.replace(
@@ -1321,6 +1323,22 @@ def test_access_costs_written_after_construction_reach_no_score():
         report = entry.report
         assert entry.objective_value == (
             report.energy.total * report.latency.l_total_s)
+
+    # the same for per-kind capacities and bandwidths: what hardware JSON
+    # prints is the hardware the checks and the table were built from
+    maps = {"capacity_gb": dict.fromkeys(KINDS, base.capacity_gb),
+            "capacity_rf": dict(base.capacity_rf),
+            "bw_gb": dict.fromkeys(KINDS, base.bw_gb),
+            "bw_rf": dict.fromkeys(KINDS, base.bw_rf)}
+    hw = dataclasses.replace(base, **maps)
+    for per_kind in maps.values():
+        per_kind[KINDS[0]] = 1
+    with pytest.raises(TypeError):
+        hw.capacity_gb[KINDS[0]] = 1
+    printed = hardware_from_json(hardware_to_json(hw))
+    assert printed.capacities == hw.capacities
+    assert printed.score_table == hw.score_table
+    assert hw.capacities[0][3] == (884_736,) * 3  # GB, per kind, as built
 
 
 class TestSearchOutputMatchesOracle:

@@ -2,16 +2,20 @@
 
 `loopnest.build_plan` and `predictor.access_counts`, `energy` and
 `latency` compute every count from one pass over the loops and read the
-plan once per kind. The `_ref_*` functions below are the earlier forms,
-kept verbatim: a product of loop bounds per refresh count, and a term
-dict per max over kinds. On every instance both must give the same plan,
-counts, energy and latency, bit for bit and in the same key order, or
-raise the same exception with the same message. The one intended
-difference is DRAM traffic: the reference leaves input and weight DRAM
-counts (and output ones under a fractional read+write factor) unchecked,
-and the kernel passes them through the overflow rule. An instance with a
-refresh location outside 0..n is excluded: the reference cuts the loops
-there as a slice would, and the kernel refuses it with a MappingError.
+plan once per kind; `energy` and `latency` read every cost and bandwidth
+from `HardwareConfig.score_table`, the one table built when the hardware
+is constructed. The `_ref_*` functions below are the earlier forms, kept
+verbatim: a product of loop bounds per refresh count, a term dict per
+max over kinds, and costs and bandwidths read from the hardware's own
+fields, so they check that table too. On every instance both must give
+the same plan, counts, energy and latency, bit for bit and in the same
+key order, or raise the same exception with the same message. The one
+intended difference is DRAM traffic: the reference leaves input and
+weight DRAM counts (and output ones under a fractional read+write
+factor) unchecked, and the kernel passes them through the overflow rule.
+An instance with a refresh location outside 0..n is excluded: the
+reference cuts the loops there as a slice would, and the kernel refuses
+it with a MappingError.
 
 `predictor.score_totals`, the explorer's score, returns the energy and
 latency totals without a plan, count rows or reports. Its reference is
@@ -326,6 +330,11 @@ def _check_against_reference(nest, refresh, options, hw):
 
     assert _outcome(energy, plan, counts, hw) == _outcome(
         _ref_energy, plan, counts, hw
+    )
+    # costs pair with levels by key, in whatever order the counts come
+    reverse = dict(reversed(counts.items()))
+    assert _outcome(energy, plan, reverse, hw) == _outcome(
+        _ref_energy, plan, reverse, hw
     )
     assert _outcome(latency, plan, counts, hw, options) == _outcome(
         _ref_latency, plan, counts, hw, options

@@ -1,6 +1,7 @@
 """Nest construction, legality checks, and refresh-count derivation."""
 
 import math
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -304,7 +305,7 @@ class TestCapacityRule:
         def tiles(cap):
             out = []
             for kind, need in zip(KINDS, per):
-                limit = (cap[kind] if isinstance(cap, dict) else cap) // need
+                limit = (cap[kind] if isinstance(cap, Mapping) else cap) // need
                 out.append(data.draw(st.sampled_from((0, limit, limit + 1))))
             return out
 
