@@ -17,17 +17,21 @@ settle the whole sample in one loop, reading the rules off each index's
 style digit and its tilings' NoC factors: only a survivor is unranked
 into a candidate. Beam reads them off candidate tuples, as a
 completion's whole-dim tiling may lie outside the tiling table. Every
-survivor goes to the one scorer. Its flat loops are built from its
+survivor goes to the one scorer. A positional candidate is sized from
+its factor tuples, as its refresh points sit on level-group boundaries
+and each tile is a product of per-level factors: a capacity discard
+builds nothing, and only a legal one builds its flat loops, to be
+scored. A row_stationary_like candidate's flat loops are built from its
 factors and ordering and walked once: that walk places its refresh
-points and sizes its resident tiles for the capacity rule. A legal
-candidate's energy and latency totals come from predictor.score_totals,
-which builds no plan or report; the report path is its bit-for-bit
-reference, and only the returned entries get a full report. Generated
-nests, beam completions included, are legal in structure, so this
-discards exactly what the full check would, under the same code. A
-discard counts under the code of the first violation it hit. A beam
-stage whose first style is doomed scores nothing, so it builds only the
-first beam_width partials, the ones it keeps.
+points and sizes its resident tiles, and it is the factor sizing's
+reference. A legal candidate's energy and latency totals come from
+predictor.score_totals, which builds no plan or report; the report path
+is its bit-for-bit reference, and only the returned entries get a full
+report. Generated nests, beam completions included, are legal in
+structure, so this discards exactly what the full check would, under
+the same code. A discard counts under the code of the first violation
+it hit. A beam stage whose first style is doomed scores nothing, so it
+builds only the first beam_width partials, the ones it keeps.
 
 Results rank on (value, mapping text, index), but a candidate's
 RefreshLocations, LoopNest and text are built only when it is kept, or
@@ -59,6 +63,8 @@ from .loopnest import (
     buffers_fit,
     check_ordering,
     place_refresh,
+    positional_points,
+    positional_tiles,
     resident_tiles,
 )
 from .model import (
@@ -70,6 +76,7 @@ from .model import (
     LEVELS_OUTER_FIRST,
     MemLevel,
     Options,
+    checked_count,
     tile_volumes,
 )
 from .predictor import PredictionReport, predict_layer, score_totals
@@ -144,6 +151,10 @@ class SearchSpace:
             raise ConfigError("search space orderings must emit distinct loops "
                               "over its levels")
         object.__setattr__(self, "groups", groups)
+        # the RF's, GB's, NoC's and DRAM's slot in a tiling tuple, None for
+        # a level the space lacks (positional_tiles' `slots`)
+        object.__setattr__(self, "slots", tuple(map(
+            slot.get, (MemLevel.RF, MemLevel.GB, MemLevel.NOC, MemLevel.DRAM))))
 
 
 def _normalize_ordering(template) -> dict[MemLevel, tuple[str, ...]]:
@@ -200,8 +211,9 @@ class _Prepared:
     tilings: dict[str, list[tuple[int, ...]]]
     styles: list[str]
     groups: tuple  # SearchSpace.groups
-    # the NoC's slot in a tiling tuple, None if the space has no NoC level
-    noc: int | None
+    slots: tuple  # SearchSpace.slots
+    # per style, the index in KINDS of the kind it keeps, or None
+    kept: list[int | None]
     stride: int
     # per style, the code every candidate of it is discarded under, or
     # None: "refresh_style" when a register budget is under one element,
@@ -215,8 +227,9 @@ class _Prepared:
         # digit's place value and its radix
         self.radices = [len(self.tilings[d]) for d in DIMS]
         self.radices += [len(self.groups), len(self.styles)]
+        noc = self.slots[2]
         self.places = tuple(
-            (ts, [1 if self.noc is None else t[self.noc] for t in ts],
+            (ts, [1 if noc is None else t[noc] for t in ts],
              math.prod(self.radices[i + 1:]), self.radices[i])
             for i, ts in enumerate(self.tilings[d] for d in DIMS)
         )
@@ -265,8 +278,9 @@ def _prepare(space: SearchSpace, layer: LayerShape) -> _Prepared:
         tilings=tilings,
         styles=list(space.refresh_styles),
         groups=space.groups,
-        noc=next((j for j, mem in enumerate(space.levels) if mem is MemLevel.NOC),
-                 None),
+        slots=space.slots,
+        kept=[None if (k := STATIONARY_KIND.get(s)) is None else KINDS.index(k)
+              for s in space.refresh_styles],
         stride=stride,
         doomed=[
             _doomed(space.hw, s, dims, stride) if decided else None
@@ -331,18 +345,35 @@ def _score(space: SearchSpace, prep: _Prepared, objective: str, cand: Candidate)
     hardware, in the full check's order of codes (refresh_style, then
     capacity), and score a legal one with score_totals. Builds no nest.
 
+    A positional candidate is sized from its factor tuples
+    (positional_tiles) and builds its flat loops only if legal. A
+    row_stationary_like one is walked once (place_refresh), the walk that
+    is the factor sizing's reference.
+
     Returns ("ok", value, cand, (gb, rf)), its refresh locations in KINDS
     order, or ("discard", code of the first violation found).
     """
-    loops, starts = _candidate_loops(prep, cand)
-    try:
-        gb, rf, *walk = place_refresh(loops, starts, prep.styles[cand[-1]],
-                                      space.hw, prep.stride)
-    except MappingError as exc:
-        return ("discard", exc.violations[0].code)
-    tiles = resident_tiles(gb, rf, *walk)
-    if not buffers_fit(space.hw, *tiles):
-        return ("discard", "capacity")
+    kept = prep.kept[cand[-1]]
+    if kept is not None:
+        tiles = positional_tiles(cand[:-2], prep.slots, kept, prep.stride)
+        # a kind's RF tile lies within its GB tile, so the GB tiles raise
+        # first, as resident_tiles checks them
+        for v in tiles[0]:
+            checked_count(v)
+        if not buffers_fit(space.hw, *tiles):
+            return ("discard", "capacity")
+        loops, starts = _candidate_loops(prep, cand)
+        gb, rf = positional_points(starts, kept)
+    else:
+        loops, starts = _candidate_loops(prep, cand)
+        try:
+            gb, rf, *walk = place_refresh(loops, starts, prep.styles[cand[-1]],
+                                          space.hw, prep.stride)
+        except MappingError as exc:
+            return ("discard", exc.violations[0].code)
+        tiles = resident_tiles(gb, rf, *walk)
+        if not buffers_fit(space.hw, *tiles):
+            return ("discard", "capacity")
     e, lat = score_totals(loops, gb, rf, tiles, space.hw, space.options)
     value = {"energy": e, "latency": lat, "edp": e * lat}[objective]
     return ("ok", value, cand, (gb, rf))
@@ -350,8 +381,8 @@ def _score(space: SearchSpace, prep: _Prepared, objective: str, cand: Candidate)
 
 def _evaluate(space: SearchSpace, prep: _Prepared, objective: str, cand: Candidate):
     """_score of a candidate tuple, unless _rejected discards it."""
-    noc = 1 if prep.noc is None else math.prod(
-        [cand[i][prep.noc] for i in range(len(DIMS))])
+    noc = 1 if (j := prep.slots[2]) is None else math.prod(
+        [cand[i][j] for i in range(len(DIMS))])
     if code := _rejected(prep, cand[-1], noc):
         return ("discard", code)
     return _score(space, prep, objective, cand)

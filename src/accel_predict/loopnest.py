@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from collections.abc import Mapping, Sequence
 from types import MappingProxyType
 from typing import NamedTuple
@@ -158,11 +159,46 @@ _PLAN_KEYS = tuple((k, mem) for mem in (_GB, _RF) for k in KINDS)
 
 # The positional styles and the kind each keeps stationary. Every refresh
 # point they place sits at a level-group boundary, so their tiles depend
-# only on the per-level factors, never on the loop order.
+# only on the per-level factors, never on the loop order: positional_tiles
+# sizes them from a candidate's factors, with the _volumes_below walk (which
+# places row_stationary_like points) as its reference.
 STATIONARY_KIND = {
     "weight_stationary": DataKind.WEIGHT,
     "output_stationary": DataKind.OUTPUT,
 }
+
+
+def positional_points(starts, kept: int):
+    """The GB and the RF refresh locations (KINDS order) of the positional
+    style keeping kind index `kept` on flat loops whose GB, NoC and RF
+    groups start at `starts`: the kept kind's GB buffer loads once
+    (location 0) and its RF tile is pinned across the whole GB group; the
+    other kinds refresh at the top of each level's group."""
+    p_gb, _, p_rf = starts
+    gb, rf = [p_gb] * len(KINDS), [p_rf] * len(KINDS)
+    gb[kept], rf[kept] = 0, p_gb
+    return gb, rf
+
+
+def positional_tiles(factors, slots, kept: int, stride: int):
+    """The GB and the RF resident tiles (KINDS order, unchecked) below
+    positional_points(..., kept) on the loops of per-dim factor tuples
+    `factors` (DIMS order), where `slots` holds the tuple index of the RF,
+    GB, NoC and DRAM factors, None for a level the tuples lack; the NoC
+    factors are the spatial loops, as in the explorer's candidates. Per
+    dim, each tile's extent is a product of level factors: RF (the other
+    kinds' RF tile), GB*RF (the kept kind's, temporal loops only),
+    GB*NoC*RF (the other kinds' GB tile) and every level (the kept kind's
+    GB tile)."""
+    per_slot = list(zip(*factors))
+    ext, volumes = (1,) * len(DIMS), []
+    for j in slots:
+        if j is not None:
+            ext = list(map(mul, ext, per_slot[j]))
+        volumes.append(tile_volumes(ext, stride))
+    rf_tiles, kept_rf, gb_tiles, kept_gb = volumes
+    gb_tiles[kept], rf_tiles[kept] = kept_gb[kept], kept_rf[kept]
+    return gb_tiles, rf_tiles
 
 
 def _volumes_below(loops, gb, rf, stride: int):
@@ -193,10 +229,10 @@ def place_refresh(
     volumes at the GB locations and its RF volumes at every location an RF
     tile may sit at, for resident_tiles.
 
-    weight_stationary / output_stationary are positional: the favored
-    kind's GB buffer loads once (location 0) and its RF tile is pinned
-    across the whole GB group; the other kinds refresh at the top of each
-    level's group. row_stationary_like is capacity-driven and needs
+    weight_stationary / output_stationary are positional
+    (positional_points); the explorer sizes their tiles from its
+    candidates' factors (positional_tiles), and this walk is that
+    sizing's reference. row_stationary_like is capacity-driven and needs
     hardware: GB locations slide past leading GB loops whose dims the kind
     depends on (which leaves traffic unchanged but shrinks the resident
     tile), and each RF location is the outermost position whose per-PE
@@ -204,18 +240,16 @@ def place_refresh(
     none does; the innermost tile is one element of each kind, so that is
     exactly when a budget is under one element, whatever the loops.
     """
-    p_gb, p_noc, p_rf = starts
     kept = STATIONARY_KIND.get(style)
     if kept is not None:
-        gb, rf = [p_gb] * len(KINDS), [p_rf] * len(KINDS)
-        i = KINDS.index(kept)
-        gb[i], rf[i] = 0, p_gb
+        gb, rf = positional_points(starts, KINDS.index(kept))
         return gb, rf, *_volumes_below(loops, gb, rf, stride)
     if style != "row_stationary_like":
         raise ConfigError(f"unknown refresh style {style!r}")
     if hw is None:
         raise ConfigError("row_stationary_like needs a hardware config")
 
+    p_gb, p_noc, _ = starts
     gb, rf = [], []
     for relevant in _RELEVANT:
         loc = p_gb

@@ -39,7 +39,12 @@ from accel_predict.loopnest import (
     REFRESH_STYLES,
     STATIONARY_KIND,
     RefreshLocations,
+    buffers_fit,
+    place_refresh,
+    positional_tiles,
+    resident_tiles,
 )
+from accel_predict.predictor import score_totals
 from accel_predict.model import DIMS, KINDS
 from accel_predict.explore import (
     Candidate,
@@ -635,6 +640,50 @@ def _full_path(space, layer, prep, cand, objective="edp"):
     return ("ok", value, cand, locs)
 
 
+def _walk_score(space, prep, cand, objective="edp"):
+    """_score by the loop walk alone, in its shape, and the tiles it sized
+    (None if placement failed): resident_tiles(*place_refresh(...)),
+    buffers_fit and score_totals on the candidate's flat loops."""
+    loops, starts = _candidate_loops(prep, cand)
+    try:
+        gb, rf, *walk = place_refresh(loops, starts, prep.styles[cand[-1]],
+                                      space.hw, prep.stride)
+    except MappingError as exc:
+        return ("discard", exc.violations[0].code), None
+    tiles = resident_tiles(gb, rf, *walk)
+    if not buffers_fit(space.hw, *tiles):
+        return ("discard", "capacity"), tiles
+    e, lat = score_totals(loops, gb, rf, tiles, space.hw, space.options)
+    value = {"energy": e, "latency": lat, "edp": e * lat}[objective]
+    return ("ok", value, cand, (gb, rf)), tiles
+
+
+def _check_factor_sizing(space, prep, cand):
+    """For a positional candidate that reaches _score: its factor-tuple
+    tiles, verdict, value (bit for bit) and refresh locations equal the
+    walk's, or both raise the same CountOverflowError. Returns the
+    verdict, or None for a candidate this does not apply to."""
+    kept = prep.kept[cand[-1]]
+    noc = 1 if prep.slots[2] is None else math.prod(
+        [t[prep.slots[2]] for t in cand[:-2]])
+    if kept is None or explore_module._rejected(prep, cand[-1], noc):
+        return None
+    try:
+        want, tiles = _walk_score(space, prep, cand)
+    except CountOverflowError as exc:
+        with pytest.raises(CountOverflowError) as got:
+            explore_module._score(space, prep, "edp", cand)
+        assert str(got.value) == str(exc)
+        return "overflow"
+    assert positional_tiles(cand[:-2], prep.slots, kept, prep.stride) == (
+        tiles), (space, cand)
+    got = explore_module._score(space, prep, "edp", cand)
+    assert got == want, (space, cand)
+    if got[0] == "ok":
+        assert got[1].hex() == want[1].hex()
+    return got[0] if got[0] == "ok" else got[1]
+
+
 def _spy(monkeypatch, name, record, module=explore_module):
     """Wrap `module`'s `name` (the explore module's by default); returns
     the list that gets record(args, result) of each call."""
@@ -688,9 +737,10 @@ def _screen_outcomes(seed, n_spaces, doomed_only, noc=False):
     """Every candidate of seeded random spaces: _evaluate's code, and for
     a legal one its value and refresh locations, against the full path,
     which also checks the flat loops and the nest against build_nest's;
-    and _settle over every index against _evaluate of each candidate, in
-    itertools.product order. Counts (style, doomed code, code), and with
-    `noc` whether the space has a NoC level."""
+    a positional one's factor sizing against the walk; and _settle over
+    every index against _evaluate of each candidate, in itertools.product
+    order. Counts (style, doomed code, code), and with `noc` whether the
+    space has a NoC level."""
     rng = random.Random(seed)
     outcomes = Counter()
     spaces = 0
@@ -714,11 +764,12 @@ def _screen_outcomes(seed, n_spaces, doomed_only, noc=False):
             assert got == _full_path(space, layer, prep, cand), (
                 layer, space, cand
             )
+            _check_factor_sizing(space, prep, cand)
             results.append(got)
             style = prep.styles[cand[-1]]
             code = got[1] if got[0] == "discard" else None
             key = style, prep.doomed[cand[-1]], code
-            outcomes[key + ((prep.noc is not None,) if noc else ())] += 1
+            outcomes[key + ((prep.slots[2] is not None,) if noc else ())] += 1
         assert _settle(space, prep, "edp", range(prep.size)) == (
             [r for r in results if r[0] == "ok"],
             [r[1] for r in results if r[0] == "discard"],
@@ -760,6 +811,75 @@ class TestFactorScreen:
         assert {style for style, doomed, _ in outcomes if doomed} == set(
             REFRESH_STYLES
         )
+
+    def test_factor_sizing_equals_the_walk(self):
+        # seeded positional spaces: any subset of the levels in any order,
+        # padded covers, allowed_factors, shared or per-kind capacities,
+        # buffering factor 1 or 2, stride 1, 2 or 4; seeded index draws and
+        # beam completions, whose whole dims may lie outside the table
+        rng = random.Random(23)
+        seen = Counter()
+
+        def capacity(sizes):
+            size = 16 * rng.choice(sizes)
+            return {k: size for k in KINDS} if rng.random() < 0.5 else size
+        for _ in range(300):
+            hw = _hw(pe_rows=rng.choice((2, 4)), pe_cols=rng.choice((3, 4)),
+                     capacity_gb=capacity((64, 256, 1024, 4096)),
+                     capacity_rf=capacity((8, 32, 128, 512)),
+                     buffering_factor=rng.choice((1, 2)))
+            layer = LayerShape(
+                m=rng.choice((1, 2, 4, 6)), c=rng.choice((1, 3, 4)),
+                r=rng.choice((1, 3, 5)), s=rng.choice((1, 3)),
+                e=rng.choice((1, 4, 6, 7)), f=rng.choice((2, 5)),
+                stride=rng.choice((1, 2, 4)),
+            )
+            levels = rng.sample((DRAM, GB, NOC, RF), rng.choice((2, 3, 4, 4)))
+            allowed = {d: rng.sample((2, 3, 4, 5), 2)
+                       for d in rng.sample(DIMS, rng.choice((0, 0, 1, 2)))}
+            space = SearchSpace(
+                hw, levels=tuple(levels),
+                orderings=((), ("f", "e", "s", "r", "c", "m")),
+                refresh_styles=rng.sample(list(STATIONARY_KIND), 2),
+                allowed_factors=allowed or None,
+                allow_nondivisor=rng.random() < 0.4,
+            )
+            prep = _prepare(space, layer)
+            if not prep.size:
+                continue
+            whole = {d: (layer.dim(d),) + (1,) * (len(levels) - 1) for d in DIMS}
+            features = {
+                "default levels" if tuple(levels) == (DRAM, GB, NOC, RF)
+                else "reordered levels", f"stride {prep.stride}",
+                f"buffering {hw.buffering_factor}",
+                "padded" if space.allow_nondivisor else "divisors",
+                *(f"no {mem.name}" for mem in (DRAM, GB, NOC) if mem not in levels),
+                *(f"{name} {'shared' if isinstance(cap, int) else 'per-kind'}"
+                  for name, cap in (("GB", hw.capacity_gb), ("RF", hw.capacity_rf))),
+            }
+            for draw in range(60):
+                if draw % 3:
+                    cand, outside = _unrank(prep, rng.randrange(prep.size)), False
+                else:
+                    # a beam completion: some dims whole at the outermost level
+                    ts = [whole[d] if rng.random() < 0.5
+                          else rng.choice(prep.tilings[d]) for d in DIMS]
+                    cand = (*ts, rng.randrange(len(prep.groups)),
+                            rng.randrange(len(prep.styles)))
+                    outside = any(t not in prep.tilings[d]
+                                  for t, d in zip(ts, DIMS))
+                verdict = _check_factor_sizing(space, prep, cand)
+                if verdict is not None:
+                    for feature in features | ({"outside"} if outside else set()):
+                        seen[feature, verdict] += 1
+        features = {feature for feature, _ in seen}
+        assert features >= {
+            "default levels", "reordered levels", "no DRAM", "no GB", "no NOC",
+            "stride 4", "buffering 2", "padded", "outside",
+            "GB shared", "GB per-kind", "RF shared", "RF per-kind",
+        }
+        for feature in features:
+            assert seen[feature, "ok"] and seen[feature, "capacity"], feature
 
     # beam completions leave a dim whole at the outermost level, a tiling
     # outside the screen's table when allowed_factors excludes the dim's
@@ -936,7 +1056,8 @@ class TestFactorScreen:
 
     # a row_stationary_like candidate used to walk its loops twice (once to
     # place its refresh points, again for its tiles), and every legal one
-    # built a plan, count rows and two reports to keep two floats
+    # built a plan, count rows and two reports to keep two floats; a
+    # positional candidate, walked once since, is now sized from its factors
     @pytest.mark.parametrize("layer, styles, search", [
         ("alexnet_conv1", ("weight_stationary", "output_stationary"),
          {"strategy": "beam", "beam_width": 16}),
@@ -949,7 +1070,8 @@ class TestFactorScreen:
         walks = _spy(monkeypatch, "_volumes_below",
                      lambda args, out: tuple(args[0]), module=loopnest_module)
         placed = _spy(monkeypatch, "_score", lambda args, out: (
-            tuple(_candidate_loops(args[1], args[3])[0]), out[0]))
+            tuple(_candidate_loops(args[1], args[3])[0]), out[0],
+            args[1].kept[args[3][-1]] is None))
         reports = {name: _spy(monkeypatch, name, lambda args, out: None,
                               module=predictor_module)
                    for name in ("access_counts", "energy", "latency")}
@@ -957,12 +1079,13 @@ class TestFactorScreen:
                             refresh_styles=styles)
         result = explore(space, layer_preset(layer), objective="edp",
                          seed=0, top_k=10, **search)
-        legal = sum(verdict == "ok" for _, verdict in placed)
+        legal = sum(verdict == "ok" for _, verdict, _ in placed)
         assert len(result.entries) == 10 and legal > 10
-        # every candidate that reaches placement, then each entry's report;
-        # a row_stationary_like style is placed once on no loops per search
+        # every row_stationary_like candidate that reaches placement, no
+        # positional one, then each entry's report; a row_stationary_like
+        # style is placed once on no loops per search
         assert Counter(walks) == Counter(
-            [loops for loops, _ in placed]
+            [loops for loops, _, walked in placed if walked]
             + [entry.nest.loops for entry in result.entries]
             + [()] * styles.count("row_stationary_like")
         )

@@ -185,6 +185,24 @@ class TestLatency:
             rep.l_setup_s + max(rep.l_comp_s, rep.l_dram_s, rep.l_gb_s)
         )
 
+    def test_setup_fill_streams_through_the_gb_port(self):
+        # An RF location above the GB one (unchecked) is where the RF fill
+        # can outgrow the GB fill: conv5's weights refilled in the GB at n
+        # (one element) and in the RF at 0 (36,864 per PE). The RF fill
+        # streams from the GB, so it runs at min(RF, GB) = 51.2e9, not the
+        # RF's 102.4e9 (5.76e-6 s). The inputs' GB tile is emptied too, so
+        # the weights' fill is the setup term.
+        hw = hardware_preset("eyeriss_normalized")
+        layer = layer_preset("alexnet_conv5")
+        nest, refresh = mapping_preset("row_stationary", layer, hw)
+        n = len(nest.levels)
+        refresh = RefreshLocations(gb={**refresh.gb, I: n, W: n},
+                                   rf={**refresh.rf, W: 0})
+        assert (hw.bw_gb, hw.bw_rf) == (51.2e9, 102.4e9)
+        rep = predict_layer(layer, nest, refresh, hw, validate=False)
+        assert rep.latency.setup_kind is W
+        assert rep.latency.l_setup_s == 36_864 * 16 / 51.2e9 == 1.152e-5
+
     def test_bottleneck_labels(self):
         layer, nest, refresh = single_pe_setup()
         plan = refresh_plan(nest, refresh)
