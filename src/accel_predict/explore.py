@@ -1,7 +1,8 @@
 """Mapping search over tilings, loop orderings and refresh styles.
 
 A search space is the cross product of per-dimension tiling choices
-(ordered factor tuples across the chosen memory levels), loop-ordering
+(ordered factor tuples across the chosen memory levels, which the space
+keeps outermost first whatever order they are given in), loop-ordering
 templates and refresh styles. Candidates are screened against the
 hardware (PE count, buffer capacities) and scored with the analytic
 model under one of three objectives: energy, latency or their product.
@@ -14,24 +15,28 @@ overflowing the GB. The PE rule then reads the candidate's NoC factors.
 Those two rules run once per candidate. Exhaustive and random search
 walk candidate indices (a mixed radix in itertools.product order) and
 settle the whole sample in one loop, reading the rules off each index's
-style digit and its tilings' NoC factors: only a survivor is unranked
-into a candidate. Beam reads them off candidate tuples, as a
-completion's whole-dim tiling may lie outside the tiling table. Every
-survivor goes to the one scorer. A positional candidate is sized from
-its factor tuples, as its refresh points sit on level-group boundaries
-and each tile is a product of per-level factors: a capacity discard
-builds nothing, and only a legal one builds its flat loops, to be
-scored. A row_stationary_like candidate's flat loops are built from its
-factors and ordering and walked once: that walk places its refresh
-points and sizes its resident tiles, and it is the factor sizing's
-reference. A legal candidate's energy and latency totals come from
-predictor.score_totals, which builds no plan or report; the report path
-is its bit-for-bit reference, and only the returned entries get a full
-report. Generated nests, beam completions included, are legal in
-structure, so this discards exactly what the full check would, under
-the same code. A discard counts under the code of the first violation
-it hit. A beam stage whose first style is doomed scores nothing, so it
-builds only the first beam_width partials, the ones it keeps.
+style digit and its tilings' NoC factors. A random sample is the one
+random.sample draws, drawn with one getrandbits call per pick. Beam
+reads the rules off candidate tuples, as a completion's whole-dim tiling
+may lie outside the tiling table. A positional survivor is scored from
+six per-dim rows, one per tiling, built once per search (for the index
+walk only when some positional style is not doomed; beam's through a
+memo): its refresh points sit on level-group boundaries, so each
+resident tile is a product of per-level factors, and its refresh counts,
+multicast, PE and MAC products are products of the rows too. A capacity
+discard builds nothing; only a legal one builds its candidate tuple, and
+it builds flat loops only where its totals need the report path. A
+row_stationary_like survivor's flat loops are built from its factors and
+ordering and walked once: that walk places its refresh points and sizes
+its resident tiles, and it is the row scorer's reference. Both price a
+legal candidate with predictor.price_totals (the walk through
+score_totals), which builds no plan or report; the report path is its
+bit-for-bit reference, and only the returned entries get a full report.
+Generated nests, beam completions included, are legal in structure, so
+this discards exactly what the full check would, under the same code. A
+discard counts under the code of the first violation it hit. A beam
+stage whose first style is doomed scores nothing, so it builds only the
+first beam_width partials, the ones it keeps.
 
 Results rank on (value, mapping text, index), but a candidate's
 RefreshLocations, LoopNest and text are built only when it is kept, or
@@ -46,6 +51,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 from collections.abc import Collection, Mapping, Sequence
@@ -59,12 +65,12 @@ from .loopnest import (
     LoopLevel,
     LoopNest,
     RefreshLocations,
+    _RELEVANT,
     _check_coverage,
     buffers_fit,
     check_ordering,
     place_refresh,
     positional_points,
-    positional_tiles,
     resident_tiles,
 )
 from .model import (
@@ -79,7 +85,7 @@ from .model import (
     checked_count,
     tile_volumes,
 )
-from .predictor import PredictionReport, predict_layer, score_totals
+from .predictor import PredictionReport, predict_layer, price_totals, score_totals
 
 OBJECTIVES = ("energy", "latency", "edp")
 STRATEGIES = ("exhaustive", "random", "beam")
@@ -91,13 +97,14 @@ _FACTOR_ENUM_CAP = 2_000_000
 class SearchSpace:
     """What the explorer is allowed to try.
 
-    levels lists the memories each dimension may tile across, outermost
-    first. orderings holds loop-order templates, each either one dim
-    permutation applied at every level or a per-level mapping. Factors
-    larger than 1 can be restricted per dim with allowed_factors.
-    allow_nondivisor adds each dim's minimal covers (no factor can shrink
-    and still cover the dim): a far larger space, which suits a directed
-    search better than random sampling.
+    levels lists the memories each dimension may tile across; they are
+    kept outermost first, whatever order they are given in, so the order
+    changes no candidate or result. orderings holds loop-order templates,
+    each either one dim permutation applied at every level or a per-level
+    mapping. Factors larger than 1 can be restricted per dim with
+    allowed_factors. allow_nondivisor adds each dim's minimal covers (no
+    factor can shrink and still cover the dim): a far larger space, which
+    suits a directed search better than random sampling.
     """
 
     hw: HardwareConfig
@@ -117,6 +124,10 @@ class SearchSpace:
                 raise ConfigError(f"levels[{i}]: {mem!r} is not a MemLevel")
         if len(set(self.levels)) != len(self.levels):
             raise ConfigError("search space levels must be distinct")
+        # outermost first, whatever order they came in: the order sets the
+        # tiling tuples and so the candidate indices a seed picks
+        object.__setattr__(self, "levels", tuple(
+            mem for mem in LEVELS_OUTER_FIRST if mem in self.levels))
         if not self.refresh_styles:
             raise ConfigError("search space needs at least one refresh style")
         for style in self.refresh_styles:
@@ -152,7 +163,7 @@ class SearchSpace:
                               "over its levels")
         object.__setattr__(self, "groups", groups)
         # the RF's, GB's, NoC's and DRAM's slot in a tiling tuple, None for
-        # a level the space lacks (positional_tiles' `slots`)
+        # a level the space lacks
         object.__setattr__(self, "slots", tuple(map(
             slot.get, (MemLevel.RF, MemLevel.GB, MemLevel.NOC, MemLevel.DRAM))))
 
@@ -222,21 +233,52 @@ class _Prepared:
     n_pe: int
 
     def __post_init__(self):
-        # the mixed radix of a candidate index, most significant first; per
-        # dim, its tilings, their NoC factors (1 without a NoC level), its
-        # digit's place value and its radix
+        # the mixed radix of a candidate index, most significant first, and
+        # each dim digit's place value
         self.radices = [len(self.tilings[d]) for d in DIMS]
         self.radices += [len(self.groups), len(self.styles)]
-        noc = self.slots[2]
-        self.places = tuple(
-            (ts, [1 if noc is None else t[noc] for t in ts],
-             math.prod(self.radices[i + 1:]), self.radices[i])
-            for i, ts in enumerate(self.tilings[d] for d in DIMS)
-        )
+        self.places = [math.prod(self.radices[i + 1:]) for i in range(len(DIMS))]
+        # the per-search memo from a tiling tuple to its row
+        self.rows = _Rows(self.slots)
 
     @property
     def size(self) -> int:
         return math.prod(self.radices)
+
+    @functools.cached_property
+    def table(self):
+        """Per dim, what _settle reads off an index digit: its tilings'
+        NoC factors (1 without a NoC level) and rows, its place value and
+        its radix. The rows are built only when a positional style is not
+        doomed, as only then can a positional candidate be scored."""
+        positional = any(k is not None and d is None
+                         for k, d in zip(self.kept, self.doomed))
+        j = self.slots[2]
+        return tuple(
+            ([1 if j is None else t[j] for t in ts],
+             [self.rows[t] for t in ts] if positional else None, p, n)
+            for ts, p, n in zip(map(self.tilings.get, DIMS), self.places,
+                                self.radices))
+
+
+class _Rows(dict):
+    """A memo from a tiling tuple (a beam completion's too) to its row:
+    its NoC factor, the tiling, the dim's extent across the RF, GB*RF,
+    GB*NoC*RF and every level, and its DRAM and DRAM*GB products."""
+
+    def __init__(self, slots):
+        # the RF, GB, NoC and DRAM factors of a tuple with a 1 appended,
+        # which a level the space lacks reads
+        k = sum(j is not None for j in slots)
+        self.factors = operator.itemgetter(*[k if j is None else j for j in slots])
+
+    def __missing__(self, tiling: tuple[int, ...]) -> tuple:
+        rf, gb, noc, dram = self.factors(tiling + (1,))
+        gb_rf = gb * rf
+        array = gb_rf * noc
+        row = self[tiling] = (noc, tiling, rf, gb_rf, array, array * dram,
+                              dram, dram * gb)
+        return row
 
 
 def _doomed(hw: HardwareConfig, style: str, dims, stride: int) -> str | None:
@@ -303,7 +345,8 @@ Candidate = tuple  # (per-dim factor tuples..., ordering index, style index)
 def _unrank(prep: _Prepared, index: int) -> Candidate:
     """Candidate `index` of the space, in itertools.product order."""
     n_orderings, n_styles = prep.radices[-2:]
-    return (*[t[index // p % n] for t, _, p, n in prep.places],
+    return (*[prep.tilings[d][index // p % n]
+              for d, p, n in zip(DIMS, prep.places, prep.radices)],
             index // n_styles % n_orderings, index % n_styles)
 
 
@@ -341,67 +384,121 @@ def _rejected(prep: _Prepared, style: int, noc_product: int) -> str | None:
 
 
 def _score(space: SearchSpace, prep: _Prepared, objective: str, cand: Candidate):
-    """Check a candidate that passed _rejected against the rest of the
-    hardware, in the full check's order of codes (refresh_style, then
-    capacity), and score a legal one with score_totals. Builds no nest.
-
-    A positional candidate is sized from its factor tuples
-    (positional_tiles) and builds its flat loops only if legal. A
-    row_stationary_like one is walked once (place_refresh), the walk that
-    is the factor sizing's reference.
+    """Check a row_stationary_like candidate that passed _rejected
+    against the rest of the hardware, in the full check's order of codes
+    (refresh_style, then capacity), and score a legal one with
+    score_totals. Its flat loops are walked once (place_refresh), the
+    walk that is the positional scorer's reference; no nest is built.
 
     Returns ("ok", value, cand, (gb, rf)), its refresh locations in KINDS
     order, or ("discard", code of the first violation found).
     """
-    kept = prep.kept[cand[-1]]
-    if kept is not None:
-        tiles = positional_tiles(cand[:-2], prep.slots, kept, prep.stride)
-        # a kind's RF tile lies within its GB tile, so the GB tiles raise
-        # first, as resident_tiles checks them
-        for v in tiles[0]:
-            checked_count(v)
-        if not buffers_fit(space.hw, *tiles):
-            return ("discard", "capacity")
-        loops, starts = _candidate_loops(prep, cand)
-        gb, rf = positional_points(starts, kept)
-    else:
-        loops, starts = _candidate_loops(prep, cand)
-        try:
-            gb, rf, *walk = place_refresh(loops, starts, prep.styles[cand[-1]],
-                                          space.hw, prep.stride)
-        except MappingError as exc:
-            return ("discard", exc.violations[0].code)
-        tiles = resident_tiles(gb, rf, *walk)
-        if not buffers_fit(space.hw, *tiles):
-            return ("discard", "capacity")
+    loops, starts = _candidate_loops(prep, cand)
+    try:
+        gb, rf, *walk = place_refresh(loops, starts, prep.styles[cand[-1]],
+                                      space.hw, prep.stride)
+    except MappingError as exc:
+        return ("discard", exc.violations[0].code)
+    tiles = resident_tiles(gb, rf, *walk)
+    if not buffers_fit(space.hw, *tiles):
+        return ("discard", "capacity")
     e, lat = score_totals(loops, gb, rf, tiles, space.hw, space.options)
     value = {"energy": e, "latency": lat, "edp": e * lat}[objective]
     return ("ok", value, cand, (gb, rf))
 
 
+def _score_positional(space: SearchSpace, prep: _Prepared, objective: str,
+                      rows, ordering: int, style: int):
+    """_score of a positional candidate that passed _rejected, read off
+    its six rows (DIMS order), with the same results as the walk. Its
+    refresh points (positional_points) sit on level-group boundaries, so
+    its resident tiles, refresh counts (1, DRAM, DRAM*GB), multicast, PE
+    and MAC products are products of per-level factors. The GB tiles pass
+    checked_count in KINDS order, as in resident_tiles (an RF tile lies
+    within its GB tile). Flat loops are built only for the report path,
+    where price_totals hands a legal candidate over to score_totals.
+    """
+    kept, st = prep.kept[style], prep.stride
+    m, c, r, s, e, f = rows
+    # tile_volumes, inline, of row column 4 (GB*NoC*RF) for the GB tiles
+    # and 2 (RF) for the RF tiles; the kept kind's of 5 and 3
+    gb = [c[4] * ((e[4] - 1) * st + r[4]) * ((f[4] - 1) * st + s[4]),
+          m[4] * e[4] * f[4], m[4] * c[4] * r[4] * s[4]]
+    rf = [c[2] * ((e[2] - 1) * st + r[2]) * ((f[2] - 1) * st + s[2]),
+          m[2] * e[2] * f[2], m[2] * c[2] * r[2] * s[2]]
+    gb[kept] = (c[5] * ((e[5] - 1) * st + r[5]) * ((f[5] - 1) * st + s[5]),
+                m[5] * e[5] * f[5], m[5] * c[5] * r[5] * s[5])[kept]
+    rf[kept] = (c[3] * ((e[3] - 1) * st + r[3]) * ((f[3] - 1) * st + s[3]),
+                m[3] * e[3] * f[3], m[3] * c[3] * r[3] * s[3])[kept]
+    if max(gb) > INT64_MAX:
+        for v in gb:
+            checked_count(v)
+    if not buffers_fit(space.hw, gb, rf):
+        return ("discard", "capacity")
+    nocs, tilings, _, _, _, wholes, drams, dram_gbs = zip(*rows)
+    # each group starts after the loops above it, one per factor over 1
+    p_gb = sum([d > 1 for d in drams])
+    p_noc = p_gb + sum([dg > d for d, dg in zip(drams, dram_gbs)])
+    gb_locs, rf_locs = positional_points(
+        (p_gb, p_noc, p_noc + sum([n > 1 for n in nocs])), kept)
+    dram = math.prod(drams)
+    gb_counts, rf_counts = [dram] * 3, [math.prod(dram_gbs)] * 3
+    gb_counts[kept], rf_counts[kept] = 1, dram
+    # per kind, the NoC factors of the dims it does not depend on
+    multicast = [math.prod([n for i, n in enumerate(nocs) if i not in relevant])
+                 for relevant in _RELEVANT]
+    cand = (*tilings, ordering, style)
+    totals = price_totals(gb_counts, rf_counts, multicast, math.prod(nocs),
+                          math.prod(wholes), (gb, rf), space.hw, space.options)
+    if totals is None:
+        totals = score_totals(_candidate_loops(prep, cand)[0], gb_locs, rf_locs,
+                              (gb, rf), space.hw, space.options)
+    energy, latency = totals
+    value = {"energy": energy, "latency": latency,
+             "edp": energy * latency}[objective]
+    return ("ok", value, cand, (gb_locs, rf_locs))
+
+
 def _evaluate(space: SearchSpace, prep: _Prepared, objective: str, cand: Candidate):
-    """_score of a candidate tuple, unless _rejected discards it."""
+    """The scorer's result for a candidate tuple, unless _rejected
+    discards it; a positional survivor's rows come from the per-search
+    memo."""
     noc = 1 if (j := prep.slots[2]) is None else math.prod(
         [cand[i][j] for i in range(len(DIMS))])
     if code := _rejected(prep, cand[-1], noc):
         return ("discard", code)
-    return _score(space, prep, objective, cand)
+    if prep.kept[cand[-1]] is None:
+        return _score(space, prep, objective, cand)
+    return _score_positional(space, prep, objective,
+                             [prep.rows[t] for t in cand[:-2]], *cand[-2:])
 
 
 def _settle(space: SearchSpace, prep: _Prepared, objective: str, indices):
     """_evaluate of candidates `indices` in one loop: the "ok" results and
     the other codes, in index order. _rejected reads an index's style and
-    six NoC digits, building nothing; only a survivor is unranked."""
-    (_, f0, p0, n0), (_, f1, p1, n1), (_, f2, p2, n2), \
-        (_, f3, p3, n3), (_, f4, p4, n4), (_, f5, p5, n5) = prep.places
-    n_styles = prep.radices[-1]
+    six NoC digits, building nothing. A row_stationary_like survivor is
+    unranked, to be walked; a positional one is scored off its digits'
+    rows."""
+    (f0, t0, p0, n0), (f1, t1, p1, n1), (f2, t2, p2, n2), \
+        (f3, t3, p3, n3), (f4, t4, p4, n4), (f5, t5, p5, n5) = prep.table
+    n_orderings, n_styles = prep.radices[-2:]
+    kept = prep.kept
     legal, codes = [], []
     for i in indices:
         noc = (f0[i // p0 % n0] * f1[i // p1 % n1] * f2[i // p2 % n2]
                * f3[i // p3 % n3] * f4[i // p4 % n4] * f5[i // p5 % n5])
-        if code := _rejected(prep, i % n_styles, noc):
+        style = i % n_styles
+        if code := _rejected(prep, style, noc):
             codes.append(code)
-        elif (res := _score(space, prep, objective, _unrank(prep, i)))[0] == "ok":
+            continue
+        if kept[style] is None:
+            res = _score(space, prep, objective, _unrank(prep, i))
+        else:
+            rows = (t0[i // p0 % n0], t1[i // p1 % n1], t2[i // p2 % n2],
+                    t3[i // p3 % n3], t4[i // p4 % n4], t5[i // p5 % n5])
+            res = _score_positional(space, prep, objective, rows,
+                                    i // n_styles % n_orderings, style)
+        if res[0] == "ok":
             legal.append(res)
         else:
             codes.append(res[1])
@@ -492,6 +589,23 @@ class SearchResult:
         return out
 
 
+def _draw(seed: int, size: int, n: int) -> list[int]:
+    """sorted(random.Random(seed).sample(range(size), n)), the same picks.
+    Where sample rejection-samples into a set (a population larger than
+    its set's table size), each draw here is one getrandbits call under
+    sample's own accept rule, with no _randbelow call around it."""
+    rng = random.Random(seed)
+    if size <= 21 + (4 ** math.ceil(math.log(n * 3, 4)) if n > 5 else 0):
+        return sorted(rng.sample(range(size), n))
+    getrandbits, bits, picked = rng.getrandbits, size.bit_length(), set()
+    for _ in range(n):
+        j = getrandbits(bits)
+        while j >= size or j in picked:
+            j = getrandbits(bits)
+        picked.add(j)
+    return sorted(picked)
+
+
 def explore(
     space: SearchSpace,
     layer: LayerShape,
@@ -551,7 +665,7 @@ def explore(
         indices = range(size)
         if strategy == "random":
             n = min(n_samples, size)
-            indices = sorted(random.Random(seed).sample(range(size), n))
+            indices = _draw(seed, size, n)
             stats.update(seed=seed, n_samples=n)
         legal, codes = _settle(space, prep, objective, indices)
         evaluated = len(indices)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 from collections.abc import Mapping, Sequence
 from types import MappingProxyType
 from typing import NamedTuple
@@ -159,9 +158,9 @@ _PLAN_KEYS = tuple((k, mem) for mem in (_GB, _RF) for k in KINDS)
 
 # The positional styles and the kind each keeps stationary. Every refresh
 # point they place sits at a level-group boundary, so their tiles depend
-# only on the per-level factors, never on the loop order: positional_tiles
-# sizes them from a candidate's factors, with the _volumes_below walk (which
-# places row_stationary_like points) as its reference.
+# only on the per-level factors, never on the loop order: the explorer sizes
+# them from a candidate's per-dim factor rows, with the _volumes_below walk
+# (which places row_stationary_like points) as its reference.
 STATIONARY_KIND = {
     "weight_stationary": DataKind.WEIGHT,
     "output_stationary": DataKind.OUTPUT,
@@ -178,27 +177,6 @@ def positional_points(starts, kept: int):
     gb, rf = [p_gb] * len(KINDS), [p_rf] * len(KINDS)
     gb[kept], rf[kept] = 0, p_gb
     return gb, rf
-
-
-def positional_tiles(factors, slots, kept: int, stride: int):
-    """The GB and the RF resident tiles (KINDS order, unchecked) below
-    positional_points(..., kept) on the loops of per-dim factor tuples
-    `factors` (DIMS order), where `slots` holds the tuple index of the RF,
-    GB, NoC and DRAM factors, None for a level the tuples lack; the NoC
-    factors are the spatial loops, as in the explorer's candidates. Per
-    dim, each tile's extent is a product of level factors: RF (the other
-    kinds' RF tile), GB*RF (the kept kind's, temporal loops only),
-    GB*NoC*RF (the other kinds' GB tile) and every level (the kept kind's
-    GB tile)."""
-    per_slot = list(zip(*factors))
-    ext, volumes = (1,) * len(DIMS), []
-    for j in slots:
-        if j is not None:
-            ext = list(map(mul, ext, per_slot[j]))
-        volumes.append(tile_volumes(ext, stride))
-    rf_tiles, kept_rf, gb_tiles, kept_gb = volumes
-    gb_tiles[kept], rf_tiles[kept] = kept_gb[kept], kept_rf[kept]
-    return gb_tiles, rf_tiles
 
 
 def _volumes_below(loops, gb, rf, stride: int):
@@ -231,8 +209,8 @@ def place_refresh(
 
     weight_stationary / output_stationary are positional
     (positional_points); the explorer sizes their tiles from its
-    candidates' factors (positional_tiles), and this walk is that
-    sizing's reference. row_stationary_like is capacity-driven and needs
+    candidates' factors (explore._score_positional), and this walk is
+    that sizing's reference. row_stationary_like is capacity-driven and needs
     hardware: GB locations slide past leading GB loops whose dims the kind
     depends on (which leaves traffic unchanged but shrinks the resident
     tile), and each RF location is the outermost position whose per-PE

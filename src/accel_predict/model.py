@@ -256,7 +256,7 @@ class HardwareConfig:
         bits = (rf // 3,) * len(KINDS) if shared else rf
         object.__setattr__(self, "rf_budgets", tuple(
             (b, b // n) for b, n in zip(bits, need)))
-        # The one table energy, latency and score_totals price mappings from:
+        # The one table energy, latency and price_totals price mappings from:
         # e_mac, the MAC time, each level's costs (outermost first, KINDS
         # order), and per kind bits, min(GB, DRAM), GB, min(RF, GB) bandwidth.
         uc = self.unit_costs

@@ -6,10 +6,11 @@ divides the same counts by bandwidths. Every cost and bandwidth comes
 from one table built with the hardware, HardwareConfig.score_table.
 
 The explorer's legal candidates get their energy and latency totals
-from score_totals, which reads that table and builds no plan, count rows
-or report; this report path is its bit-for-bit reference. (The explorer
-walks a candidate's loops once and settles a sample in one loop; see
-explore.)
+from price_totals, which reads that table and builds no plan, count rows
+or report; this report path is its bit-for-bit reference. It prices the
+integer refresh counts and products that score_totals reads off flat
+loops, or the explorer off a positional candidate's factors (see
+explore).
 """
 
 from __future__ import annotations
@@ -228,35 +229,53 @@ def score_totals(
     loops, gb, rf, tiles, hw: HardwareConfig, options: Options = Options()
 ) -> tuple[float, float]:
     """energy(...).total and latency(...).l_total_s of build_plan(loops,
-    gb, rf, tiles), bit for bit: the same operations in the same order,
-    reading hw.score_table, with no plan, count rows or report built. A
-    count past 2^63-1 or a total past the largest float goes down that
-    report path, its reference, which raises what and where it raises."""
+    gb, rf, tiles), bit for bit: loop_products' refresh counts and
+    products, priced by price_totals. A count past 2^63-1 or a total past
+    the largest float goes down that report path, its reference, which
+    raises what and where it raises."""
     above, multicast, n_pe, n_mac = loop_products(loops)
-    if not 0 < n_mac <= INT64_MAX:  # or a bound under 1
+    totals = price_totals([above[p] for p in gb], [above[p] for p in rf],
+                          multicast, n_pe, n_mac, tiles, hw, options)
+    if totals is None:
         return _report_totals(loops, gb, rf, tiles, hw, options)
+    return totals
+
+
+def price_totals(
+    gb_refreshes, rf_refreshes, multicast, n_pe: int, n_mac: int, tiles,
+    hw: HardwareConfig, options: Options = Options(),
+) -> tuple[float, float] | None:
+    """The energy and latency totals of a plan given as integers: the
+    refresh counts at the GB and the RF locations, each kind's multicast
+    (KINDS order), the PE and MAC products and the resident tiles. The
+    report path's operations in its order, reading hw.score_table, with
+    no plan, count rows or report built. None where that path must run
+    instead: a count past 2^63-1 (or n_mac under 1) or a total past the
+    largest float."""
+    if not 0 < n_mac <= INT64_MAX:  # or a bound under 1
+        return None
     e_mac, t_mac, costs, per_kind = hw.score_table
     (v_i, v_o, v_w), (w_i, w_o, w_w) = tiles
-    (g_i, g_o, g_w), (r_i, r_o, r_w) = gb, rf
+    (g_i, g_o, g_w), (r_i, r_o, r_w) = gb_refreshes, rf_refreshes
     m_i, m_o, m_w = multicast
-    dram = [above[g_i] * v_i, above[g_o] * v_o, above[g_w] * v_w]
-    d_i, d_o, d_w = above[r_i] * w_i, above[r_o] * w_o, above[r_w] * w_w
+    dram = [g_i * v_i, g_o * v_o, g_w * v_w]
+    d_i, d_o, d_w = r_i * w_i, r_o * w_o, r_w * w_w
     array = [d_i * (n_pe // m_i), d_o * (n_pe // m_o), d_w * (n_pe // m_w)]
     noc = [d_i * n_pe, d_o * n_pe, d_w * n_pe]
     largest = max(*dram, d_i, d_o, d_w, *array, *noc)
     # outputs: partial sums recirculate where the buffer is refreshed
     psum = options.psum_factor()
-    if above[g_o] > 1:
+    if g_o > 1:
         dram[1] = dram[1] * psum
-    if above[r_o] > 1:
+    if r_o > 1:
         array[1] = array[1] * psum
     if max(largest, dram[1], array[1]) > INT64_MAX:
-        return _report_totals(loops, gb, rf, tiles, hw, options)
+        return None
     try:
         e = n_mac * e_mac + sum([sum(map(mul, row, cost)) for row, cost in zip(
             (dram, array, noc, [n_mac] * 3), costs.values())])
     except OverflowError:  # an integer term past the float range
-        return _report_totals(loops, gb, rf, tiles, hw, options)
+        return None
     # each max over kinds as latency takes it: the largest term, or 0.0
     (b_i, dram_i, gb_i, fill_i), (b_o, dram_o, gb_o, _), \
         (b_w, dram_w, gb_w, fill_w) = per_kind
@@ -270,7 +289,7 @@ def score_totals(
     l_comp = (n_mac if options.literal_eq8 else n_mac // n_pe) * t_mac
     lat = l_setup + max(l_dram, l_gb, l_comp)
     if not (e <= _FLOAT_MAX and lat <= _FLOAT_MAX):
-        return _report_totals(loops, gb, rf, tiles, hw, options)
+        return None
     return e, lat
 
 

@@ -753,6 +753,15 @@ class TestExploreCommand:
         expect = explore(space, load_layer(files["layer"]), top_k=3)
         assert out == canonical_json(expect.to_dict())
 
+    def test_levels_in_any_order(self, files, capsys):
+        outs = []
+        for levels in ("RF,GB", "GB,RF"):
+            assert run(["explore", "--layer", files["layer"], "--hw", files["hw"],
+                        "--levels", levels, "--strategy", "random",
+                        "--samples", "7", "--seed", "3", "--format", "json"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     def test_table_shows_best_mapping(self, files, capsys):
         assert run(["explore", "--layer", files["layer"], "--hw", files["hw"],
                     "--levels", "GB,RF", "--top", "2"]) == 0

@@ -8,6 +8,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -41,16 +42,16 @@ from accel_predict.loopnest import (
     RefreshLocations,
     buffers_fit,
     place_refresh,
-    positional_tiles,
     resident_tiles,
 )
-from accel_predict.predictor import score_totals
-from accel_predict.model import DIMS, KINDS
+from accel_predict.predictor import price_totals, score_totals
+from accel_predict.model import DIMS, KINDS, LEVELS_OUTER_FIRST
 from accel_predict.explore import (
     Candidate,
     _Prepared,
     _candidate_loops,
     _candidate_nest,
+    _draw,
     _evaluate,
     _order,
     _prepare,
@@ -265,6 +266,27 @@ class TestSpaceValidation:
     def test_empty_styles(self):
         with pytest.raises(ConfigError):
             SearchSpace(hw=_hw(), refresh_styles=())
+
+    # levels given in another order used to set other tiling tuples, so a
+    # seed picked other candidates (conv5 random-2000: 26 legal, not 22)
+    # and beam's whole dims landed at the RF (beam-16: 7 legal, not 0)
+    def test_level_order_sets_no_result(self):
+        hw = hardware_preset("eyeriss_normalized")
+        reordered = SearchSpace(hw, levels=(RF, NOC, GB, DRAM))
+        assert reordered.levels == (DRAM, GB, NOC, RF)
+        assert reordered == SearchSpace(hw)
+        conv5 = layer_preset("alexnet_conv5")
+        for kwargs, legal in (({"strategy": "random", "n_samples": 2000}, 22),
+                              ({"strategy": "beam", "beam_width": 16}, 0)):
+            got = [explore(SearchSpace(hw, levels=levels), conv5,
+                           objective="edp", seed=0, **kwargs).to_dict()
+                   for levels in ((RF, NOC, GB, DRAM), LEVELS_OUTER_FIRST)]
+            assert got[0] == got[1]
+            assert got[0]["stats"]["legal"] == legal
+        small = [explore(two_level_space(roomy_hw(), levels=levels), SMALL,
+                         strategy="random", n_samples=50, seed=0).to_dict()
+                 for levels in ((RF, GB), (GB, RF))]
+        assert small[0] == small[1]
 
     # a label used to fail late, on a coverage error from build_nest; with
     # the nest built from the flat loops it would give an empty mapping
@@ -510,6 +532,31 @@ class TestStrategies:
         space = two_level_space(roomy_hw())
         assert explore(space, SMALL).to_dict() == explore(space, SMALL).to_dict()
 
+    def test_draw_equals_the_sorted_sample(self, monkeypatch):
+        # random.sample fills a set, rather than a pool list, when the
+        # population is larger than the set's table; sizes either side of
+        # that bound, n == size and the conv3 space, many seeds each
+        def table(n):
+            return 21 + (4 ** math.ceil(math.log(n * 3, 4)) if n > 5 else 0)
+        cases = []
+        for n, seeds in ((1, 200), (5, 200), (6, 200), (50, 40), (2000, 4)):
+            t = table(n)
+            for size in sorted({n, t - 1, t, t + 1, t + 2, 3 * t + 1, 40_550_400}):
+                cases += [(seed, size, n) for seed in range(seeds) if size >= n]
+        want = [sorted(random.Random(seed).sample(range(size), n))
+                for seed, size, n in cases]
+        sampled, real = [], random.Random.sample
+
+        def sample(rng, population, k):
+            sampled.append((population, k))
+            return real(rng, population, k)
+        monkeypatch.setattr(random.Random, "sample", sample)
+        assert [_draw(*case) for case in cases] == want
+        # on the set path, _draw draws with getrandbits alone
+        assert sampled == [(range(size), n) for _, size, n in cases
+                           if size <= table(n)]
+        assert len(sampled) < len(cases)
+
 
 class TestObjectives:
     def test_edp_is_energy_times_latency(self):
@@ -640,44 +687,57 @@ def _full_path(space, layer, prep, cand, objective="edp"):
     return ("ok", value, cand, locs)
 
 
-def _walk_score(space, prep, cand, objective="edp"):
-    """_score by the loop walk alone, in its shape, and the tiles it sized
-    (None if placement failed): resident_tiles(*place_refresh(...)),
-    buffers_fit and score_totals on the candidate's flat loops."""
+def _walk_score(space, prep, cand, sized, objective="edp"):
+    """The scorer's result by the loop walk alone, in its shape:
+    resident_tiles(*place_refresh(...)), buffers_fit and score_totals on
+    the candidate's flat loops; a raised error is returned in its place.
+    Asserts that `sized`, the tiles the positional scorer passed to
+    buffers_fit, are the walk's (none if the walk's tiles overflow)."""
     loops, starts = _candidate_loops(prep, cand)
+    gb, rf, *walk = place_refresh(loops, starts, prep.styles[cand[-1]],
+                                  space.hw, prep.stride)
     try:
-        gb, rf, *walk = place_refresh(loops, starts, prep.styles[cand[-1]],
-                                      space.hw, prep.stride)
-    except MappingError as exc:
-        return ("discard", exc.violations[0].code), None
-    tiles = resident_tiles(gb, rf, *walk)
+        tiles = resident_tiles(gb, rf, *walk)
+    except CountOverflowError as exc:
+        assert sized == []
+        return exc
+    assert sized == [tiles]
     if not buffers_fit(space.hw, *tiles):
-        return ("discard", "capacity"), tiles
-    e, lat = score_totals(loops, gb, rf, tiles, space.hw, space.options)
+        return ("discard", "capacity")
+    try:
+        e, lat = score_totals(loops, gb, rf, tiles, space.hw, space.options)
+    except (CountOverflowError, ConfigError) as exc:
+        return exc
     value = {"energy": e, "latency": lat, "edp": e * lat}[objective]
-    return ("ok", value, cand, (gb, rf)), tiles
+    return ("ok", value, cand, (gb, rf))
 
 
 def _check_factor_sizing(space, prep, cand):
-    """For a positional candidate that reaches _score: its factor-tuple
-    tiles, verdict, value (bit for bit) and refresh locations equal the
-    walk's, or both raise the same CountOverflowError. Returns the
-    verdict, or None for a candidate this does not apply to."""
+    """For a positional candidate that reaches _score_positional: the
+    tiles it sizes from the rows, its verdict, value (bit for bit) and
+    refresh locations equal the walk's, or both raise the same error of
+    the same type. Returns the verdict ("overflow" for an error), or None
+    for a candidate this does not apply to."""
     kept = prep.kept[cand[-1]]
-    noc = 1 if prep.slots[2] is None else math.prod(
-        [t[prep.slots[2]] for t in cand[:-2]])
-    if kept is None or explore_module._rejected(prep, cand[-1], noc):
+    rows = [prep.rows[t] for t in cand[:-2]]
+    if kept is None or explore_module._rejected(
+            prep, cand[-1], math.prod([x[0] for x in rows])):
         return None
-    try:
-        want, tiles = _walk_score(space, prep, cand)
-    except CountOverflowError as exc:
-        with pytest.raises(CountOverflowError) as got:
-            explore_module._score(space, prep, "edp", cand)
-        assert str(got.value) == str(exc)
+    sized = []
+
+    def fit(hw, gb, rf):
+        sized.append((list(gb), list(rf)))
+        return buffers_fit(hw, gb, rf)
+    with mock.patch.object(explore_module, "buffers_fit", fit):
+        try:
+            got = explore_module._score_positional(space, prep, "edp", rows,
+                                                   *cand[-2:])
+        except (CountOverflowError, ConfigError) as exc:
+            got = exc
+    want = _walk_score(space, prep, cand, sized)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want)), (space, cand)
         return "overflow"
-    assert positional_tiles(cand[:-2], prep.slots, kept, prep.stride) == (
-        tiles), (space, cand)
-    got = explore_module._score(space, prep, "edp", cand)
     assert got == want, (space, cand)
     if got[0] == "ok":
         assert got[1].hex() == want[1].hex()
@@ -881,6 +941,38 @@ class TestFactorScreen:
         for feature in features:
             assert seen[feature, "ok"] and seen[feature, "capacity"], feature
 
+    # price_totals hands a legal candidate to score_totals' report path
+    # when its latency passes the largest float (which that path returns
+    # as inf), its energy does (a ConfigError there) or a count passes
+    # 2^63-1 (a CountOverflowError); every candidate of each space
+    @pytest.mark.parametrize("hw, layer, levels, verdicts", [
+        (_hw(bw_dram=1e-305), LayerShape(m=4, c=3, r=3, s=1, e=4, f=2),
+         (DRAM, GB, RF), {"ok", "capacity"}),
+        (_hw(capacity_rf=256, unit_costs=UnitCosts(
+            e_mac=1.0, t_comp=1e-9, e_access={DRAM: {k: 4e305 for k in KINDS}})),
+         LayerShape(m=4, c=3, r=3, s=1, e=4, f=2), (DRAM, GB, RF),
+         {"ok", "overflow", "capacity"}),
+        (_hw(), LayerShape(m=1, c=1, r=2**31, s=2**32, e=1, f=1), (DRAM, RF),
+         {"overflow", "capacity"}),
+    ], ids=["latency", "energy", "count"])
+    def test_report_path_hand_over_equals_the_walk(self, hw, layer, levels,
+                                                   verdicts):
+        space = SearchSpace(hw, levels=levels,
+                            refresh_styles=tuple(STATIONARY_KIND))
+        prep = _prepare(space, layer)
+        handed = []
+
+        def priced(*args):
+            out = price_totals(*args)
+            handed.append(out is None)
+            return out
+        seen = Counter()
+        with mock.patch.object(explore_module, "price_totals", priced):
+            for i in range(prep.size):
+                seen[_check_factor_sizing(space, prep, _unrank(prep, i))] += 1
+        assert set(seen) - {None} == verdicts
+        assert any(handed)
+
     # beam completions leave a dim whole at the outermost level, a tiling
     # outside the screen's table when allowed_factors excludes the dim's
     # size; stats and sha256 of the canonical to_dict() JSON captured
@@ -1046,7 +1138,8 @@ class TestFactorScreen:
         rejected = _spy(monkeypatch, "_rejected", lambda args, out: out)
         walked = _spy(monkeypatch, walk, lambda args, out: (
             len(args[-1]) if walk == "_settle" else 1))
-        scored = _spy(monkeypatch, "_score", lambda args, out: out)
+        # every survivor is positional here
+        scored = _spy(monkeypatch, "_score_positional", lambda args, out: out)
         explore(SearchSpace(hardware_preset("eyeriss_normalized")),
                 layer_preset("alexnet_conv1"), objective="edp",
                 strategy=strategy, n_samples=2000, beam_width=16, seed=0)
@@ -1069,9 +1162,10 @@ class TestFactorScreen:
     ):
         walks = _spy(monkeypatch, "_volumes_below",
                      lambda args, out: tuple(args[0]), module=loopnest_module)
-        placed = _spy(monkeypatch, "_score", lambda args, out: (
-            tuple(_candidate_loops(args[1], args[3])[0]), out[0],
-            args[1].kept[args[3][-1]] is None))
+        walked = _spy(monkeypatch, "_score", lambda args, out: (
+            tuple(_candidate_loops(args[1], args[3])[0]), out[0], True))
+        sized = _spy(monkeypatch, "_score_positional",
+                     lambda args, out: (None, out[0], False))
         reports = {name: _spy(monkeypatch, name, lambda args, out: None,
                               module=predictor_module)
                    for name in ("access_counts", "energy", "latency")}
@@ -1079,6 +1173,7 @@ class TestFactorScreen:
                             refresh_styles=styles)
         result = explore(space, layer_preset(layer), objective="edp",
                          seed=0, top_k=10, **search)
+        placed = walked + sized
         legal = sum(verdict == "ok" for _, verdict, _ in placed)
         assert len(result.entries) == 10 and legal > 10
         # every row_stationary_like candidate that reaches placement, no
@@ -1113,7 +1208,7 @@ class TestRanking:
     def test_nest_and_text_built_only_for_ranked_candidates(
         self, monkeypatch, layer, strategy, built, legal
     ):
-        scored = _spy(monkeypatch, "_score", lambda args, out: out[0])
+        scored = _spy(monkeypatch, "_score_positional", lambda args, out: out[0])
         nests = _spy(monkeypatch, "_candidate_nest", lambda args, out: out)
         texts = _spy(monkeypatch, "render", lambda args, out: out)
         explore(SearchSpace(hardware_preset("eyeriss_normalized")),
