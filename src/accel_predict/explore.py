@@ -12,37 +12,36 @@ refresh style, in the order of the full check's codes. What no tiling
 can change is decided once per search: a row_stationary_like register
 budget under one element, or a positional style's kept tensor alone
 overflowing the GB. The PE rule then reads the candidate's NoC factors.
-Those two rules run once per candidate. Exhaustive and random search
-walk candidate indices (a mixed radix in itertools.product order) and
-settle the whole sample in one loop, reading the rules off each index's
-style digit and its tilings' NoC factors. A random sample is the one
-random.sample draws, drawn with one getrandbits call per pick. Beam
-reads the rules off candidate tuples, as a completion's whole-dim tiling
-may lie outside the tiling table. A positional survivor is scored from
-six per-dim rows, one per tiling, built once per search (for the index
-walk only when some positional style is not doomed; beam's through a
-memo): its refresh points sit on level-group boundaries, so each
-resident tile is a product of per-level factors, and its refresh counts,
-multicast, PE and MAC products are products of the rows too. A capacity
-discard builds nothing; only a legal one builds its candidate tuple, and
-it builds flat loops only where its totals need the report path. A
-row_stationary_like survivor's flat loops are built from its factors and
-ordering and walked once: that walk places its refresh points and sizes
-its resident tiles, and it is the row scorer's reference. Both price a
-legal candidate with predictor.price_totals (the walk through
-score_totals), which builds no plan or report; the report path is its
-bit-for-bit reference, and only the returned entries get a full report.
-Generated nests, beam completions included, are legal in structure, so
-this discards exactly what the full check would, under the same code. A
-discard counts under the code of the first violation it hit. A beam
-stage whose first style is doomed scores nothing, so it builds only the
-first beam_width partials, the ones it keeps.
+Those two rules run once per candidate. Every strategy names a
+candidate by its index (a mixed radix in itertools.product order) and
+settles a batch of indices in one loop, reading the rules off each
+index's style digit and its tilings' NoC factors. A random sample is
+the one random.sample draws, drawn with one getrandbits call per pick.
+Every dim's tilings hold its whole tiling (n, 1, ..., 1), so a beam
+completion, which leaves the unassigned dims whole, is a candidate index
+too. A positional survivor is scored from six per-dim rows, one per
+tiling, built once per search when some positional style is not doomed:
+its refresh points sit on level-group boundaries, so each resident tile
+is a product of per-level factors, and its refresh counts, multicast,
+PE and MAC products are products of the rows too. A capacity discard
+builds nothing, and a legal one builds flat loops only where its totals
+need the report path. A row_stationary_like survivor's flat loops are
+built from its factors and ordering and walked once: that walk places
+its refresh points and sizes its resident tiles, and it is the row
+scorer's reference. Both price a legal candidate with
+predictor.price_totals (the walk through score_totals), which builds no
+plan or report; the report path is its bit-for-bit reference, and only
+the returned entries get a full report. Generated nests are legal in
+structure, so this discards exactly what the full check would, under
+the same code. A discard counts under the code of the first violation
+it hit. A beam stage whose first style is doomed scores nothing, so it
+builds only the first beam_width partials, the ones it keeps.
 
 Results rank on (value, mapping text, index), but a candidate's
 RefreshLocations, LoopNest and text are built only when it is kept, or
 when its value ties another legal one's within the kept places;
 elsewhere the text cannot change the order. The nest is built from the
-same flat loops the scorer planned.
+same flat loops the scorer planned, unranked from the result's index.
 """
 
 from __future__ import annotations
@@ -51,10 +50,9 @@ import bisect
 import functools
 import itertools
 import math
-import operator
 import random
 from collections import Counter
-from collections.abc import Collection, Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .dsl import render
@@ -101,17 +99,18 @@ class SearchSpace:
     kept outermost first, whatever order they are given in, so the order
     changes no candidate or result. orderings holds loop-order templates,
     each either one dim permutation applied at every level or a per-level
-    mapping. Factors larger than 1 can be restricted per dim with
-    allowed_factors. allow_nondivisor adds each dim's minimal covers (no
-    factor can shrink and still cover the dim): a far larger space, which
-    suits a directed search better than random sampling.
+    mapping. Each dim tiles into every ordered tuple of its divisors
+    whose product is the dim; allow_nondivisor adds its minimal covers
+    (no factor can shrink and still cover the dim): a far larger space,
+    which suits a directed search better than random sampling. Either way
+    a dim's tilings hold its whole extent at the outermost level, so no
+    space is empty.
     """
 
     hw: HardwareConfig
     levels: tuple[MemLevel, ...] = LEVELS_OUTER_FIRST
     orderings: tuple = ((),)
     refresh_styles: tuple[str, ...] = ("weight_stationary", "output_stationary")
-    allowed_factors: Mapping[str, Sequence[int]] | None = None
     allow_nondivisor: bool = False
     options: Options = Options()
     exhaustive_cap: int = 500_000
@@ -141,16 +140,6 @@ class SearchSpace:
         if type(self.exhaustive_cap) is not int or self.exhaustive_cap < 1:
             raise ConfigError("exhaustive_cap: expected an integer >= 1, got "
                               f"{self.exhaustive_cap!r}")
-        # tilings are enumerated from these values, so they must be counts
-        for dim, factors in (self.allowed_factors or {}).items():
-            if dim not in DIMS:
-                raise ConfigError(f"allowed_factors: unknown dim {dim!r}; "
-                                  f"pick from {DIMS}")
-            if (not isinstance(factors, Collection)
-                    or isinstance(factors, (str, bytes))
-                    or not all(type(b) is int and b >= 1 for b in factors)):
-                raise ConfigError(f"allowed_factors[{dim!r}]: expected "
-                                  f"integers >= 1, got {factors!r}")
         # per ordering and level (outermost first), the (dim index, slot in
         # a tiling tuple) of each loop it emits
         slot = {mem: j for j, mem in enumerate(self.levels)}
@@ -184,30 +173,24 @@ def _divisors(n: int) -> list[int]:
     return small + [n // b for b in reversed(small) if b * b != n]
 
 
-def _tilings(value: int, k: int, allowed, padded: bool) -> list[tuple[int, ...]]:
+def _tilings(value: int, k: int, padded: bool) -> list[tuple[int, ...]]:
     """Per-level factor tuples of `value` across k levels, in lexicographic
     order: its divisor tilings or, if `padded`, its minimal covers. Each
     node carries rest = ceil(value / prefix product). The last factor is
     rest: a larger one could shrink, and a smaller one does not cover."""
-    if allowed is None:
-        factors = (lambda rest: range(1, rest + 1)) if padded else _divisors
-    else:
-        def factors(rest: int) -> list[int]:
-            return [1, *sorted(b for b in allowed
-                               if 1 < b <= rest and (padded or not rest % b))]
-    factors = functools.cache(factors)  # for this call: rests repeat
+    factors = functools.cache(  # for this call: rests repeat
+        (lambda rest: range(1, rest + 1)) if padded else _divisors)
     out: list[tuple[int, ...]] = []
     nodes = 0
 
     def rec(rest: int, prefix: tuple[int, ...]):
         nonlocal nodes
         if padded and (nodes := nodes + 1) > _FACTOR_ENUM_CAP:
-            raise ConfigError("too many padded tilings to enumerate; restrict "
-                              "allowed_factors or disable allow_nondivisor")
+            raise ConfigError("too many padded tilings to enumerate; disable "
+                              "allow_nondivisor")
         if len(prefix) == k - 1:
             tiling = prefix + (rest,)
-            if ((rest == 1 or allowed is None or rest in allowed)
-                    and not (padded and _check_coverage(value, tiling)[1])):
+            if not (padded and _check_coverage(value, tiling)[1]):
                 out.append(tiling)
             return
         for b in factors(rest):
@@ -238,8 +221,6 @@ class _Prepared:
         self.radices = [len(self.tilings[d]) for d in DIMS]
         self.radices += [len(self.groups), len(self.styles)]
         self.places = [math.prod(self.radices[i + 1:]) for i in range(len(DIMS))]
-        # the per-search memo from a tiling tuple to its row
-        self.rows = _Rows(self.slots)
 
     @property
     def size(self) -> int:
@@ -249,36 +230,29 @@ class _Prepared:
     def table(self):
         """Per dim, what _settle reads off an index digit: its tilings'
         NoC factors (1 without a NoC level) and rows, its place value and
-        its radix. The rows are built only when a positional style is not
-        doomed, as only then can a positional candidate be scored."""
+        its radix. A tiling's row is its NoC factor, the dim's extent
+        across the RF, GB*RF, GB*NoC*RF and every level, and its DRAM and
+        DRAM*GB products. The rows are built only when a positional style
+        is not doomed, as only then can a positional candidate be scored."""
         positional = any(k is not None and d is None
                          for k, d in zip(self.kept, self.doomed))
-        j = self.slots[2]
-        return tuple(
-            ([1 if j is None else t[j] for t in ts],
-             [self.rows[t] for t in ts] if positional else None, p, n)
-            for ts, p, n in zip(map(self.tilings.get, DIMS), self.places,
-                                self.radices))
-
-
-class _Rows(dict):
-    """A memo from a tiling tuple (a beam completion's too) to its row:
-    its NoC factor, the tiling, the dim's extent across the RF, GB*RF,
-    GB*NoC*RF and every level, and its DRAM and DRAM*GB products."""
-
-    def __init__(self, slots):
-        # the RF, GB, NoC and DRAM factors of a tuple with a 1 appended,
-        # which a level the space lacks reads
-        k = sum(j is not None for j in slots)
-        self.factors = operator.itemgetter(*[k if j is None else j for j in slots])
-
-    def __missing__(self, tiling: tuple[int, ...]) -> tuple:
-        rf, gb, noc, dram = self.factors(tiling + (1,))
-        gb_rf = gb * rf
-        array = gb_rf * noc
-        row = self[tiling] = (noc, tiling, rf, gb_rf, array, array * dram,
-                              dram, dram * gb)
-        return row
+        # the RF, GB, NoC and DRAM factors' slots in a tiling with a 1
+        # appended, which a level the space lacks reads
+        last = sum(j is not None for j in self.slots)
+        rf, gb, noc, dram = [last if j is None else j for j in self.slots]
+        table = []
+        for ts, p, n in zip(map(self.tilings.get, DIMS), self.places,
+                            self.radices):
+            nocs = [1] * n if noc == last else [t[noc] for t in ts]
+            rows = [] if positional else None
+            for t in ts if positional else ():
+                t += (1,)
+                gb_rf = t[gb] * t[rf]
+                array = gb_rf * t[noc]
+                rows.append((t[noc], t[rf], gb_rf, array, array * t[dram],
+                             t[dram], t[dram] * t[gb]))
+            table.append((nocs, rows, p, n))
+        return table
 
 
 def _doomed(hw: HardwareConfig, style: str, dims, stride: int) -> str | None:
@@ -300,21 +274,14 @@ def _doomed(hw: HardwareConfig, style: str, dims, stride: int) -> str | None:
 
 
 def _prepare(space: SearchSpace, layer: LayerShape) -> _Prepared:
-    k = len(space.levels)
-    tilings = {}
-    for d in DIMS:
-        allowed = None
-        if space.allowed_factors and d in space.allowed_factors:
-            allowed = frozenset(space.allowed_factors[d])
-        tilings[d] = _tilings(layer.dim(d), k, allowed, space.allow_nondivisor)
+    tilings = {d: _tilings(layer.dim(d), len(space.levels),
+                           space.allow_nondivisor) for d in DIMS}
     stride = space.options.effective_stride(layer)
     dims = [layer.dim(d) for d in DIMS]
     # No verdict where a tile can overflow, so CountOverflowError stays where
     # it is raised: a dim's whole extent is at most its largest tiling
-    # product or, in a beam completion, its size.
-    largest = [
-        max([n, *map(math.prod, tilings[d])]) for n, d in zip(dims, DIMS)
-    ]
+    # product.
+    largest = [max(map(math.prod, tilings[d])) for d in DIMS]
     decided = max(tile_volumes(largest, stride)) <= INT64_MAX
     return _Prepared(
         tilings=tilings,
@@ -383,16 +350,17 @@ def _rejected(prep: _Prepared, style: int, noc_product: int) -> str | None:
     return doomed
 
 
-def _score(space: SearchSpace, prep: _Prepared, objective: str, cand: Candidate):
-    """Check a row_stationary_like candidate that passed _rejected
-    against the rest of the hardware, in the full check's order of codes
-    (refresh_style, then capacity), and score a legal one with
-    score_totals. Its flat loops are walked once (place_refresh), the
-    walk that is the positional scorer's reference; no nest is built.
+def _score(space: SearchSpace, prep: _Prepared, objective: str, index: int):
+    """Check row_stationary_like candidate `index`, which passed
+    _rejected, against the rest of the hardware, in the full check's
+    order of codes (refresh_style, then capacity), and score a legal one
+    with score_totals. Its flat loops are walked once (place_refresh),
+    the walk that is the positional scorer's reference; no nest is built.
 
-    Returns ("ok", value, cand, (gb, rf)), its refresh locations in KINDS
-    order, or ("discard", code of the first violation found).
+    Returns ("ok", value, index, (gb, rf)), its refresh locations in
+    KINDS order, or ("discard", code of the first violation found).
     """
+    cand = _unrank(prep, index)
     loops, starts = _candidate_loops(prep, cand)
     try:
         gb, rf, *walk = place_refresh(loops, starts, prep.styles[cand[-1]],
@@ -404,38 +372,39 @@ def _score(space: SearchSpace, prep: _Prepared, objective: str, cand: Candidate)
         return ("discard", "capacity")
     e, lat = score_totals(loops, gb, rf, tiles, space.hw, space.options)
     value = {"energy": e, "latency": lat, "edp": e * lat}[objective]
-    return ("ok", value, cand, (gb, rf))
+    return ("ok", value, index, (gb, rf))
 
 
 def _score_positional(space: SearchSpace, prep: _Prepared, objective: str,
-                      rows, ordering: int, style: int):
-    """_score of a positional candidate that passed _rejected, read off
-    its six rows (DIMS order), with the same results as the walk. Its
-    refresh points (positional_points) sit on level-group boundaries, so
-    its resident tiles, refresh counts (1, DRAM, DRAM*GB), multicast, PE
-    and MAC products are products of per-level factors. The GB tiles pass
-    checked_count in KINDS order, as in resident_tiles (an RF tile lies
-    within its GB tile). Flat loops are built only for the report path,
-    where price_totals hands a legal candidate over to score_totals.
+                      rows, index: int, style: int):
+    """_score of positional candidate `index` of style index `style`,
+    which passed _rejected, read off its six rows (DIMS order), with the
+    same results as the walk. Its refresh points (positional_points) sit
+    on level-group boundaries, so its resident tiles, refresh counts (1,
+    DRAM, DRAM*GB), multicast, PE and MAC products are products of
+    per-level factors. The GB tiles pass checked_count in KINDS order, as
+    in resident_tiles (an RF tile lies within its GB tile). Flat loops
+    are built only for the report path, where price_totals hands a legal
+    candidate over to score_totals.
     """
     kept, st = prep.kept[style], prep.stride
     m, c, r, s, e, f = rows
-    # tile_volumes, inline, of row column 4 (GB*NoC*RF) for the GB tiles
-    # and 2 (RF) for the RF tiles; the kept kind's of 5 and 3
-    gb = [c[4] * ((e[4] - 1) * st + r[4]) * ((f[4] - 1) * st + s[4]),
-          m[4] * e[4] * f[4], m[4] * c[4] * r[4] * s[4]]
-    rf = [c[2] * ((e[2] - 1) * st + r[2]) * ((f[2] - 1) * st + s[2]),
-          m[2] * e[2] * f[2], m[2] * c[2] * r[2] * s[2]]
-    gb[kept] = (c[5] * ((e[5] - 1) * st + r[5]) * ((f[5] - 1) * st + s[5]),
-                m[5] * e[5] * f[5], m[5] * c[5] * r[5] * s[5])[kept]
-    rf[kept] = (c[3] * ((e[3] - 1) * st + r[3]) * ((f[3] - 1) * st + s[3]),
-                m[3] * e[3] * f[3], m[3] * c[3] * r[3] * s[3])[kept]
+    # tile_volumes, inline, of row column 3 (GB*NoC*RF) for the GB tiles
+    # and 1 (RF) for the RF tiles; the kept kind's of 4 and 2
+    gb = [c[3] * ((e[3] - 1) * st + r[3]) * ((f[3] - 1) * st + s[3]),
+          m[3] * e[3] * f[3], m[3] * c[3] * r[3] * s[3]]
+    rf = [c[1] * ((e[1] - 1) * st + r[1]) * ((f[1] - 1) * st + s[1]),
+          m[1] * e[1] * f[1], m[1] * c[1] * r[1] * s[1]]
+    gb[kept] = (c[4] * ((e[4] - 1) * st + r[4]) * ((f[4] - 1) * st + s[4]),
+                m[4] * e[4] * f[4], m[4] * c[4] * r[4] * s[4])[kept]
+    rf[kept] = (c[2] * ((e[2] - 1) * st + r[2]) * ((f[2] - 1) * st + s[2]),
+                m[2] * e[2] * f[2], m[2] * c[2] * r[2] * s[2])[kept]
     if max(gb) > INT64_MAX:
         for v in gb:
             checked_count(v)
     if not buffers_fit(space.hw, gb, rf):
         return ("discard", "capacity")
-    nocs, tilings, _, _, _, wholes, drams, dram_gbs = zip(*rows)
+    nocs, _, _, _, wholes, drams, dram_gbs = zip(*rows)
     # each group starts after the loops above it, one per factor over 1
     p_gb = sum([d > 1 for d in drams])
     p_noc = p_gb + sum([dg > d for d, dg in zip(drams, dram_gbs)])
@@ -447,41 +416,26 @@ def _score_positional(space: SearchSpace, prep: _Prepared, objective: str,
     # per kind, the NoC factors of the dims it does not depend on
     multicast = [math.prod([n for i, n in enumerate(nocs) if i not in relevant])
                  for relevant in _RELEVANT]
-    cand = (*tilings, ordering, style)
     totals = price_totals(gb_counts, rf_counts, multicast, math.prod(nocs),
                           math.prod(wholes), (gb, rf), space.hw, space.options)
     if totals is None:
-        totals = score_totals(_candidate_loops(prep, cand)[0], gb_locs, rf_locs,
-                              (gb, rf), space.hw, space.options)
+        totals = score_totals(_candidate_loops(prep, _unrank(prep, index))[0],
+                              gb_locs, rf_locs, (gb, rf), space.hw, space.options)
     energy, latency = totals
     value = {"energy": energy, "latency": latency,
              "edp": energy * latency}[objective]
-    return ("ok", value, cand, (gb_locs, rf_locs))
-
-
-def _evaluate(space: SearchSpace, prep: _Prepared, objective: str, cand: Candidate):
-    """The scorer's result for a candidate tuple, unless _rejected
-    discards it; a positional survivor's rows come from the per-search
-    memo."""
-    noc = 1 if (j := prep.slots[2]) is None else math.prod(
-        [cand[i][j] for i in range(len(DIMS))])
-    if code := _rejected(prep, cand[-1], noc):
-        return ("discard", code)
-    if prep.kept[cand[-1]] is None:
-        return _score(space, prep, objective, cand)
-    return _score_positional(space, prep, objective,
-                             [prep.rows[t] for t in cand[:-2]], *cand[-2:])
+    return ("ok", value, index, (gb_locs, rf_locs))
 
 
 def _settle(space: SearchSpace, prep: _Prepared, objective: str, indices):
-    """_evaluate of candidates `indices` in one loop: the "ok" results and
-    the other codes, in index order. _rejected reads an index's style and
-    six NoC digits, building nothing. A row_stationary_like survivor is
-    unranked, to be walked; a positional one is scored off its digits'
-    rows."""
+    """Judge candidates `indices` in one loop: the "ok" results and the
+    other codes, in the order of `indices`. _rejected reads an index's
+    style and six NoC digits, building nothing. A row_stationary_like
+    survivor is walked (_score); a positional one is scored off its
+    digits' rows."""
     (f0, t0, p0, n0), (f1, t1, p1, n1), (f2, t2, p2, n2), \
         (f3, t3, p3, n3), (f4, t4, p4, n4), (f5, t5, p5, n5) = prep.table
-    n_orderings, n_styles = prep.radices[-2:]
+    n_styles = prep.radices[-1]
     kept = prep.kept
     legal, codes = [], []
     for i in indices:
@@ -492,12 +446,11 @@ def _settle(space: SearchSpace, prep: _Prepared, objective: str, indices):
             codes.append(code)
             continue
         if kept[style] is None:
-            res = _score(space, prep, objective, _unrank(prep, i))
+            res = _score(space, prep, objective, i)
         else:
             rows = (t0[i // p0 % n0], t1[i // p1 % n1], t2[i // p2 % n2],
                     t3[i // p3 % n3], t4[i // p4 % n4], t5[i // p5 % n5])
-            res = _score_positional(space, prep, objective, rows,
-                                    i // n_styles % n_orderings, style)
+            res = _score_positional(space, prep, objective, rows, i, style)
         if res[0] == "ok":
             legal.append(res)
         else:
@@ -507,17 +460,18 @@ def _settle(space: SearchSpace, prep: _Prepared, objective: str, indices):
 
 def _builder(space: SearchSpace, layer: LayerShape, prep: _Prepared):
     """A per-search memo from an "ok" result to its mapping text, nest
-    and refresh locations, built the first time they are asked for."""
-    memo: dict[Candidate, tuple[str, LoopNest, RefreshLocations]] = {}
+    and refresh locations, built the first time they are asked for from
+    the candidate its index names."""
+    memo: dict[int, tuple[str, LoopNest, RefreshLocations]] = {}
 
     def built(res) -> tuple[str, LoopNest, RefreshLocations]:
-        cand, (gb, rf) = res[2:]
-        if cand not in memo:
-            nest = _candidate_nest(layer, prep, cand)
+        index, (gb, rf) = res[2:]
+        if index not in memo:
+            nest = _candidate_nest(layer, prep, _unrank(prep, index))
             refresh = RefreshLocations(gb=dict(zip(KINDS, gb)),
                                        rf=dict(zip(KINDS, rf)))
-            memo[cand] = render(nest, refresh), nest, refresh
-        return memo[cand]
+            memo[index] = render(nest, refresh), nest, refresh
+        return memo[index]
     return built
 
 
@@ -646,11 +600,6 @@ def explore(
     prep = _prepare(space, layer)
     size = prep.size
     stats = {"space_size": size, "strategy": strategy, "objective": objective}
-
-    if size == 0:
-        stats.update(evaluated=0, legal=0, discarded={})
-        return SearchResult(False, objective, strategy, (), stats)
-
     if strategy == "exhaustive" and size > space.exhaustive_cap:
         raise ConfigError(
             f"space has {size} candidates, above the exhaustive cap "
@@ -693,45 +642,48 @@ def _beam(
     built,
 ):
     """The scored finalists of a beam search, and how many candidates it
-    evaluated; `built` is the search's _builder."""
-    # an unassigned dim stays whole at the outermost search level
+    evaluated; `built` is the search's _builder. A partial is the index
+    sum of its assigned dims' digits. Its completion adds the digits of
+    the other dims' whole tilings and ordering and style 0, both digit 0:
+    an unassigned dim stays whole at the outermost search level."""
     ones = (1,) * (len(space.levels) - 1)
-    whole = {d: (layer.dim(d),) + ones for d in DIMS}
+    wholes = [prep.tilings[d].index((layer.dim(d),) + ones) * p
+              for d, p in zip(DIMS, prep.places)]
+    memo = {}  # rounds and finalists revisit candidates
+
+    def evaluate(indices: list[int]) -> list:
+        # one _settle of the candidates not yet judged, aligned to indices
+        new = [i for i in indices if i not in memo]
+        legal, codes = _settle(space, prep, objective, new)
+        ok, codes = {r[2]: r for r in legal}, iter(codes)
+        for i in new:
+            memo[i] = ok.get(i) or ("discard", next(codes))
+        return [memo[i] for i in indices]
+
     evaluated = 0
-
-    @functools.cache  # rounds and finalists revisit candidates
-    def evaluate(cand: Candidate):
-        return _evaluate(space, prep, objective, cand)
-
-    def completion(partial: dict[str, tuple[int, ...]]) -> Candidate:
-        return tuple([partial.get(d) or whole[d] for d in DIMS]) + (0, 0)
-
-    pool: list[dict[str, tuple[int, ...]]] = [{}]
-    for d in DIMS:
-        evaluated += len(pool) * len(prep.tilings[d])
-        expanded = (dict(p, **{d: t}) for p in pool for t in prep.tilings[d])
+    pool = [0]
+    for j, (n, place) in enumerate(zip(prep.radices, prep.places)):
+        rest = sum(wholes[j + 1:])
+        evaluated += len(pool) * n
+        expanded = (p + t * place for p in pool for t in range(n))
         if prep.doomed[0]:
             # completions are style 0, all discarded alike: the stage keeps
             # its first beam_width partials and builds no others
             pool = list(itertools.islice(expanded, beam_width))
             continue
         expanded = list(expanded)
-        scored = [evaluate(completion(p)) for p in expanded]
+        scored = evaluate([p + rest for p in expanded])
         pool = [expanded[i] for i in _order(scored, beam_width, built)]
 
     # tilings fixed; widen over orderings, then styles
-    staged: list[Candidate] = [completion(p) for p in pool]
-    with_orderings = [
-        c[:-2] + (oi, 0) for c in staged for oi in range(len(prep.groups))
-    ]
-    if len(prep.groups) > 1:
-        scored = [evaluate(c) for c in with_orderings]
+    n_orderings, n_styles = prep.radices[-2:]
+    with_orderings = [p + o * n_styles for p in pool for o in range(n_orderings)]
+    if n_orderings > 1:
+        scored = evaluate(with_orderings)
         evaluated += len(with_orderings)
         with_orderings = [
             with_orderings[i] for i in _order(scored, beam_width, built)
         ]
 
-    finalists = [
-        c[:-1] + (si,) for c in with_orderings for si in range(len(prep.styles))
-    ]
-    return [evaluate(c) for c in finalists], evaluated + len(finalists)
+    finalists = [c + s for c in with_orderings for s in range(n_styles)]
+    return evaluate(finalists), evaluated + len(finalists)

@@ -1,5 +1,6 @@
 """Mapping search: tiling enumeration, strategies, ranking determinism."""
 
+import bisect
 import dataclasses
 import functools
 import hashlib
@@ -52,7 +53,6 @@ from accel_predict.explore import (
     _candidate_loops,
     _candidate_nest,
     _draw,
-    _evaluate,
     _order,
     _prepare,
     _settle,
@@ -69,6 +69,41 @@ predictor_module = importlib.import_module("accel_predict.predictor")
 DRAM, GB, NOC, RF = MemLevel.DRAM, MemLevel.GB, MemLevel.NOC, MemLevel.RF
 
 
+def _digits(prep, cand):
+    """The dim digits of candidate tuple `cand`. Each dim's tilings are in
+    lexicographic order, so a digit is found by bisection."""
+    digits = [bisect.bisect_left(prep.tilings[d], t) for d, t in zip(DIMS, cand)]
+    assert [prep.tilings[d][j] for d, j in zip(DIMS, digits)] == list(cand[:-2])
+    return digits
+
+
+def _rank(prep, cand):
+    """The index of candidate tuple `cand`, _unrank's inverse."""
+    return (sum(j * p for j, p in zip(_digits(prep, cand), prep.places))
+            + cand[-2] * prep.radices[-1] + cand[-1])
+
+
+def _rows(prep, cand):
+    """The six per-dim rows of candidate tuple `cand`."""
+    return [rows[j] for (_, rows, _, _), j in zip(prep.table, _digits(prep, cand))]
+
+
+# The explorer's per-candidate path before every strategy judged candidate
+# indices, kept as the reference for _settle: the NoC product read off the
+# tuple, _rejected, then the scorer, whose result names the candidate by
+# its index.
+def _evaluate(space, prep, objective, cand):
+    noc = 1 if (j := prep.slots[2]) is None else math.prod(
+        [cand[i][j] for i in range(len(DIMS))])
+    if code := explore_module._rejected(prep, cand[-1], noc):
+        return ("discard", code)
+    index = _rank(prep, cand)
+    if prep.kept[cand[-1]] is None:
+        return explore_module._score(space, prep, objective, index)
+    return explore_module._score_positional(space, prep, objective,
+                                            _rows(prep, cand), index, cand[-1])
+
+
 def enumerate_mappings(space, layer, discards=None):
     """A linear-scan reference: yield every legal (nest, refresh) pair of
     the space in candidate order, counting each discard's code into
@@ -76,7 +111,7 @@ def enumerate_mappings(space, layer, discards=None):
     prep = explore_module._prepare(space, layer)
     for i in range(prep.size):
         cand = explore_module._unrank(prep, i)
-        res = explore_module._evaluate(space, prep, "energy", cand)
+        res = _evaluate(space, prep, "energy", cand)
         if res[0] == "ok":
             refresh = RefreshLocations(*[dict(zip(KINDS, v)) for v in res[3]])
             yield explore_module._candidate_nest(layer, prep, cand), refresh
@@ -98,26 +133,22 @@ def two_level_space(hw, **overrides):
 # The enumeration before candidate factors: every integer up to the bound
 # is tried at each node. Kept as the reference the faster one must match
 # list for list, since candidate indices depend on the order.
-def _ref_divisor_tilings(value: int, k: int, allowed) -> list[tuple[int, ...]]:
+def _ref_divisor_tilings(value: int, k: int) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
 
     def rec(remaining: int, prefix: tuple[int, ...]):
         if len(prefix) == k - 1:
-            if remaining == 1 or allowed is None or remaining in allowed:
-                out.append(prefix + (remaining,))
+            out.append(prefix + (remaining,))
             return
         for b in range(1, remaining + 1):
-            if remaining % b:
-                continue
-            if b > 1 and allowed is not None and b not in allowed:
-                continue
-            rec(remaining // b, prefix + (b,))
+            if not remaining % b:
+                rec(remaining // b, prefix + (b,))
 
     rec(value, ())
     return out
 
 
-def _ref_padded_tilings(value: int, k: int, allowed) -> list[tuple[int, ...]]:
+def _ref_padded_tilings(value: int, k: int) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
 
     def minimal(tup: tuple[int, ...]) -> bool:
@@ -138,15 +169,13 @@ def _ref_padded_tilings(value: int, k: int, allowed) -> list[tuple[int, ...]]:
             return
         top = 1 if product >= value else value
         for b in range(1, top + 1):
-            if b > 1 and allowed is not None and b not in allowed:
-                continue
             rec(prefix + (b,), product * b)
 
     rec((), 1)
     return out
 
 
-def _ref_minimal_covers(value: int, k: int, allowed) -> list[tuple[int, ...]]:
+def _ref_minimal_covers(value: int, k: int) -> list[tuple[int, ...]]:
     """The minimal covers of `value` by characterization. A cover whose
     largest factor b > 1 could not shrink has product * (b - 1) / b < value,
     so its product is under 2 * value: the minimal covers are the divisor
@@ -157,20 +186,15 @@ def _ref_minimal_covers(value: int, k: int, allowed) -> list[tuple[int, ...]]:
                        for i, b in enumerate(t))
 
     return sorted(t for n in range(value, 2 * value)
-                  for t in _tilings(n, k, allowed, padded=False) if minimal(t))
-
-
-ALLOWED_SETS = [
-    None, frozenset({2, 3, 5}), frozenset({0, 1, 4, 6, 12, 150, 1000}),
-]
+                  for t in _tilings(n, k, padded=False) if minimal(t))
 
 
 class TestTilingEnumeration:
     def test_dim_four_two_slots(self):
-        assert sorted(_tilings(4, 2, None, padded=False)) == [(1, 4), (2, 2), (4, 1)]
+        assert sorted(_tilings(4, 2, padded=False)) == [(1, 4), (2, 2), (4, 1)]
 
     def test_dim_six_two_slots(self):
-        assert len(_tilings(6, 2, None, padded=False)) == 4
+        assert len(_tilings(6, 2, padded=False)) == 4
 
     def test_all_dims_two_across_two_levels(self):
         layer = LayerShape(m=2, c=2, r=2, s=2, e=2, f=2)
@@ -191,18 +215,9 @@ class TestTilingEnumeration:
         )
         assert space_size(space, layer) == 3 * 2 * 2
 
-    def test_allowed_factors_prune(self):
-        layer = LayerShape(m=4, c=1, r=1, s=1, e=1, f=1)
-        space = two_level_space(
-            _hw(),
-            refresh_styles=("weight_stationary",),
-            allowed_factors={"m": (2,)},
-        )
-        assert space_size(space, layer) == 1  # only 2x2 survives
-
     def test_padded_covers_are_minimal(self):
         # 2x2 covers 3 and cannot shrink; 1x4 and 4x1 can
-        assert sorted(_tilings(3, 2, None, padded=True)) == [(1, 3), (2, 2), (3, 1)]
+        assert sorted(_tilings(3, 2, padded=True)) == [(1, 3), (2, 2), (3, 1)]
 
     def test_nondivisor_space_is_superset(self):
         layer = LayerShape(m=3, c=1, r=1, s=1, e=1, f=1)
@@ -216,42 +231,51 @@ class TestTilingEnumeration:
 
     def test_padded_enumeration_cap(self):
         with pytest.raises(ConfigError) as exc:
-            _tilings(10**6, 4, None, padded=True)
+            _tilings(10**6, 4, padded=True)
         assert "allow_nondivisor" in str(exc.value)
 
-    @pytest.mark.parametrize("allowed", ALLOWED_SETS)
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_divisor_tilings_equal_the_full_scan(self, k, allowed):
+    def test_divisor_tilings_equal_the_full_scan(self, k):
         for value in range(1, 201):
-            assert _tilings(value, k, allowed, padded=False) == (
-                _ref_divisor_tilings(value, k, allowed)
+            assert _tilings(value, k, padded=False) == (
+                _ref_divisor_tilings(value, k)
             )
 
-    @pytest.mark.parametrize("allowed", ALLOWED_SETS)
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_padded_tilings_equal_the_full_scan(self, k, allowed):
-        # without allowed_factors every factor up to the value is a
-        # candidate in both, and the scans grow as value**k
-        top = 40 if allowed is None and k > 1 else 200
+    def test_padded_tilings_equal_the_full_scan(self, k):
+        # every factor up to the value is a candidate in both, and the
+        # scans grow as value**k
+        top = 40 if k > 1 else 200
         for value in range(1, top + 1):
-            assert _tilings(value, k, allowed, padded=True) == (
-                _ref_padded_tilings(value, k, allowed)
+            assert _tilings(value, k, padded=True) == (
+                _ref_padded_tilings(value, k)
             )
 
-    @pytest.mark.parametrize("allowed", ALLOWED_SETS)
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_padded_tilings_equal_the_minimal_covers(self, k, allowed):
+    def test_padded_tilings_equal_the_minimal_covers(self, k):
         # up to the AlexNet dims, which the full scan cannot reach
         for value in [*range(1, 60), 96, 128, 192, 255, 256, 384]:
-            assert _tilings(value, k, allowed, padded=True) == (
-                _ref_minimal_covers(value, k, allowed)
+            assert _tilings(value, k, padded=True) == (
+                _ref_minimal_covers(value, k)
             )
 
-    def test_allowed_factor_far_above_the_scan(self):
-        v = 2**40
-        expected = [(1, 1, 1, v), (1, 1, v, 1), (1, v, 1, 1), (v, 1, 1, 1)]
-        assert _tilings(v, 4, frozenset({v}), padded=False) == expected
-        assert _tilings(v, 4, frozenset({v}), padded=True) == expected
+    # beam leaves an unassigned dim whole at the outermost level and finds
+    # that tiling's digit in the dim's list, so the list must hold it; it
+    # is the last, as no first factor exceeds the value
+    @pytest.mark.parametrize("padded", [False, True], ids=["divisor", "padded"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_every_dim_tiles_whole(self, k, padded):
+        alexnet = {layer.dim(d) for layer in network_preset("alexnet_conv")
+                   for d in DIMS}
+        for value in sorted(set(range(1, 201)) | alexnet):
+            whole = (value,) + (1,) * (k - 1)
+            assert _tilings(value, k, padded)[-1] == whole
+
+    def test_no_space_is_empty(self):
+        rng = random.Random(4)
+        for _ in range(200):
+            space, layer = _random_space(rng)
+            assert space_size(space, layer) >= 1
 
 
 class TestSpaceValidation:
@@ -329,24 +353,6 @@ class TestSpaceValidation:
             )
         assert str(exc.value) == "ordering: 'GB' is not a MemLevel"
 
-    # tilings are built from the allowed values themselves: a float would
-    # become a loop bound, and a string would not sort against integers
-    @pytest.mark.parametrize("factors", [("2",), (2.0,), (True,), (0,), 2, "2"])
-    def test_allowed_factors_must_be_counts(self, factors):
-        with pytest.raises(ConfigError, match=r"allowed_factors\['m'\]"):
-            SearchSpace(hw=_hw(), allowed_factors={"m": factors})
-
-    # an unknown key used to be ignored: {"M": (2,)} on an m=4 layer gave
-    # the 20,480 candidates of no restriction at all
-    @pytest.mark.parametrize("key", ["M", "x", "", 0])
-    def test_allowed_factors_keys_must_be_dims(self, key):
-        with pytest.raises(ConfigError) as exc:
-            SearchSpace(hw=_hw(), allowed_factors={"m": (2,), key: (2,)})
-        assert str(exc.value) == (
-            f"allowed_factors: unknown dim {key!r}; pick from "
-            "('m', 'c', 'r', 's', 'e', 'f')"
-        )
-
     # before the space checked its styles, random seeds 0, 2 and 5 drew
     # only the known style and returned an infeasible result
     @pytest.mark.parametrize("kwargs", [
@@ -386,10 +392,6 @@ class TestSpaceValidation:
         with pytest.raises(ConfigError):
             explore(two_level_space(roomy_hw()), layer, top_k=0)
 
-    # allowed_factors {"m": (5,)} leaves conv5 (m=256) no tiling at all: an
-    # empty space must still refuse bad arguments
-    @pytest.mark.parametrize("allowed", [None, {"m": (5,)}],
-                             ids=["conv5", "empty-space"])
     @pytest.mark.parametrize("kwargs, message", [
         ({"strategy": "random", "n_samples": 0}, "n_samples must be >= 1"),
         ({"strategy": "random", "n_samples": -3}, "n_samples must be >= 1"),
@@ -410,9 +412,8 @@ class TestSpaceValidation:
         ({"strategy": "random", "n_samples": 5, "seed": 1.5},
          "seed: expected an integer, got 1.5"),
     ])
-    def test_search_arguments_checked(self, kwargs, message, allowed):
-        space = SearchSpace(hardware_preset("eyeriss_normalized"),
-                            allowed_factors=allowed)
+    def test_search_arguments_checked(self, kwargs, message):
+        space = SearchSpace(hardware_preset("eyeriss_normalized"))
         with pytest.raises(ConfigError) as exc:
             explore(space, layer_preset("alexnet_conv5"), **kwargs)
         assert message in str(exc.value)
@@ -684,7 +685,7 @@ def _full_path(space, layer, prep, cand, objective="edp"):
     e, lat = report.energy.total, report.latency.l_total_s
     value = {"energy": e, "latency": lat, "edp": e * lat}[objective]
     locs = [refresh.gb[k] for k in KINDS], [refresh.rf[k] for k in KINDS]
-    return ("ok", value, cand, locs)
+    return ("ok", value, _rank(prep, cand), locs)
 
 
 def _walk_score(space, prep, cand, sized, objective="edp"):
@@ -709,7 +710,7 @@ def _walk_score(space, prep, cand, sized, objective="edp"):
     except (CountOverflowError, ConfigError) as exc:
         return exc
     value = {"energy": e, "latency": lat, "edp": e * lat}[objective]
-    return ("ok", value, cand, (gb, rf))
+    return ("ok", value, _rank(prep, cand), (gb, rf))
 
 
 def _check_factor_sizing(space, prep, cand):
@@ -718,11 +719,12 @@ def _check_factor_sizing(space, prep, cand):
     refresh locations equal the walk's, or both raise the same error of
     the same type. Returns the verdict ("overflow" for an error), or None
     for a candidate this does not apply to."""
-    kept = prep.kept[cand[-1]]
-    rows = [prep.rows[t] for t in cand[:-2]]
-    if kept is None or explore_module._rejected(
-            prep, cand[-1], math.prod([x[0] for x in rows])):
+    noc = 1 if (j := prep.slots[2]) is None else math.prod(
+        [t[j] for t in cand[:-2]])
+    if prep.kept[cand[-1]] is None or explore_module._rejected(
+            prep, cand[-1], noc):
         return None
+    rows = _rows(prep, cand)
     sized = []
 
     def fit(hw, gb, rf):
@@ -730,8 +732,8 @@ def _check_factor_sizing(space, prep, cand):
         return buffers_fit(hw, gb, rf)
     with mock.patch.object(explore_module, "buffers_fit", fit):
         try:
-            got = explore_module._score_positional(space, prep, "edp", rows,
-                                                   *cand[-2:])
+            got = explore_module._score_positional(
+                space, prep, "edp", rows, _rank(prep, cand), cand[-1])
         except (CountOverflowError, ConfigError) as exc:
             got = exc
     want = _walk_score(space, prep, cand, sized)
@@ -874,9 +876,8 @@ class TestFactorScreen:
 
     def test_factor_sizing_equals_the_walk(self):
         # seeded positional spaces: any subset of the levels in any order,
-        # padded covers, allowed_factors, shared or per-kind capacities,
-        # buffering factor 1 or 2, stride 1, 2 or 4; seeded index draws and
-        # beam completions, whose whole dims may lie outside the table
+        # padded covers, shared or per-kind capacities, buffering factor 1
+        # or 2, stride 1, 2 or 4; seeded index draws and beam completions
         rng = random.Random(23)
         seen = Counter()
 
@@ -895,18 +896,13 @@ class TestFactorScreen:
                 stride=rng.choice((1, 2, 4)),
             )
             levels = rng.sample((DRAM, GB, NOC, RF), rng.choice((2, 3, 4, 4)))
-            allowed = {d: rng.sample((2, 3, 4, 5), 2)
-                       for d in rng.sample(DIMS, rng.choice((0, 0, 1, 2)))}
             space = SearchSpace(
                 hw, levels=tuple(levels),
                 orderings=((), ("f", "e", "s", "r", "c", "m")),
                 refresh_styles=rng.sample(list(STATIONARY_KIND), 2),
-                allowed_factors=allowed or None,
                 allow_nondivisor=rng.random() < 0.4,
             )
             prep = _prepare(space, layer)
-            if not prep.size:
-                continue
             whole = {d: (layer.dim(d),) + (1,) * (len(levels) - 1) for d in DIMS}
             features = {
                 "default levels" if tuple(levels) == (DRAM, GB, NOC, RF)
@@ -919,23 +915,22 @@ class TestFactorScreen:
             }
             for draw in range(60):
                 if draw % 3:
-                    cand, outside = _unrank(prep, rng.randrange(prep.size)), False
+                    cand, drawn = _unrank(prep, rng.randrange(prep.size)), set()
                 else:
                     # a beam completion: some dims whole at the outermost level
                     ts = [whole[d] if rng.random() < 0.5
                           else rng.choice(prep.tilings[d]) for d in DIMS]
                     cand = (*ts, rng.randrange(len(prep.groups)),
                             rng.randrange(len(prep.styles)))
-                    outside = any(t not in prep.tilings[d]
-                                  for t, d in zip(ts, DIMS))
+                    drawn = {"completion"}
                 verdict = _check_factor_sizing(space, prep, cand)
                 if verdict is not None:
-                    for feature in features | ({"outside"} if outside else set()):
+                    for feature in features | drawn:
                         seen[feature, verdict] += 1
         features = {feature for feature, _ in seen}
         assert features >= {
             "default levels", "reordered levels", "no DRAM", "no GB", "no NOC",
-            "stride 4", "buffering 2", "padded", "outside",
+            "stride 4", "buffering 2", "padded", "completion",
             "GB shared", "GB per-kind", "RF shared", "RF per-kind",
         }
         for feature in features:
@@ -972,43 +967,6 @@ class TestFactorScreen:
                 seen[_check_factor_sizing(space, prep, _unrank(prep, i))] += 1
         assert set(seen) - {None} == verdicts
         assert any(handed)
-
-    # beam completions leave a dim whole at the outermost level, a tiling
-    # outside the screen's table when allowed_factors excludes the dim's
-    # size; stats and sha256 of the canonical to_dict() JSON captured
-    # before the screen existed
-    @pytest.mark.parametrize("capacity_gb, capacity_rf, allowed, padded, pin", [
-        (1024, 64, {"c": (2,)}, False,
-         (202, 0, {"capacity": 6, "pe_array": 2},
-          "182083c5ef91bd032f00b81fd722d5000d5466ed3e68f5e91726df1c39c33abf")),
-        (4096, 256, {"e": (2, 3)}, True,
-         (282, 4, {"capacity": 4},
-          "cc0b2bbe812918a1eed73961221520e22a2c26a490571f85c9f97fbef29df233")),
-        (16384, 1024, {"c": (2,), "f": (2, 3)}, False,
-         (186, 4, {"capacity": 4},
-          "da3c288e28bef680e1bff90599c3c2c3231c4f1c3f2773817e0c91c75bf5c744")),
-    ])
-    def test_beam_with_allowed_factors(
-        self, capacity_gb, capacity_rf, allowed, padded, pin
-    ):
-        layer = LayerShape(m=4, c=4, r=3, s=3, e=6, f=6)
-        space = SearchSpace(
-            _hw(capacity_gb=capacity_gb, capacity_rf=capacity_rf),
-            allowed_factors=allowed,
-            allow_nondivisor=padded,
-        )
-
-        def run():
-            result = explore(space, layer, objective="edp", strategy="beam",
-                             beam_width=4, top_k=3)
-            text = canonical_json(result.to_dict())
-            return text, (
-                result.stats["evaluated"], result.stats["legal"],
-                result.stats["discarded"],
-                hashlib.sha256(text.encode()).hexdigest(),
-            )
-
-        assert run()[1] == pin
 
     def test_discards_build_no_violation(self, monkeypatch):
         built = []
@@ -1084,16 +1042,14 @@ class TestFactorScreen:
         # 2^48 (2^15 - 1) weights stay under 2^63
         fits = dataclasses.replace(huge, s=2**15 - 1)
         assert _prepare(space, fits).doomed == ["capacity", "capacity"]
-        # but not when s is padded to 2 x 2^14
-        padded = dataclasses.replace(
-            space, allow_nondivisor=True,
-            allowed_factors={"m": (2**16,), "c": (2**16,), "r": (2**16,),
-                             "s": (2, 2**14)},
-        )
-        prep = _prepare(padded, fits)
-        assert prep.doomed == [None, None]
-        with pytest.raises(CountOverflowError):
-            _evaluate(padded, prep, "edp", _unrank(prep, 0))
+        # but not when a dim can be padded: over two levels s = 2^15 - 1
+        # has covers such as 2 x 2^14, whose product passes the dim
+        padded = dataclasses.replace(space, levels=(GB, RF),
+                                     allow_nondivisor=True)
+        assert _prepare(padded, fits).doomed == [None, None]
+        with pytest.raises(CountOverflowError) as exc:
+            explore(padded, fits, strategy="random", n_samples=500)
+        assert str(exc.value) == "count 9254486468453990400 exceeds 2^63-1"
 
     def test_hopeless_styles_compute_no_tiles(self, monkeypatch):
         # conv3: neither kept tensor fits the 884,736-bit GB; stats captured
@@ -1112,32 +1068,27 @@ class TestFactorScreen:
         }
 
     def test_beam_scores_each_candidate_once(self, monkeypatch):
-        calls = []
-        evaluate = explore_module._evaluate
-
-        def counted(*args):
-            calls.append(args[-1])
-            return evaluate(*args)
-        monkeypatch.setattr(explore_module, "_evaluate", counted)
+        settled = _spy(monkeypatch, "_settle", lambda args, out: args[-1])
         space = SearchSpace(hardware_preset("eyeriss_normalized"))
         result = explore(space, layer_preset("alexnet_conv1"),
                          objective="edp", strategy="beam", beam_width=16)
-        # 960 at the parent of the memo: rounds and finalists revisit 96
+        # 960 without the memo: rounds and finalists revisit 96
+        calls = [i for indices in settled for i in indices]
         assert len(calls) == len(set(calls)) == 864
         assert result.stats["evaluated"] == 960
 
     # a survivor of the PE and doomed-style rule used to run it again
-    # before its loops were built; the walk records how many candidates
-    # each call settles: all of a random sample at once, one per _evaluate
-    @pytest.mark.parametrize("strategy, walk, evaluated", [
-        ("random", "_settle", 2000), ("beam", "_evaluate", 864),
+    # before its loops were built; each _settle call records how many
+    # candidates it judges: all of a random sample at once, beam's new
+    # candidates stage by stage
+    @pytest.mark.parametrize("strategy, evaluated", [
+        ("random", 2000), ("beam", 864),
     ])
     def test_rejected_runs_once_per_candidate(
-        self, monkeypatch, strategy, walk, evaluated
+        self, monkeypatch, strategy, evaluated
     ):
         rejected = _spy(monkeypatch, "_rejected", lambda args, out: out)
-        walked = _spy(monkeypatch, walk, lambda args, out: (
-            len(args[-1]) if walk == "_settle" else 1))
+        walked = _spy(monkeypatch, "_settle", lambda args, out: len(args[-1]))
         # every survivor is positional here
         scored = _spy(monkeypatch, "_score_positional", lambda args, out: out)
         explore(SearchSpace(hardware_preset("eyeriss_normalized")),
@@ -1163,7 +1114,8 @@ class TestFactorScreen:
         walks = _spy(monkeypatch, "_volumes_below",
                      lambda args, out: tuple(args[0]), module=loopnest_module)
         walked = _spy(monkeypatch, "_score", lambda args, out: (
-            tuple(_candidate_loops(args[1], args[3])[0]), out[0], True))
+            tuple(_candidate_loops(args[1], _unrank(args[1], args[3]))[0]),
+            out[0], True))
         sized = _spy(monkeypatch, "_score_positional",
                      lambda args, out: (None, out[0], False))
         reports = {name: _spy(monkeypatch, name, lambda args, out: None,
@@ -1227,10 +1179,12 @@ class TestRanking:
                      lambda args, out: args[-1])
         space = SearchSpace(hardware_preset("eyeriss_normalized"),
                             refresh_styles=REFRESH_STYLES)
-        result = explore(space, layer_preset("alexnet_conv5"),
-                         strategy="random", n_samples=300, seed=1, top_k=3)
+        layer = layer_preset("alexnet_conv5")
+        result = explore(space, layer, strategy="random", n_samples=300,
+                         seed=1, top_k=3)
         [(scored, codes)] = settled
-        legal = [(r[2], r[1]) for r in scored]
+        prep = _prepare(space, layer)
+        legal = [(_unrank(prep, r[2]), r[1]) for r in scored]
         assert len(scored) + len(codes) == 300
         assert len(legal) == result.stats["legal"]
         # exactly the candidates that rank or tie the last entry
