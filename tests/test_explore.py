@@ -271,10 +271,25 @@ class TestTilingEnumeration:
             whole = (value,) + (1,) * (k - 1)
             assert _tilings(value, k, padded)[-1] == whole
 
-    def test_no_space_is_empty(self):
+    # candidate indices follow each dim's list, and _digits finds a tiling
+    # in it by bisection
+    @pytest.mark.parametrize("padded", [False, True], ids=["divisor", "padded"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_tilings_are_in_lexicographic_order(self, k, padded):
+        alexnet = {layer.dim(d) for layer in network_preset("alexnet_conv")
+                   for d in DIMS}
+        for value in sorted(set(range(1, 201)) | alexnet):
+            tilings = _tilings(value, k, padded)
+            assert tilings == sorted(set(tilings))
+
+    # the whole tiling is a divisor tiling and a minimal cover, so every
+    # space keeps at least one candidate either way
+    @pytest.mark.parametrize("padded", [False, True], ids=["divisor", "padded"])
+    def test_no_space_is_empty(self, padded):
         rng = random.Random(4)
         for _ in range(200):
             space, layer = _random_space(rng)
+            space = dataclasses.replace(space, allow_nondivisor=padded)
             assert space_size(space, layer) >= 1
 
 
@@ -353,6 +368,11 @@ class TestSpaceValidation:
             )
         assert str(exc.value) == "ordering: 'GB' is not a MemLevel"
 
+    # a restriction the space no longer takes must not pass unnoticed
+    def test_allowed_factors_is_no_field(self):
+        with pytest.raises(TypeError, match="allowed_factors"):
+            SearchSpace(hw=_hw(), allowed_factors={"m": (2,)})
+
     # before the space checked its styles, random seeds 0, 2 and 5 drew
     # only the known style and returned an infeasible result
     @pytest.mark.parametrize("kwargs", [
@@ -412,10 +432,17 @@ class TestSpaceValidation:
         ({"strategy": "random", "n_samples": 5, "seed": 1.5},
          "seed: expected an integer, got 1.5"),
     ])
-    def test_search_arguments_checked(self, kwargs, message):
-        space = SearchSpace(hardware_preset("eyeriss_normalized"))
+    # a 16-bit GB holds no whole tensor of conv5: every candidate of the
+    # doomed space is discarded alike, and bad arguments are still refused
+    @pytest.mark.parametrize("capacity_gb", [None, 16], ids=["conv5", "doomed"])
+    def test_search_arguments_checked(self, kwargs, message, capacity_gb):
+        hw = hardware_preset("eyeriss_normalized")
+        if capacity_gb is not None:
+            hw = dataclasses.replace(hw, capacity_gb=capacity_gb)
+        space, layer = SearchSpace(hw), layer_preset("alexnet_conv5")
+        assert all(_prepare(space, layer).doomed) == (capacity_gb is not None)
         with pytest.raises(ConfigError) as exc:
-            explore(space, layer_preset("alexnet_conv5"), **kwargs)
+            explore(space, layer, **kwargs)
         assert message in str(exc.value)
 
     # NaN compares false, so a NaN capacity would read "fits" everywhere
@@ -482,12 +509,13 @@ class TestStrategies:
         assert result.feasible
         assert result.best is result.entries[0]
 
-    def test_full_width_beam_matches_exhaustive(self):
+    @pytest.mark.parametrize("objective", ["energy", "latency", "edp"])
+    def test_full_width_beam_matches_exhaustive(self, objective):
         space = two_level_space(roomy_hw())
         size = space_size(space, SMALL)
-        exhaustive = explore(space, SMALL, objective="energy", top_k=8)
+        exhaustive = explore(space, SMALL, objective=objective, top_k=8)
         beam = explore(
-            space, SMALL, objective="energy", strategy="beam",
+            space, SMALL, objective=objective, strategy="beam",
             top_k=8, beam_width=size,
         )
         assert [(e.objective_value, e.dsl) for e in beam.entries] == [
@@ -968,6 +996,43 @@ class TestFactorScreen:
         assert set(seen) - {None} == verdicts
         assert any(handed)
 
+    # the three spaces pinned with allowed_factors before the knob went,
+    # now unrestricted; stats and sha256 of the canonical to_dict() JSON
+    # captured while beam still judged candidate tuples
+    @pytest.mark.parametrize("capacity_gb, capacity_rf, padded, strategy, pin", [
+        (1024, 64, False, "random",
+         (2000, 0, {"capacity": 1018, "pe_array": 982},
+          "43d6ccf42010239745f677e59f3e65804e7a6b1846e40b4747de4c66c1101102")),
+        (1024, 64, False, "beam",
+         (218, 0, {"capacity": 8},
+          "b3b92cd2a3b08826b26d9408f9419b9783b2c3782684c580440c9cacb843dfe0")),
+        (4096, 256, True, "random",
+         (2000, 57, {"capacity": 751, "pe_array": 1192},
+          "964a0751d9d516263d6ff1223b75f71fe53dab5e8bac11612ac9236174af0bf5")),
+        (4096, 256, True, "beam",
+         (298, 4, {"capacity": 4},
+          "96a2e7f292e790add4fbb696c44a530efb0918a317730e0f070b0649d1bf5e92")),
+        (16384, 1024, False, "random",
+         (2000, 783, {"capacity": 235, "pe_array": 982},
+          "f84ea8671e428ee91a2d8a38e7ab4e0460d76f65f539a76f293c1e6060e1df5d")),
+        (16384, 1024, False, "beam",
+         (218, 4, {"capacity": 4},
+          "b82793ced7e5a928cc5f0c5390b5c7378941eae89daee06f2aad1bb633ac7704")),
+    ])
+    def test_search_pin(self, capacity_gb, capacity_rf, padded, strategy, pin):
+        layer = LayerShape(m=4, c=4, r=3, s=3, e=6, f=6)
+        space = SearchSpace(
+            _hw(capacity_gb=capacity_gb, capacity_rf=capacity_rf),
+            allow_nondivisor=padded,
+        )
+        result = explore(space, layer, objective="edp", strategy=strategy,
+                         n_samples=2000, beam_width=4, top_k=3)
+        text = canonical_json(result.to_dict())
+        assert (
+            result.stats["evaluated"], result.stats["legal"],
+            result.stats["discarded"], hashlib.sha256(text.encode()).hexdigest(),
+        ) == pin
+
     def test_discards_build_no_violation(self, monkeypatch):
         built = []
 
@@ -1067,15 +1132,22 @@ class TestFactorScreen:
             "discarded": {"capacity": 201, "pe_array": 99},
         }
 
-    def test_beam_scores_each_candidate_once(self, monkeypatch):
+    # conv1: 960 without the memo, as rounds and finalists revisit 96;
+    # conv2-5 doom their first style, so only the 32 finalists are judged
+    @pytest.mark.parametrize("layer, unique, evaluated", [
+        ("alexnet_conv1", 864, 960), ("alexnet_conv2", 32, 3205),
+        ("alexnet_conv3", 32, 3408), ("alexnet_conv4", 32, 6144),
+        ("alexnet_conv5", 32, 5829),
+    ])
+    def test_beam_scores_each_candidate_once(self, monkeypatch, layer,
+                                             unique, evaluated):
         settled = _spy(monkeypatch, "_settle", lambda args, out: args[-1])
         space = SearchSpace(hardware_preset("eyeriss_normalized"))
-        result = explore(space, layer_preset("alexnet_conv1"),
+        result = explore(space, layer_preset(layer),
                          objective="edp", strategy="beam", beam_width=16)
-        # 960 without the memo: rounds and finalists revisit 96
         calls = [i for indices in settled for i in indices]
-        assert len(calls) == len(set(calls)) == 864
-        assert result.stats["evaluated"] == 960
+        assert len(calls) == len(set(calls)) == unique
+        assert result.stats["evaluated"] == evaluated
 
     # a survivor of the PE and doomed-style rule used to run it again
     # before its loops were built; each _settle call records how many
@@ -1355,6 +1427,35 @@ class TestLazyBeam:
             with monkeypatch.context() as m:
                 m.setattr(explore_module, "_beam", _ref_beam)
                 assert got == run(space, layer, kwargs), (space, layer, kwargs)
+
+    # stage j judges the pool's partials with dim j set; the dims after it
+    # stay whole at the outermost level, ordering and style at digit 0
+    @pytest.mark.parametrize("padded", [False, True], ids=["divisor", "padded"])
+    @pytest.mark.parametrize("levels", [
+        (GB, RF), (NOC, RF), (GB, NOC, RF), (DRAM, NOC, RF), (DRAM, GB, NOC, RF),
+    ], ids=lambda levels: "-".join(m.name for m in levels))
+    def test_completions_leave_unassigned_dims_whole(self, monkeypatch,
+                                                     levels, padded):
+        layer = LayerShape(m=4, c=2, r=3, s=1, e=6, f=2)
+        space = SearchSpace(roomy_hw(), levels=levels,
+                            orderings=((), ("f", "e", "s", "r", "c", "m")),
+                            allow_nondivisor=padded)
+        prep = _prepare(space, layer)
+        assert not prep.doomed[0]
+        settled = _spy(monkeypatch, "_settle", lambda args, out: list(args[-1]))
+        explore(space, layer, objective="edp", strategy="beam", beam_width=3)
+        # a stage per dim, then orderings, then the finalists
+        assert len(settled) == len(DIMS) + 2
+        ones = (1,) * (len(levels) - 1)
+        whole = [(layer.dim(d),) + ones for d in DIMS]
+        assert [_unrank(prep, i) for i in settled[0]] == [
+            (t, *whole[1:], 0, 0) for t in prep.tilings["m"]
+        ]
+        for j, indices in enumerate(settled[:len(DIMS)]):
+            for i in indices:
+                cand = _unrank(prep, i)
+                assert list(cand[j + 1:len(DIMS)]) == whole[j + 1:]
+                assert cand[-2:] == (0, 0)
 
 
 # explore(..., objective="edp", n_samples=2000, beam_width=16, seed=0) on
