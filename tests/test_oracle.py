@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from accel_predict import (
+    ConfigError,
     DataKind,
     InstanceTooLargeError,
     LayerShape,
@@ -151,6 +152,23 @@ class TestMeasurementDetails:
             simulate(nest, refresh, cap=7)
         with pytest.raises(InstanceTooLargeError, match="4 temporal steps"):
             simulate(nest, refresh, cap=3)
+
+    @pytest.mark.parametrize(
+        "cap", [float("nan"), "10", True, 1.5e9, 0, -5],
+        ids=["nan", "str", "bool", "float", "zero", "negative"],
+    )
+    def test_cap_must_be_an_integer_of_at_least_one(self, cap):
+        # unchecked, nan makes every cap comparison false (no bound at
+        # all), "10" fails mid-walk with a TypeError, True is compared as
+        # 1 and 1.5e9 as a float
+        layer = LayerShape(m=8, c=4, r=1, s=1, e=1, f=1)
+        nest = nest_of(layer, ("c", 4, GB), ("m", 8, NOC, True))
+        refresh = RefreshLocations.outermost(nest)
+        message = f"cap: expected an integer >= 1, got {cap!r}"
+        for run in (simulate, check):
+            with pytest.raises(ConfigError) as err:
+                run(nest, refresh, cap=cap)
+            assert str(err.value) == message
 
     def test_assume_stride_one_matches_on_both_sides(self):
         layer = LayerShape(m=2, c=2, r=3, s=3, e=4, f=4, stride=2)
