@@ -90,11 +90,8 @@ def _error(
     return DslError(message, lineno, indent + (m.start(group) + 1 if m else 1))
 
 
-def _parse_loop(line: str, lineno: int, indent: int) -> LoopLevel:
-    m = _LOOP_RE.match(line)
-    if m is None:
-        raise _error("malformed loop, expected 'for DIM in 0..N @LEVEL'",
-                     lineno, indent)
+def _loop(m: re.Match, lineno: int, indent: int) -> LoopLevel:
+    """The loop of a line that matched _LOOP_RE; each field is checked."""
     kw, dim_name, in_kw, lo, bound_text, mem_name = m.groups()
     if in_kw.lower() != "in":
         raise _error(f"expected 'in', got {in_kw!r}", lineno, indent, m, "in")
@@ -139,26 +136,32 @@ def _parse_refresh(line: str, lineno: int, indent: int) -> RefreshStmt:
 def parse(text: str) -> DslDocument:
     statements = []
     seen_refresh: dict[tuple[DataKind, MemLevel], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        stripped = line.strip()
-        if not stripped:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        # both statement patterns end in \s*$, so only the indent is stripped
+        body = line.lstrip()
+        if not body:
             continue
-        indent = len(line) - len(line.lstrip())
-        head = stripped.split(None, 1)[0].lower()
+        indent = len(line) - len(body)
+        m = _LOOP_RE.match(body)
+        if m is not None:
+            statements.append(_loop(m, lineno, indent))
+            continue
+        head = body.split(None, 1)[0].lower()
         if head in ("for", "parallel-for"):
-            statements.append(_parse_loop(stripped, lineno, indent))
-        elif head == "refresh":
-            stmt = _parse_refresh(stripped, lineno, indent)
-            key = (stmt.kind, stmt.mem)
-            if key in seen_refresh:
-                raise _error(f"duplicate refresh for {stmt.kind} @{stmt.mem.label} "
-                             f"(first on line {seen_refresh[key]})", lineno, indent)
-            seen_refresh[key] = lineno
-            statements.append(stmt)
-        else:
+            raise _error("malformed loop, expected 'for DIM in 0..N @LEVEL'",
+                         lineno, indent)
+        if head != "refresh":
             raise _error(f"expected 'for', 'parallel-for' or 'refresh', got {head!r}",
                          lineno, indent)
+        stmt = _parse_refresh(body, lineno, indent)
+        key = (stmt.kind, stmt.mem)
+        if key in seen_refresh:
+            raise _error(f"duplicate refresh for {stmt.kind} @{stmt.mem.label} "
+                         f"(first on line {seen_refresh[key]})", lineno, indent)
+        seen_refresh[key] = lineno
+        statements.append(stmt)
     return DslDocument(tuple(statements))
 
 

@@ -59,10 +59,14 @@ class LoopNest:
     def __post_init__(self):
         levels = tuple(self.levels)
         object.__setattr__(self, "levels", levels)
-        # Nests are immutable, so these are built once: the planner's flat
-        # loops, each (dim index in DIMS, bound, spatial), outermost first;
-        # the indices where the GB, NoC and RF groups start; and the nest's
-        # own half of validate_structure.
+        # Nests are immutable, so one walk builds these once: the planner's flat
+        # loops, each (dim index in DIMS, bound, spatial), outermost first; the
+        # GB, NoC and RF group starts; and for _structure_violations, the levels
+        # out of bound or group order, the spatial indices and the dim factors.
+        first = [len(levels)] * 3 + [0]  # by MemLevel: first loop at it or inner
+        low = _DRAM
+        loops, odd, spatial_at = [], [], []
+        factors = {d: [] for d in DIMS}
         for i, (dim, bound, mem, spatial) in enumerate(levels):
             if type(bound) is not int or type(mem) is not MemLevel:
                 what = (f"bound {bound!r} is not an integer" if type(bound) is not int
@@ -72,20 +76,23 @@ class LoopNest:
                 raise ConfigError(f"levels[{i}]: unknown loop dimension {dim!r}")
             if spatial and mem is not _NOC:
                 raise ConfigError(f"levels[{i}]: spatial loops are only allowed at NoC")
-        object.__setattr__(self, "loops", tuple(
-            (_DIM_INDEX[lv.dim], lv.bound, lv.spatial) for lv in levels
-        ))
-        object.__setattr__(self, "starts", tuple(
-            self.group_start(mem) for mem in (_GB, _NOC, _RF)
-        ))
+            if bound < 1 or mem > low:
+                odd.append((i, bound, mem, low))
+            if mem < low:
+                first[mem:low] = [i] * (low - mem)
+                low = mem
+            if spatial:
+                spatial_at.append(i)
+            loops.append((_DIM_INDEX[dim], bound, spatial))
+            factors[dim].append(bound)
+        object.__setattr__(self, "loops", tuple(loops))
+        object.__setattr__(self, "starts", (first[_GB], first[_NOC], first[_RF]))
+        object.__setattr__(self, "_walk", (first, odd, spatial_at, factors))
         object.__setattr__(self, "structure_violations", _structure_violations(self))
 
     def group_start(self, mem: MemLevel) -> int:
         """Index of the first loop at `mem` or inner; len(levels) if none."""
-        for i, lv in enumerate(self.levels):
-            if lv.mem <= mem:
-                return i
-        return len(self.levels)
+        return self._walk[0][mem]
 
     def n_pe_active(self) -> int:
         return checked_product([lv.bound for lv in self.levels if lv.spatial])
@@ -322,43 +329,37 @@ def _check_coverage(true_dim: int, factors) -> tuple[int, list[int]]:
     """The minimal-cover rule: the factors' product, and each factor that
     could shrink with it still covering `true_dim` (none if it falls short)."""
     product = math.prod(factors)
-    shrinkable = []
-    for b in factors:
-        if b > 1 and (product // b) * (b - 1) >= true_dim:
-            shrinkable.append(b)
-    return product, shrinkable
+    if product <= true_dim:  # shrinking any factor leaves less than product
+        return product, []
+    return product, [b for b in factors
+                     if b > 1 and (product // b) * (b - 1) >= true_dim]
 
 
 def _structure_violations(nest: LoopNest) -> tuple[Violation, ...]:
-    """The checks that depend on the nest alone: bounds, grouping order,
-    spatial contiguity, coverage and minimal padding."""
+    """The checks on the nest alone (bounds, grouping order, spatial contiguity,
+    coverage, minimal padding), read from what the nest's one walk collected."""
     out: list[Violation] = []
 
     def flag(field: str, message: str) -> None:
         out.append(Violation("structure", field, message))
 
-    prev = _DRAM
-    per_dim: dict[str, list[int]] = {d: [] for d in DIMS}
-    for i, lv in enumerate(nest.levels):
-        if lv.bound < 1:
+    _, odd, spatial, factors = nest._walk
+    for i, bound, mem, prev in odd:
+        if bound < 1:
             flag(f"levels[{i}]", "bound must be >= 1")
-        if lv.mem > prev:
+        if mem > prev:
             flag(
                 f"levels[{i}]",
-                f"{lv.mem.label} loop after {prev.label}; groups must "
+                f"{mem.label} loop after {prev.label}; groups must "
                 "run DRAM->GB->NoC->RF outermost to innermost",
             )
-        elif lv.mem < prev:
-            prev = lv.mem
-        per_dim[lv.dim].append(lv.bound)
 
-    spatial = [i for i, lv in enumerate(nest.levels) if lv.spatial]
     if spatial and spatial[-1] - spatial[0] != len(spatial) - 1:
         flag("levels", "spatial loops must be contiguous within NoC")
 
-    for d in DIMS:
+    for d, dim_factors in factors.items():
         true_dim = getattr(nest.layer, d)
-        product, shrinkable = _check_coverage(true_dim, per_dim[d])
+        product, shrinkable = _check_coverage(true_dim, dim_factors)
         if product < true_dim:
             flag(f"dim {d}", f"tiling product {product} < layer dim {true_dim}")
         for b in shrinkable:

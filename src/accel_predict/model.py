@@ -128,7 +128,7 @@ class LayerShape:
 
 def mac_count(layer: LayerShape) -> int:
     """Total multiply-accumulates for one layer, m*c*r*s*e*f."""
-    return checked_product(layer.dim(d) for d in DIMS)
+    return checked_product((layer.m, layer.c, layer.r, layer.s, layer.e, layer.f))
 
 
 def input_extent(tiles: int, kernel: int, stride: int) -> int:

@@ -44,9 +44,9 @@ from .model import (
 # points. Each distinct refresh depth (at most 6) enumerates the steps
 # above it, so the refresh count runs at most 6x the capped steps. An
 # AlexNet layer checks in under a millisecond; 10**7 steps take ~0.25 s
-# over seven loops of 10 and ~2 s, the worst case, when six depths each
-# enumerate them below five innermost loops of bound 1 (Python 3.11, one
-# core of a shared 2-core host).
+# over seven loops of 10, and ~1.5 s in the worst case, six depths each
+# enumerating them all past bound-1 loops, which cost nothing (23 loops of
+# 2 take as long; Python 3.11, one core of a shared 2-core host).
 DEFAULT_CAP = 10**7
 
 # bound once: reading a member off an Enum class runs EnumType's slow hook
@@ -69,12 +69,14 @@ class AccessCounters:
 def _count_refresh_events(bounds: list[int], depths: set[int]) -> dict[int, int]:
     """For each depth d, the iterations of the loops over bounds[:d]: a
     buffer at depth d is refilled once per such iteration. Each is
-    enumerated, and counted in C; product() of no loops yields one
-    empty, falsy tuple, so depth 0 counts its one fill directly."""
-    return {
-        d: sum(compress(repeat(1), product(*map(range, bounds[:d])))) if d else 1
-        for d in depths
-    }
+    enumerated, and counted in C. A bound-1 loop adds its one iteration
+    without a range of its own, and product() of no ranges yields one
+    empty, falsy tuple, so a prefix with none counts its one fill directly."""
+    counts = {}
+    for d in depths:
+        ranges = [range(b) for b in bounds[:d] if b != 1]
+        counts[d] = sum(compress(repeat(1), product(*ranges))) if ranges else 1
+    return counts
 
 
 def _touched(loops, scale: dict[str, int]) -> set[int]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import json
-import math
+from math import isfinite
 from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -39,7 +39,9 @@ _REFRESH_LEVELS = {"GB": MemLevel.GB, "RF": MemLevel.RF}
 
 def canonical_json(obj) -> str:
     """Deterministic JSON text; floats use 17 significant digits."""
-    return _json_text(obj) + "\n"
+    out: list[str] = []
+    _write_json(obj, out)
+    return "".join(out) + "\n"
 
 
 @functools.lru_cache(maxsize=4096)
@@ -48,31 +50,45 @@ def _str_key_text(key: str) -> str:
     return encode_basestring_ascii(key) + ": "
 
 
-def _json_text(obj) -> str:
-    """One value as JSON text. Each test tries the exact type before isinstance,
-    keeping the precedence of subclasses (IntEnum prints as int) and Mappings."""
+def _write_json(obj, out: list[str]) -> None:
+    """Append one value as JSON text. Each test tries the exact type before
+    isinstance (an exact dict skips them), keeping the precedence of
+    subclasses (IntEnum prints as int) and Mappings; a dict writes its
+    exact-type int, float and str values itself."""
     t = type(obj)
     if obj is None:
-        return "null"
-    if t is bool:
-        return "true" if obj else "false"
-    if t is int or isinstance(obj, int):
-        return str(obj)
-    if t is float or isinstance(obj, float):
-        if not math.isfinite(obj):
+        out.append("null")
+    elif t is bool:
+        out.append("true" if obj else "false")
+    elif t is int or t is not dict and isinstance(obj, int):
+        out.append(str(obj))
+    elif t is float or t is not dict and isinstance(obj, float):
+        if not isfinite(obj):
             raise ConfigError(f"cannot serialize non-finite number {obj}")
-        return f"{obj:.17g}"
-    if t is str or isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if t is dict or isinstance(obj, Mapping):
-        return "{" + ", ".join([
-            (_str_key_text(k) if type(k) is str
-             else encode_basestring_ascii(str(k)) + ": ") + _json_text(v)
-            for k, v in obj.items()
-        ]) + "}"
-    if t is list or t is tuple or isinstance(obj, (list, tuple)):
-        return "[" + ", ".join([_json_text(v) for v in obj]) + "]"
-    raise ConfigError(f"cannot serialize {type(obj).__name__} to JSON")
+        out.append(f"{obj:.17g}")
+    elif t is str or t is not dict and isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif t is dict or isinstance(obj, Mapping):
+        # each item ends in ", ", and the last one's becomes the closing brace
+        out.append("{")
+        for k, v in obj.items():
+            out.append(_str_key_text(k) if type(k) is str
+                       else encode_basestring_ascii(str(k)) + ": ")
+            t = type(v)
+            if t is float and isfinite(v):
+                out.append(f"{v:.17g}")
+            elif t is int:
+                out.append(str(v))
+            elif t is str:
+                out.append(encode_basestring_ascii(v))
+            else:
+                _write_json(v, out)
+            out.append(", ")
+        out[-1] = "}" if out[-1] == ", " else "{}"
+    elif t is list or t is tuple or isinstance(obj, (list, tuple)):
+        out.append("[" + ", ".join([canonical_json(v)[:-1] for v in obj]) + "]")
+    else:
+        raise ConfigError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def _float_field(raw, path: str) -> float:

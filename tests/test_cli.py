@@ -138,9 +138,28 @@ def _outcome(write, obj):
         return ("ConfigError", str(exc))
 
 
-json_keys = st.text() | st.integers() | st.booleans()
+class _Level(int):
+    """An int subclass, as IntEnum members are."""
+
+
+class _Real(float):
+    """A float subclass."""
+
+
+class _Text(str):
+    """A str subclass."""
+
+
+# The writer inlines only a dict's exact-type int, float and str values, so
+# the trees mix in subclass leaves and keys (IntEnum members among them).
+_subclass_leaves = (
+    st.integers().map(_Level) | st.floats().map(_Real) | st.text().map(_Text)
+    | st.sampled_from(list(MemLevel))
+)
+json_keys = st.text() | st.integers() | st.booleans() | _subclass_leaves
 json_trees = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | _subclass_leaves,
     lambda inner: (
         st.lists(inner)
         | st.lists(inner).map(tuple)
@@ -156,8 +175,23 @@ def test_canonical_json_matches_reference(tree):
     assert _outcome(canonical_json, tree) == _outcome(_reference_json, tree)
 
 
-class _Level(int):
-    """An int subclass, as IntEnum members are."""
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(json_keys, _subclass_leaves | st.booleans(), min_size=1))
+def test_subclass_dict_values_match_reference(tree):
+    # every value is a subclass or a bool, so none is written inline
+    assert _outcome(canonical_json, tree) == _outcome(_reference_json, tree)
+
+
+@pytest.mark.parametrize("tree", [
+    {"level": _Level(3), "real": _Real(0.1), "text": _Text("a\"b"),
+     "gb": MemLevel.GB, "yes": True, "no": False},
+    {"bad": _Real("nan")},
+    {"bad": _Real("-inf"), "late": 1},
+    [_Real(2.5), _Level(-4), _Text("x"), MemLevel.RF, True],
+    {_Text("k"): {_Level(1): _Real(1e300)}, MemLevel.NOC: [False, None]},
+])
+def test_subclass_leaves_match_reference(tree):
+    assert _outcome(canonical_json, tree) == _outcome(_reference_json, tree)
 
 
 @pytest.mark.parametrize("tree", [

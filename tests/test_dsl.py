@@ -1,6 +1,7 @@
 """Dataflow text language: grammar, positions, canonical printing."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -290,3 +291,198 @@ def test_parse_render_round_trip(doc):
 def test_render_is_a_fixed_point(doc):
     text = render_document(doc)
     assert fmt(text) == text
+
+
+# ----------------------------------------- parse against its former self
+#
+# The parser before it matched the loop pattern first, kept verbatim (with
+# its patterns, error helper and name tables) as the reference: every
+# document must give the same statements, or the same DslError text, line
+# and column.
+
+_REF_LEVELS = {"dram": DRAM, "gb": GB, "noc": NOC, "rf": RF}
+_REF_KINDS = {"i": I, "o": O, "w": W}
+_REF_LOOP_RE = re.compile(
+    r"""^(?P<kw>for|parallel-for)\s+
+        (?P<dim>\S+)\s+
+        (?P<in>\S+)\s+
+        (?P<lo>\d+)\s*\.\.\s*(?P<bound>\d+)\s*
+        @\s*(?P<mem>\S+)\s*$""",
+    re.VERBOSE | re.IGNORECASE,
+)
+_REF_REFRESH_RE = re.compile(
+    r"^refresh\s+(?P<kind>\S+)\s*@\s*(?P<mem>\S+)\s*$", re.IGNORECASE
+)
+
+
+def _ref_error(message, lineno, indent, m=None, group=""):
+    return DslError(message, lineno, indent + (m.start(group) + 1 if m else 1))
+
+
+def _ref_parse_loop(line, lineno, indent):
+    m = _REF_LOOP_RE.match(line)
+    if m is None:
+        raise _ref_error("malformed loop, expected 'for DIM in 0..N @LEVEL'",
+                         lineno, indent)
+    kw, dim_name, in_kw, lo, bound_text, mem_name = m.groups()
+    if in_kw.lower() != "in":
+        raise _ref_error(f"expected 'in', got {in_kw!r}", lineno, indent, m, "in")
+    dim = dim_name.lower()
+    if dim not in DIMS:
+        raise _ref_error(f"unknown dimension {dim_name!r}", lineno, indent, m, "dim")
+    if lo != "0":
+        raise _ref_error("loop ranges start at 0", lineno, indent, m, "lo")
+    try:
+        bound = int(bound_text)
+    except ValueError as exc:  # more digits than Python converts
+        raise _ref_error(f"loop bound of {len(bound_text)} digits is too long to read",
+                         lineno, indent, m, "bound") from exc
+    if bound < 1:
+        raise _ref_error("loop bound must be >= 1", lineno, indent, m, "bound")
+    mem = _REF_LEVELS.get(mem_name.lower())
+    if mem is None:
+        raise _ref_error(f"unknown memory level {mem_name!r}", lineno, indent, m, "mem")
+    spatial = kw.lower() == "parallel-for"
+    if spatial and mem is not NOC:
+        raise _ref_error("spatial loop only allowed at NoC", lineno, indent, m, "mem")
+    return LoopLevel(dim, bound, mem, spatial)
+
+
+def _ref_parse_refresh(line, lineno, indent):
+    m = _REF_REFRESH_RE.match(line)
+    if m is None:
+        raise _ref_error("malformed refresh, expected 'refresh KIND @LEVEL'",
+                         lineno, indent)
+    kind_name, mem_name = m.groups()
+    kind = _REF_KINDS.get(kind_name.lower())
+    if kind is None:
+        raise _ref_error(f"unknown data kind {kind_name!r}", lineno, indent, m, "kind")
+    mem = _REF_LEVELS.get(mem_name.lower())
+    if mem is None:
+        raise _ref_error(f"unknown memory level {mem_name!r}", lineno, indent, m, "mem")
+    if mem is not GB and mem is not RF:
+        raise _ref_error("refresh must target GB or RF", lineno, indent, m, "mem")
+    return RefreshStmt(kind, mem)
+
+
+def _ref_parse(text):
+    statements = []
+    seen_refresh = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        stripped = line.strip()
+        if not stripped:
+            continue
+        indent = len(line) - len(line.lstrip())
+        head = stripped.split(None, 1)[0].lower()
+        if head in ("for", "parallel-for"):
+            statements.append(_ref_parse_loop(stripped, lineno, indent))
+        elif head == "refresh":
+            stmt = _ref_parse_refresh(stripped, lineno, indent)
+            key = (stmt.kind, stmt.mem)
+            if key in seen_refresh:
+                raise _ref_error(f"duplicate refresh for {stmt.kind} @{stmt.mem.label} "
+                                 f"(first on line {seen_refresh[key]})", lineno, indent)
+            seen_refresh[key] = lineno
+            statements.append(stmt)
+        else:
+            raise _ref_error(f"expected 'for', 'parallel-for' or 'refresh', got {head!r}",
+                             lineno, indent)
+    return DslDocument(tuple(statements))
+
+
+def _parse_outcome(parse_text, text):
+    """The statements (each with its type) parse_text gives, or its error."""
+    try:
+        doc = parse_text(text)
+    except DslError as exc:
+        return "DslError", str(exc), exc.line, exc.column
+    return [(type(s).__name__, *s) for s in doc.statements]
+
+
+# Each slot of a statement draws a well-formed token, or, for at most one
+# slot per line, a token that goes wrong. Whitespace includes tabs and
+# Unicode spaces (no-break, em, ideographic) that str.split, strip and the
+# patterns' \s all treat as whitespace; \x0b, \x1c and the line separator
+# U+2028 also end a line for splitlines.
+_TOKENS = {  # slot: (well-formed, wrong)
+    "indent": (["", "", "  ", "\t", "\u00a0 ", "\u3000"], ["\x0b", "\u2028 "]),
+    "space": ([" ", " ", "  ", "\t", "\u00a0", "\u2003", "\u3000"],
+              ["", "\x0b", "\x1c", "\u2028"]),
+    "for": (["for", "for", "FOR", "fOr"], ["forx", "fo r", "f\u00f6r", "parallel-for"]),
+    "parallel-for": (["parallel-for", "Parallel-For", "PARALLEL-FOR"],
+                     ["parallel_for", "parallel-", "parallel for", "for"]),
+    "dim": ([*DIMS, "M", "E"], ["x", "mm", "\u00e9", "\u017f", "0", "m#"]),
+    "in": (["in", "IN", "In"], ["on", "\u0131n", "\u0130n", "in:", ""]),
+    "lo": (["0"], ["00", "1", "000", "-0", "x", ""]),
+    "dots": (["..", " .. ", "\t..\t"], ["...", ".", ". ."]),
+    "bound": (["4", "2", "13", "1", "007"], ["0", "00", "9" * 5000, "12a", ""]),
+    "at": (["@", "@ ", " @"], ["", "@@", "#@"]),
+    "level": (["DRAM", "GB", "NoC", "RF", "dram", "gb", "noc", "rf", "Gb"],
+              ["L1", "DRAM!", "", "gb x", "R F"]),
+    "refresh": (["refresh", "REFRESH", "Refresh"],
+                ["refre\u017fh", "refreshx", "refresh@", "re fresh"]),
+    "kind": (["I", "O", "W", "i", "o", "w"], ["X", "IO", ""]),
+    "buffer": (["GB", "RF", "gb", "rf", "Rf"], ["DRAM", "NoC", "L2", ""]),
+    "noc": (["NoC", "noc", "NOC"], ["GB", "RF", "DRAM", "L1"]),
+    "tail": (["", "", "  ", "\t", " # note", "#", "# for m in 0..2 @GB"],
+             [" x", " @GB", " 0..2"]),
+}
+_STATEMENTS = {
+    "loop": ("indent", "for", "space", "dim", "space", "in", "space", "lo",
+             "dots", "bound", "space", "at", "level", "tail"),
+    "spatial": ("indent", "parallel-for", "space", "dim", "space", "in", "space",
+                "lo", "dots", "bound", "space", "at", "noc", "tail"),
+    "refresh": ("indent", "refresh", "space", "kind", "space", "at", "buffer",
+                "tail"),
+    "blank": ("indent", "tail"),
+}
+
+
+@st.composite
+def _dflow_lines(draw):
+    slots = _STATEMENTS[draw(st.sampled_from(["loop"] * 4 + ["spatial"]
+                                             + ["refresh"] * 3 + ["blank"]))]
+    wrong = draw(st.integers(0, 5 * len(slots)))  # a slot index, or none
+    return "".join(
+        draw(st.sampled_from(_TOKENS[slot][i == wrong])) for i, slot in enumerate(slots)
+    )
+
+
+@st.composite
+def mutated_documents(draw):
+    lines = draw(st.lists(_dflow_lines(), max_size=12))
+    return draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])).join(lines)
+
+
+@settings(max_examples=600, deadline=None)
+@given(mutated_documents())
+def test_parse_matches_reference_on_mutated_documents(text):
+    assert _parse_outcome(parse, text) == _parse_outcome(_ref_parse, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(documents())
+def test_parse_matches_reference_on_rendered_documents(doc):
+    text = render_document(doc)
+    assert _parse_outcome(parse, text) == _parse_outcome(_ref_parse, text)
+
+
+@pytest.mark.parametrize("text", [
+    "refre\u017fh W @GB",  # the pattern's IGNORECASE folds long s to s; head does not
+    "for m \u0131n 0..2 @GB",
+    "FOR m IN 0..4 @gb\n  Parallel-For E in 0 .. 2 @NOC\t# x\n    for c in 0..3 @Rf  ",
+    "for m in 0..4 @DRAM\nfor c in 0..0 @GB",
+    "for m in 00..4 @DRAM",
+    "refresh W @GB\u2028for m in 0..2 @DRAM\x0brefresh W @gb",
+    "\u00a0\u3000for\u2003m\tin 0..2 @\u00a0GB\u3000",
+    "parallel-for m in 0..2 @GB",
+    "for m in 0..4 @DRAM # refresh W @GB\n# for\nrefresh I @RF # dup?\nrefresh i @rf",
+    "for m in 0.." + "9" * 5000 + " @DRAM",
+    "for m 0..4 @DRAM",
+    "\tfor x in 0..2 @GB",
+    "refresh W GB",
+    "refresh W @NoC",
+])
+def test_parse_matches_reference_on_edge_documents(text):
+    assert _parse_outcome(parse, text) == _parse_outcome(_ref_parse, text)

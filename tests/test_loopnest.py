@@ -35,6 +35,7 @@ from accel_predict import (
     validate_structure,
 )
 from accel_predict.loopnest import (
+    _check_coverage,
     _overflows,
     buffers_fit,
     check_ordering,
@@ -173,6 +174,132 @@ class TestBuildNest:
         layer = LayerShape(m=2, c=1, r=1, s=1, e=1, f=1)
         with pytest.raises(ConfigError):
             build_nest(layer, {GB: {"m": 0}})
+
+
+# ------------------------------------------ the nest's one walk, referenced
+#
+# LoopNest builds its flat loops, group starts and structure violations in
+# one walk. Before that, the group starts came from three group_start scans
+# and the violations from a walk of their own; both are kept here verbatim
+# as the reference.
+
+
+def _ref_group_start(levels, mem):
+    """Index of the first loop at `mem` or inner; len(levels) if none."""
+    for i, lv in enumerate(levels):
+        if lv.mem <= mem:
+            return i
+    return len(levels)
+
+
+def _ref_check_coverage(true_dim, factors):
+    product = math.prod(factors)
+    shrinkable = []
+    for b in factors:
+        if b > 1 and (product // b) * (b - 1) >= true_dim:
+            shrinkable.append(b)
+    return product, shrinkable
+
+
+def _ref_structure_violations(nest):
+    out = []
+
+    def flag(field, message):
+        out.append(Violation("structure", field, message))
+
+    prev = DRAM
+    per_dim = {d: [] for d in DIMS}
+    for i, lv in enumerate(nest.levels):
+        if lv.bound < 1:
+            flag(f"levels[{i}]", "bound must be >= 1")
+        if lv.mem > prev:
+            flag(
+                f"levels[{i}]",
+                f"{lv.mem.label} loop after {prev.label}; groups must "
+                "run DRAM->GB->NoC->RF outermost to innermost",
+            )
+        elif lv.mem < prev:
+            prev = lv.mem
+        per_dim[lv.dim].append(lv.bound)
+
+    spatial = [i for i, lv in enumerate(nest.levels) if lv.spatial]
+    if spatial and spatial[-1] - spatial[0] != len(spatial) - 1:
+        flag("levels", "spatial loops must be contiguous within NoC")
+
+    for d in DIMS:
+        true_dim = getattr(nest.layer, d)
+        product, shrinkable = _ref_check_coverage(true_dim, per_dim[d])
+        if product < true_dim:
+            flag(f"dim {d}", f"tiling product {product} < layer dim {true_dim}")
+        for b in shrinkable:
+            flag(f"dim {d}", f"padding is not minimal: factor {b} could shrink "
+                 f"({product}//{b}*{b - 1} still covers {true_dim})")
+    return tuple(out)
+
+
+def _assert_walk_matches_reference(nest):
+    levels = nest.levels
+    assert nest.loops == tuple(
+        (DIMS.index(lv.dim), lv.bound, lv.spatial) for lv in levels
+    )
+    assert nest.starts == tuple(_ref_group_start(levels, m) for m in (GB, NOC, RF))
+    for mem in MemLevel:
+        assert nest.group_start(mem) == _ref_group_start(levels, mem)
+    # same violations, in the same order, with the same text
+    assert nest.structure_violations == _ref_structure_violations(nest)
+
+
+@st.composite
+def any_nests(draw):
+    """Nests of any level order, bounds 0..6 (so coverage falls short, pads
+    minimally or not), with spatial loops anywhere in the NoC group."""
+    layer = LayerShape(**{d: draw(st.integers(1, 8)) for d in DIMS})
+    levels = []
+    for _ in range(draw(st.integers(0, 9))):
+        mem = draw(st.sampled_from(list(MemLevel)))
+        levels.append(LoopLevel(
+            draw(st.sampled_from(DIMS)), draw(st.integers(0, 6)), mem,
+            mem is NOC and draw(st.booleans()),
+        ))
+    return LoopNest(tuple(levels), layer)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.lists(st.integers(0, 12), max_size=5))
+def test_coverage_rule_matches_reference(true_dim, factors):
+    # _check_coverage skips the shrink test when the product is not above
+    # true_dim, since shrinking a factor b takes product // b off
+    assert _check_coverage(true_dim, factors) == _ref_check_coverage(
+        true_dim, factors
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_nests())
+def test_one_walk_matches_the_scans_it_replaced(nest):
+    _assert_walk_matches_reference(nest)
+
+
+@pytest.mark.parametrize("levels", [
+    # GB after RF, and DRAM after NoC: each level out of order is flagged
+    [("m", 2, DRAM), ("c", 2, RF), ("e", 2, GB), ("f", 2, NOC), ("r", 2, DRAM)],
+    # spatial loops split by a temporal NoC loop, and by another group
+    [("m", 2, NOC, True), ("c", 2, NOC), ("r", 2, NOC, True)],
+    [("m", 2, NOC, True), ("c", 2, RF), ("r", 2, NOC, True), ("s", 2, RF)],
+    # bound-0 loops, one of them also out of group order
+    [("m", 0, GB), ("c", 0, DRAM), ("e", 3, RF)],
+    # padding that is not minimal: 4 x 4 covers 5 with room to shrink
+    [("m", 4, DRAM), ("m", 4, GB), ("c", 8, RF)],
+    # every group empty but one (m falls short), and no loops at all
+    [("m", 4, RF), ("c", 3, RF)],
+    [],
+], ids=["misgrouped", "split-in-noc", "split-across-groups", "bound-0",
+        "padding", "rf-only", "empty"])
+def test_one_walk_matches_on_illegal_nests(levels):
+    layer = LayerShape(m=5, c=3, r=2, s=2, e=2, f=2)
+    nest = nest_of(layer, *levels)
+    _assert_walk_matches_reference(nest)
+    assert nest.structure_violations  # each breaks a rule, coverage at least
 
 
 class TestStructureValidation:

@@ -452,6 +452,54 @@ def test_refresh_walk_equals_full_odometer():
                 ), (bounds, depths)
 
 
+def test_bound_one_loops_stay_out_of_the_enumeration(monkeypatch):
+    # bound-1 loops innermost in the enumerated prefix (and between its
+    # loops): each still counts its one iteration, and none reaches product()
+    seen = []
+    product = oracle.product
+
+    def spy(*ranges):
+        seen.extend(ranges)
+        return product(*ranges)
+
+    monkeypatch.setattr(oracle, "product", spy)
+    prefixes = [p for n in range(4) for p in itertools.product((2, 3), repeat=n)]
+    for prefix in prefixes:
+        for ones in range(1, 5):
+            for bounds in ([*prefix, *[1] * ones], [1, *prefix, 1, *[1] * ones]):
+                n = len(bounds)
+                for depths in itertools.chain(
+                    ({d} for d in range(n + 1)),
+                    itertools.combinations(range(n + 1), 3),
+                ):
+                    assert oracle._count_refresh_events(bounds, set(depths)) == (
+                        _ref_count_refresh_events(bounds, set(depths))
+                    ), (bounds, depths)
+    assert seen and range(1) not in seen
+
+
+def test_bound_zero_loop_still_counts_nothing_below_it():
+    counts = oracle._count_refresh_events([2, 0, 1, 3, 1], set(range(6)))
+    assert counts == {0: 1, 1: 2, 2: 0, 3: 0, 4: 0, 5: 0}
+
+
+def test_bound_one_loops_cost_no_enumeration_steps(monkeypatch):
+    # 3,000 bound-1 loops innermost in the prefix: the enumeration sees
+    # only the two loops of 10, so each of its tuples has two entries
+    widths = set()
+    product = oracle.product
+
+    def spy(*ranges):
+        for point in product(*ranges):
+            widths.add(len(point))
+            yield point
+
+    monkeypatch.setattr(oracle, "product", spy)
+    bounds = [10, 10, *[1] * 3000]
+    assert oracle._count_refresh_events(bounds, {2, 3002}) == {2: 100, 3002: 100}
+    assert widths == {2}
+
+
 def test_cap_bounds_the_walked_steps_not_all_steps():
     # 32 temporal steps, but every refresh sits below the c loop, so only
     # its 4 steps are walked
