@@ -11,6 +11,10 @@ counts the closed forms predict, and an explorer searches tilings, loop
 orders and refresh styles for the cheapest legal mapping.
 """
 
+import importlib
+import sys
+import types
+
 from .dsl import DslDocument, fmt, lower, parse, render, render_document
 from .errors import (
     ConfigError,
@@ -20,13 +24,6 @@ from .errors import (
     MappingError,
     PredictorError,
     Violation,
-)
-from .explore import (
-    SearchEntry,
-    SearchResult,
-    SearchSpace,
-    explore,
-    space_size,
 )
 from .loopnest import (
     LoopLevel,
@@ -51,7 +48,6 @@ from .model import (
     mac_count,
     tile_volumes,
 )
-from .oracle import AccessCounters, DiffReport, check, diff_counts, simulate
 from .predictor import (
     EnergyReport,
     LatencyReport,
@@ -62,14 +58,6 @@ from .predictor import (
     latency,
     predict_layer,
     predict_network,
-)
-from .presets import (
-    hardware_preset,
-    layer_preset,
-    list_presets,
-    mapping_preset,
-    network_preset,
-    row_stationary_mapping,
 )
 from .serialize import (
     canonical_json,
@@ -83,9 +71,38 @@ from .serialize import (
     mapping_from_json,
     mapping_to_json,
 )
-from .cli import main
 
 __version__ = "0.1.0"
+
+# The search, the oracle, the presets and the CLI load on first use (PEP 562):
+# importing the package, or running the model alone, imports none of them.
+_LAZY = {name: module for module, names in (
+    ("explore", "SearchEntry SearchResult SearchSpace explore space_size"),
+    ("oracle", "AccessCounters DiffReport check diff_counts simulate"),
+    ("presets", "hardware_preset layer_preset list_presets mapping_preset "
+                "network_preset row_stationary_mapping"),
+    ("cli", "main"),
+) for name in names.split()}
+
+
+def __getattr__(name):
+    if name in ("cli", "oracle", "presets"):  # the submodules themselves
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name, value):
+        # loading the explore submodule must not rebind the explore function
+        if name != "explore" or not isinstance(value, types.ModuleType):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 __all__ = [
     "AccessCounters",

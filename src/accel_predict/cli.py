@@ -3,7 +3,8 @@
 Subcommands: predict, check, explore, validate, fmt, presets. Inputs are
 layer JSON, hardware JSON and mapping files (.dflow or JSON); any of the
 three also accepts preset:NAME. Output formats: canonical JSON (stable
-bytes for identical inputs), CSV, or an aligned text table.
+bytes for identical inputs), CSV, or an aligned text table. The search
+and the oracle are imported by the one command that runs each.
 
 Exit codes: 0 success, 2 user/config error, 3 oracle mismatch from
 check, 1 internal error.
@@ -16,10 +17,10 @@ import sys
 import traceback
 from pathlib import Path
 
-from . import dsl, oracle, presets
+from . import dsl, presets
 from .errors import ConfigError, PredictorError
-from .explore import OBJECTIVES, STRATEGIES, SearchSpace, explore
 from .loopnest import validate_nest
+from .model import DEFAULT_CAP, OBJECTIVES, STRATEGIES
 from .model import HardwareConfig, LayerShape, MemLevel, Options
 from .predictor import predict_layer, predict_network
 from .serialize import (
@@ -173,9 +174,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .oracle import check
     options, hw, layer = _single_layer(args)
     nest, refresh = _resolve_mapping(args.mapping, layer, hw, options)
-    diff = oracle.check(
+    diff = check(
         nest, refresh, hw if not args.no_validate else None,
         options=options, cap=args.cap,
     )
@@ -209,6 +211,7 @@ def _parse_levels(text: str) -> tuple[MemLevel, ...]:
 
 
 def cmd_explore(args) -> int:
+    from .explore import SearchSpace, explore
     options, hw, layer = _single_layer(args)
     space = SearchSpace(
         hw=hw,
@@ -328,10 +331,10 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_io_args(p: argparse.ArgumentParser, mapping: bool = True) -> None:
+def _add_io_args(p: argparse.ArgumentParser, mapping=True, network=False) -> None:
+    fans = "a network preset fans out" if network else "one layer, not a network"
     p.add_argument(
-        "--layer", required=True,
-        help="layer JSON path or preset:NAME (a network preset fans out)",
+        "--layer", required=True, help=f"layer JSON path or preset:NAME ({fans})",
     )
     p.add_argument("--hw", required=True, help="hardware JSON path or preset:NAME")
     if mapping:
@@ -356,13 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("predict", help="run the analytic model on a mapping")
-    _add_io_args(p)
+    _add_io_args(p, network=True)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("check", help="compare analytic counts to a brute-force run")
     _add_io_args(p)
     p.add_argument(
-        "--cap", type=_count, default=oracle.DEFAULT_CAP,
+        "--cap", type=_count, default=DEFAULT_CAP,
         help="refuse a nest with more than this many walked temporal steps "
         "(the loops above the deepest refresh point), PE instances or "
         "points in a tile's relevant loops; the brute-force run walks every "

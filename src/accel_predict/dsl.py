@@ -18,7 +18,6 @@ dropped) and assembles the nest through `loopnest.assemble_mapping`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DslError
@@ -39,8 +38,7 @@ class RefreshStmt(NamedTuple):
     mem: MemLevel
 
 
-@dataclass(frozen=True)
-class DslDocument:
+class DslDocument(NamedTuple):
     statements: tuple
 
     def loops(self) -> tuple[LoopLevel, ...]:
@@ -64,6 +62,10 @@ class DslDocument:
         if not isinstance(other, DslDocument):
             return NotImplemented
         return self.structure() == other.structure()
+
+    def __ne__(self, other):  # tuple's own != would compare statement order
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
         return hash(self.structure())

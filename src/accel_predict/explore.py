@@ -53,7 +53,8 @@ import math
 import random
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dsl import render
 from .errors import ConfigError, MappingError
@@ -78,15 +79,14 @@ from .model import (
     HardwareConfig,
     LayerShape,
     LEVELS_OUTER_FIRST,
+    OBJECTIVES,
+    STRATEGIES,
     MemLevel,
     Options,
     checked_count,
     tile_volumes,
 )
 from .predictor import PredictionReport, predict_layer, price_totals, score_totals
-
-OBJECTIVES = ("energy", "latency", "edp")
-STRATEGIES = ("exhaustive", "random", "beam")
 
 _FACTOR_ENUM_CAP = 2_000_000
 
@@ -200,26 +200,23 @@ def _tilings(value: int, k: int, padded: bool) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass
 class _Prepared:
-    tilings: dict[str, list[tuple[int, ...]]]
-    styles: list[str]
-    groups: tuple  # SearchSpace.groups
-    slots: tuple  # SearchSpace.slots
-    # per style, the index in KINDS of the kind it keeps, or None
-    kept: list[int | None]
-    stride: int
-    # per style, the code every candidate of it is discarded under, or
-    # None: "refresh_style" when a register budget is under one element,
-    # "capacity" when a positional style's kept tensor overflows the GB
-    doomed: list[str | None]
-    n_pe: int
-
-    def __post_init__(self):
+    def __init__(self, tilings, styles, groups, slots, kept, stride, doomed, n_pe):
+        self.tilings: dict[str, list[tuple[int, ...]]] = tilings
+        self.styles: list[str] = styles
+        self.groups, self.slots = groups, slots  # SearchSpace.groups, .slots
+        # per style, the index in KINDS of the kind it keeps, or None
+        self.kept: list[int | None] = kept
+        self.stride: int = stride
+        # per style, the code every candidate of it is discarded under, or
+        # None: "refresh_style" when a register budget is under one element,
+        # "capacity" when a positional style's kept tensor overflows the GB
+        self.doomed: list[str | None] = doomed
+        self.n_pe: int = n_pe
         # the mixed radix of a candidate index, most significant first, and
         # each dim digit's place value
-        self.radices = [len(self.tilings[d]) for d in DIMS]
-        self.radices += [len(self.groups), len(self.styles)]
+        self.radices = [len(tilings[d]) for d in DIMS]
+        self.radices += [len(groups), len(styles)]
         self.places = [math.prod(self.radices[i + 1:]) for i in range(len(DIMS))]
 
     @property
@@ -498,8 +495,7 @@ def _order(scored, n: int, built) -> list[int]:
 # --------------------------------------------------------------- results
 
 
-@dataclass(frozen=True)
-class SearchEntry:
+class SearchEntry(NamedTuple):
     objective_value: float
     dsl: str
     nest: LoopNest
@@ -507,13 +503,11 @@ class SearchEntry:
     report: PredictionReport
 
 
-@dataclass
 class SearchResult:
-    feasible: bool
-    objective: str
-    strategy: str
-    entries: tuple[SearchEntry, ...]
-    stats: dict = field(default_factory=dict)
+    def __init__(self, feasible: bool, objective: str, strategy: str,
+                 entries: tuple[SearchEntry, ...], stats: dict):
+        self.feasible, self.objective, self.strategy = feasible, objective, strategy
+        self.entries, self.stats = entries, stats
 
     @property
     def best(self) -> SearchEntry | None:

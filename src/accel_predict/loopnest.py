@@ -134,8 +134,7 @@ class RefreshLocations:
         return cls(gb={k: p_gb for k in KINDS}, rf={k: p_rf for k in KINDS})
 
 
-@dataclass(frozen=True)
-class RefreshPlan:
+class RefreshPlan(NamedTuple):
     """Refresh counts and volumes, the operands of all traffic formulas.
 
     n_ref counts sequential refreshes (temporal loop bounds above the

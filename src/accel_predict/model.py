@@ -21,6 +21,22 @@ INT64_MAX = 2**63 - 1
 
 DIMS = ("m", "c", "r", "s", "e", "f")
 
+# The explorer's objectives and strategies and the oracle's cap live with the
+# model every command imports: the CLI builds its parser from them without
+# importing explore or oracle.
+OBJECTIVES = ("energy", "latency", "edp")
+STRATEGIES = ("exhaustive", "random", "beam")
+
+# The oracle's cap bounds the work: the temporal steps walked (the loops
+# above the deepest refresh point), the PE instances grouped and the
+# relevant tile points. Each distinct refresh depth (at most 6) enumerates
+# the steps above it, so the refresh count runs at most 6x the capped
+# steps. An AlexNet layer checks in under a millisecond; 10**7 steps take
+# ~0.25 s over seven loops of 10, and ~1.5 s in the worst case, six depths
+# each enumerating them all past bound-1 loops, which cost nothing (23
+# loops of 2 take as long; Python 3.11, one core of a shared 2-core host).
+DEFAULT_CAP = 10**7
+
 
 class DataKind(Enum):
     INPUT = "I"

@@ -15,7 +15,6 @@ measured by grouping PEs that land on identical tiles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import compress, product, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -30,6 +29,7 @@ from .loopnest import (
     validate_structure,
 )
 from .model import (
+    DEFAULT_CAP,
     KINDS,
     LEVELS_OUTER_FIRST,
     RELEVANT_DIMS,
@@ -39,23 +39,12 @@ from .model import (
     Options,
 )
 
-# The cap bounds the work: the temporal steps walked (the loops above the
-# deepest refresh point), the PE instances grouped and the relevant tile
-# points. Each distinct refresh depth (at most 6) enumerates the steps
-# above it, so the refresh count runs at most 6x the capped steps. An
-# AlexNet layer checks in under a millisecond; 10**7 steps take ~0.25 s
-# over seven loops of 10, and ~1.5 s in the worst case, six depths each
-# enumerating them all past bound-1 loops, which cost nothing (23 loops of
-# 2 take as long; Python 3.11, one core of a shared 2-core host).
-DEFAULT_CAP = 10**7
-
 # bound once: reading a member off an Enum class runs EnumType's slow hook
 _DRAM, _GB, _NOC, _RF = LEVELS_OUTER_FIRST
 _INPUT, _OUTPUT = KINDS[:2]
 
 
-@dataclass(frozen=True)
-class AccessCounters:
+class AccessCounters(NamedTuple):
     """What the brute-force run observed."""
 
     refreshes: dict[MemLevel, dict[DataKind, int]]  # GB and RF
@@ -208,14 +197,7 @@ def simulate(
         moved[_GB][k] = gb
         moved[_NOC][k] = noc
         moved[_RF][k] = body
-    return AccessCounters(
-        refreshes=refreshes,
-        elements_moved=moved,
-        multicast=multicast,
-        body_iterations=body,
-        macs_per_pe=steps,
-        n_pe_active=n_pe,
-    )
+    return AccessCounters(refreshes, moved, multicast, body, steps, n_pe)
 
 
 # check builds 18 per call: a named tuple is built about twice as fast as
@@ -232,8 +214,7 @@ class DiffRow(NamedTuple):
         return self.analytic == self.oracle
 
 
-@dataclass(frozen=True)
-class DiffReport:
+class DiffReport(NamedTuple):
     rows: tuple[DiffRow, ...]
 
     @property

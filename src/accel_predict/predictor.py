@@ -16,8 +16,8 @@ explore).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .errors import ConfigError, MappingError
 from .loopnest import (
@@ -90,8 +90,7 @@ def _scale(count: int, factor):
     return count * factor
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     e_comp: float
     e_rf: float
     e_noc: float
@@ -148,19 +147,11 @@ def energy(
                  for lvl, row in by_level_kind.items() for k, v in row.items()}}
         name = next((n for n, v in terms.items() if not v <= _FLOAT_MAX), None)
         raise _energy_overflow(f"the {name} term" if name else "the total")
-    return EnergyReport(
-        e_comp=e_comp,
-        e_rf=level_totals[_RF],
-        e_noc=level_totals[_NOC],
-        e_gb=level_totals[_GB],
-        e_dram=level_totals[_DRAM],
-        total=total,
-        by_level_kind=by_level_kind,
-    )
+    return EnergyReport(e_comp, level_totals[_RF], level_totals[_NOC],
+                        level_totals[_GB], level_totals[_DRAM], total, by_level_kind)
 
 
-@dataclass(frozen=True)
-class LatencyReport:
+class LatencyReport(NamedTuple):
     l_comp_s: float
     l_dram_s: float
     l_gb_s: float
@@ -212,17 +203,8 @@ def latency(
         bottleneck = "dram"
     else:
         bottleneck = "gb"
-    return LatencyReport(
-        l_comp_s=l_comp,
-        l_dram_s=l_dram,
-        l_gb_s=l_gb,
-        l_setup_s=l_setup,
-        l_total_s=l_setup + steady,
-        bottleneck=bottleneck,
-        dram_kind=dram_kind,
-        gb_kind=gb_kind,
-        setup_kind=setup_kind,
-    )
+    return LatencyReport(l_comp, l_dram, l_gb, l_setup, l_setup + steady,
+                         bottleneck, dram_kind, gb_kind, setup_kind)
 
 
 def score_totals(
@@ -301,8 +283,7 @@ def _report_totals(loops, gb, rf, tiles, hw, options) -> tuple[float, float]:
             latency(plan, counts, hw, options).l_total_s)
 
 
-@dataclass(frozen=True)
-class PredictionReport:
+class PredictionReport(NamedTuple):
     layer: LayerShape
     nest: LoopNest
     refresh: RefreshLocations
@@ -413,25 +394,12 @@ def predict_layer(
     e = energy(plan, counts, hw)
     lat = latency(plan, counts, hw, options)
     n_mac = mac_count(layer)
-    throughput = 2.0 * n_mac / lat.l_total_s / 1e9
-    return PredictionReport(
-        layer=layer,
-        nest=nest,
-        refresh=refresh,
-        options=options,
-        plan=plan,
-        n_mac=n_mac,
-        n_mac_padded=plan.n_mac_padded,
-        n_pe_active=plan.n_pe_active,
-        access=counts,
-        energy=e,
-        latency=lat,
-        throughput_gops=throughput,
-    )
+    return PredictionReport(layer, nest, refresh, options, plan, n_mac,
+                            plan.n_mac_padded, plan.n_pe_active, counts, e, lat,
+                            2.0 * n_mac / lat.l_total_s / 1e9)
 
 
-@dataclass(frozen=True)
-class NetworkReport:
+class NetworkReport(NamedTuple):
     reports: tuple[PredictionReport, ...]
     energy_total: float
     latency_total_s: float
@@ -470,11 +438,6 @@ def predict_network(
         raise _energy_overflow("the network total")
     latency_total = sum(r.latency.l_total_s for r in reports)
     n_mac = sum(r.n_mac for r in reports)
-    return NetworkReport(
-        reports=reports,
-        energy_total=energy_total,
-        latency_total_s=latency_total,
-        n_mac=n_mac,
-        n_mac_padded=sum(r.n_mac_padded for r in reports),
-        throughput_gops=2.0 * n_mac / latency_total / 1e9,
-    )
+    return NetworkReport(reports, energy_total, latency_total, n_mac,
+                         sum(r.n_mac_padded for r in reports),
+                         2.0 * n_mac / latency_total / 1e9)

@@ -6,7 +6,6 @@ with 17 significant digits, so identical inputs give identical bytes.
 
 from __future__ import annotations
 
-import functools
 import json
 from math import isfinite
 from collections.abc import Mapping
@@ -44,10 +43,17 @@ def canonical_json(obj) -> str:
     return "".join(out) + "\n"
 
 
-@functools.lru_cache(maxsize=4096)
-def _str_key_text(key: str) -> str:
-    """'"key": ' for a str key; reports repeat a few dozen keys."""
-    return encode_basestring_ascii(key) + ": "
+# '"key": ' per str key: reports repeat a few dozen keys, and the cache stops
+# growing at the bound
+_KEY_TEXT: dict[str, str] = {}
+_KEY_TEXT_BOUND = 4096
+
+
+def _key_text(key: str) -> str:
+    text = encode_basestring_ascii(key) + ": "
+    if len(_KEY_TEXT) < _KEY_TEXT_BOUND:
+        _KEY_TEXT[key] = text
+    return text
 
 
 def _write_json(obj, out: list[str]) -> None:
@@ -72,7 +78,7 @@ def _write_json(obj, out: list[str]) -> None:
         # each item ends in ", ", and the last one's becomes the closing brace
         out.append("{")
         for k, v in obj.items():
-            out.append(_str_key_text(k) if type(k) is str
+            out.append((_KEY_TEXT.get(k) or _key_text(k)) if type(k) is str
                        else encode_basestring_ascii(str(k)) + ": ")
             t = type(v)
             if t is float and isfinite(v):

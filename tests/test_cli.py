@@ -1,5 +1,7 @@
 """Command-line interface and file formats."""
 
+import argparse
+import hashlib
 import itertools
 import json
 import math
@@ -37,8 +39,10 @@ from accel_predict import (
     mapping_to_json,
 )
 import accel_predict.predictor
+from accel_predict.cli import build_parser
 from accel_predict.model import UNBOUNDED
 from accel_predict.serialize import csv_text, report_rows
+from tests.test_cli_golden import GOLDEN
 from tests.test_model import _hw
 
 GB, RF = MemLevel.GB, MemLevel.RF
@@ -84,9 +88,10 @@ class TestCanonicalJson:
     def test_key_text_cache_is_bounded(self):
         from accel_predict import serialize
 
-        size = serialize._str_key_text.cache_info().maxsize
-        canonical_json({f"k{i}": i for i in range(size + 10)})
-        assert serialize._str_key_text.cache_info().currsize <= size
+        bound = serialize._KEY_TEXT_BOUND
+        data = {f"k{i}": i for i in range(bound + 10)}
+        assert canonical_json(data) == _reference_json(data)
+        assert len(serialize._KEY_TEXT) <= bound
 
 
 # The writer canonical_json used before it dispatched on exact types,
@@ -938,3 +943,96 @@ class TestExitCodes:
                     "--mapping", files["mapping"]])
         assert code == 1
         assert "wires crossed" in capsys.readouterr().err
+
+
+class TestLayerHelp:
+    HELP = "layer JSON path or preset:NAME"
+
+    def test_only_predict_says_a_network_fans_out(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        helps = {
+            name: action.help
+            for name, p in sub.choices.items()
+            for action in p._actions if "--layer" in action.option_strings
+        }
+        assert helps == {
+            "predict": f"{self.HELP} (a network preset fans out)",
+            **{name: f"{self.HELP} (one layer, not a network)"
+               for name in ("check", "explore", "validate")},
+        }
+
+    @pytest.mark.parametrize("command", ["check", "explore", "validate"])
+    def test_single_layer_commands_refuse_a_network(self, command, capsys):
+        args = [command, "--layer", "preset:alexnet_conv",
+                "--hw", "preset:eyeriss_normalized"]
+        if command != "explore":
+            args += ["--mapping", "preset:row_stationary"]
+        assert run(args) == 2
+        assert "runs on a single layer, not a network" in capsys.readouterr().err
+
+
+class TestColdStart:
+    """What a fresh interpreter imports, run in a subprocess each."""
+
+    SEARCH = ("accel_predict.explore", "accel_predict.oracle")
+
+    def _python(self, code: str) -> str:
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_import_loads_neither_search_nor_oracle(self):
+        out = self._python(
+            "import sys, accel_predict\n"
+            f"print([m for m in {self.SEARCH!r} if m in sys.modules])\n"
+            "print(all(hasattr(accel_predict, n) for n in accel_predict.__all__))\n"
+            f"print([m for m in {self.SEARCH!r} if m in sys.modules])\n"
+        )
+        assert out == "[]\nTrue\n['accel_predict.explore', 'accel_predict.oracle']\n"
+
+    def test_predict_loads_neither_and_prints_the_same_json(self):
+        out = self._python(
+            "import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from accel_predict import cli\n"
+            "buf = io.StringIO()\n"
+            "with redirect_stdout(buf):\n"
+            "    code = cli.main(['predict', '--layer', 'preset:alexnet_conv',\n"
+            "                     '--hw', 'preset:eyeriss_normalized',\n"
+            "                     '--mapping', 'preset:row_stationary',\n"
+            "                     '--format', 'json'])\n"
+            f"print(code, [m for m in {self.SEARCH!r} if m in sys.modules])\n"
+            "sys.stdout.write(buf.getvalue())\n"
+        )
+        status, text = out.split("\n", 1)
+        assert status == "0 []"
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            GOLDEN["predict-net.json"][1]
+        )
+
+    def test_the_explore_function_survives_its_module_loading_first(self):
+        out = self._python(
+            "import accel_predict.explore as first\n"
+            "from accel_predict.explore import SearchSpace\n"
+            "import accel_predict\n"
+            "from accel_predict import explore\n"
+            "print(callable(first), explore is accel_predict.explore,\n"
+            "      callable(explore), SearchSpace is accel_predict.SearchSpace)\n"
+        )
+        assert out == "True True True True\n"
+
+    def test_submodules_still_resolve_as_attributes(self):
+        out = self._python(
+            "import accel_predict as ap\n"
+            "print(ap.oracle.DEFAULT_CAP, ap.presets.NETWORK_PRESETS,\n"
+            "      ap.cli.main is ap.main)\n"
+        )
+        assert out == "10000000 ('alexnet_conv',) True\n"
