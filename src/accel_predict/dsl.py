@@ -79,8 +79,10 @@ _LOOP_RE = re.compile(
         @\s*(?P<mem>\S+)\s*$""",
     re.VERBOSE | re.IGNORECASE,
 )
+# The keyword is spelt out per letter: IGNORECASE would also accept U+017F
+# for "s", a spelling whose .lower() is not "refresh".
 _REFRESH_RE = re.compile(
-    r"^refresh\s+(?P<kind>\S+)\s*@\s*(?P<mem>\S+)\s*$", re.IGNORECASE
+    r"^[Rr][Ee][Ff][Rr][Ee][Ss][Hh]\s+(?P<kind>\S+)\s*@\s*(?P<mem>\S+)\s*$"
 )
 
 
@@ -118,23 +120,6 @@ def _loop(m: re.Match, lineno: int, indent: int) -> LoopLevel:
     return LoopLevel(dim, bound, mem, spatial)
 
 
-def _parse_refresh(line: str, lineno: int, indent: int) -> RefreshStmt:
-    m = _REFRESH_RE.match(line)
-    if m is None:
-        raise _error("malformed refresh, expected 'refresh KIND @LEVEL'",
-                     lineno, indent)
-    kind_name, mem_name = m.groups()
-    kind = _KINDS.get(kind_name.lower())
-    if kind is None:
-        raise _error(f"unknown data kind {kind_name!r}", lineno, indent, m, "kind")
-    mem = _LEVELS.get(mem_name.lower())
-    if mem is None:
-        raise _error(f"unknown memory level {mem_name!r}", lineno, indent, m, "mem")
-    if mem is not _GB and mem is not _RF:
-        raise _error("refresh must target GB or RF", lineno, indent, m, "mem")
-    return RefreshStmt(kind, mem)
-
-
 def parse(text: str) -> DslDocument:
     statements = []
     seen_refresh: dict[tuple[DataKind, MemLevel], int] = {}
@@ -150,20 +135,32 @@ def parse(text: str) -> DslDocument:
         if m is not None:
             statements.append(_loop(m, lineno, indent))
             continue
-        head = body.split(None, 1)[0].lower()
-        if head in ("for", "parallel-for"):
-            raise _error("malformed loop, expected 'for DIM in 0..N @LEVEL'",
+        m = _REFRESH_RE.match(body)
+        if m is None:  # the first word says which statement is malformed
+            head = body.split(None, 1)[0].lower()
+            if head in ("for", "parallel-for"):
+                raise _error("malformed loop, expected 'for DIM in 0..N @LEVEL'",
+                             lineno, indent)
+            if head != "refresh":
+                raise _error(f"expected 'for', 'parallel-for' or 'refresh', "
+                             f"got {head!r}", lineno, indent)
+            raise _error("malformed refresh, expected 'refresh KIND @LEVEL'",
                          lineno, indent)
-        if head != "refresh":
-            raise _error(f"expected 'for', 'parallel-for' or 'refresh', got {head!r}",
-                         lineno, indent)
-        stmt = _parse_refresh(body, lineno, indent)
-        key = (stmt.kind, stmt.mem)
+        kind_name, mem_name = m.groups()
+        kind = _KINDS.get(kind_name.lower())
+        if kind is None:
+            raise _error(f"unknown data kind {kind_name!r}", lineno, indent, m, "kind")
+        mem = _LEVELS.get(mem_name.lower())
+        if mem is None:
+            raise _error(f"unknown memory level {mem_name!r}", lineno, indent, m, "mem")
+        if mem is not _GB and mem is not _RF:
+            raise _error("refresh must target GB or RF", lineno, indent, m, "mem")
+        key = (kind, mem)
         if key in seen_refresh:
-            raise _error(f"duplicate refresh for {stmt.kind} @{stmt.mem.label} "
+            raise _error(f"duplicate refresh for {kind} @{mem.label} "
                          f"(first on line {seen_refresh[key]})", lineno, indent)
         seen_refresh[key] = lineno
-        statements.append(stmt)
+        statements.append(RefreshStmt(kind, mem))
     return DslDocument(tuple(statements))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
+from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -62,11 +63,11 @@ class LoopNest:
         # Nests are immutable, so one walk builds these once: the planner's flat
         # loops, each (dim index in DIMS, bound, spatial), outermost first; the
         # GB, NoC and RF group starts; and for _structure_violations, the levels
-        # out of bound or group order, the spatial indices and the dim factors.
+        # out of bound or group order, the spatial indices and the dim products.
         first = [len(levels)] * 3 + [0]  # by MemLevel: first loop at it or inner
         low = _DRAM
         loops, odd, spatial_at = [], [], []
-        factors = {d: [] for d in DIMS}
+        products = [1] * len(DIMS)
         for i, (dim, bound, mem, spatial) in enumerate(levels):
             if type(bound) is not int or type(mem) is not MemLevel:
                 what = (f"bound {bound!r} is not an integer" if type(bound) is not int
@@ -83,11 +84,11 @@ class LoopNest:
                 low = mem
             if spatial:
                 spatial_at.append(i)
-            loops.append((_DIM_INDEX[dim], bound, spatial))
-            factors[dim].append(bound)
+            loops.append((d := _DIM_INDEX[dim], bound, spatial))
+            products[d] *= bound
         object.__setattr__(self, "loops", tuple(loops))
         object.__setattr__(self, "starts", (first[_GB], first[_NOC], first[_RF]))
-        object.__setattr__(self, "_walk", (first, odd, spatial_at, factors))
+        object.__setattr__(self, "_walk", (first, odd, spatial_at, products))
         object.__setattr__(self, "structure_violations", _structure_violations(self))
 
     def group_start(self, mem: MemLevel) -> int:
@@ -109,16 +110,20 @@ class RefreshLocations:
         # types and keys here; ranges depend on the nest (validate_structure).
         # Each map is kept as a read-only copy, so no later write undoes them.
         for label, name in (("GB", "gb"), ("RF", "rf")):
-            locs = getattr(self, name)
-            if not isinstance(locs, Mapping) or locs.keys() != _KIND_SET:
+            given = getattr(self, name)
+            # one copy, made once the type passes; exact types are tested
+            # first, since the Mapping ABC's isinstance test is slow
+            locs = (dict(given) if type(given) is dict
+                    or type(given) is MappingProxyType
+                    or isinstance(given, Mapping) else None)
+            if locs is None or locs.keys() != _KIND_SET:
                 raise ConfigError(f"refresh[{label}]: expected a location for "
-                                  f"each of I, O and W, got {locs!r}")
-            locs = MappingProxyType(dict(locs))
+                                  f"each of I, O and W, got {given!r}")
             for kind, loc in locs.items():
                 if type(loc) is not int:
                     raise ConfigError(f"refresh[{kind}][{label}]: location "
                                       f"{loc!r} is not an integer")
-            object.__setattr__(self, name, locs)
+            object.__setattr__(self, name, MappingProxyType(locs))
 
     def loc(self, kind: DataKind, mem: MemLevel) -> int:
         if mem is _GB:
@@ -161,6 +166,7 @@ _RELEVANT = tuple(
 )
 # the keys of a plan's n_ref and v_ref: GB then RF, KINDS order within each
 _PLAN_KEYS = tuple((k, mem) for mem in (_GB, _RF) for k in KINDS)
+_BY_KIND = itemgetter(*KINDS)  # a per-kind map's values, KINDS order
 
 # The positional styles and the kind each keeps stationary. Every refresh
 # point they place sits at a level-group boundary, so their tiles depend
@@ -263,8 +269,12 @@ def resident_tiles(gb, rf, gb_volumes, rf_volumes) -> tuple[list[int], list[int]
     _volumes_below walk of their loops (place_refresh returns its own): a
     GB tile is the array-wide tile of every loop below its location, an RF
     tile one PE's tile (temporal loops only). Each passes checked_count."""
-    return ([checked_count(gb_volumes[p][i]) for i, p in enumerate(gb)],
-            [checked_count(rf_volumes[p][i]) for i, p in enumerate(rf)])
+    tiles = ([gb_volumes[p][i] for i, p in enumerate(gb)],
+             [rf_volumes[p][i] for i, p in enumerate(rf)])
+    if max(*tiles[0], *tiles[1]) > INT64_MAX:
+        for v in (*tiles[0], *tiles[1]):
+            checked_count(v)
+    return tiles
 
 
 def loop_products(loops):
@@ -300,13 +310,9 @@ def build_plan(loops, gb, rf, tiles) -> RefreshPlan:
             checked_product(b for d, b, sp in loops if sp and d not in relevant)
         checked_product(b for _, b, sp in loops if sp)
         checked_product(b for _, b, _ in loops)
-    return RefreshPlan(
-        n_ref=dict(zip(_PLAN_KEYS, [above[p] for p in (*gb, *rf)])),
-        v_ref=dict(zip(_PLAN_KEYS, (*tiles[0], *tiles[1]))),
-        multicast=dict(zip(KINDS, multicast)),
-        n_pe_active=n_pe,
-        n_mac_padded=n_mac,
-    )
+    return RefreshPlan(dict(zip(_PLAN_KEYS, [above[p] for p in (*gb, *rf)])),
+                       dict(zip(_PLAN_KEYS, (*tiles[0], *tiles[1]))),
+                       dict(zip(KINDS, multicast)), n_pe, n_mac)
 
 
 def refresh_plan(
@@ -314,10 +320,8 @@ def refresh_plan(
 ) -> RefreshPlan:
     """The refresh plan of an unchecked mapping. Raises MappingError, with
     validate_structure's violations, for a location outside 0..n."""
-    n = len(nest.loops)
-    gb, rf = ([p for k in KINDS if 0 <= (p := locs[k]) <= n]
-              for locs in (refresh.gb, refresh.rf))
-    if len(gb) + len(rf) < 2 * len(KINDS):  # a location was out of range
+    gb, rf = _BY_KIND(refresh.gb), _BY_KIND(refresh.rf)
+    if min(*gb, *rf) < 0 or max(*gb, *rf) > len(nest.loops):
         raise MappingError(validate_structure(nest, refresh))
     stride = options.effective_stride(nest.layer)
     tiles = resident_tiles(gb, rf, *_volumes_below(nest.loops, gb, rf, stride))
@@ -342,7 +346,7 @@ def _structure_violations(nest: LoopNest) -> tuple[Violation, ...]:
     def flag(field: str, message: str) -> None:
         out.append(Violation("structure", field, message))
 
-    _, odd, spatial, factors = nest._walk
+    _, odd, spatial, products = nest._walk
     for i, bound, mem, prev in odd:
         if bound < 1:
             flag(f"levels[{i}]", "bound must be >= 1")
@@ -356,9 +360,13 @@ def _structure_violations(nest: LoopNest) -> tuple[Violation, ...]:
     if spatial and spatial[-1] - spatial[0] != len(spatial) - 1:
         flag("levels", "spatial loops must be contiguous within NoC")
 
-    for d, dim_factors in factors.items():
-        true_dim = getattr(nest.layer, d)
-        product, shrinkable = _check_coverage(true_dim, dim_factors)
+    layer = nest.layer
+    for i, (d, product) in enumerate(zip(DIMS, products)):
+        true_dim = getattr(layer, d)
+        if product == true_dim:  # covered exactly: nothing to shrink
+            continue
+        product, shrinkable = _check_coverage(
+            true_dim, [b for j, b, _ in nest.loops if j == i])
         if product < true_dim:
             flag(f"dim {d}", f"tiling product {product} < layer dim {true_dim}")
         for b in shrinkable:
@@ -458,7 +466,8 @@ def checked_plan(
     options: Options = Options(),
 ) -> tuple[RefreshPlan | None, list[Violation]]:
     """Check the structure, build the refresh plan, then check the
-    hardware fit (PE count and buffer sizes) against that plan.
+    hardware fit (PE count and buffer sizes) against that plan: buffers_fit
+    gives the capacity verdict, and _overflows names each overflow past it.
 
     The plan is None when the structure is illegal; the mapping is legal
     when the violation list is empty.
@@ -472,9 +481,10 @@ def checked_plan(
             "pe_array", "levels", f"{plan.n_pe_active} spatial instances > "
             f"{hw.pe_rows}x{hw.pe_cols} array",
         ))
-    gb, rf = (
-        [plan.v_ref[(k, mem)] for k in KINDS] for mem in (_GB, _RF)
-    )
+    tiles = [plan.v_ref[key] for key in _PLAN_KEYS]
+    gb, rf = tiles[:3], tiles[3:]
+    if buffers_fit(hw, gb, rf):
+        return plan, out
     for name, kind, need, cap in _overflows(hw, gb, rf):
         if kind is None:
             message = f"resident tiles need {need} bits > capacity {cap}"

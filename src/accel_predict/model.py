@@ -147,20 +147,16 @@ def mac_count(layer: LayerShape) -> int:
     return checked_product((layer.m, layer.c, layer.r, layer.s, layer.e, layer.f))
 
 
-def input_extent(tiles: int, kernel: int, stride: int) -> int:
-    """Input span covering `tiles` output positions with the given kernel."""
-    return (tiles - 1) * stride + kernel
-
-
 def tile_volumes(ext: Sequence[int], stride: int) -> list[int]:
     """Elements of each kind (KINDS order) covered by a tile whose per-dim
-    extents, in DIMS order, are `ext`: inputs use the halo composition,
-    outputs and weights are plain products. Unchecked; pass each volume
-    kept through checked_count (extents are >= 1, so no partial product
-    exceeds the final one)."""
+    extents, in DIMS order, are `ext`: inputs use the halo composition (the
+    input rows covering e output rows with an r-row kernel span (e - 1) x
+    stride + r, columns likewise), outputs and weights are plain products.
+    Unchecked; pass each volume kept through checked_count (extents are
+    >= 1, so no partial product exceeds the final one)."""
     m, c, r, s, e, f = ext
-    h, w = input_extent(e, r, stride), input_extent(f, s, stride)
-    return [c * h * w, m * e * f, m * c * r * s]
+    return [c * ((e - 1) * stride + r) * ((f - 1) * stride + s), m * e * f,
+            m * c * r * s]
 
 
 @dataclass(frozen=True)

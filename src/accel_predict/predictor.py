@@ -66,8 +66,10 @@ def access_counts(plan: RefreshPlan, options: Options = Options()) -> AccessCoun
     n_pe, n_ref, v_ref = plan.n_pe_active, plan.n_ref, plan.v_ref
     counts: AccessCounts = {lvl: {} for lvl in LEVELS_OUTER_FIRST}
     dram_row, gb_row, noc_row, rf_row = counts.values()
+    traffic = []  # DRAM traffic before the read+write factor, KINDS order
     for k in KINDS:
         dram = n_ref[k, _GB] * v_ref[k, _GB]
+        traffic.append(dram)
         delivered = n_ref[k, _RF] * v_ref[k, _RF]
         groups = n_pe // plan.multicast[k]
         gb, noc = delivered * groups, delivered * n_pe
@@ -75,19 +77,20 @@ def access_counts(plan: RefreshPlan, options: Options = Options()) -> AccessCoun
             checked_product((delivered, groups))
             checked_product((delivered, n_pe))
         if k is _OUTPUT:
-            dram = _scale(dram, psum if n_ref[k, _GB] > 1 else 1)
-            gb = _scale(gb, psum if n_ref[k, _RF] > 1 else 1)
+            # partial sums recirculate where the buffer is refreshed; a
+            # scaled count passes the overflow rule when its factor is an int
+            f_dram = psum if n_ref[k, _GB] > 1 else 1
+            f_gb = psum if n_ref[k, _RF] > 1 else 1
+            if dram * f_dram > INT64_MAX or gb * f_gb > INT64_MAX:
+                for count, factor in ((dram, f_dram), (gb, f_gb)):
+                    if isinstance(factor, int):
+                        checked_product((count, factor))
+            dram, gb = dram * f_dram, gb * f_gb
         dram_row[k], gb_row[k], noc_row[k], rf_row[k] = dram, gb, noc, plan.n_mac_padded
-    for k in KINDS:  # DRAM traffic passes the overflow rule last
-        checked_count(plan.traffic(k, _GB))
+    if max(traffic) > INT64_MAX:  # DRAM traffic passes the overflow rule last
+        for count in traffic:
+            checked_count(count)
     return counts
-
-
-def _scale(count: int, factor):
-    """count x factor, under the overflow rule for an integer factor."""
-    if isinstance(factor, int):
-        return checked_product((count, factor))
-    return count * factor
 
 
 class EnergyReport(NamedTuple):

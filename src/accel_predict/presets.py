@@ -11,7 +11,7 @@ escalated to DRAM only when the global buffer overflows.
 from __future__ import annotations
 
 import json
-from importlib import resources
+from pathlib import Path
 
 from .errors import ConfigError, MappingError, Violation
 from .loopnest import (
@@ -34,9 +34,11 @@ MAPPING_PRESETS = (
 
 
 def _load_data(name: str) -> dict:
-    ref = resources.files(__package__) / "presets" / f"{name}.json"
+    # package-data ships presets/*.json beside this module; a plain read
+    # imports none of importlib.resources' readers (nor zipfile)
+    path = Path(__file__).with_name("presets") / f"{name}.json"
     try:
-        text = ref.read_text()
+        text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"no bundled preset file {name!r}") from None
     return json.loads(text)

@@ -978,14 +978,14 @@ class TestColdStart:
 
     SEARCH = ("accel_predict.explore", "accel_predict.oracle")
 
-    def _python(self, code: str) -> str:
+    def _python(self, code: str, *flags: str) -> str:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, timeout=120)
+        proc = subprocess.run([sys.executable, *flags, "-c", code],
+                              capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
@@ -1036,3 +1036,17 @@ class TestColdStart:
             "      ap.cli.main is ap.main)\n"
         )
         assert out == "10000000 ('alexnet_conv',) True\n"
+
+    def test_a_preset_loads_no_zipfile(self):
+        # -S: without site, nothing has imported zipfile or the resource
+        # readers before the package does
+        out = self._python(
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "from accel_predict import hardware_preset\n"
+            "hardware_preset('eyeriss_normalized')\n"
+            "print(sorted(m for m in set(sys.modules) - before\n"
+            "             if m == 'zipfile' or m.startswith('importlib.re')))\n",
+            "-S",
+        )
+        assert out == "[]\n"

@@ -17,6 +17,10 @@ An instance with a refresh location outside 0..n is excluded: the
 reference cuts the loops there as a slice would, and the kernel refuses
 it with a MappingError.
 
+`loopnest.checked_plan` asks `buffers_fit` for the capacity verdict and
+builds the overflow violations only when a tile does not fit; its former
+self, which built them on every call, is its reference.
+
 `predictor.score_totals`, the explorer's score, returns the energy and
 latency totals without a plan, count rows or reports. Its reference is
 that report path itself: `energy(...).total` and `latency(...).l_total_s`
@@ -46,18 +50,24 @@ from accel_predict import (
     RefreshLocations,
     UnitCosts,
     access_counts,
+    Violation,
     energy,
     hardware_preset,
     latency,
+    mapping_preset,
+    network_preset,
     predict_layer,
     refresh_plan,
+    validate_structure,
 )
-from accel_predict import predictor
+from accel_predict import loopnest, predictor
 from accel_predict.loopnest import (
     _RELEVANT,
     RefreshPlan,
+    _overflows,
     _volumes_below,
     build_plan,
+    checked_plan,
     resident_tiles,
 )
 from accel_predict.model import (
@@ -480,3 +490,98 @@ def test_score_kernel_matches_the_report_path(instance):
     handed = _score_against_report_path(*instance)
     if handed and _outcome(_in_range, *instance) is True:
         raise AssertionError("an in-range instance went to the report path")
+
+
+# ------------------------------------------------------ checked plan
+#
+# checked_plan before it asked buffers_fit for the capacity verdict, kept
+# verbatim as the reference: it read the tiles back from the plan per level
+# and drained _overflows on every call. Both must return the same plan and
+# the same violations (code, field, message, order), or raise the same.
+
+
+def _ref_checked_plan(nest, hw, refresh, options=Options()):
+    out = validate_structure(nest, refresh)
+    if out:
+        return None, out
+    plan = refresh_plan(nest, refresh, options)
+    if plan.n_pe_active > hw.n_pe:
+        out.append(Violation(
+            "pe_array", "levels", f"{plan.n_pe_active} spatial instances > "
+            f"{hw.pe_rows}x{hw.pe_cols} array",
+        ))
+    gb, rf = (
+        [plan.v_ref[(k, mem)] for k in KINDS] for mem in (GB, RF)
+    )
+    for name, kind, need, cap in _overflows(hw, gb, rf):
+        if kind is None:
+            message = f"resident tiles need {need} bits > capacity {cap}"
+        else:
+            name = f"{name}[{kind}]"
+            message = f"tile needs {need} bits > capacity {cap}"
+        out.append(Violation("capacity", name, message))
+    return plan, out
+
+
+@st.composite
+def capacity_instances(draw):
+    """A kernel instance on hardware sized against its own plan: each
+    buffer's capacity is shared or per kind, under a buffering factor of 1
+    or 2, and the tiles sit at it, one bit or one element over it, or well
+    under it; the PE array fits the spatial loops or is one PE short."""
+    nest, refresh, options, hw = draw(kernel_instances())
+    bf = draw(st.sampled_from((1, 2)))
+    try:
+        plan = refresh_plan(nest, refresh, options)
+    except (MappingError, CountOverflowError):
+        return nest, refresh, options, dataclasses.replace(hw, buffering_factor=bf)
+    per = [b * bf for b in hw.precision.by_kind]
+
+    def capacity(mem):
+        # the bits each kind's tile needs, and a capacity at that need, one
+        # bit or one element short of it, or roomy (at it or roomy two times
+        # in three, so that one overflow alone often decides the verdict):
+        # per kind, or shared by the kinds' sum
+        need = [plan.v_ref[k, mem] * n for k, n in zip(KINDS, per)]
+        if draw(st.booleans()):
+            return max(1, sum(need) + draw(st.sampled_from((0, 0, -1, -per[0], 5, 5))))
+        return {k: max(1, t + draw(st.sampled_from((0, 0, -1, -n, 5 * n, 5 * n))))
+                for k, t, n in zip(KINDS, need, per)}
+
+    pes = max(1, plan.n_pe_active - draw(st.sampled_from((0, 1))))
+    return nest, refresh, options, dataclasses.replace(
+        hw, capacity_gb=capacity(GB), capacity_rf=capacity(RF),
+        buffering_factor=bf, pe_rows=1, pe_cols=pes,
+    )
+
+
+@settings(
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(capacity_instances())
+def test_checked_plan_matches_reference(instance):
+    nest, refresh, options, hw = instance
+    assert _outcome(checked_plan, nest, hw, refresh, options) == _outcome(
+        _ref_checked_plan, nest, hw, refresh, options
+    )
+
+
+def test_a_mapping_that_fits_never_builds_overflows(monkeypatch):
+    hw = hardware_preset("eyeriss_normalized")
+    # the recipe itself tries mappings that overflow, so it runs first
+    mapped = [(layer, *mapping_preset("row_stationary", layer, hw))
+              for layer in network_preset("alexnet_conv")]
+
+    def refuse(*args):
+        raise AssertionError("_overflows called")
+
+    monkeypatch.setattr(loopnest, "_overflows", refuse)
+    for layer, nest, refresh in mapped:
+        assert checked_plan(nest, hw, refresh)[1] == []
+        predict_layer(layer, nest, refresh, hw)
+    # a mapping that does not fit still names each overflow
+    small = dataclasses.replace(hw, capacity_gb=16)
+    with pytest.raises(AssertionError, match="_overflows called"):
+        checked_plan(nest, small, refresh)

@@ -32,7 +32,6 @@ from accel_predict.model import (
     RELEVANT_DIMS,
     checked_count,
     checked_product,
-    input_extent,
 )
 
 CONV1 = LayerShape(m=96, c=3, r=11, s=11, e=55, f=55, stride=4, name="CONV1")
@@ -85,10 +84,31 @@ class TestLayerShape:
         }
 
 
+def _ref_input_extent(tiles: int, kernel: int, stride: int) -> int:
+    """The input span covering `tiles` output positions, as model computed
+    it before tile_volumes wrote the input extents inline."""
+    return (tiles - 1) * stride + kernel
+
+
 class TestFootprints:
     def test_input_extent_edges(self):
-        assert input_extent(1, 11, 4) == 11  # one tile: just the kernel
-        assert input_extent(7, 1, 1) == 7  # pointwise: one per position
+        # tile_volumes' input column over one channel: input rows x columns.
+        # One output position: the input tile is just the 11x11 kernel
+        assert tile_volumes([1, 1, 11, 11, 1, 1], 4)[0] == 11 * 11
+        # pointwise: one input position per output position
+        assert tile_volumes([1, 1, 1, 1, 7, 5], 1)[0] == 7 * 5
+        # stride 4: 3 output rows of a 5-row kernel span 2 x 4 + 5 rows
+        assert tile_volumes([1, 1, 5, 1, 3, 1], 4)[0] == 13
+        assert tile_volumes([1, 1, 1, 5, 1, 3], 4)[0] == 13
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 2**20), min_size=6, max_size=6),
+           st.integers(1, 2**12))
+    def test_input_column_is_the_old_halo_formula(self, ext, stride):
+        _, c, r, s, e, f = ext
+        assert tile_volumes(ext, stride)[0] == (
+            c * _ref_input_extent(e, r, stride) * _ref_input_extent(f, s, stride)
+        )
 
     def test_conv1_footprints(self):
         whole = [CONV1.dim(d) for d in DIMS]
@@ -161,8 +181,8 @@ def _reference_checked_product(factors) -> int:
 def _reference_tile_volume(kind, dim_tiles, stride) -> int:
     t = {d: dim_tiles.get(d, 1) for d in DIMS}
     if kind is DataKind.INPUT:
-        h = input_extent(t["e"], t["r"], stride)
-        w = input_extent(t["f"], t["s"], stride)
+        h = _ref_input_extent(t["e"], t["r"], stride)
+        w = _ref_input_extent(t["f"], t["s"], stride)
         return _reference_checked_product((t["c"], h, w))
     return _reference_checked_product(t[d] for d in RELEVANT_DIMS[kind])
 

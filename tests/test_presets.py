@@ -23,6 +23,7 @@ from accel_predict import (
     validate_nest,
     validate_structure,
 )
+from accel_predict import presets
 from accel_predict.presets import MAPPING_PRESETS
 
 I, O, W = DataKind.INPUT, DataKind.OUTPUT, DataKind.WEIGHT
@@ -56,6 +57,13 @@ class TestHardwarePreset:
         with pytest.raises(ConfigError) as exc:
             hardware_preset("tpu")
         assert "eyeriss_normalized" in str(exc.value)
+
+    def test_missing_bundled_file(self, monkeypatch):
+        # a listed name whose JSON file is not beside the module
+        monkeypatch.setattr(presets, "HARDWARE_PRESETS", ("absent",))
+        with pytest.raises(ConfigError) as exc:
+            hardware_preset("absent")
+        assert str(exc.value) == "no bundled preset file 'absent'"
 
 
 class TestNetworkPreset:
