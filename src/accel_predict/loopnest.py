@@ -338,6 +338,10 @@ def _check_coverage(true_dim: int, factors) -> tuple[int, list[int]]:
                      if b > 1 and (product // b) * (b - 1) >= true_dim]
 
 
+# the violation of a loop whose bound is below 1, which the oracle refuses
+NO_ITERATIONS = "bound must be >= 1"
+
+
 def _structure_violations(nest: LoopNest) -> tuple[Violation, ...]:
     """The checks on the nest alone (bounds, grouping order, spatial contiguity,
     coverage, minimal padding), read from what the nest's one walk collected."""
@@ -349,7 +353,7 @@ def _structure_violations(nest: LoopNest) -> tuple[Violation, ...]:
     _, odd, spatial, products = nest._walk
     for i, bound, mem, prev in odd:
         if bound < 1:
-            flag(f"levels[{i}]", "bound must be >= 1")
+            flag(f"levels[{i}]", NO_ITERATIONS)
         if mem > prev:
             flag(
                 f"levels[{i}]",

@@ -185,6 +185,45 @@ class TestMeasurementDetails:
             relaxed.elements_moved[DRAM][I] < strided.elements_moved[DRAM][I]
         )
 
+    @pytest.mark.parametrize("dim", ["e", "r", "f", "s"])
+    def test_bound_zero_loop_below_the_input_tile_is_a_mapping_error(
+        self, dim
+    ):
+        # below the input tile, the loop leaves no touched row to span
+        layer = LayerShape(m=2, c=1, r=1, s=1, e=1, f=1)
+        nest = nest_of(layer, ("m", 2, GB), (dim, 0, RF))
+        with pytest.raises(MappingError) as err:
+            simulate(nest, RefreshLocations.outermost(nest))
+        assert [str(v) for v in err.value.violations] == [
+            "levels[1]: bound must be >= 1"
+        ]
+
+    def test_bound_zero_spatial_loop_is_a_mapping_error(self):
+        # outputs and weights depend on m, and no PE instance leaves no
+        # group to divide the PE count by
+        layer = LayerShape(m=2, c=2, r=1, s=1, e=1, f=1)
+        nest = nest_of(layer, ("c", 2, GB), ("m", 0, NOC, True), ("m", 2, RF))
+        with pytest.raises(MappingError) as err:
+            simulate(nest, RefreshLocations.outermost(nest))
+        assert err.value.violations == [
+            v for v in nest.structure_violations
+            if v.message == "bound must be >= 1"
+        ]
+        assert str(err.value) == "levels[1]: bound must be >= 1"
+
+    @pytest.mark.parametrize("location", [4, -1])
+    def test_location_outside_the_nest_is_a_mapping_error(self, location):
+        layer = LayerShape(m=4, c=2, r=1, s=1, e=1, f=1)
+        nest = nest_of(layer, ("m", 2, DRAM), ("c", 2, GB), ("m", 2, RF))
+        refresh = RefreshLocations(
+            gb={I: 0, O: 0, W: 0}, rf={I: 3, O: location, W: 3}
+        )
+        with pytest.raises(MappingError) as err:
+            simulate(nest, refresh)
+        assert str(err.value) == (
+            f"refresh[O][RF]: location {location} outside [0, 3]"
+        )
+
 
 class TestDiff:
     def _small(self):
@@ -406,11 +445,24 @@ def _ref_multicast(spatial_loops) -> dict[DataKind, int]:
     return multicast
 
 
+def _ref_measure_tiles(levels, locs, stride: int, cap: int) -> dict:
+    """The seam `oracle._measure_tiles` fills: each (kind, level) tile
+    measured on its own from the loops below its location, every loop for
+    GB and the temporal ones for RF."""
+    volumes = {}
+    for (kind, mem), loc in locs.items():
+        below = levels[loc:]
+        if mem is RF:
+            below = [lv for lv in below if not lv.spatial]
+        volumes[(kind, mem)] = _ref_measure_tile(below, kind, stride, cap)
+    return volumes
+
+
 def reference_simulate(nest, refresh, options):
     with mock.patch.object(
         oracle, "_count_refresh_events", _ref_count_refresh_events
     ), mock.patch.object(
-        oracle, "_measure_tile", _ref_measure_tile
+        oracle, "_measure_tiles", _ref_measure_tiles
     ), mock.patch.object(oracle, "_multicast", _ref_multicast):
         return simulate(nest, refresh, options=options)
 
@@ -526,3 +578,129 @@ def test_thousands_of_loops_above_the_refresh_points_check():
     nest, refresh = mapping_from_json(data, layer)
     assert len(nest.levels) > n
     assert check(nest, refresh, hw).ok
+
+
+# ------------------------- tiles and multicast against their references
+
+
+@st.composite
+def tile_instances(draw):
+    """Loops in group order over a few dims, so dims repeat, with bound-1
+    loops between them; 1-3 spatial loops of bound up to 6; locations
+    drawn from a few positions, so kinds share a dim's loops below them;
+    stride 1-4, or 1 under assume_stride_one."""
+    dims = draw(st.lists(st.sampled_from(DIMS), min_size=1, max_size=4,
+                         unique=True))
+    bound = st.one_of(st.just(1), st.integers(2, 4))
+    levels = []
+    for mem, count, spatial in (
+        (DRAM, st.integers(0, 3), False),
+        (GB, st.integers(0, 3), False),
+        (NOC, st.integers(1, 3), True),
+        (RF, st.integers(0, 4), False),
+    ):
+        for _ in range(draw(count)):
+            levels.append(LoopLevel(
+                draw(st.sampled_from(dims)),
+                draw(st.integers(1, 6) if spatial else bound),
+                mem,
+                spatial,
+            ))
+    positions = draw(st.lists(st.integers(0, len(levels)), min_size=1,
+                              max_size=3))
+    locs = {
+        (kind, mem): draw(st.sampled_from(positions))
+        for kind in DataKind
+        for mem in (GB, RF)
+    }
+    layer_stride = draw(st.integers(1, 4))
+    stride = 1 if draw(st.booleans()) else layer_stride  # assume_stride_one
+    cap = draw(st.one_of(st.just(10**9), st.integers(1, 300)))
+    return tuple(levels), locs, stride, cap
+
+
+def _outcome(measure, *args):
+    try:
+        return measure(*args)
+    except InstanceTooLargeError as err:
+        return str(err)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(tile_instances())
+def test_each_tile_volume_equals_its_own_walk(instance):
+    levels, locs, stride, cap = instance
+    # the same volume for each (kind, level), or the same first refusal
+    assert _outcome(oracle._measure_tiles, levels, locs, stride, cap) == (
+        _outcome(_ref_measure_tiles, levels, locs, stride, cap)
+    )
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(tile_instances())
+def test_multicast_equals_the_projection_walk(instance):
+    levels = instance[0]
+    spatial = [lv for lv in levels if lv.spatial]
+    assert oracle._multicast(spatial) == _ref_multicast(spatial)
+
+
+def _tile_loops(nest, refresh, kind, mem):
+    below = nest.levels[refresh.loc(kind, mem):]
+    return [lv for lv in below if not lv.spatial] if mem is RF else below
+
+
+@pytest.mark.parametrize("name", [f"conv{i}" for i in range(1, 6)])
+def test_each_distinct_axis_list_is_enumerated_once(name, monkeypatch):
+    # The 24 (tile, relevant dim) lookups of a check share axis lists: a
+    # dim's loops below two locations, or two dims' loops of equal bounds.
+    hw = hardware_preset("eyeriss_normalized")
+    nest, refresh = mapping_preset("row_stationary", layer_preset(name), hw)
+    wanted = {
+        tuple(lv.bound for lv in reversed(loops)
+              if lv.dim == d and lv.bound != 1)
+        for kind in DataKind
+        for mem in (GB, RF)
+        for loops in [_tile_loops(nest, refresh, kind, mem)]
+        for d in RELEVANT_DIMS[kind]
+    }
+    calls = []
+    touched = oracle._touched
+
+    def spy(*args):
+        calls.append(args)
+        return touched(*args)
+
+    monkeypatch.setattr(oracle, "_touched", spy)
+    assert check(nest, refresh, hw).ok
+    assert len(calls) == len(wanted)
+    # each call's axes, by their loops' bounds innermost first
+    assert {tuple(map(len, axes)) for axes, in calls} == wanted
+
+
+@pytest.mark.parametrize("name", [f"conv{i}" for i in range(1, 6)])
+def test_cap_one_below_the_largest_tile_names_the_first_tile_over_it(name):
+    hw = hardware_preset("eyeriss_normalized")
+    nest, refresh = mapping_preset("row_stationary", layer_preset(name), hw)
+    points = {
+        (kind, mem): math.prod(
+            lv.bound for lv in _tile_loops(nest, refresh, kind, mem)
+            if lv.dim in RELEVANT_DIMS[kind]
+        )
+        for kind in DataKind
+        for mem in (GB, RF)
+    }
+    cap = max(points.values()) - 1
+    first = next(n for n in points.values() if n > cap)
+    # the walked steps and the PE instances stay within the cap
+    assert check(nest, refresh, hw, cap=cap + 1).ok
+    with pytest.raises(InstanceTooLargeError) as err:
+        simulate(nest, refresh, cap=cap)
+    assert str(err.value) == f"tile enumeration of {first} points exceeds cap {cap}"
