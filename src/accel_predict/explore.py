@@ -20,15 +20,19 @@ the one random.sample draws, drawn with one getrandbits call per pick.
 Every dim's tilings hold its whole tiling (n, 1, ..., 1), so a beam
 completion, which leaves the unassigned dims whole, is a candidate index
 too. A positional survivor is scored from six per-dim rows, one per
-tiling, built once per search when some positional style is not doomed:
-its refresh points sit on level-group boundaries, so each resident tile
-is a product of per-level factors, and its refresh counts, multicast,
-PE and MAC products are products of the rows too. A capacity discard
-builds nothing, and a legal one builds flat loops only where its totals
-need the report path. A row_stationary_like survivor's flat loops are
-built from its factors and ordering and walked once: that walk places
-its refresh points and sizes its resident tiles, and it is the row
-scorer's reference. Both price a legal candidate with
+tiling: its refresh points sit on level-group boundaries, so each
+resident tile is a product of per-level factors, and its refresh
+counts, multicast, PE and MAC products are products of the rows too.
+A dim's tilings and rows depend only on its extent, the space's levels
+and whether it pads, never on hardware, stride, orderings or styles, so
+they are built once per process for each of those and shared by every
+search (a bounded cache); the verdicts, the PE count and the index radix
+are the search's own, rebuilt per call. A capacity discard builds
+nothing, and a legal one builds flat loops only where its totals need
+the report path. A row_stationary_like survivor's flat loops are built
+from its factors and ordering and walked once: that walk places its
+refresh points and sizes its resident tiles, and it is the row scorer's
+reference. Both price a legal candidate with
 predictor.price_totals (the walk through score_totals), which builds no
 plan or report; the report path is its bit-for-bit reference, and only
 the returned entries get a full report. Generated nests are legal in
@@ -200,9 +204,46 @@ def _tilings(value: int, k: int, padded: bool) -> list[tuple[int, ...]]:
     return out
 
 
+class _DimPart(NamedTuple):
+    # what a dim's searches share: its tilings, each one's NoC factor and
+    # row (see _Prepared), and its largest tiling product
+    tilings: tuple[tuple[int, ...], ...]
+    nocs: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+    largest: int
+
+
+@functools.lru_cache(maxsize=128)  # a few networks' extents, a few level sets
+def _dim_part(value: int, padded: bool, slots: tuple) -> _DimPart:
+    """The tilings of a dim of extent `value` over the levels whose RF,
+    GB, NoC and DRAM slots are `slots` (SearchSpace.slots), with their
+    NoC factors and rows. None of it depends on hardware, stride or the
+    rest of the space, so every search of that extent shares it; an error
+    from _tilings is raised again on every call."""
+    # the RF, GB, NoC and DRAM factors' slots in a tiling with a 1
+    # appended, which a level the space lacks reads
+    last = sum(j is not None for j in slots)
+    rf, gb, noc, dram = [last if j is None else j for j in slots]
+    tilings = tuple(_tilings(value, last, padded))
+    rows = []
+    for t in tilings:
+        t += (1,)
+        gb_rf = t[gb] * t[rf]
+        array = gb_rf * t[noc]
+        rows.append((t[noc], t[rf], gb_rf, array, array * t[dram], t[dram],
+                     t[dram] * t[gb]))
+    return _DimPart(tilings, tuple(row[0] for row in rows), tuple(rows),
+                    max(map(math.prod, tilings)))
+
+
 class _Prepared:
-    def __init__(self, tilings, styles, groups, slots, kept, stride, doomed, n_pe):
-        self.tilings: dict[str, list[tuple[int, ...]]] = tilings
+    """One search's view of its space: each dim's shared _DimPart, and
+    what depends on the hardware and the rest of the space, rebuilt per
+    call."""
+
+    def __init__(self, parts, styles, groups, slots, kept, stride, doomed, n_pe):
+        self.tilings: dict[str, tuple[tuple[int, ...], ...]] = {
+            d: part.tilings for d, part in zip(DIMS, parts)}
         self.styles: list[str] = styles
         self.groups, self.slots = groups, slots  # SearchSpace.groups, .slots
         # per style, the index in KINDS of the kind it keeps, or None
@@ -215,41 +256,20 @@ class _Prepared:
         self.n_pe: int = n_pe
         # the mixed radix of a candidate index, most significant first, and
         # each dim digit's place value
-        self.radices = [len(tilings[d]) for d in DIMS]
+        self.radices = [len(part.tilings) for part in parts]
         self.radices += [len(groups), len(styles)]
         self.places = [math.prod(self.radices[i + 1:]) for i in range(len(DIMS))]
+        # Per dim, what _settle reads off an index digit: its tilings' NoC
+        # factors (1 without a NoC level) and rows, its place value and its
+        # radix. A tiling's row is its NoC factor, the dim's extent across
+        # the RF, GB*RF, GB*NoC*RF and every level, and its DRAM and
+        # DRAM*GB products. The factors and rows are the shared _DimPart's.
+        self.table = [(part.nocs, part.rows, p, n) for part, p, n
+                      in zip(parts, self.places, self.radices)]
 
     @property
     def size(self) -> int:
         return math.prod(self.radices)
-
-    @functools.cached_property
-    def table(self):
-        """Per dim, what _settle reads off an index digit: its tilings'
-        NoC factors (1 without a NoC level) and rows, its place value and
-        its radix. A tiling's row is its NoC factor, the dim's extent
-        across the RF, GB*RF, GB*NoC*RF and every level, and its DRAM and
-        DRAM*GB products. The rows are built only when a positional style
-        is not doomed, as only then can a positional candidate be scored."""
-        positional = any(k is not None and d is None
-                         for k, d in zip(self.kept, self.doomed))
-        # the RF, GB, NoC and DRAM factors' slots in a tiling with a 1
-        # appended, which a level the space lacks reads
-        last = sum(j is not None for j in self.slots)
-        rf, gb, noc, dram = [last if j is None else j for j in self.slots]
-        table = []
-        for ts, p, n in zip(map(self.tilings.get, DIMS), self.places,
-                            self.radices):
-            nocs = [1] * n if noc == last else [t[noc] for t in ts]
-            rows = [] if positional else None
-            for t in ts if positional else ():
-                t += (1,)
-                gb_rf = t[gb] * t[rf]
-                array = gb_rf * t[noc]
-                rows.append((t[noc], t[rf], gb_rf, array, array * t[dram],
-                             t[dram], t[dram] * t[gb]))
-            table.append((nocs, rows, p, n))
-        return table
 
 
 def _doomed(hw: HardwareConfig, style: str, dims, stride: int) -> str | None:
@@ -271,17 +291,16 @@ def _doomed(hw: HardwareConfig, style: str, dims, stride: int) -> str | None:
 
 
 def _prepare(space: SearchSpace, layer: LayerShape) -> _Prepared:
-    tilings = {d: _tilings(layer.dim(d), len(space.levels),
-                           space.allow_nondivisor) for d in DIMS}
-    stride = space.options.effective_stride(layer)
     dims = [layer.dim(d) for d in DIMS]
+    parts = [_dim_part(n, space.allow_nondivisor, space.slots) for n in dims]
+    stride = space.options.effective_stride(layer)
     # No verdict where a tile can overflow, so CountOverflowError stays where
     # it is raised: a dim's whole extent is at most its largest tiling
     # product.
-    largest = [max(map(math.prod, tilings[d])) for d in DIMS]
+    largest = [part.largest for part in parts]
     decided = max(tile_volumes(largest, stride)) <= INT64_MAX
     return _Prepared(
-        tilings=tilings,
+        parts=parts,
         styles=list(space.refresh_styles),
         groups=space.groups,
         slots=space.slots,

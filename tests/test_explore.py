@@ -1458,6 +1458,150 @@ class TestLazyBeam:
                 assert cand[-2:] == (0, 0)
 
 
+class TestSharedLayerPart:
+    """Each dim's tilings and rows are built once per extent, level set
+    and padding, and shared by every search on them (_dim_part); what
+    depends on the hardware, the stride or the rest of the space is the
+    search's own."""
+
+    @staticmethod
+    def _enumerated(monkeypatch):
+        """The arguments of each _tilings call, logged before it runs."""
+        log, tilings = [], explore_module._tilings
+
+        def logged(*args):
+            log.append(args)
+            return tilings(*args)
+        monkeypatch.setattr(explore_module, "_tilings", logged)
+        return log
+
+    def test_a_second_search_enumerates_nothing(self, monkeypatch):
+        explore_module._dim_part.cache_clear()
+        enumerated = self._enumerated(monkeypatch)
+        space = SearchSpace(hardware_preset("eyeriss_normalized"))
+        layer = layer_preset("alexnet_conv2")
+        first = explore(space, layer, strategy="random", n_samples=300)
+        # one enumeration per distinct extent: r and s share theirs
+        assert sorted(enumerated) == sorted(
+            (n, 4, False) for n in set(layer.dims().values()))
+        enumerated.clear()
+        again = explore(space, layer, strategy="random", n_samples=300)
+        assert space_size(space, layer) == first.stats["space_size"]
+        assert enumerated == []
+        assert canonical_json(again.to_dict()) == canonical_json(first.to_dict())
+
+    @pytest.mark.parametrize("change", [
+        {"levels": (GB, RF)},
+        {"levels": (DRAM, GB, RF)},
+        {"allow_nondivisor": True},
+    ], ids=["two levels", "no NoC", "padded"])
+    def test_other_levels_or_padding_enumerate_again(self, monkeypatch, change):
+        layer = LayerShape(m=4, c=6, r=3, s=3, e=2, f=2)
+        space = SearchSpace(roomy_hw())
+        space_size(space, layer)
+        enumerated = self._enumerated(monkeypatch)
+        other = dataclasses.replace(space, **change)
+        space_size(other, layer)
+        k, padded = len(other.levels), other.allow_nondivisor
+        assert sorted(enumerated) == sorted(
+            (n, k, padded) for n in set(layer.dims().values()))
+        enumerated.clear()
+        space_size(space, layer)
+        assert enumerated == []
+
+    def test_another_name_or_stride_shares_the_entry(self, monkeypatch):
+        # whole weights 2^63 - 2^48 fit in 2^63; inputs pass it only at a
+        # stride near 2^24, so the stride alone decides whether the
+        # styles are doomed
+        layer = LayerShape(m=2**16, c=2**16, r=2**16, s=2**15 - 1, e=2, f=2)
+        space = SearchSpace(hardware_preset("eyeriss_normalized"))
+        assert _prepare(space, layer).doomed == ["capacity", "capacity"]
+        enumerated = self._enumerated(monkeypatch)
+        renamed = dataclasses.replace(layer, name="other")
+        strided = dataclasses.replace(layer, stride=2**24)
+        assert _prepare(space, renamed).doomed == ["capacity", "capacity"]
+        prep = _prepare(space, strided)
+        assert (prep.stride, prep.doomed) == (2**24, [None, None])
+        assert _prepare(space, layer).doomed == ["capacity", "capacity"]
+        assert enumerated == []
+
+    def test_the_padded_cap_error_is_raised_on_every_call(self, monkeypatch):
+        # the full cap takes seconds to reach; the error is the same
+        monkeypatch.setattr(explore_module, "_FACTOR_ENUM_CAP", 10_000)
+        enumerated = self._enumerated(monkeypatch)
+        space = SearchSpace(roomy_hw(), allow_nondivisor=True)
+        layer = LayerShape(m=10**6, c=1, r=1, s=1, e=1, f=1)
+        for _ in range(2):
+            with pytest.raises(ConfigError) as exc:
+                explore(space, layer, strategy="random", n_samples=10)
+            assert "allow_nondivisor" in str(exc.value)
+        assert [args for args in enumerated if args[0] == 10**6] == [
+            (10**6, 4, True)] * 2
+
+    def test_the_shared_part_is_read_only(self):
+        space = SearchSpace(hardware_preset("eyeriss_normalized"))
+        layer = layer_preset("alexnet_conv5")
+        prep = _prepare(space, layer)
+        for n in layer.dims().values():
+            part = explore_module._dim_part(n, False, space.slots)
+            for column in (part.tilings, part.nocs, part.rows):
+                assert type(column) is tuple
+            assert all(type(v) is tuple for v in part.tilings + part.rows)
+        tilings = {d: list(ts) for d, ts in prep.tilings.items()}
+        table = [(list(nocs), list(rows), p, n) for nocs, rows, p, n in prep.table]
+        expected = canonical_json(explore(
+            space, layer, strategy="random", n_samples=300).to_dict())
+        with pytest.raises(TypeError):
+            prep.table[0][1][0] += (0,)  # a row is a tuple
+        with pytest.raises(AttributeError):
+            prep.tilings["m"].append((1, 1, 1, 1))
+        # what one search may change is its own
+        prep.tilings["m"] = ()
+        prep.table[0] = ((), (), 0, 0)
+        prep.radices[0] = 1
+        again = _prepare(space, layer)
+        assert {d: list(ts) for d, ts in again.tilings.items()} == tilings
+        assert [(list(nocs), list(rows), p, n)
+                for nocs, rows, p, n in again.table] == table
+        assert canonical_json(explore(
+            space, layer, strategy="random", n_samples=300).to_dict()) == expected
+
+    def _same_bytes_in_any_order(self, spaces, layer):
+        def run(space):
+            return [canonical_json(explore(space, layer, objective="edp", **kw)
+                                   .to_dict())
+                    for kw in ({"strategy": "random", "n_samples": 300, "seed": 3},
+                               {"strategy": "beam", "beam_width": 4})]
+        # per space, its outputs cold and warm, in both orders
+        seen = [set(), set()]
+        for order in (spaces, spaces[::-1]):
+            explore_module._dim_part.cache_clear()
+            for _warm in range(2):
+                for space in order:
+                    seen[spaces.index(space)].add(tuple(run(space)))
+        assert [len(s) for s in seen] == [1, 1]
+        assert seen[0] != seen[1]
+
+    def test_no_state_leaks_across_hardware(self):
+        layer = layer_preset("alexnet_conv5")
+        eyeriss = hardware_preset("eyeriss_normalized")
+        small_gb = dataclasses.replace(eyeriss, capacity_gb=65536)
+        spaces = [SearchSpace(eyeriss), SearchSpace(small_gb)]
+        assert [_prepare(s, layer).doomed for s in spaces] == [
+            ["capacity", None], ["capacity", "capacity"]]
+        self._same_bytes_in_any_order(spaces, layer)
+
+    @pytest.mark.parametrize("change", [
+        {"refresh_styles": REFRESH_STYLES},
+        {"orderings": ((), ("f", "e", "s", "r", "c", "m"))},
+    ], ids=["refresh_styles", "orderings"])
+    def test_no_state_leaks_across_spaces(self, change):
+        layer = layer_preset("alexnet_conv5")
+        space = SearchSpace(hardware_preset("eyeriss_normalized"))
+        self._same_bytes_in_any_order(
+            [space, dataclasses.replace(space, **change)], layer)
+
+
 # explore(..., objective="edp", n_samples=2000, beam_width=16, seed=0) on
 # the eyeriss preset, default space: stats and the sha256 of the canonical
 # to_dict() JSON, per layer and strategy.
@@ -1501,6 +1645,11 @@ class TestBenchmarkPin:
                     hashlib.sha256(text.encode()).hexdigest(),
                 )
         assert got == BENCHMARK_PIN
+
+    def test_pins_hold_cold_and_warm(self):
+        explore_module._dim_part.cache_clear()
+        self.test_alexnet_edp_search()  # every tiling enumerated afresh
+        self.test_alexnet_edp_search()
 
 
 # explore(..., objective="edp", n_samples=3000, beam_width=16, seed=0) on the
