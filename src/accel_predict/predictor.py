@@ -6,17 +6,18 @@ divides the same counts by bandwidths. Every cost and bandwidth comes
 from one table built with the hardware, HardwareConfig.score_table.
 
 The explorer's legal candidates get their energy and latency totals
-from price_totals, which reads that table and builds no plan, count rows
-or report; this report path is its bit-for-bit reference. It prices the
-integer refresh counts and products that score_totals reads off flat
-loops, or the explorer off a positional candidate's factors (see
-explore).
+from price_totals, which reads that table and builds no plan or report;
+this report path is its bit-for-bit reference. It prices the integer
+refresh counts and products that score_totals reads off flat loops, or
+the explorer off a positional candidate's factors (see explore). The
+report path and that kernel share one row builder, count_rows, the only
+place the partial-sum and the overflow rules live.
 """
 
 from __future__ import annotations
 
 import math
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .errors import ConfigError, MappingError
@@ -24,6 +25,7 @@ from .loopnest import (
     LoopNest,
     RefreshLocations,
     RefreshPlan,
+    _BY_KIND,
     build_plan,
     checked_plan,
     loop_products,
@@ -49,48 +51,61 @@ AccessCounts = dict[MemLevel, dict[DataKind, int]]
 
 # bound once: reading a member off an Enum class runs EnumType's slow hook
 _DRAM, _GB, _NOC, _RF = LEVELS_OUTER_FIRST
-_OUTPUT = DataKind.OUTPUT
+_INPUT, _OUTPUT, _WEIGHT = KINDS
+# a plan's n_ref or v_ref values at the GB and at the RF, KINDS order
+_AT_GB, _AT_RF = (itemgetter(*((k, mem) for k in KINDS)) for mem in (_GB, _RF))
 
 
-def access_counts(plan: RefreshPlan, options: Options = Options()) -> AccessCounts:
-    """Elements crossing each boundary, per data kind.
+def count_rows(gb_refreshes, rf_refreshes, multicast, n_pe: int, tiles, psum):
+    """The DRAM, GB->array and NoC rows (KINDS order) of the refresh
+    counts at the GB and the RF locations, each kind's multicast, the PE
+    product, the resident tiles and the factor options.psum_factor().
 
-    The level key names the outer side of the boundary: DRAM rows are
-    DRAM<->GB transfers, GB rows are GB->array fetches (shared across
-    multicast groups), NoC rows are per-PE deliveries, RF rows are
-    register reads feeding the MACs. Output counts at DRAM and GB carry
-    the read+write factor whenever partial sums recirculate there; NoC
-    deliveries and register traffic are counted once per the flat forms.
-    """
-    psum = options.psum_factor()
-    n_pe, n_ref, v_ref = plan.n_pe_active, plan.n_ref, plan.v_ref
-    counts: AccessCounts = {lvl: {} for lvl in LEVELS_OUTER_FIRST}
-    dram_row, gb_row, noc_row, rf_row = counts.values()
-    traffic = []  # DRAM traffic before the read+write factor, KINDS order
-    for k in KINDS:
-        dram = n_ref[k, _GB] * v_ref[k, _GB]
-        traffic.append(dram)
-        delivered = n_ref[k, _RF] * v_ref[k, _RF]
-        groups = n_pe // plan.multicast[k]
-        gb, noc = delivered * groups, delivered * n_pe
-        if delivered > INT64_MAX or gb > INT64_MAX or noc > INT64_MAX:
+    Partial sums recirculate where a buffer is refreshed: the output's
+    DRAM count carries the factor only if its GB tile is refreshed more
+    than once, its GB->array count only if its RF tile is. The first count
+    past 2^63-1 raises CountOverflowError: per kind its deliveries, array
+    and NoC counts, then the output's scaled ones under an integer factor
+    only; the DRAM traffic last."""
+    dram_row, array_row, noc_row, traffic = [], [], [], []
+    for k, n_gb, v_gb, n_rf, v_rf, m in zip(KINDS, gb_refreshes, tiles[0],
+                                            rf_refreshes, tiles[1], multicast):
+        dram, delivered, groups = n_gb * v_gb, n_rf * v_rf, n_pe // m
+        traffic.append(dram)  # DRAM traffic before the factor
+        array, noc = delivered * groups, delivered * n_pe
+        if delivered > INT64_MAX or array > INT64_MAX or noc > INT64_MAX:
             checked_product((delivered, groups))
             checked_product((delivered, n_pe))
         if k is _OUTPUT:
-            # partial sums recirculate where the buffer is refreshed; a
-            # scaled count passes the overflow rule when its factor is an int
-            f_dram = psum if n_ref[k, _GB] > 1 else 1
-            f_gb = psum if n_ref[k, _RF] > 1 else 1
-            if dram * f_dram > INT64_MAX or gb * f_gb > INT64_MAX:
-                for count, factor in ((dram, f_dram), (gb, f_gb)):
+            f_dram, f_array = psum if n_gb > 1 else 1, psum if n_rf > 1 else 1
+            if dram * f_dram > INT64_MAX or array * f_array > INT64_MAX:
+                for count, factor in ((dram, f_dram), (array, f_array)):
                     if isinstance(factor, int):
                         checked_product((count, factor))
-            dram, gb = dram * f_dram, gb * f_gb
-        dram_row[k], gb_row[k], noc_row[k], rf_row[k] = dram, gb, noc, plan.n_mac_padded
-    if max(traffic) > INT64_MAX:  # DRAM traffic passes the overflow rule last
+            dram, array = dram * f_dram, array * f_array
+        dram_row.append(dram)
+        array_row.append(array)
+        noc_row.append(noc)
+    if max(traffic) > INT64_MAX:
         for count in traffic:
             checked_count(count)
-    return counts
+    return dram_row, array_row, noc_row
+
+
+def access_counts(plan: RefreshPlan, options: Options = Options()) -> AccessCounts:
+    """Elements crossing each boundary, per data kind (count_rows). The
+    level key names the outer side of the boundary: DRAM rows are
+    DRAM<->GB transfers, GB rows GB->array fetches (shared across
+    multicast groups), NoC rows per-PE deliveries, RF rows the register
+    reads feeding the MACs."""
+    n_ref, v_ref = plan.n_ref, plan.v_ref
+    dram, array, noc = count_rows(
+        _AT_GB(n_ref), _AT_RF(n_ref), _BY_KIND(plan.multicast), plan.n_pe_active,
+        (_AT_GB(v_ref), _AT_RF(v_ref)), options.psum_factor())
+    return {_DRAM: {_INPUT: dram[0], _OUTPUT: dram[1], _WEIGHT: dram[2]},
+            _GB: {_INPUT: array[0], _OUTPUT: array[1], _WEIGHT: array[2]},
+            _NOC: {_INPUT: noc[0], _OUTPUT: noc[1], _WEIGHT: noc[2]},
+            _RF: dict.fromkeys(KINDS, plan.n_mac_padded)}
 
 
 class EnergyReport(NamedTuple):
@@ -172,6 +187,9 @@ def latency(
     hw: HardwareConfig,
     options: Options = Options(),
 ) -> LatencyReport:
+    """The latency terms and setup + max(comp, DRAM, GB): compute and both
+    transfers overlap fully, whatever the buffers hold, and
+    hw.buffering_factor only scales the capacity the tiles must fit."""
     _, t_comp, _, per_kind = hw.score_table
     if options.literal_eq8:
         l_comp = plan.n_mac_padded * t_comp
@@ -221,47 +239,35 @@ def score_totals(
     above, multicast, n_pe, n_mac = loop_products(loops)
     totals = price_totals([above[p] for p in gb], [above[p] for p in rf],
                           multicast, n_pe, n_mac, tiles, hw, options)
-    if totals is None:
-        return _report_totals(loops, gb, rf, tiles, hw, options)
-    return totals
+    if totals is not None:
+        return totals
+    plan = build_plan(loops, gb, rf, tiles)
+    counts = access_counts(plan, options)
+    return energy(plan, counts, hw).total, latency(plan, counts, hw, options).l_total_s
 
 
 def price_totals(
     gb_refreshes, rf_refreshes, multicast, n_pe: int, n_mac: int, tiles,
     hw: HardwareConfig, options: Options = Options(),
 ) -> tuple[float, float] | None:
-    """The energy and latency totals of a plan given as integers: the
-    refresh counts at the GB and the RF locations, each kind's multicast
-    (KINDS order), the PE and MAC products and the resident tiles. The
-    report path's operations in its order, reading hw.score_table, with
-    no plan, count rows or report built. None where that path must run
-    instead: a count past 2^63-1 (or n_mac under 1) or a total past the
-    largest float."""
+    """The energy and latency totals of a plan given as count_rows'
+    integers (KINDS order) and the MAC product: count_rows' rows, priced
+    by the report path's operations in its order from hw.score_table,
+    with no plan or report built. None where that path must run instead:
+    a count past 2^63-1 (or n_mac under 1) or a total past the largest
+    float."""
     if not 0 < n_mac <= INT64_MAX:  # or a bound under 1
         return None
     e_mac, t_mac, costs, per_kind = hw.score_table
-    (v_i, v_o, v_w), (w_i, w_o, w_w) = tiles
-    (g_i, g_o, g_w), (r_i, r_o, r_w) = gb_refreshes, rf_refreshes
-    m_i, m_o, m_w = multicast
-    dram = [g_i * v_i, g_o * v_o, g_w * v_w]
-    d_i, d_o, d_w = r_i * w_i, r_o * w_o, r_w * w_w
-    array = [d_i * (n_pe // m_i), d_o * (n_pe // m_o), d_w * (n_pe // m_w)]
-    noc = [d_i * n_pe, d_o * n_pe, d_w * n_pe]
-    largest = max(*dram, d_i, d_o, d_w, *array, *noc)
-    # outputs: partial sums recirculate where the buffer is refreshed
-    psum = options.psum_factor()
-    if g_o > 1:
-        dram[1] = dram[1] * psum
-    if r_o > 1:
-        array[1] = array[1] * psum
-    if max(largest, dram[1], array[1]) > INT64_MAX:
-        return None
     try:
+        dram, array, noc = count_rows(gb_refreshes, rf_refreshes, multicast, n_pe,
+                                      tiles, options.psum_factor())
         e = n_mac * e_mac + sum([sum(map(mul, row, cost)) for row, cost in zip(
             (dram, array, noc, [n_mac] * 3), costs.values())])
-    except OverflowError:  # an integer term past the float range
+    except OverflowError:  # a count past 2^63-1, or a term past the float range
         return None
     # each max over kinds as latency takes it: the largest term, or 0.0
+    (v_i, _, v_w), (w_i, _, w_w) = tiles
     (b_i, dram_i, gb_i, fill_i), (b_o, dram_o, gb_o, _), \
         (b_w, dram_w, gb_w, fill_w) = per_kind
     sent = array if options.gb_latency_multicast_aware else noc
@@ -276,14 +282,6 @@ def price_totals(
     if not (e <= _FLOAT_MAX and lat <= _FLOAT_MAX):
         return None
     return e, lat
-
-
-def _report_totals(loops, gb, rf, tiles, hw, options) -> tuple[float, float]:
-    """score_totals the report path's way."""
-    plan = build_plan(loops, gb, rf, tiles)
-    counts = access_counts(plan, options)
-    return (energy(plan, counts, hw).total,
-            latency(plan, counts, hw, options).l_total_s)
 
 
 class PredictionReport(NamedTuple):

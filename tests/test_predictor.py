@@ -32,6 +32,8 @@ from accel_predict import (
     predict_network,
     refresh_plan,
 )
+from accel_predict.model import INT64_MAX
+from accel_predict.oracle import simulate
 from tests.test_model import _hw
 
 I, O, W = DataKind.INPUT, DataKind.OUTPUT, DataKind.WEIGHT
@@ -91,6 +93,61 @@ class TestAccessCounts:
         for kind in (I, W):
             for lvl in (DRAM, GB, NOC, RF):
                 assert doubled[lvl][kind] == flat[lvl][kind]
+
+
+class TestCountRows:
+    """access_counts and the explorer's price_totals count with one row
+    builder, predictor.count_rows; the oracle observes its own counts."""
+
+    def test_fractional_psum_past_int64_is_priced_by_the_kernel(self, monkeypatch):
+        # 2 x 3*2^60 output elements cross DRAM and reach the array, each
+        # count under 2^63-1 until the read+write factor 1.5 scales it
+        layer = LayerShape(m=3 * 2**60, c=2, r=1, s=1, e=1, f=1)
+        nest = LoopNest((LoopLevel("c", 2, DRAM), LoopLevel("m", 3 * 2**60, RF)),
+                        layer)
+        refresh = RefreshLocations(gb=dict.fromkeys(DataKind, 1),
+                                   rf=dict.fromkeys(DataKind, 1))
+        options, hw = Options(psum_rw_factor=1.5), _hw()
+        plan = refresh_plan(nest, refresh, options)
+        counts = access_counts(plan, options)
+        assert counts[DRAM][O] == 1.5 * 6 * 2**60 == pytest.approx(1.0376e19, rel=1e-4)
+        assert counts[DRAM][O] > INT64_MAX
+        reference = (energy(plan, counts, hw).total,
+                     latency(plan, counts, hw, options).l_total_s)
+
+        def refuse(*args):
+            raise AssertionError("build_plan called")
+
+        loops = nest.loops
+        gb, rf = [1] * 3, [1] * 3
+        tiles = loopnest.resident_tiles(
+            gb, rf, *loopnest._volumes_below(loops, gb, rf, 1))
+        monkeypatch.setattr(predictor, "build_plan", refuse)
+        assert predictor.score_totals(loops, gb, rf, tiles, hw, options) == reference
+
+    def test_one_builder_call_per_count_and_none_from_the_oracle(self, monkeypatch):
+        calls = []
+        builder = predictor.count_rows
+
+        def counted(*args):
+            calls.append(args)
+            return builder(*args)
+
+        monkeypatch.setattr(predictor, "count_rows", counted)
+        layer, nest, refresh = single_pe_setup()
+        plan = refresh_plan(nest, refresh)
+        access_counts(plan)
+        assert len(calls) == 1
+        tiles = ([plan.v_ref[k, GB] for k in DataKind],
+                 [plan.v_ref[k, RF] for k in DataKind])
+        assert predictor.price_totals(
+            [plan.n_ref[k, GB] for k in DataKind],
+            [plan.n_ref[k, RF] for k in DataKind],
+            [plan.multicast[k] for k in DataKind], plan.n_pe_active,
+            plan.n_mac_padded, tiles, roomy_hw()) is not None
+        assert len(calls) == 2
+        simulate(nest, refresh)
+        assert len(calls) == 2
 
 
 class TestEnergy:
