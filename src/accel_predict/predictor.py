@@ -11,7 +11,8 @@ this report path is its bit-for-bit reference. It prices the integer
 refresh counts and products that score_totals reads off flat loops, or
 the explorer off a positional candidate's factors (see explore). The
 report path and that kernel share one row builder, count_rows, the only
-place the partial-sum and the overflow rules live.
+place the partial-sum and the overflow rules live, and one latency rule,
+latency_terms, the only place setup + max(comp, DRAM, GB) is written.
 """
 
 from __future__ import annotations
@@ -181,51 +182,52 @@ class LatencyReport(NamedTuple):
     setup_kind: DataKind | None
 
 
+def latency_terms(dram, array, noc, tiles, n_mac: int, n_pe: int,
+                  hw: HardwareConfig, options: Options):
+    """The latency rule on count_rows' rows, the (GB, RF) resident tiles
+    (KINDS order) and the MAC and PE products: l_comp, l_dram, l_gb,
+    l_setup, l_setup + max(l_dram, l_gb, l_comp) and the DRAM, GB and
+    first-tile fill terms (KINDS order; the output's fill is 0.0, as
+    outputs are produced, not staged). Each max over kinds is the largest
+    term, or 0.0. Compute and both transfers overlap fully, whatever the
+    buffers hold: hw.buffering_factor only scales the tiles' capacity."""
+    _, t_mac, _, per_kind = hw.score_table
+    (b_i, dram_i, gb_i, fill_i), (b_o, dram_o, gb_o, _), \
+        (b_w, dram_w, gb_w, fill_w) = per_kind
+    (v_i, _, v_w), (w_i, _, w_w) = tiles
+    sent = array if options.gb_latency_multicast_aware else noc
+    dram_terms = (dram[0] * b_i / dram_i, dram[1] * b_o / dram_o,
+                  dram[2] * b_w / dram_w)
+    gb_terms = (sent[0] * b_i / gb_i, sent[1] * b_o / gb_o, sent[2] * b_w / gb_w)
+    setup_terms = (max(v_i * b_i / dram_i, w_i * b_i / fill_i), 0.0,
+                   max(v_w * b_w / dram_w, w_w * b_w / fill_w))
+    # spatial bounds divide the padded MAC product exactly
+    l_comp = (n_mac if options.literal_eq8 else n_mac // n_pe) * t_mac
+    l_dram, l_gb, l_setup = (max(0.0, *dram_terms), max(0.0, *gb_terms),
+                             max(0.0, *setup_terms))
+    return (l_comp, l_dram, l_gb, l_setup, l_setup + max(l_dram, l_gb, l_comp),
+            (dram_terms, gb_terms, setup_terms))
+
+
 def latency(
     plan: RefreshPlan,
     counts: AccessCounts,
     hw: HardwareConfig,
     options: Options = Options(),
 ) -> LatencyReport:
-    """The latency terms and setup + max(comp, DRAM, GB): compute and both
-    transfers overlap fully, whatever the buffers hold, and
-    hw.buffering_factor only scales the capacity the tiles must fit."""
-    _, t_comp, _, per_kind = hw.score_table
-    if options.literal_eq8:
-        l_comp = plan.n_mac_padded * t_comp
-    else:
-        # spatial bounds divide the padded MAC product exactly
-        l_comp = (plan.n_mac_padded // plan.n_pe_active) * t_comp
-
-    # each max over kinds: the first kind with the largest term > 0, or None
-    dram_row = counts[_DRAM]
-    gb_row = counts[_GB if options.gb_latency_multicast_aware else _NOC]
-    l_dram = l_gb = l_setup = 0.0
-    dram_kind = gb_kind = setup_kind = None
-    for k, (bits, dram_bw, gb_bw, fill_bw) in zip(KINDS, per_kind):
-        term = dram_row[k] * bits / dram_bw
-        if term > l_dram:
-            l_dram, dram_kind = term, k
-        term = gb_row[k] * bits / gb_bw
-        if term > l_gb:
-            l_gb, gb_kind = term, k
-        if k is _OUTPUT:  # first-tile fill: outputs are produced, not staged
-            continue
-        fill_gb = plan.v_ref[k, _GB] * bits / dram_bw
-        fill_rf = plan.v_ref[k, _RF] * bits / fill_bw
-        term = max(fill_gb, fill_rf)
-        if term > l_setup:
-            l_setup, setup_kind = term, k
-
-    steady = max(l_dram, l_gb, l_comp)
-    if steady == l_comp:
-        bottleneck = "comp"
-    elif steady == l_dram:
-        bottleneck = "dram"
-    else:
-        bottleneck = "gb"
-    return LatencyReport(l_comp, l_dram, l_gb, l_setup, l_setup + steady,
-                         bottleneck, dram_kind, gb_kind, setup_kind)
+    """The report of latency_terms on the plan's counts and tiles: each
+    term, the bottleneck (comp, then dram, then gb, on a tie) and the first
+    kind with the largest term above 0, if any, for each max over kinds."""
+    l_comp, l_dram, l_gb, l_setup, total, (dram, gb, setup) = latency_terms(
+        _BY_KIND(counts[_DRAM]), _BY_KIND(counts[_GB]), _BY_KIND(counts[_NOC]),
+        (_AT_GB(plan.v_ref), _AT_RF(plan.v_ref)), plan.n_mac_padded,
+        plan.n_pe_active, hw, options)
+    bottleneck = ("comp" if l_comp >= l_dram and l_comp >= l_gb
+                  else "dram" if l_dram >= l_gb else "gb")
+    return LatencyReport(l_comp, l_dram, l_gb, l_setup, total, bottleneck,
+                         KINDS[dram.index(l_dram)] if l_dram > 0 else None,
+                         KINDS[gb.index(l_gb)] if l_gb > 0 else None,
+                         KINDS[setup.index(l_setup)] if l_setup > 0 else None)
 
 
 def score_totals(
@@ -233,9 +235,10 @@ def score_totals(
 ) -> tuple[float, float]:
     """energy(...).total and latency(...).l_total_s of build_plan(loops,
     gb, rf, tiles), bit for bit: loop_products' refresh counts and
-    products, priced by price_totals. A count past 2^63-1 or a total past
-    the largest float goes down that report path, its reference, which
-    raises what and where it raises."""
+    products, priced by price_totals. A count past 2^63-1, a bound under 1
+    or a total past the largest float goes down that report path, its
+    reference, which raises what and where it raises (MappingError for
+    the bound)."""
     above, multicast, n_pe, n_mac = loop_products(loops)
     totals = price_totals([above[p] for p in gb], [above[p] for p in rf],
                           multicast, n_pe, n_mac, tiles, hw, options)
@@ -252,13 +255,13 @@ def price_totals(
 ) -> tuple[float, float] | None:
     """The energy and latency totals of a plan given as count_rows'
     integers (KINDS order) and the MAC product: count_rows' rows, priced
-    by the report path's operations in its order from hw.score_table,
-    with no plan or report built. None where that path must run instead:
-    a count past 2^63-1 (or n_mac under 1) or a total past the largest
-    float."""
+    by the report path's energy operations in its order from
+    hw.score_table and by latency_terms, with no plan or report built.
+    None where that path must run instead: a count past 2^63-1 (or n_mac
+    under 1) or a total past the largest float."""
     if not 0 < n_mac <= INT64_MAX:  # or a bound under 1
         return None
-    e_mac, t_mac, costs, per_kind = hw.score_table
+    e_mac, _, costs, _ = hw.score_table
     try:
         dram, array, noc = count_rows(gb_refreshes, rf_refreshes, multicast, n_pe,
                                       tiles, options.psum_factor())
@@ -266,19 +269,7 @@ def price_totals(
             (dram, array, noc, [n_mac] * 3), costs.values())])
     except OverflowError:  # a count past 2^63-1, or a term past the float range
         return None
-    # each max over kinds as latency takes it: the largest term, or 0.0
-    (v_i, _, v_w), (w_i, _, w_w) = tiles
-    (b_i, dram_i, gb_i, fill_i), (b_o, dram_o, gb_o, _), \
-        (b_w, dram_w, gb_w, fill_w) = per_kind
-    sent = array if options.gb_latency_multicast_aware else noc
-    l_dram = max(0.0, dram[0] * b_i / dram_i, dram[1] * b_o / dram_o,
-                 dram[2] * b_w / dram_w)
-    l_gb = max(0.0, sent[0] * b_i / gb_i, sent[1] * b_o / gb_o,
-               sent[2] * b_w / gb_w)
-    l_setup = max(0.0, max(v_i * b_i / dram_i, w_i * b_i / fill_i),
-                  max(v_w * b_w / dram_w, w_w * b_w / fill_w))
-    l_comp = (n_mac if options.literal_eq8 else n_mac // n_pe) * t_mac
-    lat = l_setup + max(l_dram, l_gb, l_comp)
+    lat = latency_terms(dram, array, noc, tiles, n_mac, n_pe, hw, options)[4]
     if not (e <= _FLOAT_MAX and lat <= _FLOAT_MAX):
         return None
     return e, lat

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -150,6 +151,37 @@ class TestCountRows:
         assert len(calls) == 2
 
 
+class TestLatencyTerms:
+    """latency and the explorer's price_totals take latency from one rule,
+    predictor.latency_terms; the oracle observes counts and prices none."""
+
+    def test_one_rule_call_per_latency_and_none_from_the_oracle(self, monkeypatch):
+        calls = []
+        rule = predictor.latency_terms
+
+        def counted(*args):
+            calls.append(args)
+            return rule(*args)
+
+        monkeypatch.setattr(predictor, "latency_terms", counted)
+        layer, nest, refresh = single_pe_setup()
+        hw = roomy_hw()
+        plan = refresh_plan(nest, refresh)
+        report = latency(plan, access_counts(plan), hw)
+        assert len(calls) == 1
+        tiles = ([plan.v_ref[k, GB] for k in DataKind],
+                 [plan.v_ref[k, RF] for k in DataKind])
+        totals = predictor.price_totals(
+            [plan.n_ref[k, GB] for k in DataKind],
+            [plan.n_ref[k, RF] for k in DataKind],
+            [plan.multicast[k] for k in DataKind], plan.n_pe_active,
+            plan.n_mac_padded, tiles, hw)
+        assert totals[1] == report.l_total_s
+        assert len(calls) == 2
+        simulate(nest, refresh)
+        assert len(calls) == 2
+
+
 class TestEnergy:
     def test_single_pe_closed_form(self):
         layer, nest, refresh = single_pe_setup()
@@ -274,6 +306,17 @@ class TestLatency:
         assert fast_mem.l_dram_s == 0.0
         assert fast_mem.l_gb_s == 0.0
         assert fast_mem.l_setup_s == 0.0
+        assert fast_mem.dram_kind is fast_mem.gb_kind is fast_mem.setup_kind is None
+
+    def test_a_tie_names_the_first_kind(self):
+        # four inputs and four weights, at the same width and bandwidths,
+        # tie on every DRAM, GB and fill term
+        layer = LayerShape(m=1, c=4, r=1, s=1, e=1, f=1)
+        nest = build_nest(layer, {RF: {"c": 4}})
+        plan = refresh_plan(nest, RefreshLocations.outermost(nest))
+        rep = latency(plan, access_counts(plan), _hw())
+        assert rep.dram_kind is rep.gb_kind is rep.setup_kind is I
+        assert rep.bottleneck == "dram"
 
     def test_gb_bound_mapping(self):
         # heavy reuse: NoC deliveries far exceed DRAM traffic, so a slow
@@ -435,6 +478,24 @@ class TestPredictLayer:
         lowered, locs = dsl.lower(dsl.parse(text), layer)
         predict_layer(layer, lowered, locs, roomy_hw(), validate=True)
         assert calls == {"structure": 1}
+
+    @pytest.mark.parametrize("mem", [NOC, RF])
+    def test_bound_zero_loop_is_refused_unvalidated(self, mem):
+        # c 0 at NoC once divided the PE product by a multicast of 0; at RF
+        # it priced a nest that runs no MAC
+        layer = LayerShape(m=2, c=1, r=1, s=1, e=1, f=1)
+        nest = LoopNest((LoopLevel("m", 2, GB),
+                         LoopLevel("c", 0, mem, spatial=mem is NOC)), layer)
+        refresh = RefreshLocations(gb=dict.fromkeys(DataKind, 0),
+                                   rf=dict.fromkeys(DataKind, 2))
+        message = "levels[1]: bound must be >= 1"
+        with pytest.raises(MappingError, match=re.escape(message)):
+            predict_layer(layer, nest, refresh, _hw(), validate=False)
+        loops, gb, rf = nest.loops, [0] * 3, [2] * 3
+        tiles = loopnest.resident_tiles(
+            gb, rf, *loopnest._volumes_below(loops, gb, rf, 1))
+        with pytest.raises(MappingError, match=re.escape(message)):
+            predictor.score_totals(loops, gb, rf, tiles, _hw())
 
     def test_to_dict_keys_carry_units(self):
         layer, nest, refresh = single_pe_setup()
