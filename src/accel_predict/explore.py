@@ -28,18 +28,19 @@ and whether it pads, never on hardware, stride, orderings or styles, so
 they are built once per process for each of those and shared by every
 search (a bounded cache); the verdicts, the PE count and the index radix
 are the search's own, rebuilt per call. A capacity discard builds
-nothing, and a legal one builds flat loops only where its totals need
-the report path. A row_stationary_like survivor's flat loops are built
-from its factors and ordering and walked once: that walk places its
-refresh points and sizes its resident tiles, and it is the row scorer's
-reference. Both price a legal candidate with
-predictor.price_totals (the walk through score_totals), which builds no
-plan or report; the report path is its bit-for-bit reference, and only
-the returned entries get a full report. Generated nests are legal in
-structure, so this discards exactly what the full check would, under
-the same code. A discard counts under the code of the first violation
-it hit. A beam stage whose first style is doomed scores nothing, so it
-builds only the first beam_width partials, the ones it keeps.
+nothing, and a legal positional one builds flat loops only for a MAC
+product past 2^63-1, which build_plan refuses. A row_stationary_like
+survivor's flat loops are built from its factors and ordering and
+walked once: that walk places its refresh points and sizes its resident
+tiles, and it is the row scorer's reference. Both price a legal
+candidate with predictor.price_totals (the walk through score_totals),
+which builds no plan or report; the report path is its bit-for-bit
+reference, and only the returned entries get a full report. Generated
+nests are legal in structure, so this discards exactly what the full
+check would, under the same code. A discard counts under the code of the
+first violation it hit. A beam stage whose first style is doomed scores
+nothing, so it builds only the first beam_width partials, the ones it
+keeps.
 
 Results rank on (value, mapping text, index), but a candidate's
 RefreshLocations, LoopNest and text are built only when it is kept, or
@@ -400,8 +401,8 @@ def _score_positional(space: SearchSpace, prep: _Prepared, objective: str,
     DRAM, DRAM*GB), multicast, PE and MAC products are products of
     per-level factors. The GB tiles pass checked_count in KINDS order, as
     in resident_tiles (an RF tile lies within its GB tile). Flat loops
-    are built only for the report path, where price_totals hands a legal
-    candidate over to score_totals.
+    are built only for a MAC product past 2^63-1, which price_totals
+    hands over to score_totals (and build_plan refuses).
     """
     kept, st = prep.kept[style], prep.stride
     m, c, r, s, e, f = rows

@@ -301,8 +301,8 @@ def build_plan(loops, gb, rf, tiles) -> RefreshPlan:
     order), given their resident_tiles: each refresh count is the product
     of the temporal bounds above its location."""
     above, multicast, n_pe, n_mac = loop_products(loops)
-    # With bounds >= 1 every count here divides n_mac; otherwise an overflow
-    # raises as and where it would, then a bound under 1 as the oracle does.
+    # Each count divides n_mac, so one overflows (as and where it would) only
+    # outside 1..2^63-1; then a bound under 1 raises, as the oracle refuses it.
     if not 0 < n_mac <= INT64_MAX:
         for p in (*gb, *rf):
             checked_product([b for _, b, sp in loops[:p] if not sp])
@@ -310,9 +310,9 @@ def build_plan(loops, gb, rf, tiles) -> RefreshPlan:
             checked_product(b for d, b, sp in loops if sp and d not in relevant)
         checked_product(b for _, b, sp in loops if sp)
         checked_product(b for _, b, _ in loops)
-        if bad := [Violation("structure", f"levels[{i}]", NO_ITERATIONS)
-                   for i, (_, b, _) in enumerate(loops) if b < 1]:
-            raise MappingError(bad)
+    if any(b < 1 for _, b, _ in loops):
+        raise MappingError([Violation("structure", f"levels[{i}]", NO_ITERATIONS)
+                            for i, (_, b, _) in enumerate(loops) if b < 1])
     return RefreshPlan(dict(zip(_PLAN_KEYS, [above[p] for p in (*gb, *rf)])),
                        dict(zip(_PLAN_KEYS, (*tiles[0], *tiles[1]))),
                        dict(zip(KINDS, multicast)), n_pe, n_mac)

@@ -10,15 +10,16 @@ from price_totals, which reads that table and builds no plan or report;
 this report path is its bit-for-bit reference. It prices the integer
 refresh counts and products that score_totals reads off flat loops, or
 the explorer off a positional candidate's factors (see explore). The
-report path and that kernel share one row builder, count_rows, the only
-place the partial-sum and the overflow rules live, and one latency rule,
-latency_terms, the only place setup + max(comp, DRAM, GB) is written.
+report path and that kernel share three rules, each written once:
+count_rows (psum and overflow), energy_terms (count x unit cost) and
+latency_terms (setup + max(comp, DRAM, GB)), so both raise the same
+errors; build_plan refuses what the kernel cannot price.
 """
 
 from __future__ import annotations
 
 import math
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ConfigError, MappingError
@@ -140,34 +141,50 @@ def _shares(parts: dict[str, float]) -> dict[str, float]:
     return {k: v / total * 100.0 for k, v in parts.items()}
 
 
-def _energy_overflow(name: str) -> ConfigError:
-    return ConfigError(f"energy: {name} exceeds the largest float; the unit "
-                       "costs are too large for this mapping")
+_TOO_SLOW = "the bandwidths are too small or the MAC time too large"
 
 
-def energy(
-    plan: RefreshPlan, counts: AccessCounts, hw: HardwareConfig
-) -> EnergyReport:
-    """Each access count times its unit cost, plus the MACs. Raises
-    ConfigError naming the first term past the largest float, if any."""
-    e_mac, _, costs, _ = hw.score_table
-    by_level_kind: dict[MemLevel, dict[DataKind, float]] = {}
-    for lvl, per_kind in counts.items():
-        by_level_kind[lvl] = {k: per_kind[k] * c for k, c in zip(KINDS, costs[lvl])}
-    e_comp = plan.n_mac_padded * e_mac
+def _overflow(name: str, cause: str = "the unit costs are too large") -> ConfigError:
+    return ConfigError(f"{name} exceeds the largest float; {cause} for this mapping")
+
+
+def energy_terms(rows, costs, n_mac: int, e_mac):
+    """The energy rule on four count rows (KINDS order), their unit costs
+    (level -> cost row, in the rows' order) and the MAC product: the terms
+    count x cost, each row's sum, the MAC term and the total. Raises
+    ConfigError naming the first term past the largest float, MAC first."""
+    (r0, r1, r2, r3), (c0, c1, c2, c3) = rows, costs.values()
+    terms = ((r0[0] * c0[0], r0[1] * c0[1], r0[2] * c0[2]),
+             (r1[0] * c1[0], r1[1] * c1[1], r1[2] * c1[2]),
+             (r2[0] * c2[0], r2[1] * c2[1], r2[2] * c2[2]),
+             (r3[0] * c3[0], r3[1] * c3[1], r3[2] * c3[2]))
+    e_comp = n_mac * e_mac
     try:
-        level_totals = {lvl: sum(row.values()) for lvl, row in by_level_kind.items()}
-        total = e_comp + sum(level_totals.values())
+        sums = list(map(sum, terms))
+        total = e_comp + sum(sums)
     except OverflowError:  # an integer term past the float range
         total = math.inf
     # costs are >= 0, so a total in range keeps every term in range
     if not total <= _FLOAT_MAX:
-        terms = {"comp": e_comp, **{f"{lvl.label}[{k}]": v
-                 for lvl, row in by_level_kind.items() for k, v in row.items()}}
-        name = next((n for n, v in terms.items() if not v <= _FLOAT_MAX), None)
-        raise _energy_overflow(f"the {name} term" if name else "the total")
-    return EnergyReport(e_comp, level_totals[_RF], level_totals[_NOC],
-                        level_totals[_GB], level_totals[_DRAM], total, by_level_kind)
+        named = {"comp": e_comp, **{f"{lvl.label}[{k}]": v for lvl, row in
+                                    zip(costs, terms) for k, v in zip(KINDS, row)}}
+        name = next((n for n, v in named.items() if not v <= _FLOAT_MAX), None)
+        raise _overflow(f"energy: the {name} term" if name else "energy: the total")
+    return terms, sums, e_comp, total
+
+
+def energy(plan: RefreshPlan, counts: AccessCounts,
+           hw: HardwareConfig) -> EnergyReport:
+    """The report of energy_terms on the counts, each level at its own
+    unit costs, and the plan's MAC product."""
+    e_mac, _, costs, _ = hw.score_table
+    terms, sums, e_comp, total = energy_terms(
+        list(map(_BY_KIND, counts.values())), {lvl: costs[lvl] for lvl in counts},
+        plan.n_mac_padded, e_mac)
+    e = dict(zip(counts, sums))
+    return EnergyReport(e_comp, e[_RF], e[_NOC], e[_GB], e[_DRAM], total,
+                        {lvl: {_INPUT: i, _OUTPUT: o, _WEIGHT: w}
+                         for lvl, (i, o, w) in zip(counts, terms)})
 
 
 class LatencyReport(NamedTuple):
@@ -190,7 +207,8 @@ def latency_terms(dram, array, noc, tiles, n_mac: int, n_pe: int,
     first-tile fill terms (KINDS order; the output's fill is 0.0, as
     outputs are produced, not staged). Each max over kinds is the largest
     term, or 0.0. Compute and both transfers overlap fully, whatever the
-    buffers hold: hw.buffering_factor only scales the tiles' capacity."""
+    buffers hold: hw.buffering_factor only scales the tiles' capacity. A
+    total past the largest float raises ConfigError (terms are >= 0)."""
     _, t_mac, _, per_kind = hw.score_table
     (b_i, dram_i, gb_i, fill_i), (b_o, dram_o, gb_o, _), \
         (b_w, dram_w, gb_w, fill_w) = per_kind
@@ -205,8 +223,10 @@ def latency_terms(dram, array, noc, tiles, n_mac: int, n_pe: int,
     l_comp = (n_mac if options.literal_eq8 else n_mac // n_pe) * t_mac
     l_dram, l_gb, l_setup = (max(0.0, *dram_terms), max(0.0, *gb_terms),
                              max(0.0, *setup_terms))
-    return (l_comp, l_dram, l_gb, l_setup, l_setup + max(l_dram, l_gb, l_comp),
-            (dram_terms, gb_terms, setup_terms))
+    total = l_setup + max(l_dram, l_gb, l_comp)
+    if not total <= _FLOAT_MAX:
+        raise _overflow("latency: the total", _TOO_SLOW)
+    return l_comp, l_dram, l_gb, l_setup, total, (dram_terms, gb_terms, setup_terms)
 
 
 def latency(
@@ -234,19 +254,17 @@ def score_totals(
     loops, gb, rf, tiles, hw: HardwareConfig, options: Options = Options()
 ) -> tuple[float, float]:
     """energy(...).total and latency(...).l_total_s of build_plan(loops,
-    gb, rf, tiles), bit for bit: loop_products' refresh counts and
-    products, priced by price_totals. A count past 2^63-1, a bound under 1
-    or a total past the largest float goes down that report path, its
-    reference, which raises what and where it raises (MappingError for
-    the bound)."""
+    gb, rf, tiles), bit for bit, or the same error: loop_products' refresh
+    counts and products, priced by price_totals. A bound under 1, or a MAC
+    product outside 1..2^63-1, goes to build_plan, which refuses it: a
+    count past 2^63-1 first, then a MappingError for the bound."""
     above, multicast, n_pe, n_mac = loop_products(loops)
-    totals = price_totals([above[p] for p in gb], [above[p] for p in rf],
-                          multicast, n_pe, n_mac, tiles, hw, options)
-    if totals is not None:
-        return totals
-    plan = build_plan(loops, gb, rf, tiles)
-    counts = access_counts(plan, options)
-    return energy(plan, counts, hw).total, latency(plan, counts, hw, options).l_total_s
+    totals = None if any(b < 1 for _, b, _ in loops) else price_totals(
+        [above[p] for p in gb], [above[p] for p in rf], multicast, n_pe, n_mac,
+        tiles, hw, options)
+    if totals is None:
+        build_plan(loops, gb, rf, tiles)  # which refuses it
+    return totals
 
 
 def price_totals(
@@ -255,24 +273,16 @@ def price_totals(
 ) -> tuple[float, float] | None:
     """The energy and latency totals of a plan given as count_rows'
     integers (KINDS order) and the MAC product: count_rows' rows, priced
-    by the report path's energy operations in its order from
-    hw.score_table and by latency_terms, with no plan or report built.
-    None where that path must run instead: a count past 2^63-1 (or n_mac
-    under 1) or a total past the largest float."""
-    if not 0 < n_mac <= INT64_MAX:  # or a bound under 1
+    by energy_terms and latency_terms from hw.score_table, with no plan or
+    report built. Each rule raises what and where the report path does.
+    None for a MAC product outside 1..2^63-1, which build_plan refuses."""
+    if not 0 < n_mac <= INT64_MAX:
         return None
+    dram, array, noc = count_rows(gb_refreshes, rf_refreshes, multicast, n_pe,
+                                  tiles, options.psum_factor())
     e_mac, _, costs, _ = hw.score_table
-    try:
-        dram, array, noc = count_rows(gb_refreshes, rf_refreshes, multicast, n_pe,
-                                      tiles, options.psum_factor())
-        e = n_mac * e_mac + sum([sum(map(mul, row, cost)) for row, cost in zip(
-            (dram, array, noc, [n_mac] * 3), costs.values())])
-    except OverflowError:  # a count past 2^63-1, or a term past the float range
-        return None
-    lat = latency_terms(dram, array, noc, tiles, n_mac, n_pe, hw, options)[4]
-    if not (e <= _FLOAT_MAX and lat <= _FLOAT_MAX):
-        return None
-    return e, lat
+    return (energy_terms((dram, array, noc, (n_mac,) * 3), costs, n_mac, e_mac)[3],
+            latency_terms(dram, array, noc, tiles, n_mac, n_pe, hw, options)[4])
 
 
 class PredictionReport(NamedTuple):
@@ -427,8 +437,10 @@ def predict_network(
         raise ConfigError("predict_network needs at least one layer")
     energy_total = sum(r.energy.total for r in reports)
     if not energy_total <= _FLOAT_MAX:
-        raise _energy_overflow("the network total")
+        raise _overflow("energy: the network total")
     latency_total = sum(r.latency.l_total_s for r in reports)
+    if not latency_total <= _FLOAT_MAX:
+        raise _overflow("latency: the network total", _TOO_SLOW)
     n_mac = sum(r.n_mac for r in reports)
     return NetworkReport(reports, energy_total, latency_total, n_mac,
                          sum(r.n_mac_padded for r in reports),

@@ -610,6 +610,17 @@ class TestObjectives:
         assert a.dsl == b.dsl
         assert b.objective_value == pytest.approx(8 * a.objective_value)
 
+    @pytest.mark.parametrize("objective", ["edp", "latency"])
+    def test_latency_past_the_float_range_is_refused(self, objective):
+        # zero costs and 5e-324 bits/s to DRAM: every latency is inf, and
+        # edp 0 x inf = NaN; canonical_json can write neither
+        hw = dataclasses.replace(hardware_preset("eyeriss_normalized"),
+                                 unit_costs=UnitCosts(t_comp=1e-9), bw_dram=5e-324)
+        with pytest.raises(ConfigError, match="^latency: the total exceeds "
+                           "the largest float"):
+            explore(SearchSpace(hw), LayerShape(m=4, c=3, r=3, s=1, e=4, f=2),
+                    objective=objective, strategy="exhaustive")
+
 
 class TestLegalityScreening:
     def test_pe_array_discards_counted(self):
@@ -964,22 +975,23 @@ class TestFactorScreen:
         for feature in features:
             assert seen[feature, "ok"] and seen[feature, "capacity"], feature
 
-    # price_totals hands a legal candidate to score_totals' report path
-    # when its latency passes the largest float (which that path returns
-    # as inf), its energy does (a ConfigError there) or a count passes
-    # 2^63-1 (a CountOverflowError); every candidate of each space
-    @pytest.mark.parametrize("hw, layer, levels, verdicts", [
+    # a legal candidate whose latency passes the largest float raises
+    # ConfigError, as the report path does, and so does one whose energy
+    # does; price_totals prices both itself. Only a MAC product past
+    # 2^63-1 goes to score_totals' report path (a CountOverflowError
+    # there); every candidate of each space
+    @pytest.mark.parametrize("hw, layer, levels, verdicts, hands_over", [
         (_hw(bw_dram=1e-305), LayerShape(m=4, c=3, r=3, s=1, e=4, f=2),
-         (DRAM, GB, RF), {"ok", "capacity"}),
+         (DRAM, GB, RF), {"overflow", "capacity"}, False),
         (_hw(capacity_rf=256, unit_costs=UnitCosts(
             e_mac=1.0, t_comp=1e-9, e_access={DRAM: {k: 4e305 for k in KINDS}})),
          LayerShape(m=4, c=3, r=3, s=1, e=4, f=2), (DRAM, GB, RF),
-         {"ok", "overflow", "capacity"}),
+         {"ok", "overflow", "capacity"}, False),
         (_hw(), LayerShape(m=1, c=1, r=2**31, s=2**32, e=1, f=1), (DRAM, RF),
-         {"overflow", "capacity"}),
+         {"overflow", "capacity"}, True),
     ], ids=["latency", "energy", "count"])
     def test_report_path_hand_over_equals_the_walk(self, hw, layer, levels,
-                                                   verdicts):
+                                                   verdicts, hands_over):
         space = SearchSpace(hw, levels=levels,
                             refresh_styles=tuple(STATIONARY_KIND))
         prep = _prepare(space, layer)
@@ -994,7 +1006,7 @@ class TestFactorScreen:
             for i in range(prep.size):
                 seen[_check_factor_sizing(space, prep, _unrank(prep, i))] += 1
         assert set(seen) - {None} == verdicts
-        assert any(handed)
+        assert any(handed) is hands_over
 
     # the three spaces pinned with allowed_factors before the knob went,
     # now unrestricted; stats and sha256 of the canonical to_dict() JSON

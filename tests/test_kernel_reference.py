@@ -22,10 +22,13 @@ builds the overflow violations only when a tile does not fit; its former
 self, which built them on every call, is its reference.
 
 `predictor.score_totals`, the explorer's score, returns the energy and
-latency totals without a plan, count rows or reports. Its reference is
-that report path itself: `energy(...).total` and `latency(...).l_total_s`
-of `build_plan` and `access_counts`, bit for bit, or the same exception
-with the same message.
+latency totals without a plan or reports: it builds the count rows with
+`count_rows` and prices them with `energy_terms` and `latency_terms`, the
+rules the report path uses. Its reference is that report path itself:
+`energy(...).total` and `latency(...).l_total_s` of `build_plan` and
+`access_counts`, bit for bit, or the same exception with the same
+message. It hands over to `build_plan` only a nest that path refuses: a
+MAC product outside 1..2^63-1 or a bound under 1.
 """
 
 import dataclasses
@@ -413,8 +416,10 @@ def test_kernel_matches_reference_at_the_edges(name):
     with pytest.raises(CountOverflowError) as exc:
         access_counts(refresh_plan(nest, refresh, options), options)
     assert str(exc.value) == message
-    # the score kernel hands each of them to the report path
-    assert _score_against_report_path(*instance)
+    # the score kernel raises the report path's error itself, and hands
+    # over only a MAC product outside 1..2^63-1
+    assert _score_against_report_path(*instance) is (
+        name in ("multicast", "zero-bound-after-an-overflow"))
 
 
 def test_dram_traffic_passes_the_overflow_rule():
@@ -430,7 +435,9 @@ def test_dram_traffic_passes_the_overflow_rule():
     with pytest.raises(CountOverflowError) as exc:
         predict_layer(layer, nest, refresh, hw, Options(psum_rw_factor=1))
     assert str(exc.value) == "count 9903520309671356182913089536 exceeds 2^63-1"
-    assert _score_against_report_path(nest, refresh, Options(psum_rw_factor=1), hw)
+    # the score kernel raises the same error, without handing over
+    assert _score_against_report_path(
+        nest, refresh, Options(psum_rw_factor=1), hw) is False
 
 
 # ------------------------------------------------------- score kernel

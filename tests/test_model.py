@@ -449,7 +449,9 @@ class TestHardwareFuzz:
     def test_construction_refuses_or_predicts(self, values):
         """Arbitrary field values either fail at construction with a
         ConfigError, or give hardware on which the conv3 row_stationary
-        mapping predicts numbers or is refused as a MappingError."""
+        mapping predicts finite numbers, is refused as a MappingError, or
+        has a latency total past the largest float refused (a bandwidth
+        as small as 2.2e-308 bits/s is legal hardware)."""
         try:
             hw = _eyeriss_with(values)
         except ConfigError as exc:
@@ -461,8 +463,11 @@ class TestHardwareFuzz:
             report = predict_layer(conv3, nest, refresh, hw)
         except MappingError:
             return
-        assert not math.isnan(report.energy.total)
-        assert not math.isnan(report.latency.l_total_s)
+        except ConfigError as exc:
+            assert str(exc).startswith("latency: the total exceeds the largest float")
+            return
+        assert math.isfinite(report.energy.total)
+        assert math.isfinite(report.latency.l_total_s)
 
 
 class TestUnitCosts:

@@ -182,6 +182,37 @@ class TestLatencyTerms:
         assert len(calls) == 2
 
 
+class TestEnergyTerms:
+    """energy and the explorer's price_totals take energy from one rule,
+    predictor.energy_terms; the oracle observes counts and prices none."""
+
+    def test_one_rule_call_per_energy_and_none_from_the_oracle(self, monkeypatch):
+        calls = []
+        rule = predictor.energy_terms
+
+        def counted(*args):
+            calls.append(args)
+            return rule(*args)
+
+        monkeypatch.setattr(predictor, "energy_terms", counted)
+        layer, nest, refresh = single_pe_setup()
+        hw = roomy_hw()
+        plan = refresh_plan(nest, refresh)
+        report = energy(plan, access_counts(plan), hw)
+        assert len(calls) == 1
+        tiles = ([plan.v_ref[k, GB] for k in DataKind],
+                 [plan.v_ref[k, RF] for k in DataKind])
+        totals = predictor.price_totals(
+            [plan.n_ref[k, GB] for k in DataKind],
+            [plan.n_ref[k, RF] for k in DataKind],
+            [plan.multicast[k] for k in DataKind], plan.n_pe_active,
+            plan.n_mac_padded, tiles, hw)
+        assert totals[0] == report.total
+        assert len(calls) == 2
+        simulate(nest, refresh)
+        assert len(calls) == 2
+
+
 class TestEnergy:
     def test_single_pe_closed_form(self):
         layer, nest, refresh = single_pe_setup()
@@ -256,6 +287,16 @@ class TestEnergy:
 
 
 class TestLatency:
+    def test_total_past_the_float_range_raises(self):
+        # a DRAM bandwidth of 5e-324 bits/s takes the DRAM term to inf
+        layer = layer_preset("conv3")
+        hw = hardware_preset("eyeriss_normalized")
+        nest, refresh = mapping_preset("row_stationary", layer, hw)
+        hw = dataclasses.replace(hw, bw_dram=5e-324)
+        with pytest.raises(PredictorError, match="^latency: the total "
+                           "exceeds the largest float"):
+            predict_layer(layer, nest, refresh, hw)
+
     def test_single_pe_terms(self):
         layer, nest, refresh = single_pe_setup()
         hw = _hw()  # dram 1e9, gb 2e9, rf 4e9, t_comp 1ns
@@ -497,6 +538,28 @@ class TestPredictLayer:
         with pytest.raises(MappingError, match=re.escape(message)):
             predictor.score_totals(loops, gb, rf, tiles, _hw())
 
+    @pytest.mark.parametrize("places", [(GB, RF), (NOC, NOC)])
+    def test_negative_bounds_are_refused_whatever_the_mac_product(self, places):
+        # m -1 and c -2 multiply to 2 MACs, a product in range, so no
+        # overflow check sees them; priced, they give a negative energy
+        layer = LayerShape(m=2, c=1, r=1, s=1, e=1, f=1)
+        nest = LoopNest(tuple(LoopLevel(d, b, mem, spatial=mem is NOC)
+                              for (d, b), mem in zip((("m", -1), ("c", -2)), places)),
+                        layer)
+        refresh = RefreshLocations(gb=dict.fromkeys(DataKind, 0),
+                                   rf=dict.fromkeys(DataKind, 2))
+        hw = hardware_preset("eyeriss_normalized")
+        message = "levels[0]: bound must be >= 1; levels[1]: bound must be >= 1"
+        with pytest.raises(MappingError, match=re.escape(message)):
+            predict_layer(layer, nest, refresh, hw, validate=False)
+        loops, gb, rf = nest.loops, [0] * 3, [2] * 3
+        tiles = loopnest.resident_tiles(
+            gb, rf, *loopnest._volumes_below(loops, gb, rf, 1))
+        with pytest.raises(MappingError, match=re.escape(message)):
+            predictor.score_totals(loops, gb, rf, tiles, hw)
+        with pytest.raises(MappingError):
+            simulate(nest, refresh)
+
     def test_to_dict_keys_carry_units(self):
         layer, nest, refresh = single_pe_setup()
         d = predict_layer(layer, nest, refresh, roomy_hw()).to_dict()
@@ -521,6 +584,17 @@ class TestPredictNetwork:
         assert net.throughput_gops == pytest.approx(
             2 * net.n_mac / net.latency_total_s / 1e9
         )
+
+    def test_latency_total_past_the_float_range_raises(self):
+        layer = layer_preset("conv3")
+        hw = hardware_preset("eyeriss_normalized")
+        nest, refresh = mapping_preset("row_stationary", layer, hw)
+        hw = dataclasses.replace(hw, unit_costs=dataclasses.replace(
+            hw.unit_costs, t_comp=1e302))
+        assert predict_layer(layer, nest, refresh, hw).latency.l_total_s < math.inf
+        with pytest.raises(PredictorError, match="^latency: the network total "
+                           "exceeds the largest float"):
+            predict_network([(layer, nest, refresh)] * 2, hw)
 
     def test_empty_network_rejected(self):
         with pytest.raises(ConfigError):
